@@ -17,8 +17,9 @@
 # must come out identical at every domain count (wall-clock figures go to
 # stderr and never enter the diff).
 #
-# E20 is in the default set because it drives the chunked pool and the
-# batched CSR kernels (cut_many / flip_sweep) through the decode battery, a
+# E20 is in the default set because it drives the pool (Pool.run_batched,
+# one scratch arena per domain) and the batched CSR kernels
+# (cut_many / flip_sweep) through the decode battery, a
 # k = 28 enumerate and a Karger sweep at explicit domain counts 1/2/4
 # *inside* the experiment; the gate re-runs it under each DCS_DOMAINS value
 # to prove the ambient domain count leaks into nothing.
@@ -80,6 +81,15 @@
 # every domain count. E18's stdout contains a wall-clock hot-path table and
 # trace files are timing by definition, so neither joins the diff — only
 # the metrics snapshot does.
+#
+# Last, every test executable runs at DCS_DOMAINS=1 and 4. @batched holds
+# the CSR kernels vs their scalar paths, run_batched's arena reuse and
+# lowest-index failure contract, run_supervised under crash/hang injection
+# (outputs, reports and counters identical across domain counts), the
+# golden Prng.fingerprint pins of task streams, and the Forall_lb/Brute
+# kernel routing. @sched, @sparsolve, @serve and @stream cover their
+# subsystems; the main suite holds the Pool failure contract and the
+# Checkpoint.sweep kill-then-resume cases.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -214,10 +224,10 @@ for d in 2 4; do
 done
 echo "E18 metrics snapshots byte-identical at DCS_DOMAINS=1, 2 and 4"
 
-echo "== batched kernel suite (@batched) with DCS_DOMAINS=1 and 4 =="
+echo "== batched kernel + pool suite (@batched) with DCS_DOMAINS=1 and 4 =="
 DCS_DOMAINS=1 dune exec --no-build test/batched/main_batched.exe > /dev/null
 DCS_DOMAINS=4 dune exec --no-build test/batched/main_batched.exe > /dev/null
-echo "batched kernel suite green at DCS_DOMAINS=1 and 4"
+echo "batched kernel + pool suite green at DCS_DOMAINS=1 and 4"
 
 echo "== scheduler suite (@sched) with DCS_DOMAINS=1 and 4 =="
 DCS_DOMAINS=1 dune exec --no-build test/sched/main_sched.exe > /dev/null

@@ -30,8 +30,6 @@ let m_flip_sweep = Metrics.counter "csr.flip_sweep_calls"
 let m_delta_cut = Metrics.counter "csr.delta_cuts"
 let m_compactions = Metrics.counter "csr.compactions"
 
-type f64_1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
   n : int;
   arcs : int;
@@ -41,11 +39,6 @@ type t = {
   in_off : int array;   (* the same arcs, grouped by head *)
   in_src : int array;
   in_w : float array;
-  (* Optional Bigarray mirrors of the two weight arrays (same doubles, same
-     order), attached by [with_bigarray_weights] before any fan-out so no
-     domain ever races on them. The batched kernels read weights from the
-     mirror when present; values are bit-identical either way. *)
-  big : (f64_1 * f64_1) option;
 }
 
 let n t = t.n
@@ -103,7 +96,7 @@ let of_digraph g =
       in_w.(j) <- w);
   sort_rows nv out_off out_dst out_w;
   sort_rows nv in_off in_src in_w;
-  { n = nv; arcs; out_off; out_dst; out_w; in_off; in_src; in_w; big = None }
+  { n = nv; arcs; out_off; out_dst; out_w; in_off; in_src; in_w }
 
 let of_ugraph g =
   Metrics.inc m_builds;
@@ -128,15 +121,14 @@ let of_ugraph g =
   sort_rows nv off dst w;
   (* Symmetric: the in-direction is the same physical arrays. *)
   { n = nv; arcs; out_off = off; out_dst = dst; out_w = w;
-    in_off = off; in_src = dst; in_w = w; big = None }
+    in_off = off; in_src = dst; in_w = w }
 
 (* Content fingerprint: chain the SplitMix64 finalizer (Prng.mix64 — the
    same mixer Prng.fingerprint is built from) over n and the out-direction
    offset/endpoint/weight arrays. Rows are endpoint-sorted at freeze, so
    the fold order is canonical: two freezes of equal graphs collide by
    construction, whatever hashtable history produced them. The in-direction
-   is determined by the out-direction, and the Bigarray mirrors hold the
-   same doubles, so neither joins the fold. *)
+   is determined by the out-direction, so it does not join the fold. *)
 let fingerprint t =
   let mix = Dcs_util.Prng.mix64 in
   let h = ref (mix (Int64.of_int t.n)) in
@@ -158,21 +150,7 @@ let reverse t =
     in_off = t.out_off;
     in_src = t.out_dst;
     in_w = t.out_w;
-    big = Option.map (fun (o, i) -> (i, o)) t.big;
   }
-
-let with_bigarray_weights t =
-  match t.big with
-  | Some _ -> t
-  | None ->
-      let mirror (w : float array) : f64_1 =
-        let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout t.arcs in
-        Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i x) w;
-        b
-      in
-      { t with big = Some (mirror t.out_w, mirror t.in_w) }
-
-let has_bigarray_weights t = t.big <> None
 
 let out_degree t u =
   check_vertex t u "out_degree";
@@ -294,33 +272,18 @@ let cut_many ?into t sides =
     Array.unsafe_set out m 0.0
   done;
   if mcuts > 0 then begin
-    let off = t.out_off and dst = t.out_dst in
-    (match t.big with
-    | Some (bw, _) ->
-        for u = 0 to t.n - 1 do
-          for i = off.(u) to off.(u + 1) - 1 do
-            let v = Array.unsafe_get dst i in
-            let w = Bigarray.Array1.unsafe_get bw i in
-            for m = 0 to mcuts - 1 do
-              let s = Array.unsafe_get sides m in
-              if Array.unsafe_get s u && not (Array.unsafe_get s v) then
-                Array.unsafe_set out m (Array.unsafe_get out m +. w)
-            done
-          done
+    let off = t.out_off and dst = t.out_dst and w = t.out_w in
+    for u = 0 to t.n - 1 do
+      for i = off.(u) to off.(u + 1) - 1 do
+        let v = Array.unsafe_get dst i in
+        let x = Array.unsafe_get w i in
+        for m = 0 to mcuts - 1 do
+          let s = Array.unsafe_get sides m in
+          if Array.unsafe_get s u && not (Array.unsafe_get s v) then
+            Array.unsafe_set out m (Array.unsafe_get out m +. x)
         done
-    | None ->
-        let w = t.out_w in
-        for u = 0 to t.n - 1 do
-          for i = off.(u) to off.(u + 1) - 1 do
-            let v = Array.unsafe_get dst i in
-            let x = Array.unsafe_get w i in
-            for m = 0 to mcuts - 1 do
-              let s = Array.unsafe_get sides m in
-              if Array.unsafe_get s u && not (Array.unsafe_get s v) then
-                Array.unsafe_set out m (Array.unsafe_get out m +. x)
-            done
-          done
-        done)
+      done
+    done
   end;
   out
 
@@ -337,49 +300,25 @@ let flip_sweep ?(off = 0) ?len t ~side ~init ~flips ~vals =
   done;
   Metrics.inc ~by:len m_cut_delta;
   Metrics.inc m_flip_sweep;
-  let out_off = t.out_off and out_dst = t.out_dst in
-  let in_off = t.in_off and in_src = t.in_src in
+  let out_off = t.out_off and out_dst = t.out_dst and out_w = t.out_w in
+  let in_off = t.in_off and in_src = t.in_src and in_w = t.in_w in
   let cur = ref init in
-  (match t.big with
-  | Some (bow, biw) ->
-      for j = 0 to len - 1 do
-        let x = Array.unsafe_get flips (off + j) in
-        let d = ref 0.0 in
-        for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1
-        do
-          if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then
-            d := !d +. Bigarray.Array1.unsafe_get bow i
-        done;
-        for i = Array.unsafe_get in_off x to Array.unsafe_get in_off (x + 1) - 1
-        do
-          if Array.unsafe_get side (Array.unsafe_get in_src i) then
-            d := !d -. Bigarray.Array1.unsafe_get biw i
-        done;
-        let delta = if Array.unsafe_get side x then -. !d else !d in
-        cur := !cur +. delta;
-        Array.unsafe_set side x (not (Array.unsafe_get side x));
-        Array.unsafe_set vals j !cur
-      done
-  | None ->
-      let out_w = t.out_w and in_w = t.in_w in
-      for j = 0 to len - 1 do
-        let x = Array.unsafe_get flips (off + j) in
-        let d = ref 0.0 in
-        for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1
-        do
-          if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then
-            d := !d +. Array.unsafe_get out_w i
-        done;
-        for i = Array.unsafe_get in_off x to Array.unsafe_get in_off (x + 1) - 1
-        do
-          if Array.unsafe_get side (Array.unsafe_get in_src i) then
-            d := !d -. Array.unsafe_get in_w i
-        done;
-        let delta = if Array.unsafe_get side x then -. !d else !d in
-        cur := !cur +. delta;
-        Array.unsafe_set side x (not (Array.unsafe_get side x));
-        Array.unsafe_set vals j !cur
-      done);
+  for j = 0 to len - 1 do
+    let x = Array.unsafe_get flips (off + j) in
+    let d = ref 0.0 in
+    for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1 do
+      if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then
+        d := !d +. Array.unsafe_get out_w i
+    done;
+    for i = Array.unsafe_get in_off x to Array.unsafe_get in_off (x + 1) - 1 do
+      if Array.unsafe_get side (Array.unsafe_get in_src i) then
+        d := !d -. Array.unsafe_get in_w i
+    done;
+    let delta = if Array.unsafe_get side x then -. !d else !d in
+    cur := !cur +. delta;
+    Array.unsafe_set side x (not (Array.unsafe_get side x));
+    Array.unsafe_set vals j !cur
+  done;
   !cur
 
 (* --- canonical thaw --- *)

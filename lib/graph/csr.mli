@@ -1,7 +1,9 @@
 (** Frozen compressed-sparse-row graphs: the hot-path representation.
 
     A [Csr.t] is an immutable snapshot of a {!Digraph} or {!Ugraph} as flat
-    offset/endpoint/weight arrays, in both arc directions. Freezing costs
+    offset/endpoint/weight arrays, in both arc directions (one [float array]
+    of weights per direction — with [flat_float_array], the compiler
+    default, already an unboxed buffer the GC never scans). Freezing costs
     one pass over the edges plus a per-row sort; afterwards cut evaluation
     is a contiguous scan and single-vertex cut updates are O(degree) via
     {!cut_delta} — the workhorse of the Section 4 subset-enumeration
@@ -172,14 +174,3 @@ val compact : delta -> t
     apply adjustments in ascending arc order, re-freeze). Raises
     [Invalid_argument] if any arc merges to a negative weight — the
     overlay was promising deletions the base never had. *)
-
-val with_bigarray_weights : t -> t
-(** A view of the same graph whose batched kernels read arc weights from
-    [Bigarray.Array1] (float64, C layout) mirrors instead of the boxed
-    float arrays — same doubles in the same order, so every result is
-    bit-identical; the mirrors are plain flat unboxed buffers that the
-    runtime never scans or moves. Build it once before a fan-out and share
-    the result: the mirror is attached eagerly, so the value is as
-    read-only (and domain-safe) as the original. Idempotent. *)
-
-val has_bigarray_weights : t -> bool

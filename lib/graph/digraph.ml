@@ -41,6 +41,7 @@ let set_edge g u v w =
   check_vertex g u "set_edge";
   check_vertex g v "set_edge";
   if u = v then invalid_arg "Digraph.set_edge: self-loop";
+  if not (Float.is_finite w) then invalid_arg "Digraph.set_edge: non-finite weight";
   if w < 0.0 then invalid_arg "Digraph.set_edge: negative weight";
   let existed = Hashtbl.mem g.out_adj.(u) v in
   if w = 0.0 then begin
@@ -57,6 +58,7 @@ let set_edge g u v w =
   end
 
 let add_edge g u v w =
+  if not (Float.is_finite w) then invalid_arg "Digraph.add_edge: non-finite weight";
   if w < 0.0 then invalid_arg "Digraph.add_edge: negative weight";
   if w > 0.0 then set_edge g u v (weight g u v +. w)
 

@@ -19,10 +19,13 @@ val m : t -> int
 
 val add_edge : t -> int -> int -> float -> unit
 (** [add_edge g u v w] adds [w] to the weight of edge (u, v). Requires
-    [u <> v], [w >= 0], and valid vertex ids. Adding weight 0 is a no-op. *)
+    [u <> v], a finite [w >= 0] (NaN and infinities raise
+    [Invalid_argument]), and valid vertex ids. Adding weight 0 is a
+    no-op. *)
 
 val set_edge : t -> int -> int -> float -> unit
-(** Overwrite the weight of (u, v); weight 0 removes the edge. *)
+(** Overwrite the weight of (u, v); weight 0 removes the edge. The same
+    checks as {!add_edge}. *)
 
 val weight : t -> int -> int -> float
 (** Weight of (u, v), 0 if absent. *)

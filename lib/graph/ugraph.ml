@@ -25,6 +25,7 @@ let set_edge g u v w =
   check_vertex g u "set_edge";
   check_vertex g v "set_edge";
   if u = v then invalid_arg "Ugraph.set_edge: self-loop";
+  if not (Float.is_finite w) then invalid_arg "Ugraph.set_edge: non-finite weight";
   if w < 0.0 then invalid_arg "Ugraph.set_edge: negative weight";
   let existed = Hashtbl.mem g.adj.(u) v in
   if w = 0.0 then begin
@@ -41,6 +42,7 @@ let set_edge g u v w =
   end
 
 let add_edge g u v w =
+  if not (Float.is_finite w) then invalid_arg "Ugraph.add_edge: non-finite weight";
   if w < 0.0 then invalid_arg "Ugraph.add_edge: negative weight";
   if w > 0.0 then set_edge g u v (weight g u v +. w)
 

@@ -12,9 +12,13 @@ val m : t -> int
 (** Number of distinct undirected edges. *)
 
 val add_edge : t -> int -> int -> float -> unit
-(** Accumulates; requires [u <> v] and [w >= 0]. *)
+(** Accumulates; requires [u <> v] and a finite [w >= 0] (NaN and
+    infinities raise [Invalid_argument]). *)
 
 val set_edge : t -> int -> int -> float -> unit
+(** Overwrite; weight 0 removes the edge. The same checks as
+    {!add_edge}. *)
+
 val weight : t -> int -> int -> float
 val mem_edge : t -> int -> int -> bool
 

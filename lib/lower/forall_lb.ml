@@ -392,11 +392,11 @@ type trial_stats = {
   mean_sketch_bits : float;
 }
 
-let run_trials ?domains ?chunk rng p ~sketch_of ~decoder ~trials =
+let run_trials ?domains rng p ~sketch_of ~decoder ~trials =
   if trials <= 0 then invalid_arg "Forall_lb.run_trials";
   (* Same seed-splitting discipline as [Foreach_lb.run_trials]: trial [t]'s
      randomness is a pure function of (master, t), so any domain count gives
-     the same stats. Trials fan out through the chunked pool; each worker
+     the same stats. Trials fan out through the pool; each worker
      domain reuses one [decode_scratch], which only the enumerate decoder
      touches (and every decoder ignores at will — the decision is a pure
      function of the trial index either way). *)
@@ -421,7 +421,7 @@ let run_trials ?domains ?chunk rng p ~sketch_of ~decoder ~trials =
     (decision = correct_decision inst, float_of_int sk.Sketch.size_bits)
   in
   let per_trial =
-    Dcs_util.Pool.run_batched ?domains ?chunk
+    Dcs_util.Pool.run_batched ?domains
       ~arena:(fun () -> decode_scratch p)
       ~n:trials one_trial
   in

@@ -178,7 +178,6 @@ type trial_stats = {
 
 val run_trials :
   ?domains:int ->
-  ?chunk:int ->
   Dcs_util.Prng.t ->
   params ->
   sketch_of:(Dcs_util.Prng.t -> instance -> Dcs_sketch.Sketch.t) ->
@@ -186,8 +185,8 @@ val run_trials :
   trials:int ->
   trial_stats
 (** Fresh instance per trial; decodes the planted pair. [`Topk] requires
-    the sketches to be graph-valued. Trials run on the chunked pool
+    the sketches to be graph-valued. Trials run on the pool
     ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
-    [Pool.domain_count ()]) in [chunk]-sized batches, one reusable
-    {!decode_scratch} per domain; per-trial [Prng.split] streams keep the
-    stats bit-identical for every domain and chunk count. *)
+    [Pool.domain_count ()]), one reusable {!decode_scratch} per domain;
+    per-trial [Prng.split] streams keep the stats bit-identical for every
+    domain count. *)

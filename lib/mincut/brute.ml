@@ -4,11 +4,10 @@ module Csr = Dcs_graph.Csr
 (* All 2^(n-1) masks (vertex 0 pinned to S, covering every cut up to
    complement) stream through [Csr.cut_many] in fixed-size blocks: the
    side matrices and output slots are allocated once and refilled per
-   block, and the frozen view carries Bigarray weight mirrors so the
-   kernel's inner loop reads unboxed flat buffers. [cut_many] performs
-   exactly [cut_weight]'s float additions in the same order, so values —
-   and hence the strict-< argmin over masks in order — are byte-identical
-   to the per-cut loop this replaces. *)
+   block, and the kernel's inner loop reads the frozen view's flat float
+   arrays. [cut_many] performs exactly [cut_weight]'s float additions in
+   the same order, so values — and hence the strict-< argmin over masks
+   in order — are byte-identical to the per-cut loop this replaces. *)
 let block = 256
 
 let side_of_mask ~n mask s =
@@ -19,7 +18,6 @@ let side_of_mask ~n mask s =
 
 let enumerate ~n ~directed csr =
   if n < 2 || n > 24 then invalid_arg "Brute.mincut: need 2 <= n <= 24";
-  let csr = Csr.with_bigarray_weights csr in
   let total = 1 lsl (n - 1) in
   let full = total - 1 in
   (* the one improper mask: S = V *)

@@ -103,25 +103,25 @@ let run_once rng g =
   run_once_scratch rng ~eu ~ev ~ew ~n (Csr.of_ugraph g) s
 
 (* Contraction runs are independent, so they fan out over domains through
-   the chunked pool: run [t] draws from the pure child stream
+   the pool: run [t] draws from the pure child stream
    [split master t] (the shared inputs are only read), each worker domain
    reuses one {!scratch}, and the winner is picked sequentially in run
    order — first strictly-smaller value wins, exactly as the sequential
    loop did. *)
-let parallel_runs ?domains ?chunk rng ~trials g =
+let parallel_runs ?domains rng ~trials g =
   let master = Prng.fork rng in
   let csr = Csr.of_ugraph g in
   let n = Ugraph.n g in
   let eu, ev, ew = flatten_edges g in
   let m = Array.length eu in
-  Dcs_util.Pool.run_batched ?domains ?chunk
+  Dcs_util.Pool.run_batched ?domains
     ~arena:(fun () -> make_scratch ~edges:m ~vertices:n)
     ~n:trials
     (fun s t -> run_once_scratch (Prng.split master t) ~eu ~ev ~ew ~n csr s)
 
-let mincut ?domains ?chunk rng ~trials g =
+let mincut ?domains rng ~trials g =
   if trials < 1 then invalid_arg "Karger.mincut: trials >= 1";
-  let runs = parallel_runs ?domains ?chunk rng ~trials g in
+  let runs = parallel_runs ?domains rng ~trials g in
   let best = ref runs.(0) in
   for t = 1 to trials - 1 do
     let v, _ = runs.(t) in
@@ -135,9 +135,9 @@ let cut_key c =
   let c = if Cut.mem c 0 then c else Cut.complement c in
   String.concat "," (List.map string_of_int (Cut.to_list c))
 
-let candidate_cuts ?domains ?chunk rng ~trials ~factor g =
+let candidate_cuts ?domains rng ~trials ~factor g =
   if factor < 1.0 then invalid_arg "Karger.candidate_cuts: factor >= 1";
-  let runs = parallel_runs ?domains ?chunk rng ~trials g in
+  let runs = parallel_runs ?domains rng ~trials g in
   let seen : (string, float * Cut.t) Hashtbl.t = Hashtbl.create 64 in
   let best = ref infinity in
   Array.iter

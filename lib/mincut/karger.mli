@@ -13,22 +13,19 @@ val run_once : Dcs_util.Prng.t -> Dcs_graph.Ugraph.t -> float * Dcs_graph.Cut.t
 
 val mincut :
   ?domains:int ->
-  ?chunk:int ->
   Dcs_util.Prng.t ->
   trials:int ->
   Dcs_graph.Ugraph.t ->
   float * Dcs_graph.Cut.t
-(** Best cut over [trials] independent runs. Runs execute on the chunked
-    pool ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
-    [Pool.domain_count ()], i.e. [DCS_DOMAINS]) pulling [chunk]-sized
-    batches, with one reusable scratch arena (edge clocks, sort
-    permutation, union-find state) per domain; per-run [Prng.split]
-    streams and an in-order reduction make the result bit-identical for
-    every domain and chunk count. *)
+(** Best cut over [trials] independent runs. Runs execute on the pool
+    ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
+    [Pool.domain_count ()], i.e. [DCS_DOMAINS]), with one reusable
+    scratch arena (edge clocks, sort permutation, union-find state) per
+    domain; per-run [Prng.split] streams and an in-order reduction make
+    the result bit-identical for every domain count. *)
 
 val candidate_cuts :
   ?domains:int ->
-  ?chunk:int ->
   Dcs_util.Prng.t ->
   trials:int ->
   factor:float ->

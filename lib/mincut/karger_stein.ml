@@ -174,7 +174,7 @@ let run_once rng g =
   let csr = Csr.of_ugraph g in
   run_once_quotient rng ~n:(Ugraph.n g) csr (quotient_of_csr csr)
 
-let mincut ?domains ?chunk ?runs rng g =
+let mincut ?domains ?runs rng g =
   let n = Ugraph.n g in
   let runs =
     match runs with
@@ -183,14 +183,14 @@ let mincut ?domains ?chunk ?runs rng g =
         let l = int_of_float (Float.ceil (Dcs_util.Stats.log2 (float_of_int (max 2 n)))) in
         (l * l) + 1
   in
-  (* Independent recursive runs fan out over domains through the chunked
-     pool, each domain recursing off one shared base quotient; run [t]'s
+  (* Independent recursive runs fan out over domains through the pool,
+     each domain recursing off one shared base quotient; run [t]'s
      stream is a pure function of (master, t) and the min is taken in run
      order, so the answer is bit-identical for every domain count. *)
   let master = Prng.fork rng in
   let csr = Csr.of_ugraph g in
   let results =
-    Dcs_util.Pool.run_batched ?domains ?chunk
+    Dcs_util.Pool.run_batched ?domains
       ~arena:(fun () -> quotient_of_csr csr)
       ~n:runs
       (fun base t -> run_once_quotient (Prng.split master t) ~n csr base)

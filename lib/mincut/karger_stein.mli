@@ -12,14 +12,13 @@ val run_once : Dcs_util.Prng.t -> Dcs_graph.Ugraph.t -> float * Dcs_graph.Cut.t
 
 val mincut :
   ?domains:int ->
-  ?chunk:int ->
   ?runs:int ->
   Dcs_util.Prng.t ->
   Dcs_graph.Ugraph.t ->
   float * Dcs_graph.Cut.t
 (** Best of [runs] independent runs (default: ceil(log2 n)² + 1), executed
-    on the chunked pool ({!Dcs_util.Pool.run_batched}) over [domains]
-    domains (default [Pool.domain_count ()]) in [chunk]-sized batches;
-    each worker domain builds the dense base quotient once and recurses
-    off it for every run it executes. Per-run [Prng.split] streams keep
-    the result bit-identical for every domain and chunk count. *)
+    on the pool ({!Dcs_util.Pool.run_batched}) over [domains] domains
+    (default [Pool.domain_count ()]); each worker domain builds the dense
+    base quotient once and recurses off it for every run it executes.
+    Per-run [Prng.split] streams keep the result bit-identical for every
+    domain count. *)

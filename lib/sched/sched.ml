@@ -386,9 +386,9 @@ let run ?domains dag =
          | _ ->
            let arr = Array.of_list pooled in
            let results, _pool_report =
-             Pool.run_supervised_batched ?domains ~arena:(fun () -> ())
-               ~rng:(Prng.create 0x5ced) ~n:(Array.length arr)
-               (fun () ctx ->
+             Pool.run_supervised ?domains ~rng:(Prng.create 0x5ced)
+               ~n:(Array.length arr)
+               (fun ctx ->
                  let b, _ = arr.(ctx.Pool.index) in
                  Trace.with_span ("sched.stage:" ^ b.b_name) b.b_run)
            in

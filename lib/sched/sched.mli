@@ -5,7 +5,7 @@
     edges; {!run} executes the DAG level by level (declaration order is a
     topological order by construction — a stage can only depend on nodes
     that already exist), fanning each level's independent stages across
-    domains through {!Dcs_util.Pool.run_supervised_batched}, and memoizes
+    domains through {!Dcs_util.Pool.run_supervised}, and memoizes
     every stage output in a content-addressed {!Store}.
 
     A stage's cache key is a digest over (stage name, code version tag,
@@ -93,7 +93,8 @@ type 'a codec = {
 
 val marshal_codec : unit -> 'a codec
 (** [Marshal]-based codec for plain-data artifacts (graphs, instances,
-    stat records — no closures, no custom blocks beyond Bigarray).
+    stat records — no closures, no custom blocks [Marshal] cannot
+    serialize).
     Corruption of artifacts at rest is caught by the store's CRC frame
     before bytes ever reach [decode]; the [decode] side additionally maps
     any [Marshal] failure to [None] as defense in depth. *)

@@ -573,10 +573,9 @@ let run t (reqs : Traffic.request array) =
           Array.init (Array.length prepared) compute_one
         else
           fst
-            (Pool.run_supervised_batched ?domains:t.domains
-               ~arena:(fun () -> ())
-               ~rng:batch_rng ~n:(Array.length prepared)
-               (fun () ctx -> compute_one ctx.Pool.index))
+            (Pool.run_supervised ?domains:t.domains ~rng:batch_rng
+               ~n:(Array.length prepared)
+               (fun ctx -> compute_one ctx.Pool.index))
       in
       (* Completion times: batch dispatch overhead, then requests finish in
          batch order, each charging its own cost (compute + backoff +

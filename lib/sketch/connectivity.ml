@@ -134,7 +134,7 @@ let default_rounds ~cap ~scale =
    graph: sharpest) while the flows run on [flow_csr] (any weighted
    subgraph of the source is sound — undirected estimation passes the NI
    certificate so flow cost is independent of the source density). *)
-let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
+let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     ~tri_rows ~flow_csr () =
   if cap <= 0.0 then invalid_arg "Connectivity: cap must be positive";
   if flow_budget < 0 then invalid_arg "Connectivity: flow_budget >= 0";
@@ -190,7 +190,7 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
   let nflows = min flow_budget (Array.length unresolved) in
   if nflows > 0 then begin
     let flows =
-      Pool.run_batched ?domains ?chunk
+      Pool.run_batched ?domains
         ~arena:(fun () -> Dinic.of_csr flow_csr)
         ~n:nflows
         (fun net k ->
@@ -234,7 +234,7 @@ let estimate_core ?domains ?chunk ?(flow_budget = max_int) ~cap ~n ~edges ~ni
       };
   }
 
-let estimate_ugraph ?domains ?chunk ?flow_budget ?strengths ~cap g =
+let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
   let n = Ugraph.n g in
   let edges = Importance.sorted_edges_ugraph g in
   let strengths =
@@ -252,10 +252,10 @@ let estimate_ugraph ?domains ?chunk ?flow_budget ?strengths ~cap g =
     let u, v, _ = edges.(i) in
     float_of_int (Strength.index strengths u v)
   in
-  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni ~tri_rows
+  estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni ~tri_rows
     ~flow_csr ()
 
-let estimate_digraph ?domains ?chunk ?flow_budget ?csr ?strengths ?(beta = 1.0)
+let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
     ~cap g =
   if beta < 1.0 then invalid_arg "Connectivity.estimate_digraph: beta >= 1";
   let n = Digraph.n g in
@@ -278,6 +278,6 @@ let estimate_digraph ?domains ?chunk ?flow_budget ?csr ?strengths ?(beta = 1.0)
     let u, v, _ = edges.(i) in
     float_of_int (Strength.index strengths u v) /. (1.0 +. beta)
   in
-  estimate_core ?domains ?chunk ?flow_budget ~cap ~n ~edges ~ni
+  estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni
     ~tri_rows:(rows_of_csr ~symmetric:false csr)
     ~flow_csr:csr ()

@@ -48,7 +48,6 @@ type t
 
 val estimate_ugraph :
   ?domains:int ->
-  ?chunk:int ->
   ?flow_budget:int ->
   ?strengths:Strength.t ->
   cap:float ->
@@ -64,7 +63,6 @@ val estimate_ugraph :
 
 val estimate_digraph :
   ?domains:int ->
-  ?chunk:int ->
   ?flow_budget:int ->
   ?csr:Dcs_graph.Csr.t ->
   ?strengths:Strength.t ->

@@ -43,7 +43,7 @@ let rho ?(c = 0.25) ~eps ~beta ~n () =
    from its own [Prng.split master i] stream over the canonical sorted
    edge order, so the sample is a pure function of (seed, graph content)
    and edges could be resampled independently in any order. *)
-let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget
+let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?flow_budget
     ?connectivity rng ~eps ~beta g =
   check_params ~eps ~beta;
   let rho =
@@ -61,7 +61,7 @@ let connectivity_sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget
            and p = ρ/λ̂, so cap = ρ would pin every p at 1 and sparsify
            nothing. The default allows keep probabilities down to 1/16. *)
         let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_digraph ?domains ?chunk ?flow_budget ~beta ~cap g
+        Connectivity.estimate_digraph ?domains ?flow_budget ~beta ~cap g
   in
   let master = Prng.fork rng in
   let h = Digraph.create (Digraph.n g) in

@@ -52,7 +52,6 @@ val connectivity_sparsify :
   ?rho:float ->
   ?cap:float ->
   ?domains:int ->
-  ?chunk:int ->
   ?flow_budget:int ->
   ?connectivity:Connectivity.t ->
   Dcs_util.Prng.t ->

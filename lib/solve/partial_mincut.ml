@@ -52,7 +52,7 @@ let rho_ugraph ?(c = 2.0) ~eps ~n () =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Partial_mincut: eps in (0,1)";
   c *. log (float_of_int (max 2 n)) /. (eps *. eps)
 
-let sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
+let sparsify ?c ?rho:rho_opt ?cap ?domains ?flow_budget ?connectivity
     rng ~eps g =
   let n = Ugraph.n g in
   let rho =
@@ -70,7 +70,7 @@ let sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
            exceed ρ for any edge to be dropped; the default lets keep
            probabilities fall to 1/16. *)
         let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_ugraph ?domains ?chunk ?flow_budget ~cap g
+        Connectivity.estimate_ugraph ?domains ?flow_budget ~cap g
   in
   let master = Prng.fork rng in
   let h = Ugraph.create n in
@@ -84,10 +84,10 @@ let sparsify ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
     (Connectivity.edges conn);
   (h, conn)
 
-let solve_dense ?domains ?chunk rng ~solver g =
+let solve_dense ?domains rng ~solver g =
   match solver with
-  | Karger { trials } -> Karger.mincut ?domains ?chunk rng ~trials g
-  | Karger_stein { runs } -> Karger_stein.mincut ?domains ?chunk ?runs rng g
+  | Karger { trials } -> Karger.mincut ?domains rng ~trials g
+  | Karger_stein { runs } -> Karger_stein.mincut ?domains ?runs rng g
   | Stoer_wagner -> Stoer_wagner.mincut g
 
 (* |w_G(S) - w_H(S)| <= ε·w_G(S): exactly the per-cut promise the
@@ -95,12 +95,12 @@ let solve_dense ?domains ?chunk rng ~solver g =
 let certifies ~eps ~exact ~sparse =
   Float.abs (exact -. sparse) <= (eps *. exact) +. 1e-9
 
-let mincut ?domains ?chunk ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
+let mincut ?domains ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
     ~eps ~solver g =
   Metrics.inc m_solves;
   let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
   let h, conn =
-    sparsify ?c ?rho ?cap ?domains ?chunk ?flow_budget ?connectivity rng ~eps g
+    sparsify ?c ?rho ?cap ?domains ?flow_budget ?connectivity rng ~eps g
   in
   let sparse_rng = Prng.fork rng in
   let fallback_rng = Prng.fork rng in
@@ -116,10 +116,10 @@ let mincut ?domains ?chunk ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
   in
   let fall_back ~sparse_value =
     Metrics.inc m_fallbacks;
-    let value, cut = solve_dense ?domains ?chunk fallback_rng ~solver g in
+    let value, cut = solve_dense ?domains fallback_rng ~solver g in
     { value; cut; stats = stats ~sparse_value ~certified:false ~fell_back:true }
   in
-  match solve_dense ?domains ?chunk sparse_rng ~solver h with
+  match solve_dense ?domains sparse_rng ~solver h with
   | exception Invalid_argument _ ->
       (* Sampling can disconnect H (binomial zero on a weak edge); the
          dense path answers. *)
@@ -136,7 +136,7 @@ let mincut ?domains ?chunk ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
       end
       else fall_back ~sparse_value
 
-let st_mincut ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
+let st_mincut ?c ?rho:rho_opt ?cap ?domains ?flow_budget ?connectivity
     rng ~eps ~beta ~s ~t:sink g =
   Metrics.inc m_solves;
   let n = Digraph.n g in
@@ -152,7 +152,7 @@ let st_mincut ?c ?rho:rho_opt ?cap ?domains ?chunk ?flow_budget ?connectivity
     | Some conn -> conn
     | None ->
         let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_digraph ?domains ?chunk ?flow_budget ~csr ~beta
+        Connectivity.estimate_digraph ?domains ?flow_budget ~csr ~beta
           ~cap g
   in
   let h =

@@ -44,7 +44,6 @@ val sparsify :
   ?rho:float ->
   ?cap:float ->
   ?domains:int ->
-  ?chunk:int ->
   ?flow_budget:int ->
   ?connectivity:Dcs_sketch.Connectivity.t ->
   Dcs_util.Prng.t ->
@@ -62,7 +61,6 @@ val sparsify :
 
 val mincut :
   ?domains:int ->
-  ?chunk:int ->
   ?c:float ->
   ?rho:float ->
   ?cap:float ->
@@ -86,7 +84,6 @@ val st_mincut :
   ?rho:float ->
   ?cap:float ->
   ?domains:int ->
-  ?chunk:int ->
   ?flow_budget:int ->
   ?connectivity:Dcs_sketch.Connectivity.t ->
   Dcs_util.Prng.t ->

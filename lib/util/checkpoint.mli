@@ -13,11 +13,11 @@
     the snapshot are restored, the rest run supervised (crash isolation,
     deadlines, restart budget), and a fresh snapshot is written after
     every block. Because trial [i]'s stream is split from the master by
-    its {e index} (see {!Pool.run_supervised_on}), an interrupted sweep
-    resumed from its checkpoint produces output bit-identical to an
-    uninterrupted run — at any [DCS_DOMAINS], with any interruption
-    point, even after the checkpoint file itself is corrupted (the
-    snapshot is discarded and the trials recomputed). *)
+    its {e index} (see [indices] in {!Pool.run_supervised}), an
+    interrupted sweep resumed from its checkpoint produces output
+    bit-identical to an uninterrupted run — at any [DCS_DOMAINS], with
+    any interruption point, even after the checkpoint file itself is
+    corrupted (the snapshot is discarded and the trials recomputed). *)
 
 type record = { index : int; payload : string }
 
@@ -89,27 +89,3 @@ val sweep :
 
     [signature] (default [""]) must match the snapshot's. The result is
     bit-identical however the run was split across interruptions. *)
-
-val sweep_batched :
-  ?path:string ->
-  ?signature:string ->
-  ?resume:bool ->
-  ?block:int ->
-  ?abort_after:int ->
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
-  rng:Prng.t ->
-  n:int ->
-  ('arena -> Pool.ctx -> 'a) ->
-  'a array * sweep_report
-(** {!sweep} running its trials on {!Pool.run_supervised_batched_on}
-    (chunked scheduling, one scratch arena per worker domain) instead of
-    the per-task supervisor. Task streams are split by real index either
-    way, so for a task that treats its arena as scratch the results — and
-    the snapshots on disk — are byte-identical to {!sweep}'s at every
-    [domains] x [chunk] x interruption combination. *)

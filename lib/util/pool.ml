@@ -6,7 +6,6 @@ module Trace = Dcs_obs_core.Trace
    byte-identical across DCS_DOMAINS. Per-domain utilization is visible in
    the trace ("pool.chunk" spans), which is wall-clock and excluded from
    determinism diffs. *)
-let m_parallel_calls = Metrics.counter "pool.parallel_calls"
 let m_batched_calls = Metrics.counter "pool.batched_calls"
 let m_tasks = Metrics.counter "pool.tasks"
 let m_supervised_tasks = Metrics.counter "pool.supervised_tasks"
@@ -29,14 +28,6 @@ let domain_count () =
           invalid_arg
             (Printf.sprintf "%s must be a positive integer (got %S)" env_var raw))
 
-(* Chunk [c] of [chunks] over 0..n-1: contiguous, sizes differing by at most
-   one, low chunks take the remainder. *)
-let chunk_bounds ~n ~chunks c =
-  let base = n / chunks and extra = n mod chunks in
-  let lo = (c * base) + min c extra in
-  let hi = lo + base + if c < extra then 1 else 0 in
-  (lo, hi)
-
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 
 let () =
@@ -47,86 +38,26 @@ let () =
              (Printexc.to_string exn))
     | _ -> None)
 
-(* Tag a worker exception with the task it killed. The innermost pool wins
-   when pools nest (e.g. a supervised sweep whose trials fan out their own
-   contraction runs): an already-tagged exception passes through untouched,
-   so the reported index is the one closest to the failure. *)
-let wrap_task f i =
-  try f i with
-  | Task_failed _ as e -> raise e
-  | e ->
-      let backtrace = Printexc.get_backtrace () in
-      raise (Task_failed { index = i; exn = e; backtrace })
-
-let parallel_init ?domains ~n f =
-  if n < 0 then invalid_arg "Pool.parallel_init: n must be nonnegative";
-  let d =
-    let d = match domains with Some d -> d | None -> domain_count () in
-    if d < 1 then invalid_arg "Pool.parallel_init: domains must be positive";
-    min d (max 1 n)
-  in
-  Metrics.inc m_parallel_calls;
-  Metrics.inc ~by:n m_tasks;
-  if d = 1 then
-    Trace.with_span "pool.run" (fun () -> Array.init n (wrap_task f))
-  else begin
-    (* Slot [i] is written by exactly one domain and read only after the
-       joins, so the array needs no lock; [None] marks a task whose chunk
-       died before reaching it. *)
-    let results = Array.make n None in
-    let run_chunk c () =
-      Trace.with_span "pool.chunk" ~args:[ ("chunk", string_of_int c) ]
-      @@ fun () ->
-      let lo, hi = chunk_bounds ~n ~chunks:d c in
-      for i = lo to hi - 1 do
-        results.(i) <- Some (wrap_task f i)
-      done
-    in
-    Trace.with_span "pool.run" @@ fun () ->
-    let spawned = Array.init (d - 1) (fun c -> Domain.spawn (run_chunk (c + 1))) in
-    (* Chunk 0 runs in the calling domain; remember its exception (if any)
-       but always join every spawned domain before re-raising. *)
-    let first_exn = ref None in
-    (try run_chunk 0 () with e -> first_exn := Some e);
-    Array.iter
-      (fun dom ->
-        match Domain.join dom with
-        | () -> ()
-        | exception e -> if Option.is_none !first_exn then first_exn := Some e)
-      spawned;
-    (match !first_exn with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let parallel_map ?domains f xs =
-  parallel_init ?domains ~n:(Array.length xs) (fun i -> f xs.(i))
-
-(* --- chunked batches with per-domain arenas --- *)
-
 let resolve_domains ~who ~domains ~n =
   let d = match domains with Some d -> d | None -> domain_count () in
   if d < 1 then invalid_arg (who ^ ": domains must be positive");
   min d (max 1 n)
 
-let resolve_chunk ~who ~chunk ~n ~d =
-  match chunk with
-  | Some c ->
-      if c < 1 then invalid_arg (who ^ ": chunk must be positive");
-      c
-  | None -> max 1 ((n + d - 1) / d)
-
-(* The chunked executor shared by [run_batched] and the supervised rounds:
-   tasks 0..n-1 are cut into fixed-size chunks that worker domains pull
-   from an atomic cursor (dynamic assignment — a slow chunk does not
-   straggle the whole batch the way a static split would), each worker
-   builds its [arena] once and reuses it for every task it runs, and
-   [run a i] must store its own result by slot. Workers run every chunk to
-   completion even when [run] raises — failures are deferred so the caller
-   observes the same "all other tasks have run" contract as
-   [parallel_init] — and return their failures for the caller to merge.
-   Chunk *contents* are fixed by [chunk] alone; only which domain runs a
-   chunk varies, which is invisible as long as [run] is slot-addressed. *)
-let run_chunked ~d ~chunk ~n ~arena run =
+(* The one executor behind every entry point: tasks 0..n-1 are cut into
+   at most [d] contiguous chunks of ceil(n/d) tasks that worker domains
+   pull from an atomic cursor (a worker that starts late may find them all
+   taken), each worker builds its [arena] once and reuses it for every
+   task it runs, and [run a i] must store its own result by slot. Workers
+   run every chunk to completion even when [run] raises — failures are
+   deferred so every non-failing task has run by the time the caller sees
+   one — and are merged after the joins. Which domain runs a chunk varies,
+   which is invisible as long as [run] is slot-addressed. A task exception
+   is tagged with the task it killed; the innermost pool wins when pools
+   nest (e.g. a supervised sweep whose trials fan out their own
+   contraction runs), so the reported index is the one closest to the
+   failure. *)
+let run_chunked ~d ~n ~arena run =
+  let chunk = max 1 ((n + d - 1) / d) in
   let nchunks = (n + chunk - 1) / chunk in
   let next = Atomic.make 0 in
   let worker w () =
@@ -188,21 +119,18 @@ let run_chunked ~d ~chunk ~n ~arena run =
       in
       raise (List.fold_left lowest (List.hd fs) (List.tl fs))
 
-let run_batched ?domains ?chunk ~arena ~n f =
+let run_batched ?domains ~arena ~n f =
   if n < 0 then invalid_arg "Pool.run_batched: n must be nonnegative";
   let d = resolve_domains ~who:"Pool.run_batched" ~domains ~n in
-  let chunk = resolve_chunk ~who:"Pool.run_batched" ~chunk ~n ~d in
   Metrics.inc m_batched_calls;
   Metrics.inc ~by:n m_tasks;
   let results = Array.make n None in
   Trace.with_span "pool.run_batched" (fun () ->
-      run_chunked ~d ~chunk ~n ~arena (fun a i ->
-          results.(i) <- Some (f a i)));
+      run_chunked ~d ~n ~arena (fun a i -> results.(i) <- Some (f a i)));
   Array.map (function Some v -> v | None -> assert false) results
 
-let parallel_init_sum ?domains ~n f =
-  let terms = parallel_init ?domains ~n f in
-  Array.fold_left ( +. ) 0.0 terms
+let parallel_init ?domains ~n f =
+  run_batched ?domains ~arena:(fun () -> ()) ~n (fun () i -> f i)
 
 (* --- supervised execution --- *)
 
@@ -301,18 +229,28 @@ let run_attempt ~deadline ~master ~attempt task i =
           backtrace = Printexc.get_backtrace ();
         }
 
-let supervised_core ?domains ?chunk ?(restart_budget = 2) ?deadline ~arena ~rng
-    ~indices task =
+let run_supervised ?domains ?(restart_budget = 2) ?deadline ?indices ~rng ~n
+    task =
+  if n < 0 then invalid_arg "Pool.run_supervised: n must be nonnegative";
   if restart_budget < 0 then
     invalid_arg "Pool.run_supervised: restart_budget must be nonnegative";
-  Array.iter
-    (fun i ->
-      if i < 0 then invalid_arg "Pool.run_supervised: indices must be nonnegative")
-    indices;
-  let d_requested = match domains with Some d -> d | None -> domain_count () in
-  if d_requested < 1 then
-    invalid_arg "Pool.run_supervised: domains must be positive";
+  let indices =
+    match indices with
+    | None -> Array.init n Fun.id
+    | Some indices ->
+        let seen = Array.make n false in
+        Array.iter
+          (fun i ->
+            if i < 0 || i >= n then
+              invalid_arg "Pool.run_supervised: indices must lie in 0..n-1";
+            if seen.(i) then
+              invalid_arg "Pool.run_supervised: indices must be distinct";
+            seen.(i) <- true)
+          indices;
+        indices
+  in
   let k = Array.length indices in
+  let d = resolve_domains ~who:"Pool.run_supervised" ~domains ~n:k in
   Metrics.inc ~by:k m_supervised_tasks;
   let results = Array.make k None in
   let failures = ref [] (* reverse chronological *) in
@@ -338,14 +276,13 @@ let supervised_core ?domains ?chunk ?(restart_budget = 2) ?deadline ~arena ~rng
       end;
       let np = Array.length pending in
       let outcomes = Array.make np None in
-      let d = min d_requested np in
-      let chunk = resolve_chunk ~who:"Pool.run_supervised" ~chunk ~n:np ~d in
       (* run_attempt converts every task exception into a value, so the
          chunked executor sees no failures and the joins are plain. *)
-      run_chunked ~d ~chunk ~n:np ~arena (fun a pos ->
+      run_chunked ~d:(min d np) ~n:np ~arena:(fun () -> ())
+        (fun () pos ->
           outcomes.(pos) <-
             Some
-              (run_attempt ~deadline ~master:rng ~attempt (task a)
+              (run_attempt ~deadline ~master:rng ~attempt task
                  indices.(pending.(pos))));
       let still = ref [] in
       for pos = 0 to np - 1 do
@@ -374,25 +311,3 @@ let supervised_core ?domains ?chunk ?(restart_budget = 2) ?deadline ~arena ~rng
       rounds = !rounds;
       failures = List.rev !failures;
     } )
-
-let run_supervised_on ?domains ?restart_budget ?deadline ~rng ~indices task =
-  supervised_core ?domains ?restart_budget ?deadline
-    ~arena:(fun () -> ())
-    ~rng ~indices
-    (fun () ctx -> task ctx)
-
-let run_supervised ?domains ?restart_budget ?deadline ~rng ~n task =
-  if n < 0 then invalid_arg "Pool.run_supervised: n must be nonnegative";
-  run_supervised_on ?domains ?restart_budget ?deadline ~rng
-    ~indices:(Array.init n Fun.id) task
-
-let run_supervised_batched ?domains ?chunk ?restart_budget ?deadline ~arena ~rng
-    ~n task =
-  if n < 0 then invalid_arg "Pool.run_supervised: n must be nonnegative";
-  supervised_core ?domains ?chunk ?restart_budget ?deadline ~arena ~rng
-    ~indices:(Array.init n Fun.id) task
-
-let run_supervised_batched_on ?domains ?chunk ?restart_budget ?deadline ~arena
-    ~rng ~indices task =
-  supervised_core ?domains ?chunk ?restart_budget ?deadline ~arena ~rng ~indices
-    task

@@ -8,13 +8,19 @@
       per-task randomness with [Prng.split parent i]);
     - results land in slot [i] of the output array regardless of which
       domain ran the task;
-    - reductions (e.g. {!parallel_init_sum}) are performed sequentially in
-      index order after the join, so float non-associativity cannot leak
+    - reductions are left to the caller, performed sequentially in index
+      order after the join, so float non-associativity cannot leak
       scheduling into the outcome.
+
+    There are three entry points over one executor: {!parallel_init} (a
+    plain fan-out), {!run_batched} (the same with one scratch arena per
+    worker domain) and {!run_supervised} (crash/hang isolation and
+    deterministic re-execution). Each cuts its [n] tasks into one
+    contiguous chunk of [ceil n/domains] tasks per domain.
 
     The domain count defaults to the [DCS_DOMAINS] environment variable
     when set ([Domain.recommended_domain_count ()] otherwise); a count of 1
-    runs the plain sequential loop in the calling domain with no spawns.
+    runs every task in the calling domain with no spawns.
 
     {!run_supervised} adds a supervision layer for long sweeps: per-task
     crash isolation (a worker exception fails one task, not the batch),
@@ -24,7 +30,7 @@
 
     The engine meters itself into {!Dcs_obs_core.Metrics} ([pool.tasks],
     [pool.crashes], [pool.restarts], ... — counts of logical events only,
-    never anything domain-count dependent) and brackets runs and per-domain
+    never anything domain-count dependent) and brackets runs, workers and
     chunks in {!Dcs_obs_core.Trace} spans. Supervised attempts run inside
     {!Dcs_obs_core.Metrics.in_attempt}, so a crashed-and-retried task's own
     increments commit exactly once. *)
@@ -46,59 +52,42 @@ exception Task_failed of { index : int; exn : exn; backtrace : string }
     loses which trial was running. Nested pools preserve the innermost
     tag, so the index always names the task closest to the failure. *)
 
-val parallel_init : ?domains:int -> n:int -> (int -> 'a) -> 'a array
-(** [parallel_init ~n f] is [Array.init n f] computed on [domains] domains
-    (default {!domain_count}), with indices 0..n-1 fanned out in [domains]
-    contiguous chunks over [Domain.spawn]. [f] must be safe to run
-    concurrently for distinct indices (no shared mutable state). If any
-    task raises, the first failure (lowest failing index) is re-raised in
-    the caller as {!Task_failed} after all domains have been joined — no
-    result is silently dropped and no domain is left running. *)
-
-val parallel_map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f xs] is [Array.map f xs] with the same fan-out,
-    ordering, and exception contract as {!parallel_init}. *)
-
-val parallel_init_sum : ?domains:int -> n:int -> (int -> float) -> float
-(** [parallel_init_sum ~n f] is the sum of [f i] for [i] in 0..n-1: the
-    [f i] are evaluated in parallel, then accumulated left-to-right in
-    index order, so the result is bit-identical for every domain count. *)
-
-(** {2 Chunked batches with per-domain arenas}
+(** {2 Batches with per-domain arenas}
 
     The per-task overheads that make a naive fan-out {e lose} throughput
     as domains grow (BENCH_005's E10: 0.43x at 2 domains, 0.14x at 4 on a
     single core) are spawn/sync cost and, above all, per-task allocation —
     every minor collection is a stop-the-world rendezvous of {e all}
     domains, so allocation-heavy tasks serialize on the GC however many
-    domains run. {!run_batched} attacks both: tasks are grouped into
-    fixed-size chunks that worker domains pull from a shared cursor (one
-    spawn per {e domain}, one atomic fetch per {e chunk}, nothing per
-    task), and each domain builds one [arena] of scratch buffers and
-    reuses it for every task it runs, so a task written against the arena
-    allocates (almost) nothing. *)
+    domains run. {!run_batched} attacks both: one spawn per {e domain},
+    one atomic fetch per {e chunk} and nothing per task, and each domain
+    builds one [arena] of scratch buffers and reuses it for every task it
+    runs, so a task written against the arena allocates (almost)
+    nothing. *)
 
 val run_batched :
   ?domains:int ->
-  ?chunk:int ->
   arena:(unit -> 'arena) ->
   n:int ->
   ('arena -> int -> 'a) ->
   'a array
-(** [run_batched ~arena ~n f] is [Array.init n (fun i -> f a i)] where
-    each worker domain gets its own [a = arena ()], built once and reused
-    across all tasks that domain runs. [f] must treat the arena as
-    uninitialized scratch (no task may depend on what a previous task left
-    in it) and must be a pure function of [i] given that — then the result
-    is bit-identical for every [domains] and [chunk] setting, exactly like
-    {!parallel_init}.
+(** [run_batched ~arena ~n f] is [Array.init n (fun i -> f a i)] computed
+    on [domains] domains (default {!domain_count}), where each worker
+    domain gets its own [a = arena ()], built once and reused across all
+    tasks that domain runs. [f] must treat the arena as uninitialized
+    scratch (no task may depend on what a previous task left in it), must
+    be safe to run concurrently for distinct indices, and must be a pure
+    function of [i] given that — then the result is bit-identical for
+    every [domains].
 
-    [chunk] is the number of consecutive tasks dispatched per queue pull
-    (default [ceil n/domains]); chunk {e contents} depend only on [chunk],
-    never on the domain count. If tasks raise, every non-failing task
-    still runs, and after all domains are joined the failure with the
-    lowest task index is re-raised as {!Task_failed}. Meters
-    [pool.batched_calls] and [pool.tasks]. *)
+    If tasks raise, every non-failing task still runs, and after all
+    domains are joined the failure with the lowest task index is re-raised
+    as {!Task_failed} — no result is silently dropped and no domain is
+    left running. Meters [pool.batched_calls] and [pool.tasks]. *)
+
+val parallel_init : ?domains:int -> n:int -> (int -> 'a) -> 'a array
+(** [parallel_init ~n f] is [Array.init n f] computed as {!run_batched}
+    with no arena, under the same ordering and failure contract. *)
 
 (** {2 Supervised execution}
 
@@ -180,6 +169,7 @@ val run_supervised :
   ?domains:int ->
   ?restart_budget:int ->
   ?deadline:float ->
+  ?indices:int array ->
   rng:Prng.t ->
   n:int ->
   (ctx -> 'a) ->
@@ -190,55 +180,11 @@ val run_supervised :
     none) bounds each attempt cooperatively. With a crash-free, hang-free
     task function the result array equals the one a plain
     {!parallel_init} of [fun i -> task (ctx of i)] would produce, in one
-    round, with an empty failure list. *)
+    round, with an empty failure list.
 
-val run_supervised_on :
-  ?domains:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  rng:Prng.t ->
-  indices:int array ->
-  (ctx -> 'a) ->
-  'a array * report
-(** Like {!run_supervised} but over an explicit (distinct, nonnegative)
-    index set: slot [p] of the result corresponds to [indices.(p)], and
-    task streams are split by the {e real} index — so running a subset
-    (e.g. the trials a checkpoint is missing) yields bit-for-bit the
-    values a full run would have produced at those indices. This is the
-    primitive {!Checkpoint.sweep} resumes on. *)
-
-val run_supervised_batched :
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  rng:Prng.t ->
-  n:int ->
-  ('arena -> ctx -> 'a) ->
-  'a array * report
-(** {!run_supervised} with {!run_batched}'s chunked scheduling and
-    per-domain arenas: each round's still-pending attempts are pulled in
-    [chunk]-sized batches by worker domains that build one [arena] each
-    (fresh domains — and fresh arenas — per round, preserving crash
-    isolation). The per-task streams are {e exactly} {!run_supervised}'s
-    ([ctx.rng = split (split rng i) 0], [ctx.attempt_rng =
-    split (split rng i) (attempt+1)]), so for a task function that ignores
-    its arena, results, report and metric increments are bit-identical to
-    the unbatched supervisor at every [domains] x [chunk] combination. *)
-
-val run_supervised_batched_on :
-  ?domains:int ->
-  ?chunk:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
-  arena:(unit -> 'arena) ->
-  rng:Prng.t ->
-  indices:int array ->
-  ('arena -> ctx -> 'a) ->
-  'a array * report
-(** {!run_supervised_batched} over an explicit index set, with
-    {!run_supervised_on}'s slot/stream contract: task streams are split by
-    the real index, so a resumed subset reproduces a full run's values bit
-    for bit. This is the primitive {!Checkpoint.sweep_batched} resumes
-    on. *)
+    [indices] restricts the run to a subset of 0..n-1 (distinct, else
+    [Invalid_argument]): slot [p] of the result corresponds to
+    [indices.(p)], and task streams are split by the {e real} index — so
+    running a subset (e.g. the trials a checkpoint is missing) yields bit
+    for bit the values a full run would have produced at those indices.
+    This is the primitive {!Checkpoint.sweep} resumes on. *)

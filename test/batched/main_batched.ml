@@ -4,5 +4,5 @@ let () =
       ("kernels", Test_bkernels.suite);
       ("pool-batched", Test_bpool.suite);
       ("routing", Test_brouting.suite);
-      ("checkpoint-batched", Test_bcheckpoint.suite);
+      ("supervised-domains", Test_bpool.supervised_suite);
     ]

@@ -1,8 +1,7 @@
 (* Randomized equivalence battery for the batched CSR kernels: [cut_many]
    must equal a per-cut [cut_weight] loop and [flip_sweep] a per-flip
    [cut_delta] loop, bit for bit — on random digraphs, random batches
-   (empty, singleton, duplicated), both weight backends, and reused
-   output buffers. All comparisons are exact float equality: the kernels
+   (empty, singleton, duplicated) and reused output buffers. All comparisons are exact float equality: the kernels
    are specified to perform the same operations in the same order, not to
    be merely close. *)
 
@@ -20,14 +19,12 @@ let random_int_digraph rng ~n ~p ~max_weight =
   g
 
 let random_csr rng ~n =
-  let g = random_int_digraph rng ~n ~p:0.35 ~max_weight:8 in
-  let c = Csr.of_digraph g in
-  if Prng.bool rng then Csr.with_bigarray_weights c else c
+  Csr.of_digraph (random_int_digraph rng ~n ~p:0.35 ~max_weight:8)
 
 (* --- cut_many --- *)
 
 let prop_cut_many_matches_cut_weight =
-  QCheck.Test.make ~name:"cut_many = per-cut cut_weight (both backends)"
+  QCheck.Test.make ~name:"cut_many = per-cut cut_weight"
     ~count:80
     QCheck.(int_bound 100000)
     (fun seed ->
@@ -45,22 +42,6 @@ let prop_cut_many_matches_cut_weight =
       && Array.for_all (fun x -> x)
            (Array.init batch (fun m ->
                 out.(m) = Csr.cut_weight c (fun v -> sides.(m).(v)))))
-
-let prop_cut_many_backends_agree =
-  QCheck.Test.make ~name:"cut_many: bigarray backend byte-identical"
-    ~count:60
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = 2 + Prng.int rng 14 in
-      let g = random_int_digraph rng ~n ~p:0.4 ~max_weight:8 in
-      let c = Csr.of_digraph g in
-      let cb = Csr.with_bigarray_weights c in
-      let batch = 1 + Prng.int rng 6 in
-      let sides =
-        Array.init batch (fun _ -> Array.init n (fun _ -> Prng.bool rng))
-      in
-      Csr.cut_many c sides = Csr.cut_many cb sides)
 
 let test_cut_many_edge_cases () =
   let g = Digraph.of_edges 3 [ (0, 1, 2.0); (1, 2, 4.0); (2, 0, 8.0) ] in
@@ -203,39 +184,12 @@ let test_flip_sweep_counters () =
   Alcotest.(check int) "one cut_delta per flip" 3 (M.counter_value delta - d0);
   Alcotest.(check int) "one flip_sweep call" 1 (M.counter_value calls - c0)
 
-(* --- bigarray mirrors --- *)
-
-let test_bigarray_weights_flags () =
-  let g = Digraph.of_edges 3 [ (0, 1, 1.5); (1, 2, 2.5) ] in
-  let c = Csr.of_digraph g in
-  Alcotest.(check bool) "fresh csr: no mirror" false (Csr.has_bigarray_weights c);
-  let cb = Csr.with_bigarray_weights c in
-  Alcotest.(check bool) "mirror attached" true (Csr.has_bigarray_weights cb);
-  Alcotest.(check bool) "idempotent" true (Csr.with_bigarray_weights cb == cb);
-  Alcotest.(check bool) "reverse keeps mirror" true
-    (Csr.has_bigarray_weights (Csr.reverse cb))
-
-let prop_bigarray_reverse_agrees =
-  QCheck.Test.make ~name:"reverse of mirrored csr: kernels still agree"
-    ~count:40
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = 2 + Prng.int rng 10 in
-      let g = random_int_digraph rng ~n ~p:0.4 ~max_weight:8 in
-      let r = Csr.reverse (Csr.with_bigarray_weights (Csr.of_digraph g)) in
-      let plain = Csr.reverse (Csr.of_digraph g) in
-      let sides = Array.init 3 (fun _ -> Array.init n (fun _ -> Prng.bool rng)) in
-      Csr.cut_many r sides = Csr.cut_many plain sides)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cut_many_matches_cut_weight;
-      prop_cut_many_backends_agree;
       prop_flip_sweep_matches_cut_delta;
       prop_flip_sweep_window;
-      prop_bigarray_reverse_agrees;
     ]
   @ [
       Alcotest.test_case "cut_many: edge cases" `Quick test_cut_many_edge_cases;
@@ -245,5 +199,4 @@ let suite =
       Alcotest.test_case "flip_sweep: validation" `Quick
         test_flip_sweep_validation;
       Alcotest.test_case "flip_sweep: counters" `Quick test_flip_sweep_counters;
-      Alcotest.test_case "bigarray: flags" `Quick test_bigarray_weights_flags;
     ]

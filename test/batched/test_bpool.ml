@@ -1,10 +1,10 @@
-(* Randomized stress battery for the chunked pool: [run_batched] and
-   [run_supervised_batched] must produce byte-identical outputs, reports
-   and Obs counter increments at every domains x chunk combination —
-   including under seed-driven crash and hang injection on the supervised
-   path — and the per-task PRNG stream assignment is pinned with golden
-   fingerprints so a scheduler change can never silently remap task
-   randomness. *)
+(* Stress battery for the pool: [run_batched] must reuse one arena per
+   domain and report the lowest failing index after running every other
+   task, [run_supervised] must produce byte-identical outputs, reports and
+   Obs counter increments at every domain count under seed-driven crash
+   and hang injection, and the per-task PRNG stream assignment is pinned
+   with golden fingerprints so a scheduler change can never silently remap
+   task randomness. *)
 
 open Dcs
 module M = Obs.Metrics
@@ -17,30 +17,7 @@ let counter_deltas names f =
   let r = f () in
   (r, List.map2 (fun c b -> M.counter_value c - b) counters before)
 
-(* --- run_batched vs the sequential baseline --- *)
-
-let test_run_batched_matches_sequential () =
-  let f _arena i = (i * 37) + (i mod 11) in
-  let n = 97 in
-  let expected = Array.init n (f ()) in
-  List.iter
-    (fun d ->
-      List.iter
-        (fun chunk ->
-          let label =
-            Printf.sprintf "domains=%d chunk=%s" d
-              (match chunk with None -> "auto" | Some c -> string_of_int c)
-          in
-          let out, deltas =
-            counter_deltas [ "pool.tasks"; "pool.batched_calls" ] (fun () ->
-                Pool.run_batched ~domains:d ?chunk ~arena:(fun () -> ()) ~n f)
-          in
-          Alcotest.(check (array int)) label expected out;
-          Alcotest.(check (list int))
-            (label ^ " counters")
-            [ n; 1 ] deltas)
-        [ None; Some 1; Some 7; Some 64; Some 1000 ])
-    domain_counts
+(* --- run_batched --- *)
 
 let test_run_batched_edge_sizes () =
   List.iter
@@ -59,7 +36,7 @@ let test_run_batched_arena_per_domain () =
   (* With domains=1 a single arena serves every task; the arena is genuinely
      reused (the counter inside it survives across tasks). *)
   let out =
-    Pool.run_batched ~domains:1 ~chunk:3
+    Pool.run_batched ~domains:1
       ~arena:(fun () -> ref 0)
       ~n:10
       (fun a _ ->
@@ -74,7 +51,7 @@ let test_run_batched_failure_lowest_index () =
       let ran = Array.make 12 false in
       (try
          ignore
-           (Pool.run_batched ~domains:d ~chunk:2 ~arena:(fun () -> ()) ~n:12
+           (Pool.run_batched ~domains:d ~arena:(fun () -> ()) ~n:12
               (fun () i ->
                 ran.(i) <- true;
                 if i = 5 || i = 9 then failwith "boom";
@@ -88,34 +65,13 @@ let test_run_batched_failure_lowest_index () =
         (Array.for_all (fun x -> x) ran))
     domain_counts
 
-(* random chunk sizes x domains: outputs and counters equal the d=1 run *)
-let prop_run_batched_random_chunks =
-  QCheck.Test.make ~name:"run_batched: random chunks x domains, byte-identical"
-    ~count:25
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = Prng.int rng 60 in
-      let master = Prng.fork (Prng.create (seed + 1)) in
-      let f _ i = Prng.bits64 (Prng.split master i) in
-      let reference = Array.init n (fun i -> f () i) in
-      List.for_all
-        (fun d ->
-          let chunk = 1 + Prng.int rng 20 in
-          let out, deltas =
-            counter_deltas [ "pool.tasks" ] (fun () ->
-                Pool.run_batched ~domains:d ~chunk ~arena:(fun () -> ()) ~n f)
-          in
-          out = reference && deltas = [ n ])
-        domain_counts)
-
-(* --- supervised batched vs unbatched, with fault injection --- *)
+(* --- supervised runs across domain counts, with fault injection --- *)
 
 (* Deterministic crash/hang injection in the E17 style: decisions come
    from a Fault injector on the attempt stream, so attempt 0 of a doomed
    task fails and the retry (a different stream) almost surely passes —
    and the whole schedule is a pure function of (seed, index, attempt),
-   identical between the batched and unbatched supervisors. *)
+   identical at every domain count. *)
 let faulty_task ~drop ~timeout ctx =
   let inj = Fault.create (Fault.policy ~drop ~timeout ()) ctx.Pool.attempt_rng in
   if Fault.drops_message inj then failwith "injected crash";
@@ -141,72 +97,38 @@ let supervised_counters =
   ]
 
 (* A run either completes or deterministically poisons a task (5 doomed
-   attempts in a row); both outcomes must be byte-identical between the
-   batched and unbatched supervisors, so capture rather than propagate. *)
+   attempts in a row); both outcomes must be byte-identical at every
+   domain count, so capture rather than propagate. *)
 let capture f =
   match f () with
   | vals, rep -> Ok (vals, strip_backtraces rep)
   | exception Pool.Poisoned { index; attempts; last } ->
       Error (index, attempts, { last with Pool.backtrace = "" })
 
-let prop_supervised_batched_matches_unbatched =
+let prop_supervised_domain_invariant =
   QCheck.Test.make
-    ~name:"run_supervised_batched = run_supervised under crash/hang injection"
+    ~name:"run_supervised: crash/hang injection identical across domains"
     ~count:12
     QCheck.(int_bound 100000)
     (fun seed ->
-      let rng = Prng.create seed in
-      let n = 1 + Prng.int rng 40 in
+      let n = 1 + Prng.int (Prng.create seed) 40 in
       let drop = 0.2 and timeout = 0.1 in
-      let task ctx = faulty_task ~drop ~timeout ctx in
-      let reference, ref_deltas =
+      let run d =
         counter_deltas supervised_counters (fun () ->
             capture (fun () ->
-                Pool.run_supervised ~domains:1 ~restart_budget:4
+                Pool.run_supervised ~domains:d ~restart_budget:4
                   ~rng:(Prng.create (seed + 7))
-                  ~n task))
+                  ~n
+                  (faulty_task ~drop ~timeout)))
       in
-      List.for_all
-        (fun d ->
-          let chunk = 1 + Prng.int rng 16 in
-          let outcome, deltas =
-            counter_deltas supervised_counters (fun () ->
-                capture (fun () ->
-                    Pool.run_supervised_batched ~domains:d ~chunk
-                      ~restart_budget:4
-                      ~arena:(fun () -> ())
-                      ~rng:(Prng.create (seed + 7))
-                      ~n
-                      (fun () ctx -> task ctx)))
-          in
-          outcome = reference && deltas = ref_deltas)
-        domain_counts)
-
-let test_supervised_batched_arena_reuse () =
-  (* An arena-using supervised task: results must still be the pure
-     per-index values because the task treats the arena as scratch. *)
-  let rng = Prng.create 99 in
-  let vals, rep =
-    Pool.run_supervised_batched ~domains:2 ~chunk:4
-      ~arena:(fun () -> Buffer.create 64)
-      ~rng ~n:23
-      (fun buf ctx ->
-        Buffer.clear buf;
-        Buffer.add_string buf (Int64.to_string (Prng.bits64 ctx.Pool.rng));
-        Buffer.contents buf)
-  in
-  let expect, _ =
-    Pool.run_supervised ~domains:1 ~rng:(Prng.create 99) ~n:23 (fun ctx ->
-        Int64.to_string (Prng.bits64 ctx.Pool.rng))
-  in
-  Alcotest.(check (array string)) "values" expect vals;
-  Alcotest.(check int) "one round" 1 rep.Pool.rounds
+      let reference = run 1 in
+      List.for_all (fun d -> run d = reference) domain_counts)
 
 (* --- golden PRNG stream assignment --- *)
 
 (* The contract the whole determinism story hangs on: task [i] of a
-   supervised run draws from split (split rng i) 0, and the batched
-   scheduler must assign exactly the same streams. Pinned as literal
+   supervised run draws from split (split rng i) 0 at every domain count.
+   Pinned as literal
    fingerprints (seed 424242) so a Prng or scheduler change that remaps
    streams fails loudly, not statistically. *)
 let golden_seed = 424242
@@ -233,34 +155,25 @@ let test_golden_stream_assignment () =
   Alcotest.(check (array int64)) "spec = golden" golden_task_fingerprints direct;
   List.iter
     (fun d ->
-      List.iter
-        (fun chunk ->
-          let label = Printf.sprintf "domains=%d chunk=%d" d chunk in
-          let batched, _ =
-            Pool.run_supervised_batched ~domains:d ~chunk
-              ~arena:(fun () -> ())
-              ~rng:(Prng.create golden_seed) ~n
-              (fun () ctx -> Prng.fingerprint ctx.Pool.rng)
-          in
-          Alcotest.(check (array int64))
-            (label ^ " supervised ctx.rng")
-            golden_task_fingerprints batched)
-        [ 1; 3; 8 ])
+      let supervised, _ =
+        Pool.run_supervised ~domains:d ~rng:(Prng.create golden_seed) ~n
+          (fun ctx -> Prng.fingerprint ctx.Pool.rng)
+      in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "domains=%d supervised ctx.rng" d)
+        golden_task_fingerprints supervised)
     domain_counts
 
-let test_golden_streams_match_unbatched_pool () =
+let test_golden_streams_run_batched () =
   (* run_batched leaves splitting to the caller (as every solver does:
      split master t); the schedule must not perturb it. *)
   let n = 16 in
   let master = Prng.create golden_seed in
-  let expect =
-    Pool.parallel_init ~domains:1 ~n (fun i ->
-        Prng.fingerprint (Prng.split master i))
-  in
+  let expect = Array.init n (fun i -> Prng.fingerprint (Prng.split master i)) in
   List.iter
     (fun d ->
       let got =
-        Pool.run_batched ~domains:d ~chunk:5 ~arena:(fun () -> ()) ~n
+        Pool.run_batched ~domains:d ~arena:(fun () -> ()) ~n
           (fun () i -> Prng.fingerprint (Prng.split master i))
       in
       Alcotest.(check (array int64))
@@ -270,19 +183,16 @@ let test_golden_streams_match_unbatched_pool () =
 
 let suite =
   [
-    Alcotest.test_case "run_batched = sequential (chunk grid)" `Quick
-      test_run_batched_matches_sequential;
     Alcotest.test_case "run_batched: edge sizes" `Quick test_run_batched_edge_sizes;
     Alcotest.test_case "run_batched: arena reuse" `Quick
       test_run_batched_arena_per_domain;
     Alcotest.test_case "run_batched: lowest-index failure" `Quick
       test_run_batched_failure_lowest_index;
-    Alcotest.test_case "supervised batched: arena reuse" `Quick
-      test_supervised_batched_arena_reuse;
     Alcotest.test_case "golden stream assignment" `Quick
       test_golden_stream_assignment;
     Alcotest.test_case "golden streams: run_batched" `Quick
-      test_golden_streams_match_unbatched_pool;
+      test_golden_streams_run_batched;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_run_batched_random_chunks; prop_supervised_batched_matches_unbatched ]
+
+let supervised_suite =
+  [ QCheck_alcotest.to_alcotest prop_supervised_domain_invariant ]

@@ -1,8 +1,8 @@
 (* The solvers routed through the batched kernels must be byte-identical
    to their specification paths: Forall_lb's block-buffered flip_sweep
-   decoder vs the one-query-per-subset enumeration, Brute's cut_many
-   mask blocks vs a naive per-cut loop, and the Karger family across
-   domains x chunks. Also pins the lifted enumerate guard. *)
+   decoder vs the one-query-per-subset enumeration (and its trial battery
+   across domain counts), and Brute's cut_many mask blocks vs a naive
+   per-cut loop. Also pins the lifted enumerate guard. *)
 
 open Dcs
 module F = Forall_lb
@@ -25,20 +25,12 @@ let test_decode_frozen_matches_query_path () =
     let csr = Csr.of_digraph g in
     let fresh = F.decode_enumerate_frozen p csr inst.F.target ~t in
     let reused = F.decode_enumerate_frozen ~scratch p csr inst.F.target ~t in
-    let big =
-      F.decode_enumerate_frozen ~scratch p
-        (Csr.with_bigarray_weights csr)
-        inst.F.target ~t
-    in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: frozen = query path" seed)
       true (fresh = by_query);
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: scratch reuse is stateless" seed)
-      true (reused = by_query);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: bigarray backend agrees" seed)
-      true (big = by_query)
+      true (reused = by_query)
   done
 
 let test_enumerate_guard_lifted () =
@@ -71,22 +63,18 @@ let test_decode_scratch_params_check () =
            (Csr.of_digraph inst.F.graph)
            inst.F.target ~t:inst.F.gh.Gap_hamming.t))
 
-let test_run_trials_domain_chunk_invariant () =
+let test_run_trials_domain_invariant () =
   let p = small_params () in
-  let run d chunk =
-    F.run_trials ~domains:d ?chunk (Prng.create 62) p
+  let run d =
+    F.run_trials ~domains:d (Prng.create 62) p
       ~sketch_of:(fun _ inst -> Exact_sketch.create inst.F.graph)
       ~decoder:`Enumerate ~trials:10
   in
-  let reference = run 1 None in
+  let reference = run 1 in
   List.iter
-    (fun (d, chunk) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d chunk=%s" d
-           (match chunk with None -> "auto" | Some c -> string_of_int c))
-        true
-        (run d chunk = reference))
-    [ (1, Some 1); (2, None); (2, Some 3); (4, None); (4, Some 2) ]
+    (fun d ->
+      Alcotest.(check bool) (Printf.sprintf "domains=%d" d) true (run d = reference))
+    [ 2; 4 ]
 
 (* --- Brute through cut_many --- *)
 
@@ -127,30 +115,6 @@ let test_brute_digraph_still_agrees_with_directed_values () =
   let v, _ = Brute.mincut_digraph g in
   Alcotest.(check (float 0.0)) "directed brute value" 1.0 v
 
-(* --- Karger family across chunks --- *)
-
-let test_karger_chunk_invariant () =
-  let g = Generators.erdos_renyi_connected (Prng.create 70) ~n:30 ~p:0.2 in
-  let run d chunk = Karger.mincut ~domains:d ?chunk (Prng.create 71) ~trials:20 g in
-  let v1, c1 = run 1 None in
-  List.iter
-    (fun (d, chunk) ->
-      let v, c = run d chunk in
-      Alcotest.(check (float 0.0)) (Printf.sprintf "value d=%d" d) v1 v;
-      Alcotest.(check bool) (Printf.sprintf "cut d=%d" d) true (Cut.equal c1 c))
-    [ (1, Some 1); (2, Some 3); (4, Some 1); (4, Some 64) ]
-
-let test_karger_stein_chunk_invariant () =
-  let g = Generators.erdos_renyi_connected (Prng.create 72) ~n:20 ~p:0.3 in
-  let run d chunk = Karger_stein.mincut ~domains:d ?chunk ~runs:5 (Prng.create 73) g in
-  let v1, c1 = run 1 None in
-  List.iter
-    (fun (d, chunk) ->
-      let v, c = run d chunk in
-      Alcotest.(check (float 0.0)) (Printf.sprintf "value d=%d" d) v1 v;
-      Alcotest.(check bool) (Printf.sprintf "cut d=%d" d) true (Cut.equal c1 c))
-    [ (2, Some 2); (4, Some 1) ]
-
 let suite =
   [
     Alcotest.test_case "forall: frozen decoder = query path" `Quick
@@ -159,12 +123,9 @@ let suite =
       test_enumerate_guard_lifted;
     Alcotest.test_case "forall: scratch params check" `Quick
       test_decode_scratch_params_check;
-    Alcotest.test_case "forall: run_trials domain/chunk invariant" `Quick
-      test_run_trials_domain_chunk_invariant;
+    Alcotest.test_case "forall: run_trials domain-invariant (Enumerate)" `Quick
+      test_run_trials_domain_invariant;
     Alcotest.test_case "brute: digraph spot check" `Quick
       test_brute_digraph_still_agrees_with_directed_values;
-    Alcotest.test_case "karger: chunk invariant" `Quick test_karger_chunk_invariant;
-    Alcotest.test_case "karger-stein: chunk invariant" `Quick
-      test_karger_stein_chunk_invariant;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_brute_matches_naive ]

@@ -346,6 +346,79 @@ let test_sweep_supervision_composes_with_resume () =
       Alcotest.(check bool) "supervised + resumed run bit-identical" true
         (vals = expected))
 
+(* Kill-then-resume across domain counts, with exactly-once accounting:
+   every trial is submitted to the pool once across the two halves (the
+   restored ones are never resubmitted), checked against the
+   [pool.supervised_tasks] Obs counter. The clean reference is computed
+   before the counter is read, so its own n submissions do not count. *)
+let supervised_tasks () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "pool.supervised_tasks")
+
+let test_sweep_kill_at_every_block_boundary () =
+  (* Kill exactly at block boundaries (the snapshot points, the only
+     places a real kill can land between snapshots), resume at a different
+     domain count, demand bit-equality with the clean run. *)
+  let expected = clean_run () in
+  let block = 5 in
+  List.iter
+    (fun abort_after ->
+      with_tmp (fun path ->
+          let before = supervised_tasks () in
+          (match
+             Checkpoint.sweep ~path ~signature:"kill" ~resume:false ~block
+               ~abort_after ~domains:4 ~encode ~decode ~rng:(Prng.create 401)
+               ~n trial
+           with
+          | _ -> Alcotest.fail "abort_after should interrupt"
+          | exception Checkpoint.Interrupted { completed_now; _ } ->
+              Alcotest.(check int)
+                (Printf.sprintf "killed at the %d-trial boundary" abort_after)
+                abort_after completed_now);
+          let vals, rep =
+            Checkpoint.sweep ~path ~signature:"kill" ~block ~domains:2 ~encode
+              ~decode ~rng:(Prng.create 401) ~n trial
+          in
+          Alcotest.(check int) "checkpointed trials restored" abort_after
+            rep.Checkpoint.resumed;
+          Alcotest.(check int) "only the rest recomputed" (n - abort_after)
+            rep.Checkpoint.computed;
+          Alcotest.(check bool) "kill + resume bit-identical" true
+            (vals = expected);
+          Alcotest.(check int) "each trial supervised exactly once" n
+            (supervised_tasks () - before)))
+    [ block; 2 * block; 3 * block ]
+
+let test_sweep_crashes_kill_resume_exactly_once () =
+  (* Crash injection on first attempts + a kill + a resume at another
+     domain count: results still bit-identical, and restarts show up on
+     the restart counters — never as duplicate supervised submissions. *)
+  let expected = clean_run () in
+  let crashy ctx =
+    if ctx.Pool.attempt = 0 && ctx.Pool.index mod 5 = 2 then failwith "flaky";
+    trial ctx
+  in
+  with_tmp (fun path ->
+      let before = supervised_tasks () in
+      (match
+         Checkpoint.sweep ~path ~signature:"crashy" ~resume:false ~block:4
+           ~abort_after:8 ~domains:3 ~encode ~decode ~rng:(Prng.create 401) ~n
+           crashy
+       with
+      | _ -> Alcotest.fail "abort_after should interrupt"
+      | exception Checkpoint.Interrupted { completed_now; _ } ->
+          Alcotest.(check int) "killed at a block boundary" 8 completed_now);
+      let vals, rep =
+        Checkpoint.sweep ~path ~signature:"crashy" ~block:4 ~domains:1 ~encode
+          ~decode ~rng:(Prng.create 401) ~n crashy
+      in
+      Alcotest.(check int) "restored" 8 rep.Checkpoint.resumed;
+      Alcotest.(check bool) "crashes recovered in the resume" true
+        (rep.Checkpoint.crashes > 0 && rep.Checkpoint.restarts > 0);
+      Alcotest.(check bool) "crashy kill + resume bit-identical" true
+        (vals = expected);
+      Alcotest.(check int) "exactly-once despite restarts" n
+        (supervised_tasks () - before))
+
 let suite =
   [
     Alcotest.test_case "checkpoint: save/load round-trip" `Quick test_roundtrip_basic;
@@ -378,4 +451,8 @@ let suite =
       test_sweep_resume_false_starts_cold;
     Alcotest.test_case "sweep: supervision composes with resume" `Quick
       test_sweep_supervision_composes_with_resume;
+    Alcotest.test_case "sweep: kill at every block boundary + resume" `Quick
+      test_sweep_kill_at_every_block_boundary;
+    Alcotest.test_case "sweep: crashes + kill + resume exactly once" `Quick
+      test_sweep_crashes_kill_resume_exactly_once;
   ]

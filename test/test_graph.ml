@@ -21,12 +21,36 @@ let test_digraph_set_remove () =
   Alcotest.(check int) "removed" 0 (Digraph.m g);
   Alcotest.(check bool) "mem" false (Digraph.mem_edge g 0 1)
 
+(* NaN and infinite weights are rejected at every entry point, like
+   negative ones, and leave the graph untouched: a stored NaN arc would
+   turn every cut through it into NaN, and [add_edge] used to drop NaN
+   silently ([nan > 0.0] is false). *)
+let check_non_finite_rejected ~label ~m entry =
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s %h" label w)
+        (Invalid_argument (label ^ ": non-finite weight"))
+        (fun () -> entry w);
+      Alcotest.(check int) (Printf.sprintf "%s %h: nothing stored" label w) 1 (m ()))
+    [ nan; infinity; neg_infinity ]
+
 let test_digraph_rejects () =
   let g = Digraph.create 3 in
   Alcotest.check_raises "self loop" (Invalid_argument "Digraph.set_edge: self-loop")
     (fun () -> Digraph.add_edge g 1 1 1.0);
   Alcotest.check_raises "negative" (Invalid_argument "Digraph.add_edge: negative weight")
-    (fun () -> Digraph.add_edge g 0 1 (-1.0))
+    (fun () -> Digraph.add_edge g 0 1 (-1.0));
+  Digraph.add_edge g 1 2 1.0;
+  let m () = Digraph.m g in
+  check_non_finite_rejected ~label:"Digraph.set_edge" ~m (fun w -> Digraph.set_edge g 0 1 w);
+  check_non_finite_rejected ~label:"Digraph.add_edge" ~m (fun w -> Digraph.add_edge g 0 1 w)
+
+let test_ugraph_rejects () =
+  let g = Ugraph.of_edges 3 [ (1, 2, 1.0) ] in
+  let m () = Ugraph.m g in
+  check_non_finite_rejected ~label:"Ugraph.set_edge" ~m (fun w -> Ugraph.set_edge g 0 1 w);
+  check_non_finite_rejected ~label:"Ugraph.add_edge" ~m (fun w -> Ugraph.add_edge g 0 1 w)
 
 let test_digraph_degrees () =
   let g = Digraph.of_edges 4 [ (0, 1, 1.0); (0, 2, 2.0); (3, 0, 4.0) ] in
@@ -658,6 +682,7 @@ let suite =
     Alcotest.test_case "digraph: map weights" `Quick test_digraph_map_weights;
     Alcotest.test_case "digraph: symmetrize" `Quick test_digraph_symmetrize;
     Alcotest.test_case "ugraph: basics" `Quick test_ugraph_basic;
+    Alcotest.test_case "ugraph: validation" `Quick test_ugraph_rejects;
     Alcotest.test_case "ugraph: degree" `Quick test_ugraph_degree;
     Alcotest.test_case "ugraph: iter edges once" `Quick test_ugraph_iter_edges_once;
     Alcotest.test_case "ugraph: cut" `Quick test_ugraph_cut;

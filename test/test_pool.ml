@@ -10,14 +10,24 @@ let domain_counts = [ 1; 2; 4 ]
 (* --- (a) parallel results equal sequential results --- *)
 
 let test_parallel_init_matches_sequential () =
+  (* Also meters one batched call and n tasks per fan-out, whatever the
+     domain count. *)
   let f i = (i * 31) + (i mod 7) in
   let expected = Array.init 103 f in
+  let tasks = Obs.Metrics.counter "pool.tasks" in
+  let calls = Obs.Metrics.counter "pool.batched_calls" in
   List.iter
     (fun d ->
+      let t0 = Obs.Metrics.counter_value tasks in
+      let c0 = Obs.Metrics.counter_value calls in
       Alcotest.(check (array int))
         (Printf.sprintf "domains=%d" d)
         expected
-        (Pool.parallel_init ~domains:d ~n:103 f))
+        (Pool.parallel_init ~domains:d ~n:103 f);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "tasks, calls metered at domains=%d" d)
+        (103, 1)
+        (Obs.Metrics.counter_value tasks - t0, Obs.Metrics.counter_value calls - c0))
     domain_counts
 
 let test_parallel_init_edge_sizes () =
@@ -36,35 +46,6 @@ let test_parallel_init_edge_sizes () =
         (Printf.sprintf "n=3, domains=%d" d)
         [| 0; 2; 4 |]
         (Pool.parallel_init ~domains:d ~n:3 (fun i -> 2 * i)))
-    domain_counts
-
-let test_parallel_map_matches_sequential () =
-  let xs = Array.init 57 (fun i -> float_of_int i /. 3.0) in
-  let f x = (x *. x) -. 1.5 in
-  let expected = Array.map f xs in
-  List.iter
-    (fun d ->
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "domains=%d" d)
-        expected
-        (Pool.parallel_map ~domains:d f xs))
-    domain_counts
-
-let test_parallel_init_sum_bit_identical () =
-  (* Terms of wildly different magnitudes: any reassociation of the float
-     sum would show up as an inequality under exact comparison. *)
-  let f i = Float.ldexp 1.0 ((i mod 40) - 20) +. (float_of_int i *. 1e-7) in
-  let seq = ref 0.0 in
-  for i = 0 to 999 do
-    seq := !seq +. f i
-  done;
-  List.iter
-    (fun d ->
-      let par = Pool.parallel_init_sum ~domains:d ~n:1000 f in
-      Alcotest.(check bool)
-        (Printf.sprintf "exactly equal at domains=%d" d)
-        true
-        (Float.equal !seq par))
     domain_counts
 
 (* The wired-through trial loops: the same seed must give byte-identical
@@ -234,21 +215,29 @@ let test_exception_reports_lowest_index () =
     domain_counts
 
 let test_exception_joins_all_domains () =
-  (* A failure in the calling domain's chunk must still join the spawned
-     domains: every task outside the failing one has run (its side effect
-     is visible) by the time the exception reaches the caller. With 16
-     tasks on 4 domains the calling domain owns tasks 0-3, so failing at
-     task 3 leaves the other 15 tasks complete. *)
-  let hit = Array.make 16 0 in
-  (try
-     ignore
-       (Pool.parallel_init ~domains:4 ~n:16 (fun i ->
-            if i = 3 then failwith "early";
-            hit.(i) <- 1;
-            i))
-   with Pool.Task_failed _ -> ());
-  let finished = Array.fold_left ( + ) 0 hit in
-  Alcotest.(check int) "all other tasks completed" 15 finished
+  (* A failure must not cut the batch short: every task outside the
+     failing one has run (its side effect is visible) by the time
+     Task_failed reaches the caller, at every domain count. With 16 tasks
+     on 4 domains the calling domain owns tasks 0-3, so failing at task 3
+     also checks that the spawned domains are joined before the re-raise. *)
+  List.iter
+    (fun d ->
+      let hit = Array.make 16 0 in
+      (match
+         Pool.parallel_init ~domains:d ~n:16 (fun i ->
+             if i = 3 then failwith "early";
+             hit.(i) <- 1;
+             i)
+       with
+      | _ -> Alcotest.failf "no exception at domains=%d" d
+      | exception Pool.Task_failed { index; _ } ->
+          Alcotest.(check int) (Printf.sprintf "failing index at domains=%d" d) 3
+            index);
+      Alcotest.(check int)
+        (Printf.sprintf "all other tasks completed at domains=%d" d)
+        15
+        (Array.fold_left ( + ) 0 hit))
+    domain_counts
 
 let test_domain_count_positive () =
   Alcotest.(check bool) "at least one domain" true (Pool.domain_count () >= 1)
@@ -398,12 +387,13 @@ let test_supervised_attempt_stream_fresh_per_attempt () =
 
 let test_supervised_indices_subset_matches_full_run () =
   (* Computing a subset of indices (what a checkpoint resume does) yields
-     exactly the full run's values at those indices. *)
+     exactly the full run's values at those indices; an index outside
+     0..n-1 or a repeated one is rejected rather than run. *)
   let n = 15 in
   let expected = reference_values ~seed:307 n in
   let indices = [| 2; 3; 7; 11; 14 |] in
   let vals, _ =
-    Pool.run_supervised_on ~rng:(Prng.create 307) ~indices trial_value
+    Pool.run_supervised ~rng:(Prng.create 307) ~indices ~n trial_value
   in
   Array.iteri
     (fun slot idx ->
@@ -411,7 +401,17 @@ let test_supervised_indices_subset_matches_full_run () =
         (Printf.sprintf "index %d matches full run" idx)
         true
         (vals.(slot) = expected.(idx)))
-    indices
+    indices;
+  List.iter
+    (fun (label, indices, msg) ->
+      Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+          ignore
+            (Pool.run_supervised ~rng:(Prng.create 307) ~indices ~n trial_value)))
+    [
+      ("negative index", [| 1; -1 |], "Pool.run_supervised: indices must lie in 0..n-1");
+      ("index = n", [| 0; n |], "Pool.run_supervised: indices must lie in 0..n-1");
+      ("repeated index", [| 5; 5 |], "Pool.run_supervised: indices must be distinct");
+    ]
 
 let test_fingerprint_pure_and_distinguishing () =
   let g = Prng.create 308 in
@@ -429,10 +429,6 @@ let suite =
     Alcotest.test_case "pool: parallel_init = sequential" `Quick
       test_parallel_init_matches_sequential;
     Alcotest.test_case "pool: edge sizes" `Quick test_parallel_init_edge_sizes;
-    Alcotest.test_case "pool: parallel_map = sequential" `Quick
-      test_parallel_map_matches_sequential;
-    Alcotest.test_case "pool: sum bit-identical across domains" `Quick
-      test_parallel_init_sum_bit_identical;
     Alcotest.test_case "pool: foreach_lb trials domain-invariant" `Quick
       test_foreach_trials_domain_invariant;
     Alcotest.test_case "pool: forall_lb trials domain-invariant" `Quick
