@@ -13,7 +13,8 @@ let rate_cell ~ok ~total =
 
 let kbits bits = Printf.sprintf "%.1f" (float_of_int bits /. 1000.0)
 
-(* Registry probe-delta: snapshot a counter, read its increment later. *)
+(* Registry probe-delta: snapshot a counter, read its increment later.
+   Deltas (not resets) keep experiments composable in one process. *)
 type probe = { counter : Obs.Metrics.counter; before : int }
 
 let probe name =
@@ -22,6 +23,50 @@ let probe name =
 
 let delta p = Obs.Metrics.counter_value p.counter - p.before
 
+(* Registry cross-check table: each row sets a count the experiment
+   derives itself (a bespoke meter or a closed form) against the
+   Obs.Metrics registry's. The label columns (usually just "invariant")
+   lead the table, and each row fills them with its [labels].
+   [print_checks] prints the table, then fails the experiment if any row
+   disagreed. *)
+type checks = { table : Table.t; mutable agree : bool }
+
+let checks columns title =
+  {
+    table =
+      Table.create ~title
+        ~columns:(columns @ [ "expected"; "registry"; "agree" ]);
+    agree = true;
+  }
+
+let check c labels ~expected ~registry =
+  let ok = expected = registry in
+  if not ok then c.agree <- false;
+  Table.add_row c.table
+    (labels @ [ Table.fint expected; Table.fint registry; Table.fbool ok ])
+
+let print_checks c ~failure =
+  Table.print c.table;
+  if not c.agree then failwith failure
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+(* An enforced contract: a violation aborts the experiment, and the run. *)
+let enforce id what cond = if not cond then fail "%s: %s violated" id what
+
+(* Wall-clock seconds of [f ()], with its result. Wall clock, not process
+   CPU time, which sums every domain. Timings go to stderr or footers
+   only, never into tables or stage artifacts. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The explicit domain counts the multicore experiments compare, and the
+   host's core count their wall-clock floors are sized by. *)
+let domain_grid = [ 1; 2; 4 ]
+let cores = Domain.recommended_domain_count ()
+
 let seed_of_experiment id =
   (* Stable per-experiment seeds so every table is reproducible in
      isolation. *)
@@ -29,42 +74,40 @@ let seed_of_experiment id =
 
 let rng_for id = Prng.create (seed_of_experiment id)
 
-(* --- checkpoint/resume plumbing (set by bench/main.ml's CLI) ---
+(* --- scratch files (their paths never reach stdout) --- *)
 
-   All checkpoint chatter goes to stderr: stdout carries only the result
-   tables, so a resumed run's stdout is byte-identical to an uninterrupted
-   one (bin/check_determinism.sh diffs exactly that). *)
+(* Scratch directories hold plain files only. *)
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
 
-let checkpoint_dir : string option ref = ref None
-let resume_requested = ref false
+let scratch_counter = ref 0
 
-(* Global countdown for --abort-after: simulated-kill threshold shared by
-   every sweep of the selected experiments, so "interrupt after N trials"
-   means N trials into the whole run, wherever that lands. *)
-let abort_countdown : int option ref = ref None
-
-let checkpoint_path name =
-  Option.map (fun dir -> Filename.concat dir (name ^ ".ckpt")) !checkpoint_dir
-
-let sweep ~name ~signature ?block ?domains ?restart_budget ?deadline ~encode
-    ~decode ~rng ~n task =
-  let path = checkpoint_path name in
-  let results, (rep : Checkpoint.sweep_report) =
-    Checkpoint.sweep ?path ~signature ~resume:!resume_requested ?block
-      ?abort_after:!abort_countdown ?domains ?restart_budget ?deadline ~encode
-      ~decode ~rng ~n task
+(* An empty directory under the temp dir, distinct per process and call. *)
+let fresh_dir () =
+  incr scratch_counter;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dcs_bench_%d_%d" (Unix.getpid ()) !scratch_counter)
   in
-  (match !abort_countdown with
-  | Some a -> abort_countdown := Some (max 0 (a - rep.Checkpoint.computed))
-  | None -> ());
-  (match rep.Checkpoint.discarded with
-  | Some why ->
-      Printf.eprintf "  [checkpoint %s: snapshot rejected — %s]\n%!" name why
-  | None -> ());
-  if rep.Checkpoint.resumed > 0 then
-    Printf.eprintf "  [checkpoint %s: resumed %d/%d trials]\n%!" name
-      rep.Checkpoint.resumed n;
-  if rep.Checkpoint.crashes + rep.Checkpoint.hangs > 0 then
-    Printf.eprintf "  [supervisor %s: %d crashes, %d hangs, %d restarts]\n%!"
-      name rep.Checkpoint.crashes rep.Checkpoint.hangs rep.Checkpoint.restarts;
-  (results, rep)
+  rm_rf d;
+  Sys.mkdir d 0o755;
+  d
+
+let with_dir f =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc

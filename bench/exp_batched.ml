@@ -34,14 +34,6 @@ open Dcs
 module F = Forall_lb
 module P = Pipelines
 
-let all_agree = ref true
-
-let check t invariant ~expected ~registry =
-  let ok = expected = registry in
-  if not ok then all_agree := false;
-  Table.add_row t
-    [ invariant; Table.fint expected; Table.fint registry; Table.fbool ok ]
-
 let binom n k =
   let k = min k (n - k) in
   let acc = ref 1 in
@@ -50,32 +42,24 @@ let binom n k =
   done;
   !acc
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let domain_grid = [ 1; 2; 4 ]
-let cores = Domain.recommended_domain_count ()
-
 (* The wall-clock contract. Figures go to stderr; only pass/fail shape
    reaches stdout. *)
 let enforce_floor name ~s1 ~s4 =
   let sp = s1 /. Float.max s4 1e-9 in
   Printf.eprintf "  [E20 %s: d=1 %.3fs, d=4 %.3fs, speedup %.2fx, %d cores]\n%!"
-    name s1 s4 sp cores;
-  if cores >= 4 then begin
+    name s1 s4 sp Common.cores;
+  if Common.cores >= 4 then begin
     if sp < 3.0 then
       failwith
         (Printf.sprintf "E20: %s speedup %.2fx < 3x at 4 domains (%d cores)"
-           name sp cores)
+           name sp Common.cores)
   end
   else if sp < 0.5 then
     failwith
       (Printf.sprintf
          "E20: %s speedup %.2fx < 0.5x at 4 domains — chunked-pool \
           anti-regression floor (%d cores)"
-         name sp cores)
+         name sp Common.cores)
 
 let floor_note () =
   Common.note "floors: >= 3x (d=4 vs d=1) on hosts with >= 4 cores; >= 0.5x";
@@ -137,11 +121,12 @@ let battery_stage pl ~floors =
               List.map
                 (fun dom ->
                   let dec, s =
-                    time (fun () -> decode_battery ~domains:dom p insts csrs)
+                    Common.time (fun () ->
+                        decode_battery ~domains:dom p insts csrs)
                   in
                   timed := (k, dom, s) :: !timed;
                   dec)
-                domain_grid
+                Common.domain_grid
             in
             let identical =
               match by_domains with
@@ -166,10 +151,10 @@ let battery_stage pl ~floors =
         enforce_floor
           (Printf.sprintf "decode battery k=%d" timed_k)
           ~s1:(sec 1) ~s4:(sec 4);
-      let batteries = List.length cfgs * List.length domain_grid in
+      let batteries = List.length cfgs * List.length Common.domain_grid in
       let tasks =
         List.fold_left
-          (fun acc (_, _, tr) -> acc + (tr * List.length domain_grid))
+          (fun acc (_, _, tr) -> acc + (tr * List.length Common.domain_grid))
           0 cfgs
       in
       (Common.delta pb, Common.delta pt, batteries, tasks, rows))
@@ -190,7 +175,7 @@ let guard_stage pl =
       let pd = Common.probe "csr.cut_delta" in
       let pf = Common.probe "csr.flip_sweep_calls" in
       let dec, s =
-        time (fun () ->
+        Common.time (fun () ->
             F.decode_enumerate_frozen p csr inst.F.target
               ~t:inst.F.gh.Gap_hamming.t)
       in
@@ -224,11 +209,11 @@ let karger_stage pl ~floors =
         List.map
           (fun dom ->
             let r, s =
-              time (fun () ->
+              Common.time (fun () ->
                   Karger.mincut ~domains:dom (Prng.copy seed) ~trials g)
             in
             (dom, r, s))
-          domain_grid
+          Common.domain_grid
       in
       let _, (v1, c1), s1 = List.hd runs in
       List.iter
@@ -274,16 +259,15 @@ let plan ~floors pl =
     (* Registry cross-check: 4 configs x 3 domain counts, measured inside
        the stage. *)
     let ct =
-      Table.create ~title:"pool.* registry vs expected (12 battery runs)"
-        ~columns:[ "invariant"; "expected"; "registry"; "agree" ]
+      Common.checks [ "invariant" ]
+        "pool.* registry vs expected (12 battery runs)"
     in
-    check ct "pool.batched_calls = one per battery" ~expected:batteries
-      ~registry:d_pb;
-    check ct "pool.tasks = decodes x domain counts" ~expected:tasks
+    Common.check ct [ "pool.batched_calls = one per battery" ]
+      ~expected:batteries ~registry:d_pb;
+    Common.check ct [ "pool.tasks = decodes x domain counts" ] ~expected:tasks
       ~registry:d_pt;
-    Table.print ct;
-    if not !all_agree then
-      failwith "E20: pool registry disagrees with closed-form expectations";
+    Common.print_checks ct
+      ~failure:"E20: pool registry disagrees with closed-form expectations";
     print_newline ();
     let t =
       Table.create

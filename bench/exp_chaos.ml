@@ -93,7 +93,7 @@ let run () =
       (* The same chaos decisions at attempt 0, no supervision: first
          failure kills the sweep, pinned to the lowest failing trial. *)
       let unsupervised =
-        let probe i =
+        let first_attempt i =
           let task_master = Prng.split master_a i in
           let ctx =
             {
@@ -107,7 +107,7 @@ let run () =
           in
           chaos_task ~crash ~hang ctx
         in
-        match Pool.parallel_init ~n:trials_a probe with
+        match Pool.parallel_init ~n:trials_a first_attempt with
         | _ -> "completed"
         | exception Pool.Task_failed { index; exn; _ } ->
             Printf.sprintf "ABORTED at trial %d (%s)" index
@@ -185,26 +185,17 @@ let run () =
   (* Flip one bit in the (now complete) snapshot: the loader must reject
      it and the sweep must recompute everything, results unchanged. *)
   let flip_bit () =
-    let ic = open_in_bin path in
-    let raw = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let b = Bytes.of_string raw in
+    let b = Bytes.of_string (Common.read_file path) in
     let pos = Bytes.length b / 2 in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x08));
-    let oc = open_out_bin path in
-    output_bytes oc b;
-    close_out oc
+    Common.write_file path (Bytes.to_string b)
   in
   flip_bit ();
   row "bit flip in snapshot" (sweep ());
   (* Truncate the rewritten snapshot mid-file: same story. *)
   let truncate_file () =
-    let ic = open_in_bin path in
-    let raw = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let oc = open_out_bin path in
-    output_string oc (String.sub raw 0 (String.length raw / 2));
-    close_out oc
+    let raw = Common.read_file path in
+    Common.write_file path (String.sub raw 0 (String.length raw / 2))
   in
   truncate_file ();
   row "snapshot truncated" (sweep ());

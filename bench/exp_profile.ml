@@ -20,37 +20,17 @@
 
 open Dcs
 module F = Foreach_lb
-module M = Obs.Metrics
-
-(* A registry probe: remember the counter's value now, read the delta
-   later. Deltas (not resets) keep E18 composable with other experiments in
-   the same process. *)
-type probe = { counter : M.counter; before : int }
-
-let probe name =
-  let c = M.counter name in
-  { counter = c; before = M.counter_value c }
-
-let delta p = M.counter_value p.counter - p.before
-
-let all_agree = ref true
-
-let check t part invariant ~expected ~registry =
-  let ok = expected = registry in
-  if not ok then all_agree := false;
-  Table.add_row t
-    [ part; invariant; Table.fint expected; Table.fint registry; Table.fbool ok ]
 
 (* Theorem 1.1 pipeline: encode a random instance, frame + ship the exact
    sketch over a fresh channel, decode random bits through the shipped
    sketch. *)
 let part_a rng t =
-  let p_bits = probe "channel.bits" in
-  let p_msgs = probe "channel.messages" in
-  let p_decoded = probe "foreach_lb.bits_decoded" in
-  let p_queries = probe "foreach_lb.cut_queries" in
-  let p_built = probe "sketch.built" in
-  let p_size = probe "sketch.size_bits" in
+  let p_bits = Common.probe "channel.bits" in
+  let p_msgs = Common.probe "channel.messages" in
+  let p_decoded = Common.probe "foreach_lb.bits_decoded" in
+  let p_queries = Common.probe "foreach_lb.cut_queries" in
+  let p_built = Common.probe "sketch.built" in
+  let p_size = Common.probe "sketch.size_bits" in
   let p = F.make_params ~beta:4 ~inv_eps:8 64 in
   let trials = 4 and bits_per_trial = 40 in
   let master = Prng.fork rng in
@@ -70,29 +50,29 @@ let part_a rng t =
     done
   done;
   let decoded = trials * bits_per_trial in
-  check t "1.1" "channel.bits = sum Channel.total_bits" ~expected:!sent_bits
-    ~registry:(delta p_bits);
-  check t "1.1" "channel.messages = frames shipped" ~expected:trials
-    ~registry:(delta p_msgs);
-  check t "1.1" "sketch.built = sketches constructed" ~expected:trials
-    ~registry:(delta p_built);
-  check t "1.1" "sketch.size_bits = sum size_bits" ~expected:!sketch_bits
-    ~registry:(delta p_size);
-  check t "1.1" "foreach_lb.bits_decoded = decode calls" ~expected:decoded
-    ~registry:(delta p_decoded);
-  check t "1.1" "foreach_lb.cut_queries = 4 x decoded" ~expected:(4 * decoded)
-    ~registry:(delta p_queries);
+  Common.check t [ "1.1"; "channel.bits = sum Channel.total_bits" ]
+    ~expected:!sent_bits ~registry:(Common.delta p_bits);
+  Common.check t [ "1.1"; "channel.messages = frames shipped" ]
+    ~expected:trials ~registry:(Common.delta p_msgs);
+  Common.check t [ "1.1"; "sketch.built = sketches constructed" ]
+    ~expected:trials ~registry:(Common.delta p_built);
+  Common.check t [ "1.1"; "sketch.size_bits = sum size_bits" ]
+    ~expected:!sketch_bits ~registry:(Common.delta p_size);
+  Common.check t [ "1.1"; "foreach_lb.bits_decoded = decode calls" ]
+    ~expected:decoded ~registry:(Common.delta p_decoded);
+  Common.check t [ "1.1"; "foreach_lb.cut_queries = 4 x decoded" ]
+    ~expected:(4 * decoded) ~registry:(Common.delta p_queries);
   (!correct, decoded)
 
 (* Theorem 1.3 pipeline: local-query estimation on G_{x,y}, each trial with
    a fresh metered oracle, its Lemma 5.6 communication shipped over a fresh
    channel. *)
 let part_b rng t =
-  let p_deg = probe "oracle.degree_queries" in
-  let p_edge = probe "oracle.edge_queries" in
-  let p_adj = probe "oracle.adjacency_queries" in
-  let p_bits = probe "channel.bits" in
-  let p_runs = probe "estimator.runs" in
+  let p_deg = Common.probe "oracle.degree_queries" in
+  let p_edge = Common.probe "oracle.edge_queries" in
+  let p_adj = Common.probe "oracle.adjacency_queries" in
+  let p_bits = Common.probe "channel.bits" in
+  let p_runs = Common.probe "estimator.runs" in
   let l = 48 in
   let build ~alpha =
     let n_bits = l * l in
@@ -124,13 +104,15 @@ let part_b rng t =
         <= (eps *. float_of_int k) +. 1e-9
       then incr ok_count)
     alphas;
-  let oracle_delta = delta p_deg + delta p_edge + delta p_adj in
-  check t "1.3" "oracle.* = sum Oracle.total_queries" ~expected:!queries
-    ~registry:oracle_delta;
-  check t "1.3" "channel.bits = sum Estimator comm_bits" ~expected:!comm
-    ~registry:(delta p_bits);
-  check t "1.3" "estimator.runs = estimate calls"
-    ~expected:(List.length alphas) ~registry:(delta p_runs);
+  let oracle_delta =
+    Common.delta p_deg + Common.delta p_edge + Common.delta p_adj
+  in
+  Common.check t [ "1.3"; "oracle.* = sum Oracle.total_queries" ]
+    ~expected:!queries ~registry:oracle_delta;
+  Common.check t [ "1.3"; "channel.bits = sum Estimator comm_bits" ]
+    ~expected:!comm ~registry:(Common.delta p_bits);
+  Common.check t [ "1.3"; "estimator.runs = estimate calls" ]
+    ~expected:(List.length alphas) ~registry:(Common.delta p_runs);
   (!ok_count, List.length alphas)
 
 let run () =
@@ -142,18 +124,17 @@ let run () =
     (fun () ->
       let rng = Common.rng_for 18 in
       let t =
-        Table.create ~title:"registry vs bespoke meters (must agree exactly)"
-          ~columns:[ "thm"; "invariant"; "expected"; "registry"; "agree" ]
+        Common.checks [ "thm"; "invariant" ]
+          "registry vs bespoke meters (must agree exactly)"
       in
       let a_ok, a_total = part_a rng t in
-      Table.add_rule t;
+      Table.add_rule t.Common.table;
       let b_ok, b_total = part_b rng t in
-      Table.print t;
+      Common.print_checks t
+        ~failure:"E18: observability registry disagrees with bespoke meters";
       Common.note "Thm 1.1 decode: %s correct; Thm 1.3 estimates: %d/%d in bound"
         (Common.rate_cell ~ok:a_ok ~total:a_total)
         b_ok b_total;
-      if not !all_agree then
-        failwith "E18: observability registry disagrees with bespoke meters";
       print_newline ();
       (* Wall clock below this line: stdout of E18 is excluded from the
          byte-diff determinism gate; only its DCS_METRICS snapshot is. *)

@@ -30,24 +30,7 @@
 
 open Dcs
 module F = Forall_lb
-module M = Obs.Metrics
 module P = Pipelines
-
-type probe = { counter : M.counter; before : int }
-
-let probe name =
-  let c = M.counter name in
-  { counter = c; before = M.counter_value c }
-
-let delta p = M.counter_value p.counter - p.before
-
-let all_agree = ref true
-
-let check t invariant ~expected ~registry =
-  let ok = expected = registry in
-  if not ok then all_agree := false;
-  Table.add_row t
-    [ invariant; Table.fint expected; Table.fint registry; Table.fbool ok ]
 
 let binom n k =
   let k = min k (n - k) in
@@ -56,11 +39,6 @@ let binom n k =
     acc := !acc * (n - k + i) / i
   done;
   !acc
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 let speedup ~ref_s ~csr_s = ref_s /. Float.max csr_s 1e-9
 
@@ -81,13 +59,13 @@ let decode_both p insts =
   let ref_dec = Array.make n F.Delta_high in
   let csr_dec = Array.make n F.Delta_high in
   let (), ref_s =
-    time (fun () ->
+    Common.time (fun () ->
         for i = 0 to n - 1 do
           ref_dec.(i) <- decode i ~frozen:false
         done)
   in
   let (), csr_s =
-    time (fun () ->
+    Common.time (fun () ->
         for i = 0 to n - 1 do
           csr_dec.(i) <- decode i ~frozen:true
         done)
@@ -158,7 +136,7 @@ let enumerate_stage pl ~floors =
       let p24 = F.make_params ~beta:2 ~inv_eps_sq:12 48 in
       let correct = ref 0 in
       let (), csr24_s =
-        time (fun () ->
+        Common.time (fun () ->
             Array.iter
               (fun inst ->
                 let g = inst.F.graph in
@@ -190,16 +168,16 @@ let counters_stage pl =
       F.iter_combinations_incremental ~n:16 ~k:8
         ~flip:(fun _ -> incr flips)
         ~visit:(fun _ -> ());
-      let pb = probe "csr.builds" in
-      let pf = probe "csr.cut_full" in
-      let pd = probe "csr.cut_delta" in
+      let pb = Common.probe "csr.builds" in
+      let pf = Common.probe "csr.cut_full" in
+      let pd = Common.probe "csr.cut_delta" in
       let g = inst.F.graph in
       let _ =
         F.decode_enumerate ~graph:g p
           ~query:(fun s -> Cut.value g s)
           inst.F.target ~t:inst.F.gh.Gap_hamming.t
       in
-      (!flips, delta pb, delta pf, delta pd))
+      (!flips, Common.delta pb, Common.delta pf, Common.delta pd))
 
 (* (c2) Karger sweep over the shared weighted graph. Artifact: the sweep
    counts; agreement is enforced in the stage. *)
@@ -223,13 +201,13 @@ let karger_stage pl =
       let reps = 400 in
       let csr = Csr.of_ugraph g in
       let (), ref_s =
-        time (fun () ->
+        Common.time (fun () ->
             for _ = 1 to reps do
               List.iter (fun (_, c) -> ignore (Ugraph.cut_value g c)) cuts
             done)
       in
       let (), csr_s =
-        time (fun () ->
+        Common.time (fun () ->
             for _ = 1 to reps do
               List.iter (fun (_, c) -> ignore (Csr.cut_value csr c)) cuts
             done)
@@ -291,17 +269,18 @@ let plan ~floors pl =
     Common.note "path walks its 2.7M subsets with O(degree) flips.";
     print_newline ();
     let t =
-      Table.create ~title:"csr.* registry vs expected (one frozen k=16 decode)"
-        ~columns:[ "invariant"; "expected"; "registry"; "agree" ]
+      Common.checks [ "invariant" ]
+        "csr.* registry vs expected (one frozen k=16 decode)"
     in
     let flips, d_builds, d_full, d_delta = P.value pl counters in
-    check t "csr.builds = 1 freeze per decode" ~expected:1 ~registry:d_builds;
-    check t "csr.cut_full = 1 seed evaluation" ~expected:1 ~registry:d_full;
-    check t "csr.cut_delta = subset-walk flips" ~expected:flips
+    Common.check t [ "csr.builds = 1 freeze per decode" ] ~expected:1
+      ~registry:d_builds;
+    Common.check t [ "csr.cut_full = 1 seed evaluation" ] ~expected:1
+      ~registry:d_full;
+    Common.check t [ "csr.cut_delta = subset-walk flips" ] ~expected:flips
       ~registry:d_delta;
-    Table.print t;
-    if not !all_agree then
-      failwith "E19: csr registry disagrees with closed-form expectations";
+    Common.print_checks t
+      ~failure:"E19: csr registry disagrees with closed-form expectations";
     print_newline ();
     let t =
       Table.create

@@ -28,14 +28,6 @@
 open Dcs
 module P = Pipelines
 
-let all_agree = ref true
-
-let check t invariant ~expected ~registry =
-  let ok = expected = registry in
-  if not ok then all_agree := false;
-  Table.add_row t
-    [ invariant; Table.fint expected; Table.fint registry; Table.fbool ok ]
-
 (* Redirect fd 1 into a temp file around [f] and return its bytes: the
    cached-vs-cold contract is over the exact bytes a user would see, so it
    is checked at the file-descriptor level, not via formatter plumbing. *)
@@ -59,9 +51,7 @@ let with_stdout_capture f =
       raise e
   in
   restore ();
-  let ic = open_in_bin tmp in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let out = Common.read_file tmp in
   Sys.remove tmp;
   (r, out)
 
@@ -130,38 +120,26 @@ let memory_tier () =
     hit_rate;
   Common.note "artifacts, so a hit and a recomputation print the same bytes.";
   let ct =
-    Table.create ~title:"sched.* registry vs scheduler reports (both runs)"
-      ~columns:[ "invariant"; "expected"; "registry"; "agree" ]
+    Common.checks [ "invariant" ]
+      "sched.* registry vs scheduler reports (both runs)"
   in
-  check ct "sched.stages_offered = offered"
+  Common.check ct [ "sched.stages_offered = offered" ]
     ~expected:(cold.Sched.offered + warm.Sched.offered)
     ~registry:(Common.delta po);
-  check ct "sched.stage_runs + sched.cache_hits = offered"
+  Common.check ct [ "sched.stage_runs + sched.cache_hits = offered" ]
     ~expected:(cold.Sched.offered + warm.Sched.offered)
     ~registry:(Common.delta pr + Common.delta ph);
-  check ct "sched.stage_runs = ran"
+  Common.check ct [ "sched.stage_runs = ran" ]
     ~expected:(cold.Sched.ran + warm.Sched.ran)
     ~registry:(Common.delta pr);
-  Table.print ct;
-  if not !all_agree then
-    failwith "E23: sched registry disagrees with the scheduler reports"
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+  Common.print_checks ct
+    ~failure:"E23: sched registry disagrees with the scheduler reports"
 
 let flip_middle_byte path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let b = Bytes.of_string s in
+  let b = Bytes.of_string (Common.read_file path) in
   let i = Bytes.length b / 2 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
+  Common.write_file path (Bytes.to_string b)
 
 type tier_row = {
   phase : string;
@@ -172,11 +150,7 @@ type tier_row = {
 }
 
 let disk_tier () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dcs_e23_cache_%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
+  let dir = Common.fresh_dir () in
   let phase name =
     let ps = Common.probe "sched.store_spills" in
     let pd = Common.probe "sched.store_disk_hits" in
@@ -203,7 +177,7 @@ let disk_tier () =
   flip_middle_byte victim;
   let damaged, out_damaged = phase "bit-flipped" in
   let repaired, out_repaired = phase "repaired" in
-  rm_rf dir;
+  Common.rm_rf dir;
   List.iter
     (fun (tag, out) ->
       if not (String.equal out_cold out) then

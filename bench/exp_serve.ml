@@ -18,19 +18,6 @@
      this experiment at 1/2/4). Wall clock goes to stderr only. *)
 
 open Dcs
-module M = Obs.Metrics
-
-type probe = { counter : M.counter; before : int }
-
-let probe name =
-  let c = M.counter name in
-  { counter = c; before = M.counter_value c }
-
-let delta p = M.counter_value p.counter - p.before
-
-let fail fmt = Printf.ksprintf failwith fmt
-
-let enforce name cond = if not cond then fail "E21: %s violated" name
 
 (* The catalog: 64 modest weighted graphs; requests address them by key
    and the server caches by Csr.fingerprint. *)
@@ -60,15 +47,14 @@ type row = {
   sampled : int;
 }
 
-let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
-  let t0 = Unix.gettimeofday () in
+let scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
   let trace_rng = Prng.fork rng in
   let server_rng = Prng.fork rng in
   let reqs = Traffic.generate trace_rng traffic ~n in
   let srv = Serve.create cfg ~graphs ~rng:server_rng in
   let responses = Serve.run srv reqs in
   let stats = Serve.stats srv in
-  if Array.length responses <> n then fail "E21 %s: lost responses" name;
+  if Array.length responses <> n then Common.fail "E21 %s: lost responses" name;
   (* Zero silent drops: the typed responses must re-add to the offer. *)
   let ans = ref 0 and shed = ref 0 and dl = ref 0 in
   Array.iter
@@ -79,8 +65,10 @@ let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
     responses;
   if !ans <> stats.Serve.answered || !shed <> stats.Serve.shed
      || !dl <> stats.Serve.deadline_rejections
-  then fail "E21 %s: response types disagree with server accounting" name;
-  if !ans + !shed + !dl <> n then fail "E21 %s: silent drop detected" name;
+  then
+    Common.fail "E21 %s: response types disagree with server accounting" name;
+  if !ans + !shed + !dl <> n then
+    Common.fail "E21 %s: silent drop detected" name;
   (* Advertised-accuracy conformance on a deterministic subsample: every
      97th request that was answered, degraded or not. *)
   let kept = ref 0 and sampled = ref 0 in
@@ -96,8 +84,8 @@ let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
         | Serve.Rejected _ -> ())
     responses;
   if !kept <> !sampled then
-    fail "E21 %s: %d/%d sampled answers outside their advertised eps" name
-      (!sampled - !kept) !sampled;
+    Common.fail "E21 %s: %d/%d sampled answers outside their advertised eps"
+      name (!sampled - !kept) !sampled;
   let lats =
     Array.of_list
       (List.filter_map
@@ -105,8 +93,6 @@ let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
          (Array.to_list responses))
   in
   Array.sort compare lats;
-  Printf.eprintf "  [E21 %s: %d reqs in %.2fs wall]\n%!" name n
-    (Unix.gettimeofday () -. t0);
   {
     name;
     stats;
@@ -116,6 +102,13 @@ let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
     sampled = !sampled;
   }
 
+let run_scenario ~name ~graphs ~rng ~n ~traffic ~cfg =
+  let row, wall =
+    Common.time (fun () -> scenario ~name ~graphs ~rng ~n ~traffic ~cfg)
+  in
+  Printf.eprintf "  [E21 %s: %d reqs in %.2fs wall]\n%!" name n wall;
+  row
+
 let pct num den =
   if den = 0 then "-" else Printf.sprintf "%.1f%%" (100. *. float num /. float den)
 
@@ -123,11 +116,11 @@ let run () =
   Common.section "E21 dcutd serving layer: admission control + degradation";
   let rng = Common.rng_for 21 in
   let graphs = catalog rng in
-  let p_off = probe "serve.offered" in
-  let p_ans = probe "serve.answered" in
-  let p_shed = probe "serve.shed" in
-  let p_dl = probe "serve.deadline_exceeded" in
-  let p_gave_up = probe "channel.gave_up" in
+  let p_off = Common.probe "serve.offered" in
+  let p_ans = Common.probe "serve.answered" in
+  let p_shed = Common.probe "serve.shed" in
+  let p_dl = Common.probe "serve.deadline_exceeded" in
+  let p_gave_up = Common.probe "channel.gave_up" in
   let base = Serve.default_config in
   let calm_traffic =
     { Traffic.default with Traffic.burst_every = 0; Traffic.burst_len = 0 }
@@ -141,14 +134,16 @@ let run () =
     run_scenario ~name:"calm" ~graphs ~rng:(scen 1) ~n ~traffic:calm_traffic
       ~cfg:base
   in
-  enforce "calm sheds nothing" (s1.stats.Serve.shed = 0);
-  enforce "calm misses no deadline" (s1.stats.Serve.deadline_rejections = 0);
-  enforce "calm answers everything" (s1.stats.Serve.answered = n);
-  enforce "hot-key cache hit rate >= 90%"
+  Common.enforce "E21" "calm sheds nothing" (s1.stats.Serve.shed = 0);
+  Common.enforce "E21" "calm misses no deadline"
+    (s1.stats.Serve.deadline_rejections = 0);
+  Common.enforce "E21" "calm answers everything" (s1.stats.Serve.answered = n);
+  Common.enforce "E21" "hot-key cache hit rate >= 90%"
     (10 * s1.stats.Serve.cache_hits
     >= 9 * (s1.stats.Serve.cache_hits + s1.stats.Serve.cache_misses));
   if s1.p99 > 128 then
-    fail "E21: calm p99 %d exceeds the 128-tick floor (p50 %d)" s1.p99 s1.p50;
+    Common.fail "E21: calm p99 %d exceeds the 128-tick floor (p50 %d)" s1.p99
+      s1.p50;
 
   (* S2 cache churn: the cache barely fits the hot set, so the cold tail
      forces evictions — hits stay majority, eviction accounting exact. *)
@@ -157,8 +152,9 @@ let run () =
       ~traffic:{ calm_traffic with Traffic.hot_fraction = 0.9 }
       ~cfg:{ base with Serve.cache_capacity = 8 }
   in
-  enforce "churn still evicts" (s2.stats.Serve.cache_evictions > 0);
-  enforce "churn hits stay majority"
+  Common.enforce "E21" "churn still evicts"
+    (s2.stats.Serve.cache_evictions > 0);
+  Common.enforce "E21" "churn hits stay majority"
     (s2.stats.Serve.cache_hits > s2.stats.Serve.cache_misses);
 
   (* S3 burst battery: 16x arrival bursts against a small queue — typed
@@ -187,12 +183,16 @@ let run () =
             };
         }
   in
-  enforce "bursts shed (typed, not dropped)" (s3.stats.Serve.shed > 0);
-  enforce "burst queue peak reaches the bound"
+  Common.enforce "E21" "bursts shed (typed, not dropped)"
+    (s3.stats.Serve.shed > 0);
+  Common.enforce "E21" "burst queue peak reaches the bound"
     (s3.stats.Serve.queue_peak >= 256);
-  enforce "burst trips the breaker" (s3.stats.Serve.breaker_trips >= 1);
-  enforce "burst recovery (hysteresis)" (s3.stats.Serve.breaker_recoveries >= 1);
-  enforce "burst serves degraded answers" (s3.stats.Serve.degraded_answers > 0);
+  Common.enforce "E21" "burst trips the breaker"
+    (s3.stats.Serve.breaker_trips >= 1);
+  Common.enforce "E21" "burst recovery (hysteresis)"
+    (s3.stats.Serve.breaker_recoveries >= 1);
+  Common.enforce "E21" "burst serves degraded answers"
+    (s3.stats.Serve.degraded_answers > 0);
 
   (* S4 faulty oracle: 75% timeouts — jittered-backoff retries, exhausted
      budgets fall back degraded, the fault-rate breaker trips and the
@@ -215,12 +215,15 @@ let run () =
             };
         }
   in
-  enforce "oracle faults retry" (s4.stats.Serve.oracle_retries > 0);
-  enforce "oracle budgets exhaust to degraded"
+  Common.enforce "E21" "oracle faults retry"
+    (s4.stats.Serve.oracle_retries > 0);
+  Common.enforce "E21" "oracle budgets exhaust to degraded"
     (s4.stats.Serve.oracle_exhausted > 0);
-  enforce "backoff ticks charged" (s4.stats.Serve.backoff_ticks > 0);
-  enforce "fault rate trips the breaker" (s4.stats.Serve.breaker_trips >= 1);
-  enforce "degraded windows recover it"
+  Common.enforce "E21" "backoff ticks charged"
+    (s4.stats.Serve.backoff_ticks > 0);
+  Common.enforce "E21" "fault rate trips the breaker"
+    (s4.stats.Serve.breaker_trips >= 1);
+  Common.enforce "E21" "degraded windows recover it"
     (s4.stats.Serve.breaker_recoveries >= 1);
 
   (* S5 flaky wire: heavy drop + corruption against a bounded
@@ -236,8 +239,9 @@ let run () =
           Serve.max_retransmissions = 2;
         }
   in
-  enforce "wire give-ups reject typed" (s5.stats.Serve.wire_rejections > 0);
-  enforce "channel.gave_up metered" (delta p_gave_up > 0);
+  Common.enforce "E21" "wire give-ups reject typed"
+    (s5.stats.Serve.wire_rejections > 0);
+  Common.enforce "E21" "channel.gave_up metered" (Common.delta p_gave_up > 0);
 
   let rows = [ s1; s2; s3; s4; s5 ] in
   let t =
@@ -272,26 +276,25 @@ let run () =
      per-scenario accounting — exactly once each, no silent drops. *)
   let sum f = List.fold_left (fun acc r -> acc + f r.stats) 0 rows in
   let ct =
-    Table.create ~title:"serve.* registry vs per-scenario accounting"
-      ~columns:[ "invariant"; "expected"; "registry"; "agree" ]
+    Common.checks [ "invariant" ] "serve.* registry vs per-scenario accounting"
   in
-  let agree = ref true in
-  let check name expected registry =
-    if expected <> registry then agree := false;
-    Table.add_row ct
-      [ name; Table.fint expected; Table.fint registry; Table.fbool (expected = registry) ]
-  in
-  check "serve.offered = 5 x 200k" (sum (fun s -> s.Serve.offered)) (delta p_off);
-  check "serve.answered" (sum (fun s -> s.Serve.answered)) (delta p_ans);
-  check "serve.shed" (sum (fun s -> s.Serve.shed)) (delta p_shed);
-  check "serve.deadline_exceeded"
-    (sum (fun s -> s.Serve.deadline_rejections))
-    (delta p_dl);
-  check "offered = answered + shed + deadline"
-    (sum (fun s -> s.Serve.offered))
-    (delta p_ans + delta p_shed + delta p_dl);
-  Table.print ct;
-  if not !agree then fail "E21: serve registry disagrees with the accounting";
+  Common.check ct [ "serve.offered = 5 x 200k" ]
+    ~expected:(sum (fun s -> s.Serve.offered))
+    ~registry:(Common.delta p_off);
+  Common.check ct [ "serve.answered" ]
+    ~expected:(sum (fun s -> s.Serve.answered))
+    ~registry:(Common.delta p_ans);
+  Common.check ct [ "serve.shed" ]
+    ~expected:(sum (fun s -> s.Serve.shed))
+    ~registry:(Common.delta p_shed);
+  Common.check ct [ "serve.deadline_exceeded" ]
+    ~expected:(sum (fun s -> s.Serve.deadline_rejections))
+    ~registry:(Common.delta p_dl);
+  Common.check ct [ "offered = answered + shed + deadline" ]
+    ~expected:(sum (fun s -> s.Serve.offered))
+    ~registry:(Common.delta p_ans + Common.delta p_shed + Common.delta p_dl);
+  Common.print_checks ct
+    ~failure:"E21: serve registry disagrees with the accounting";
   let sampled = List.fold_left (fun acc r -> acc + r.sampled) 0 rows in
   Common.note "every answer within its advertised eps (subsample: %d checked)"
     sampled;

@@ -19,8 +19,9 @@
    - speed: end-to-end sparsify-then-solve (NI strengths -> tier-chain
      estimates -> binomial resampling -> Karger on the sparsifier ->
      certify against the frozen CSR) vs the dense solver at the same
-     trial count, on a planted two-block instance (n = 1000, ~150k
-     weighted edges, two cross edges). Floor: >= 3x wall-clock, enforced
+     trial count, both timed at one domain, on a planted two-block
+     instance (n = 1000, ~150k weighted edges, two cross edges).
+     Floor: >= 3x wall-clock, enforced
      inside the stage on every cold run — an anti-regression floor sized
      for 1-core hosts (measured ~4x; the speedup is algorithmic, edges
      solved shrink ~6.6x, so it does not depend on parallelism). The
@@ -45,14 +46,6 @@
 
 open Dcs
 module P = Pipelines
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let cores = Domain.recommended_domain_count ()
-let domain_grid = [ 1; 2; 4 ]
 
 (* --- quality: connectivity vs strength sampling at matched size --- *)
 
@@ -188,13 +181,13 @@ let enforce_speed_floor ~dense_s ~sparse_s ~m ~m' =
     "  [E24 speed n=1000: dense %.3fs, sparse %.3fs end-to-end, %.2fx, edges \
      %d -> %d, %d cores]\n\
      %!"
-    dense_s sparse_s sp m m' cores;
+    dense_s sparse_s sp m m' Common.cores;
   if sp < 3.0 then
     failwith
       (Printf.sprintf
          "E24: sparsify-then-solve %.2fx < 3x vs dense Karger (%d trials, %d \
           cores) — anti-regression floor"
-         sp s_trials cores)
+         sp s_trials Common.cores)
 
 (* Artifact: (n, m, trials, dense value, result fields, m', flows,
    identical across explicit domain counts). Wall clock stays on
@@ -211,13 +204,18 @@ let speed_stage pl =
     (fun () ->
       let g = P.value pl graph in
       let seed = P.seed_rng name in
+      (* Both sides at one domain: Karger's trials split across domains
+         and the sparse pipeline's strength, sampling and certify steps do
+         not, so an ambient domain count would skew the ratio. *)
       let (dense_v, dense_cut), dense_s =
-        time (fun () -> Karger.mincut (Prng.copy seed) ~trials:s_trials g)
+        Common.time (fun () ->
+            Karger.mincut ~domains:1 (Prng.copy seed) ~trials:s_trials g)
       in
       ignore dense_cut;
       let sparse_seed = P.seed_rng (name ^ ".sparse") in
       let r, sparse_s =
-        time (fun () -> sparse_pipeline (Prng.copy sparse_seed) g)
+        Common.time (fun () ->
+            sparse_pipeline ~domains:1 (Prng.copy sparse_seed) g)
       in
       enforce_speed_floor ~dense_s ~sparse_s ~m:(Ugraph.m g)
         ~m':r.Partial_mincut.stats.Partial_mincut.m_sparse;
@@ -233,7 +231,7 @@ let speed_stage pl =
                = r.Partial_mincut.stats.Partial_mincut.m_sparse
             && r'.Partial_mincut.stats.Partial_mincut.certified
                = r.Partial_mincut.stats.Partial_mincut.certified)
-          domain_grid
+          Common.domain_grid
       in
       if not identical then
         failwith "E24: sparse pipeline diverges across explicit domain counts";

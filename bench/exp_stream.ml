@@ -26,56 +26,10 @@
 
    A sixth, env-gated phase (DCS_STREAM_DIR, DCS_STREAM_KILL=N) runs a
    journaled ingest that bin/check_determinism.sh kills after N fresh
-   records (exit 3, via Checkpoint.Interrupted) and then resumes in the
-   same directory; stdout is byte-identical to an uninterrupted run. *)
+   records (exit 3) and then resumes in the same directory; stdout is
+   byte-identical to an uninterrupted run. *)
 
 open Dcs
-module M = Obs.Metrics
-
-type probe = { counter : M.counter; before : int }
-
-let probe name =
-  let c = M.counter name in
-  { counter = c; before = M.counter_value c }
-
-let delta p = M.counter_value p.counter - p.before
-let fail fmt = Printf.ksprintf failwith fmt
-let enforce name cond = if not cond then fail "E22: %s violated" name
-
-(* --- scratch directories (paths never reach stdout) --- *)
-
-let scratch_counter = ref 0
-
-let fresh_dir () =
-  incr scratch_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dcs_e22_%d_%d" (Unix.getpid ()) !scratch_counter)
-  in
-  if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-  d
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* --- deterministic insert/delete op streams --- *)
 
@@ -100,7 +54,7 @@ let gen_ops rng ~n ~count =
 let apply_direct t m =
   match Stream_sketch.apply t ~op:m.op ~u:m.u ~v:m.v ~w:m.w with
   | Ok () -> ()
-  | Error e -> fail "E22: generated op rejected (%s)" e
+  | Error e -> Common.fail "E22: generated op rejected (%s)" e
 
 let journal_apply j m =
   let r =
@@ -110,9 +64,9 @@ let journal_apply j m =
   in
   match r with
   | Ok () -> ()
-  | Error e -> fail "E22: journaled op rejected (%s)" e
+  | Error e -> Common.fail "E22: journaled op rejected (%s)" e
 
-let ok = function Ok x -> x | Error e -> fail "E22: %s" e
+let ok = function Ok x -> x | Error e -> Common.fail "E22: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: kill/tear everywhere, recover, compare digests.           *)
@@ -127,9 +81,10 @@ let chaos_seed = 42
    snapshot plus the full log. Returns (digests, snapshot bytes, wal
    bytes). *)
 let uninterrupted_journal ops =
-  with_dir (fun dir ->
+  Common.with_dir (fun dir ->
       let j, report = ok (Stream_sketch.open_journal ~dir ~n:chaos_n ~seed:chaos_seed ()) in
-      enforce "fresh journal starts empty" (report.Wal.offered = 0);
+      Common.enforce "E22" "fresh journal starts empty"
+        (report.Wal.offered = 0);
       let t = Stream_sketch.journal_state j in
       let digests = Array.make (List.length ops + 1) 0L in
       digests.(0) <- Stream_sketch.digest t;
@@ -139,14 +94,14 @@ let uninterrupted_journal ops =
           digests.(i + 1) <- Stream_sketch.digest t)
         ops;
       Stream_sketch.close_journal j;
-      let snapshot, wal = read_file (Filename.concat dir "snapshot.ckpt"),
-                          read_file (Filename.concat dir "wal.log") in
+      let snapshot = Common.read_file (Filename.concat dir "snapshot.ckpt") in
+      let wal = Common.read_file (Filename.concat dir "wal.log") in
       (digests, snapshot, wal))
 
 (* Byte offsets at which a record boundary falls (0 included). *)
 let boundaries wal =
   let scan = Wal.scan_string wal in
-  enforce "reference log is clean" (scan.Wal.damaged = []);
+  Common.enforce "E22" "reference log is clean" (scan.Wal.damaged = []);
   let offs = ref [ 0 ] and pos = ref 0 in
   List.iter
     (fun r ->
@@ -156,10 +111,10 @@ let boundaries wal =
   List.rev !offs
 
 let torn_sweep digests snapshot wal =
-  with_dir (fun dir ->
+  Common.with_dir (fun dir ->
       let snap_path = Filename.concat dir "snapshot.ckpt" in
       let wal_path = Filename.concat dir "wal.log" in
-      write_file snap_path snapshot;
+      Common.write_file snap_path snapshot;
       let bounds = Array.of_list (boundaries wal) in
       let complete_at b =
         (* number of whole records within the first b bytes *)
@@ -170,7 +125,7 @@ let torn_sweep digests snapshot wal =
       let len = String.length wal in
       let matches = ref 0 and torn = ref 0 and boundary_kills = ref 0 in
       for b = 0 to len do
-        write_file wal_path (Wal.Adversary.tear wal ~at:b);
+        Common.write_file wal_path (Wal.Adversary.tear wal ~at:b);
         let r =
           ok
             (Stream_sketch.recover ~n:chaos_n ~seed:chaos_seed
@@ -179,19 +134,21 @@ let torn_sweep digests snapshot wal =
         let c = complete_at b in
         let at_boundary = b = bounds.(c) in
         if at_boundary then incr boundary_kills;
-        enforce "tear applies exactly the whole-record prefix"
+        Common.enforce "E22" "tear applies exactly the whole-record prefix"
           (r.Stream_sketch.report.Wal.applied = c);
         (match r.Stream_sketch.report.Wal.quarantined with
-        | [] -> enforce "clean tail only at a boundary" at_boundary
+        | [] -> Common.enforce "E22" "clean tail only at a boundary" at_boundary
         | [ Wal.Damaged (Wal.Torn _) ] ->
-            enforce "torn tail only off-boundary" (not at_boundary);
+            Common.enforce "E22" "torn tail only off-boundary"
+              (not at_boundary);
             incr torn
         | q ->
-            fail "E22: tear at byte %d quarantined unexpectedly (%s)" b
+            Common.fail "E22: tear at byte %d quarantined unexpectedly (%s)" b
               (String.concat "; " (List.map Wal.pp_quarantine q)));
         if Stream_sketch.digest r.Stream_sketch.state = digests.(c) then
           incr matches
-        else fail "E22: tear at byte %d: digest diverges from prefix %d" b c
+        else
+          Common.fail "E22: tear at byte %d: digest diverges from prefix %d" b c
       done;
       (len + 1, !matches, !torn, !boundary_kills))
 
@@ -203,7 +160,7 @@ let journal_reopen_sweep digests ops =
   let count = Array.length ops in
   let matches = ref 0 in
   for i = 0 to count do
-    with_dir (fun dir ->
+    Common.with_dir (fun dir ->
         let j, _ = ok (Stream_sketch.open_journal ~dir ~n:chaos_n ~seed:chaos_seed ()) in
         for k = 0 to i - 1 do
           journal_apply j ops.(k)
@@ -212,13 +169,13 @@ let journal_reopen_sweep digests ops =
         let j2, report =
           ok (Stream_sketch.open_journal ~dir ~n:chaos_n ~seed:chaos_seed ())
         in
-        enforce "reopen replays the whole surviving log"
+        Common.enforce "E22" "reopen replays the whole surviving log"
           (report.Wal.applied = i && report.Wal.quarantined = []);
         let t = Stream_sketch.journal_state j2 in
-        enforce "reopen restores the applied sequence"
+        Common.enforce "E22" "reopen restores the applied sequence"
           (Stream_sketch.applied_seq t = i);
         if Stream_sketch.digest t = digests.(i) then incr matches
-        else fail "E22: journal reopen after %d ops: digest diverges" i;
+        else Common.fail "E22: journal reopen after %d ops: digest diverges" i;
         Stream_sketch.close_journal j2)
   done;
   (count + 1, !matches)
@@ -228,9 +185,10 @@ let recovery_battery () =
   let digests, snapshot, wal = uninterrupted_journal ops in
   let positions, matches, torn, boundary_kills = torn_sweep digests snapshot wal in
   let reopens, reopen_matches = journal_reopen_sweep digests ops in
-  enforce "every recovery digest-identical" (matches = positions);
-  enforce "every reopen digest-identical" (reopen_matches = reopens);
-  enforce "boundary + torn positions cover the sweep"
+  Common.enforce "E22" "every recovery digest-identical" (matches = positions);
+  Common.enforce "E22" "every reopen digest-identical"
+    (reopen_matches = reopens);
+  Common.enforce "E22" "boundary + torn positions cover the sweep"
     (boundary_kills + torn = positions);
   let t =
     Table.create ~title:"kill/tear recovery sweep (digest-checked, enforced)"
@@ -287,18 +245,18 @@ let adversarial_battery digests ops =
     (fun (name, policy) ->
       let fault = Fault.create policy (Prng.create 2207) in
       let mangled, inj = Wal.Adversary.mangle fault records in
-      let p_off = probe "stream.wal_offered"
-      and p_app = probe "stream.wal_applied"
-      and p_dup = probe "stream.wal_duplicates"
-      and p_stale = probe "stream.wal_stale"
-      and p_quar = probe "stream.wal_quarantined"
-      and p_corrupt = probe "stream.wal_corrupt"
-      and p_gaps = probe "stream.wal_gaps"
-      and p_torn = probe "stream.wal_torn" in
+      let p_off = Common.probe "stream.wal_offered"
+      and p_app = Common.probe "stream.wal_applied"
+      and p_dup = Common.probe "stream.wal_duplicates"
+      and p_stale = Common.probe "stream.wal_stale"
+      and p_quar = Common.probe "stream.wal_quarantined"
+      and p_corrupt = Common.probe "stream.wal_corrupt"
+      and p_gaps = Common.probe "stream.wal_gaps"
+      and p_torn = Common.probe "stream.wal_torn" in
       let report, state =
-        with_dir (fun dir ->
+        Common.with_dir (fun dir ->
             let wal_path = Filename.concat dir "wal.log" in
-            write_file wal_path mangled;
+            Common.write_file wal_path mangled;
             let r =
               ok
                 (Stream_sketch.recover ~n:chaos_n ~seed:chaos_seed
@@ -313,14 +271,14 @@ let adversarial_battery digests ops =
         + quarantined
         = report.Wal.offered
       in
-      enforce "replay books balance" balanced;
+      Common.enforce "E22" "replay books balance" balanced;
       (* registry cross-check, E18-style *)
-      enforce "stream.wal_* counters mirror the report"
-        (delta p_off = report.Wal.offered
-        && delta p_app = report.Wal.applied
-        && delta p_dup = report.Wal.duplicates
-        && delta p_stale = report.Wal.stale
-        && delta p_quar = quarantined);
+      Common.enforce "E22" "stream.wal_* counters mirror the report"
+        (Common.delta p_off = report.Wal.offered
+        && Common.delta p_app = report.Wal.applied
+        && Common.delta p_dup = report.Wal.duplicates
+        && Common.delta p_stale = report.Wal.stale
+        && Common.delta p_quar = quarantined);
       let corrupt_q =
         List.length
           (List.filter
@@ -336,24 +294,24 @@ let adversarial_battery digests ops =
              (function Wal.Damaged (Wal.Torn _) -> true | _ -> false)
              report.Wal.quarantined)
       in
-      enforce "typed quarantine counters mirror the report"
-        (delta p_corrupt = corrupt_q && delta p_gaps = gap_q
-        && delta p_torn = torn_q);
+      Common.enforce "E22" "typed quarantine counters mirror the report"
+        (Common.delta p_corrupt = corrupt_q && Common.delta p_gaps = gap_q
+        && Common.delta p_torn = torn_q);
       (* the adversary's own books *)
-      enforce "offered = sent - dropped + duplicated"
+      Common.enforce "E22" "offered = sent - dropped + duplicated"
         (report.Wal.offered
         = List.length records - inj.Wal.Adversary.dropped
           + inj.Wal.Adversary.duplicated);
-      enforce "corruption damages at least each corrupted record"
+      Common.enforce "E22" "corruption damages at least each corrupted record"
         (corrupt_q >= min 1 inj.Wal.Adversary.corrupted);
       (* prefix equivalence: the applied records are exactly seqs
          1..last_seq, so the state digest must sit on the reference
          trajectory. *)
-      enforce "recovered digest on the reference trajectory"
+      Common.enforce "E22" "recovered digest on the reference trajectory"
         (Stream_sketch.digest state = digests.(report.Wal.last_seq));
       (match name with
       | "clean" | "reorder 20%" | "duplicate 15%" ->
-          enforce "lossless policies apply everything"
+          Common.enforce "E22" "lossless policies apply everything"
             (report.Wal.applied = List.length records)
       | _ -> ());
       Table.add_row t
@@ -394,11 +352,12 @@ let adversarial_battery digests ops =
             let s = String.mapi (fun j c0 -> if j = i then flipped else c0) line in
             match Wal.decode (String.sub s 0 (String.length s - 1)) with
             | Error _ -> incr detected
-            | Ok r -> if r <> r0 then fail "E22: undetected record mutation"
+            | Ok r ->
+                if r <> r0 then Common.fail "E22: undetected record mutation"
           end
         done)
     line;
-  enforce "every single-bit flip detected" (!detected = !total);
+  Common.enforce "E22" "every single-bit flip detected" (!detected = !total);
   Common.note "detected by CRC/canonical decode: %d/%d flips rejected."
     !detected !total
 
@@ -451,10 +410,10 @@ let foreach_rerun () =
       in
       let batch = run (fun _ inst -> Exact_sketch.create inst.F.graph) in
       let streamed = run (fun r inst -> streamed_exact r inst.F.graph) in
-      enforce "E3 streamed success rate = batch"
+      Common.enforce "E22" "E3 streamed success rate = batch"
         (batch.F.success_rate = streamed.F.success_rate
         && batch.F.correct = streamed.F.correct);
-      enforce "E3 streamed sketch bits = batch"
+      Common.enforce "E22" "E3 streamed sketch bits = batch"
         (batch.F.mean_sketch_bits = streamed.F.mean_sketch_bits);
       Table.add_row t
         [
@@ -482,7 +441,7 @@ let forall_rerun () =
       in
       let batch = run (fun _ inst -> Exact_sketch.create inst.F.graph) in
       let streamed = run (fun r inst -> streamed_exact r inst.F.graph) in
-      enforce "E4 streamed success rate = batch"
+      Common.enforce "E22" "E4 streamed success rate = batch"
         (batch.F.success_rate = streamed.F.success_rate
         && batch.F.correct = streamed.F.correct);
       Table.add_row t
@@ -508,7 +467,7 @@ let refreeze_battery () =
   let n = 32 in
   let ops = gen_ops (Prng.create 2213) ~n ~count:400 in
   let run policy =
-    let p_comp = probe "stream.compactions" in
+    let p_comp = Common.probe "stream.compactions" in
     let t = Stream_sketch.create ~refreeze:policy ~n ~seed:7 () in
     let max_overlay = ref 0 in
     List.iter
@@ -517,7 +476,7 @@ let refreeze_battery () =
         max_overlay := max !max_overlay (Stream_sketch.delta_pairs t))
       ops;
     (Stream_sketch.digest t, Stream_sketch.fingerprint t,
-     Stream_sketch.arcs t, !max_overlay, delta p_comp)
+     Stream_sketch.arcs t, !max_overlay, Common.delta p_comp)
   in
   let policies =
     [
@@ -539,13 +498,16 @@ let refreeze_battery () =
       (match !reference with
       | None -> reference := Some (digest, fp)
       | Some (d0, f0) ->
-          enforce "policy-independent state" (digest = d0 && fp = f0));
-      enforce "overlay within threshold" (overlay <= threshold);
+          Common.enforce "E22" "policy-independent state"
+            (digest = d0 && fp = f0));
+      Common.enforce "E22" "overlay within threshold" (overlay <= threshold);
       (match policy with
       | Stream_sketch.Rebuild ->
-          enforce "Rebuild compacts every mutation" (compactions = 400)
+          Common.enforce "E22" "Rebuild compacts every mutation"
+            (compactions = 400)
       | Stream_sketch.Delta_buffer _ ->
-          enforce "buffering compacts less than Rebuild" (compactions < 400));
+          Common.enforce "E22" "buffering compacts less than Rebuild"
+            (compactions < 400));
       Table.add_row t
         [
           name; Table.fint compactions; Table.fint overlay; Table.fint arcs;
@@ -583,7 +545,7 @@ let serving_battery () =
               Stream_sketch.insert t ~u ~v ~w:2.0;
               Stream_sketch.delete t ~u ~v ~w:2.0
             end);
-        enforce "streamed catalog graph = batch fingerprint"
+        Common.enforce "E22" "streamed catalog graph = batch fingerprint"
           (Int64.equal (Stream_sketch.fingerprint t)
              (Csr.fingerprint (Csr.of_digraph g)));
         t)
@@ -621,7 +583,7 @@ let serving_battery () =
   in
   let resp2 = Serve.run srv reqs2 in
   let s2 = Serve.stats srv in
-  enforce "mutation invalidates exactly the changed fingerprint"
+  Common.enforce "E22" "mutation invalidates exactly the changed fingerprint"
     (s2.Serve.cache_invalidations = 1);
   (* zero silent drops across both runs, typed responses re-add *)
   let ans = ref 0 and shed = ref 0 and dl = ref 0 in
@@ -631,10 +593,10 @@ let serving_battery () =
       | Serve.Rejected (Serve.Overloaded _) -> incr shed
       | Serve.Rejected (Serve.Deadline_exceeded _) -> incr dl)
     (Array.append resp1 resp2);
-  enforce "responses mirror server accounting"
+  Common.enforce "E22" "responses mirror server accounting"
     (!ans = s2.Serve.answered && !shed = s2.Serve.shed
     && !dl = s2.Serve.deadline_rejections);
-  enforce "zero silent drops under mutation"
+  Common.enforce "E22" "zero silent drops under mutation"
     (!ans + !shed + !dl = 2 * n_reqs && s2.Serve.offered = 2 * n_reqs);
   (* post-update answers conform against the *new* graph *)
   let kept = ref 0 and sampled = ref 0 in
@@ -653,7 +615,8 @@ let serving_battery () =
             then incr kept
         | Serve.Rejected _ -> ())
     resp2;
-  enforce "post-update answers conform to the live graph" (!kept = !sampled);
+  Common.enforce "E22" "post-update answers conform to the live graph"
+    (!kept = !sampled);
   let t =
     Table.create ~title:"dcutd catalog under live mutation (accounting enforced)"
       ~columns:
@@ -715,8 +678,8 @@ let journal_cycle () =
             incr fresh;
             if kill > 0 && !fresh = kill && start + !fresh < total then begin
               Stream_sketch.close_journal j;
-              raise
-                (Checkpoint.Interrupted { path = dir; completed_now = kill })
+              Printf.eprintf "  [E22 journal: killed after %d ops]\n%!" kill;
+              exit 3
             end
           end)
         ops;

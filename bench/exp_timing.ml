@@ -84,9 +84,10 @@ let karger_parallel_table () =
   let trials = 48 in
   let time_run domains =
     let rng = Prng.create 2718 in
-    let t0 = Unix.gettimeofday () in
-    let v, c = Karger.mincut ~domains rng ~trials g in
-    (Unix.gettimeofday () -. t0, v, c)
+    let (v, c), s =
+      Common.time (fun () -> Karger.mincut ~domains rng ~trials g)
+    in
+    (s, v, c)
   in
   let t =
     Table.create
@@ -94,8 +95,7 @@ let karger_parallel_table () =
         (Printf.sprintf
            "parallel Karger trial loop: n=200, %d trials (recommended domains \
             here: %d)"
-           trials
-           (Domain.recommended_domain_count ()))
+           trials Common.cores)
       ~columns:[ "domains"; "wall s"; "speedup"; "mincut"; "same as 1 domain" ]
   in
   let base_s, base_v, base_c = time_run 1 in
@@ -110,7 +110,7 @@ let karger_parallel_table () =
           Table.ffloat ~digits:1 v;
           Table.fbool (v = base_v && Cut.equal c base_c);
         ])
-    [ 1; 2; 4 ];
+    Common.domain_grid;
   Table.print t;
   Common.note
     "every row must report the same cut: trial t draws from Prng.split(master, t)";

@@ -6,37 +6,29 @@
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- --skip-slow   # skip the SW-heavy ones
 
-   Scheduled experiments (E3, E4, E19, E20) declare their work as stages
-   of ONE merged DAG (Dcs.Sched): shared instance families and frozen CSR
-   views compute once, independent stages run across domains, and every
-   stage artifact is memoized in a content-addressed store. Their report
-   closures render the tables from the (computed or cached) artifacts
-   after the single [Sched.run], so stdout is unchanged from the serial
-   harness.
+   Scheduled experiments (E3, E4, E16, E19, E20, E24) declare their work
+   as stages of ONE merged DAG (Dcs.Sched): shared instance families and
+   frozen CSR views compute once, independent stages run across domains,
+   and every stage artifact is memoized in a content-addressed store.
+   Their report closures render the tables from the (computed or cached)
+   artifacts after the single [Sched.run], so stdout is unchanged from
+   the serial harness.
      --sched-cache DIR    spill stage artifacts to DIR (CRC-guarded via
                           Dcs.Checkpoint) and reuse them across runs; the
-                          scheduler summary goes to stderr
-
-   Checkpoint/resume (checkpoint-aware experiments: E16, E17):
-     --checkpoint DIR     snapshot completed trials into DIR (one .ckpt
-                          file per sweep), written atomically after every
-                          block of trials
-     --resume             restore completed trials from DIR's snapshots
-                          instead of starting cold
-     --abort-after N      simulate a kill: exit with status 3 once N
-                          trials have been newly computed and checkpointed
-                          (used by bin/check_determinism.sh's
-                          kill-then-resume cycle)
-
-   Checkpoint chatter goes to stderr; stdout is byte-identical between a
-   resumed run and an uninterrupted one.
+                          scheduler summary goes to stderr. This is the
+                          bench's resume path: rerunning an interrupted
+                          run over the same DIR recomputes only the stages
+                          whose artifacts are missing, and its stdout is
+                          byte-identical to an uninterrupted run's.
 
    Machine-readable output:
      --json PATH          capture every printed table and write the run as
                           JSON (tables grouped per experiment, plus the
                           Obs.Metrics registry snapshot)
      DCS_METRICS, DCS_TRACE (environment) are honored as documented in the
-     README's Observability section. *)
+     README's Observability section.
+
+   Each experiment ends with a wall-clock footer ("[E3 done in 1.2s]"). *)
 
 (* Legacy experiments run as a closure; scheduled ones declare DAG stages
    against the shared [Pipelines] at plan time and return the report
@@ -60,7 +52,7 @@ let experiments =
     ("E13", "Beta-scaling of directed sparsifiers", false, Legacy Exp_beta_scaling.run);
     ("E14", "Cut counting / enumeration coverage", false, Legacy Exp_cut_counting.run);
     ("E15", "Imbalance decomposition sketch", false, Legacy Exp_imbalance.run);
-    ("E16", "Fault injection: robustness overhead", false, Legacy Exp_fault.run);
+    ("E16", "Fault injection: robustness overhead", false, Planned Exp_fault.plan);
     ("E17", "Chaos harness: supervision + checkpoint recovery", false, Legacy Exp_chaos.run);
     ("E18", "Profiling: instrumented 1.1/1.3 pipelines", false, Legacy Exp_profile.run);
     ("E19", "Representation: frozen CSR vs hashtable adjacency", false,
@@ -103,6 +95,41 @@ let write_json path =
   output_string oc (Buffer.contents buf);
   close_out oc
 
+(* Plan every scheduled experiment against one shared DAG first — that is
+   what merges their common instance/freeze stages into single vertices —
+   then run the DAG once; the per-experiment loop only renders tables from
+   artifacts. *)
+let run_all chosen =
+  let pl =
+    lazy (Pipelines.create (Dcs.Sched.Store.create ?dir:!sched_cache ()))
+  in
+  let runners =
+    List.map
+      (fun (id, _, _, r) ->
+        match r with
+        | Legacy f -> (id, f)
+        | Planned plan -> (id, plan (Lazy.force pl)))
+      chosen
+  in
+  if Lazy.is_val pl then begin
+    let rep = Dcs.Sched.run (Pipelines.dag (Lazy.force pl)) in
+    Printf.eprintf
+      "[sched: %d stages, %d levels, %d ran (%d pooled, %d serial), %d cache \
+       hits]\n\
+       %!"
+      rep.Dcs.Sched.stages rep.Dcs.Sched.levels rep.Dcs.Sched.ran
+      rep.Dcs.Sched.pooled_ran rep.Dcs.Sched.serial_ran rep.Dcs.Sched.hits
+  end;
+  List.iter
+    (fun (id, run) ->
+      let captured_before = Dcs.Table.captured_count () in
+      let (), s = Common.time run in
+      if !json_path <> None then
+        json_groups :=
+          (id, captured_before, Dcs.Table.captured_count ()) :: !json_groups;
+      Printf.printf "  [%s done in %.1fs]\n" id s)
+    runners
+
 let () =
   Printexc.record_backtrace true;
   let args = Array.to_list Sys.argv |> List.tl in
@@ -115,28 +142,13 @@ let () =
           experiments;
         exit 0
     | "--skip-slow" :: rest -> parse only true rest
-    | "--checkpoint" :: dir :: rest ->
-        Common.checkpoint_dir := Some dir;
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        parse only skip_slow rest
     | "--sched-cache" :: dir :: rest ->
         sched_cache := Some dir;
-        parse only skip_slow rest
-    | "--resume" :: rest ->
-        Common.resume_requested := true;
         parse only skip_slow rest
     | "--json" :: path :: rest ->
         json_path := Some path;
         Dcs.Table.set_capture true;
         parse only skip_slow rest
-    | "--abort-after" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 ->
-            Common.abort_countdown := Some n;
-            parse only skip_slow rest
-        | _ ->
-            Printf.eprintf "--abort-after needs a nonnegative integer\n";
-            exit 2)
     | "--only" :: rest ->
         let ids, rest' =
           let rec take acc = function
@@ -158,14 +170,9 @@ let () =
         exit 2
       end)
     only;
-  if !Common.abort_countdown <> None && !Common.checkpoint_dir = None then begin
-    Printf.eprintf "--abort-after requires --checkpoint\n";
-    exit 2
-  end;
   print_endline
     "Reproduction benchmarks: Tight Lower Bounds for Directed Cut \
      Sparsification and Distributed Min-Cut (PODS 2024)";
-  let started = Sys.time () in
   let chosen =
     List.filter
       (fun (id, _, slow, _) ->
@@ -173,48 +180,7 @@ let () =
         && not (skip_slow && slow && only = []))
       experiments
   in
-  (* Plan every scheduled experiment against one shared DAG first — that
-     is what merges their common instance/freeze stages into single
-     vertices — then run the DAG once; the per-experiment loop below only
-     renders tables from artifacts. *)
-  let pl =
-    lazy (Pipelines.create (Dcs.Sched.Store.create ?dir:!sched_cache ()))
-  in
-  let runners =
-    List.map
-      (fun (id, _, _, r) ->
-        match r with
-        | Legacy f -> (id, f)
-        | Planned plan -> (id, plan (Lazy.force pl)))
-      chosen
-  in
-  if Lazy.is_val pl then begin
-    let rep = Dcs.Sched.run (Pipelines.dag (Lazy.force pl)) in
-    Printf.eprintf
-      "[sched: %d stages, %d levels, %d ran (%d pooled, %d serial), %d cache \
-       hits]\n\
-       %!"
-      rep.Dcs.Sched.stages rep.Dcs.Sched.levels rep.Dcs.Sched.ran
-      rep.Dcs.Sched.pooled_ran rep.Dcs.Sched.serial_ran rep.Dcs.Sched.hits
-  end;
-  (try
-     List.iter
-       (fun (id, run) ->
-         let t0 = Sys.time () in
-         let captured_before = Dcs.Table.captured_count () in
-         run ();
-         if !json_path <> None then
-           json_groups :=
-             (id, captured_before, Dcs.Table.captured_count ())
-             :: !json_groups;
-         Printf.printf "  [%s done in %.1fs]\n" id (Sys.time () -. t0))
-       runners
-   with Dcs.Checkpoint.Interrupted { path; completed_now } ->
-     Printf.eprintf
-       "\n[interrupted by --abort-after: %d trials newly checkpointed, last \
-        snapshot %s — rerun with --resume to continue]\n"
-       completed_now path;
-     exit 3);
-  Printf.printf "\nall selected experiments done in %.1fs\n" (Sys.time () -. started);
+  let (), total = Common.time (fun () -> run_all chosen) in
+  Printf.printf "\nall selected experiments done in %.1fs\n" total;
   Option.iter write_json !json_path;
   Dcs.Obs.Report.dump_env ()

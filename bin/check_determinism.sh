@@ -34,9 +34,10 @@
 #
 # E16 is in the default set because it exercises the fault-injection layer:
 # its drop/corruption/timeout/lie draws must come out of the split streams
-# identically however the trials are scheduled. E17 is the chaos harness —
-# supervised restarts, checkpoint corruption recovery and stragglers all
-# have to produce the same tables at every domain count.
+# identically however the trials are scheduled. It runs as DAG stages (one
+# per sweep row), so it also joins the --sched-cache cycles below. E17 is
+# the chaos harness — supervised restarts, checkpoint corruption recovery
+# and stragglers all have to produce the same tables at every domain count.
 #
 # E22 is in the default set because it is the streaming chaos battery:
 # WAL recovery digests, adversarial replay accounting, the streamed-vs-
@@ -50,7 +51,7 @@
 # bit-flip/recompute/repair cycle — all of it must come out identical at
 # every DCS_DOMAINS value, since the artifact bytes are the cache keys.
 # The gate additionally runs a cross-process --sched-cache cycle below: a
-# cold E3+E4+E24 run fills a cache directory at DCS_DOMAINS=1 and warm
+# cold E3+E4+E16+E24 run fills a cache directory at DCS_DOMAINS=1 and warm
 # reruns at 1, 2 and 4 must reproduce the cold stdout byte for byte from
 # disk.
 #
@@ -64,15 +65,17 @@
 # quality floors are re-verified in the report closure, so a warm run must
 # still pass them from cached artifacts alone.
 #
-# The gate also runs a kill-then-resume cycle on E16 (the checkpoint-aware
-# sweep) at DCS_DOMAINS=1, 2 and 4: the run is interrupted by --abort-after
-# (exit 3, snapshots on disk), restarted with --resume, and the combined
-# stdout must be byte-identical to an uninterrupted run's. E22 gets the
-# same treatment through its WAL-backed journal (DCS_STREAM_DIR /
-# DCS_STREAM_KILL): the journaled ingest is killed at a record boundary
-# mid-stream (exit 3), reopened in the same directory — snapshot restore
-# plus WAL replay — and the finished run's stdout must be byte-identical
-# to an uninterrupted run's.
+# --sched-cache is the bench's resume path, so the gate also resumes that
+# cycle from partial caches: at DCS_DOMAINS=1, 2 and 4 it copies the cold
+# cache, deletes every second artifact in name order and reruns. A killed
+# run leaves downstream artifacts missing; this also deletes upstream
+# ones. Stdout must match the cold run's byte for byte, with both stage
+# runs and cache hits reported. E22 gets a kill-then-resume cycle through
+# its WAL-backed journal (DCS_STREAM_DIR / DCS_STREAM_KILL): the
+# journaled ingest is killed at a record boundary mid-stream (exit 3),
+# reopened in the same directory — snapshot restore plus WAL replay — and
+# the finished run's stdout must be byte-identical to an uninterrupted
+# run's.
 #
 # Finally it runs E18 (the instrumented profiling pass) with DCS_METRICS
 # pointing at a snapshot file, at DCS_DOMAINS=1, 2 and 4, and diffs the
@@ -102,20 +105,33 @@ dune build bench/main.exe test/main.exe @batched @serve @stream @sched @sparsolv
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-# Strip the wall-clock footers ("[E3 done in 1.2s]" and the total): timing
-# is the one thing allowed to differ between runs.
+# run_bench D ARGS...: run bench/main.exe at DCS_DOMAINS=D and print its
+# stdout minus the wall-clock footers ("[E3 done in 1.2s]" and the total):
+# timing is the one thing allowed to differ between runs. Its stderr is
+# kept in $tmpdir/bench.err. stdout goes through a file, not a pipe, so a
+# non-zero exit (an aborted experiment prints only the banner) fails the
+# gate and names the run instead of diffing banner against banner.
 run_bench () {
-    DCS_DOMAINS="$1" dune exec --no-build bench/main.exe -- --only "$2" \
-        | grep -v ' done in '
+    d="$1"
+    shift
+    status=0
+    DCS_DOMAINS="$d" dune exec --no-build bench/main.exe -- "$@" \
+        > "$tmpdir/bench.out" 2> "$tmpdir/bench.err" || status=$?
+    if [ "$status" -ne 0 ]; then
+        cat "$tmpdir/bench.err" >&2
+        echo "FAIL: bench/main.exe $* exited with status $status at DCS_DOMAINS=$d" >&2
+        exit 1
+    fi
+    grep -v ' done in ' "$tmpdir/bench.out"
 }
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
 for exp in $experiments; do
     ref="$tmpdir/${exp}_d1.out"
-    run_bench 1 "$exp" > "$ref"
+    run_bench 1 --only "$exp" > "$ref"
     for d in 2 4; do
         out="$tmpdir/${exp}_d$d.out"
-        run_bench "$d" "$exp" > "$out"
+        run_bench "$d" --only "$exp" > "$out"
         if ! diff -u "$ref" "$out"; then
             echo "FAIL: $exp output diverges between DCS_DOMAINS=1 and $d" >&2
             exit 1
@@ -125,71 +141,66 @@ for exp in $experiments; do
 done
 echo "experiment tables byte-identical across domain counts"
 
-echo "== scheduler disk-cache cycle (E3+E4+E24, --sched-cache) =="
+echo "== scheduler disk-cache cycle (E3+E4+E16+E24, --sched-cache) =="
+cached="E3 E4 E16 E24"
 sched_cache="$tmpdir/sched_cache"
-DCS_DOMAINS=1 dune exec --no-build bench/main.exe -- --only E3 E4 E24 \
-    --sched-cache "$sched_cache" 2> /dev/null \
-    | grep -v ' done in ' > "$tmpdir/sched_cold.out"
+run_bench 1 --only $cached --sched-cache "$sched_cache" > "$tmpdir/sched_cold.out"
 for d in 1 2 4; do
     # Warm rerun out of the spilled artifacts, in a fresh process at each
     # domain count: stdout must match the cold run byte for byte, and the
     # scheduler summary (stderr) must report zero stage runs (E24's
     # quality/speed floors are still re-checked from the cached artifacts).
-    DCS_DOMAINS="$d" dune exec --no-build bench/main.exe -- --only E3 E4 E24 \
-        --sched-cache "$sched_cache" 2> "$tmpdir/sched_warm_d$d.err" \
-        | grep -v ' done in ' > "$tmpdir/sched_warm_d$d.out"
+    run_bench "$d" --only $cached --sched-cache "$sched_cache" \
+        > "$tmpdir/sched_warm_d$d.out"
     if ! diff -u "$tmpdir/sched_cold.out" "$tmpdir/sched_warm_d$d.out"; then
         echo "FAIL: warm --sched-cache run diverges from cold at DCS_DOMAINS=$d" >&2
         exit 1
     fi
-    if ! grep -q ' 0 ran ' "$tmpdir/sched_warm_d$d.err"; then
+    if ! grep -q ' 0 ran ' "$tmpdir/bench.err"; then
         echo "FAIL: warm --sched-cache run recomputed stages at DCS_DOMAINS=$d" >&2
-        grep '\[sched:' "$tmpdir/sched_warm_d$d.err" >&2 || true
+        grep '\[sched:' "$tmpdir/bench.err" >&2 || true
         exit 1
     fi
     echo "  DCS_DOMAINS=$d: warm run all-hits, byte-identical to cold"
 done
 echo "scheduler disk cache byte-identical cold vs warm at DCS_DOMAINS=1, 2 and 4"
 
-echo "== kill-then-resume cycle (E16, --abort-after 30) =="
-DCS_DOMAINS=1 dune exec --no-build bench/main.exe -- --only E16 \
-    | grep -v ' done in ' > "$tmpdir/resume_ref.out"
+echo "== partial-cache resume ($cached, every second artifact deleted) =="
 for d in 1 2 4; do
-    ckpt="$tmpdir/ckpt_d$d"
-    # Phase 1: simulated kill. Exit status 3 means "interrupted with the
-    # snapshot flushed"; anything else is a failure of the abort plumbing.
-    status=0
-    DCS_DOMAINS="$d" dune exec --no-build bench/main.exe -- --only E16 \
-        --checkpoint "$ckpt" --abort-after 30 \
-        > /dev/null 2> /dev/null || status=$?
-    if [ "$status" -ne 3 ]; then
-        echo "FAIL: --abort-after exited with $status (want 3) at DCS_DOMAINS=$d" >&2
+    partial="$tmpdir/sched_partial_d$d"
+    cp -R "$sched_cache" "$partial"
+    n=0
+    for f in $(cd "$partial" && LC_ALL=C ls | grep '\.art$'); do
+        n=$((n + 1))
+        if [ $((n % 2)) -eq 0 ]; then rm "$partial/$f"; fi
+    done
+    run_bench "$d" --only $cached --sched-cache "$partial" \
+        > "$tmpdir/sched_partial_d$d.out"
+    if ! diff -u "$tmpdir/sched_cold.out" "$tmpdir/sched_partial_d$d.out"; then
+        echo "FAIL: partial-cache run diverges from cold at DCS_DOMAINS=$d" >&2
         exit 1
     fi
-    # Phase 2: resume from the snapshots; stdout must match the
-    # uninterrupted reference byte for byte.
-    DCS_DOMAINS="$d" dune exec --no-build bench/main.exe -- --only E16 \
-        --checkpoint "$ckpt" --resume 2> /dev/null \
-        | grep -v ' done in ' > "$tmpdir/resumed_d$d.out"
-    if ! diff -u "$tmpdir/resume_ref.out" "$tmpdir/resumed_d$d.out"; then
-        echo "FAIL: resumed run diverges from uninterrupted run at DCS_DOMAINS=$d" >&2
+    # Both halves must show: the deleted stages ran, the kept ones hit.
+    if grep -qE ' 0 ran |, 0 cache hits' "$tmpdir/bench.err"; then
+        echo "FAIL: partial-cache run did not both run and hit stages at DCS_DOMAINS=$d" >&2
+        grep '\[sched:' "$tmpdir/bench.err" >&2 || true
         exit 1
     fi
-    echo "  DCS_DOMAINS=$d: interrupted (exit 3), resumed, byte-identical"
+    echo "  DCS_DOMAINS=$d: byte-identical to cold; $(grep '\[sched:' "$tmpdir/bench.err")"
 done
-echo "kill-then-resume cycle byte-identical at DCS_DOMAINS=1, 2 and 4"
+echo "partial-cache resume byte-identical to cold at DCS_DOMAINS=1, 2 and 4"
 
 echo "== WAL kill-then-replay cycle (E22, DCS_STREAM_KILL=20) =="
-DCS_DOMAINS=1 DCS_STREAM_DIR="$tmpdir/wal_ref" \
-    dune exec --no-build bench/main.exe -- --only E22 2> /dev/null \
-    | grep -v ' done in ' > "$tmpdir/wal_ref.out"
+export DCS_STREAM_DIR="$tmpdir/wal_ref"
+run_bench 1 --only E22 > "$tmpdir/wal_ref.out"
 for d in 1 2 4; do
     wal="$tmpdir/wal_d$d"
     # Phase 1: kill the journaled ingest after 20 fresh records. Exit 3
     # means "interrupted at a record boundary, WAL flushed"; anything
     # else is a failure of the crash plumbing.
+    export DCS_STREAM_DIR="$wal"
     status=0
-    DCS_DOMAINS="$d" DCS_STREAM_DIR="$wal" DCS_STREAM_KILL=20 \
+    DCS_DOMAINS="$d" DCS_STREAM_KILL=20 \
         dune exec --no-build bench/main.exe -- --only E22 \
         > /dev/null 2> /dev/null || status=$?
     if [ "$status" -ne 3 ]; then
@@ -199,15 +210,14 @@ for d in 1 2 4; do
     # Phase 2: reopen the same journal directory — snapshot restore plus
     # WAL replay — and finish the stream; stdout must match the
     # uninterrupted reference byte for byte.
-    DCS_DOMAINS="$d" DCS_STREAM_DIR="$wal" \
-        dune exec --no-build bench/main.exe -- --only E22 2> /dev/null \
-        | grep -v ' done in ' > "$tmpdir/wal_resumed_d$d.out"
+    run_bench "$d" --only E22 > "$tmpdir/wal_resumed_d$d.out"
     if ! diff -u "$tmpdir/wal_ref.out" "$tmpdir/wal_resumed_d$d.out"; then
         echo "FAIL: WAL-replayed run diverges from uninterrupted run at DCS_DOMAINS=$d" >&2
         exit 1
     fi
     echo "  DCS_DOMAINS=$d: killed at a record boundary (exit 3), replayed, byte-identical"
 done
+unset DCS_STREAM_DIR
 echo "WAL kill-then-replay cycle byte-identical at DCS_DOMAINS=1, 2 and 4"
 
 echo "== metrics snapshots (E18, DCS_METRICS) =="
@@ -254,4 +264,4 @@ DCS_DOMAINS=1 dune exec --no-build test/main.exe
 echo "== test suite with DCS_DOMAINS=4 =="
 DCS_DOMAINS=4 dune exec --no-build test/main.exe
 
-echo "OK: suites green, tables identical per experiment, kill/resume identical, metrics snapshots identical under DCS_DOMAINS=1, 2 and 4"
+echo "OK: suites green, tables identical per experiment, cache and WAL resumes identical, metrics snapshots identical under DCS_DOMAINS=1, 2 and 4"

@@ -245,29 +245,51 @@ let test_disk_write_through () =
           Sched.stage dag ~name:"b" ~codec:int_codec ~deps:[ Sched.dep a ]
             (fun () -> Sched.value dag a + 10)
         in
-        b
+        (a, b)
       in
-      let cold = Sched.create ~store:(Sched.Store.create ~dir ()) () in
-      ignore (chain cold);
+      let cold_store = Sched.Store.create ~dir () in
+      let cold = Sched.create ~store:cold_store () in
+      let a, b = chain cold in
       ignore (Sched.run cold);
       let arts =
         Array.to_list (Sys.readdir dir)
         |> List.filter (fun f -> Filename.check_suffix f ".art")
       in
       Alcotest.(check int) "two spilled artifacts" 2 (List.length arts);
+      let artifact node =
+        Sched.Store.artifact_path cold_store (Sched.key_of cold node)
+      in
+      let art_a = artifact a and art_b = artifact b in
       (* A fresh store over the same directory: a cold process image must
          rehydrate everything from disk without running a single stage. *)
       let dh = Obs.Metrics.counter "sched.store_disk_hits" in
       let before = Obs.Metrics.counter_value dh in
       let warm = Sched.create ~store:(Sched.Store.create ~dir ()) () in
-      let b = chain warm in
+      let _, b = chain warm in
       let rep = Sched.run warm in
       Alcotest.(check int) "no stage ran" 0 rep.Sched.ran;
       Alcotest.(check int) "all hits" 2 rep.Sched.hits;
       Alcotest.(check int) "both came from disk" 2
         (Obs.Metrics.counter_value dh - before);
       Alcotest.(check int) "value survives the round trip" 13
-        (Sched.value warm b))
+        (Sched.value warm b);
+      (* A partially populated directory: a kill between the stages leaves
+         b's artifact missing, a lost file can take a's. A fresh store
+         runs exactly the missing stage and serves the other from disk
+         (each run's write-through restores the file it recomputed). *)
+      List.iter
+        (fun (missing, path) ->
+          Sys.remove path;
+          let dag = Sched.create ~store:(Sched.Store.create ~dir ()) () in
+          let _, b = chain dag in
+          let rep = Sched.run dag in
+          Alcotest.(check int) (missing ^ " missing: it alone ran") 1
+            rep.Sched.ran;
+          Alcotest.(check int) (missing ^ " missing: the other hit") 1
+            rep.Sched.hits;
+          Alcotest.(check int) (missing ^ " missing: value") 13
+            (Sched.value dag b))
+        [ ("b", art_b); ("a", art_a) ])
 
 let suite =
   [
