@@ -165,23 +165,35 @@ let s_k = 2
 
 (* The whole sparse pipeline, end to end — NI rounds, tier-chain
    estimation, binomial resampling, Karger on the sparsifier, certify
-   against the frozen view — everything the dense side does not pay. *)
+   against the frozen view — everything the dense side does not pay.
+   Returns the result and the wall time of each phase (strength,
+   connectivity, partial min-cut), so the floor can name the layer that
+   grew. *)
 let sparse_pipeline ?domains rng g =
-  let strengths = Strength.compute ~max_rounds:s_rounds g in
-  let conn =
-    Connectivity.estimate_ugraph ?domains ~strengths
-      ~flow_budget:s_flow_budget ~cap:s_cap g
+  let strengths, t_strength =
+    Common.time (fun () -> Strength.compute ~max_rounds:s_rounds g)
   in
-  Partial_mincut.mincut ?domains ~rho:s_rho ~connectivity:conn rng ~eps:s_eps
-    ~solver:(Partial_mincut.Karger { trials = s_trials }) g
+  let conn, t_conn =
+    Common.time (fun () ->
+        Connectivity.estimate_ugraph ?domains ~strengths
+          ~flow_budget:s_flow_budget ~cap:s_cap g)
+  in
+  let r, t_solve =
+    Common.time (fun () ->
+        Partial_mincut.mincut ?domains ~rho:s_rho ~connectivity:conn rng
+          ~eps:s_eps ~solver:(Partial_mincut.Karger { trials = s_trials }) g)
+  in
+  (r, (t_strength, t_conn, t_solve))
 
-let enforce_speed_floor ~dense_s ~sparse_s ~m ~m' =
+let enforce_speed_floor ~dense_s ~sparse_s ~phases:(t_str, t_conn, t_solve)
+    ~m ~m' =
   let sp = dense_s /. Float.max sparse_s 1e-9 in
   Printf.eprintf
-    "  [E24 speed n=1000: dense %.3fs, sparse %.3fs end-to-end, %.2fx, edges \
-     %d -> %d, %d cores]\n\
+    "  [E24 speed n=1000: dense %.3fs, sparse %.3fs end-to-end (strength \
+     %.3fs, connectivity %.3fs, partial min-cut %.3fs), %.2fx, edges %d -> \
+     %d, %d cores]\n\
      %!"
-    dense_s sparse_s sp m m' Common.cores;
+    dense_s sparse_s t_str t_conn t_solve sp m m' Common.cores;
   if sp < 3.0 then
     failwith
       (Printf.sprintf
@@ -213,18 +225,18 @@ let speed_stage pl =
       in
       ignore dense_cut;
       let sparse_seed = P.seed_rng (name ^ ".sparse") in
-      let r, sparse_s =
+      let (r, phases), sparse_s =
         Common.time (fun () ->
             sparse_pipeline ~domains:1 (Prng.copy sparse_seed) g)
       in
-      enforce_speed_floor ~dense_s ~sparse_s ~m:(Ugraph.m g)
+      enforce_speed_floor ~dense_s ~sparse_s ~phases ~m:(Ugraph.m g)
         ~m':r.Partial_mincut.stats.Partial_mincut.m_sparse;
       (* Scheduling must leak into nothing: the same pipeline at explicit
          domain counts returns the identical cut. *)
       let identical =
         List.for_all
           (fun dom ->
-            let r' = sparse_pipeline ~domains:dom (Prng.copy sparse_seed) g in
+            let r', _ = sparse_pipeline ~domains:dom (Prng.copy sparse_seed) g in
             r'.Partial_mincut.value = r.Partial_mincut.value
             && Cut.equal r'.Partial_mincut.cut r.Partial_mincut.cut
             && r'.Partial_mincut.stats.Partial_mincut.m_sparse

@@ -5,7 +5,9 @@
    subsequent cut query off contiguous memory. Rows are sorted by
    destination, which makes iteration order (and therefore float summation
    order) independent of hashtable history, and lets [weight] binary-search
-   a row. Both arc directions are stored; [reverse] is a field swap. *)
+   a row. The freeze sorts nothing: counting passes over vertices in
+   ascending order lay every row down sorted, in O(n + m). Both arc
+   directions are stored; [reverse] is a field swap. *)
 
 module Metrics = Dcs_obs_core.Metrics
 
@@ -48,77 +50,60 @@ let check_vertex t u name =
   if u < 0 || u >= t.n then
     invalid_arg (Printf.sprintf "Csr.%s: vertex %d" name u)
 
-(* Sort each row in place by endpoint. Rows come from merged hashtables, so
-   endpoints within a row are distinct and the sorted order is canonical. *)
-let sort_rows nv off dst w =
+(* Row offsets straight from the hashtable degrees. *)
+let offsets nv deg =
+  let off = Array.make (nv + 1) 0 in
   for u = 0 to nv - 1 do
-    let lo = off.(u) in
-    let len = off.(u + 1) - lo in
-    if len > 1 then begin
-      let row = Array.init len (fun i -> (dst.(lo + i), w.(lo + i))) in
-      Array.sort (fun (a, _) (b, _) -> compare a b) row;
-      Array.iteri
-        (fun i (d, x) ->
-          dst.(lo + i) <- d;
-          w.(lo + i) <- x)
-        row
-    end
-  done
+    off.(u + 1) <- off.(u) + deg u
+  done;
+  off
 
-let prefix_sums off nv =
-  for i = 0 to nv - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
-  done
-
+(* Two counting passes, no sort: [Digraph.iter_edges] visits sources in
+   ascending order, so scattering it by head fills every in-row sorted by
+   source; walking those in-rows by ascending head then fills every
+   out-row sorted by destination. *)
 let of_digraph g =
   Metrics.inc m_builds;
   let nv = Digraph.n g in
-  let out_off = Array.make (nv + 1) 0 in
-  let in_off = Array.make (nv + 1) 0 in
-  Digraph.iter_edges g (fun u v _ ->
-      out_off.(u + 1) <- out_off.(u + 1) + 1;
-      in_off.(v + 1) <- in_off.(v + 1) + 1);
-  prefix_sums out_off nv;
-  prefix_sums in_off nv;
+  let out_off = offsets nv (Digraph.out_degree g) in
+  let in_off = offsets nv (Digraph.in_degree g) in
   let arcs = out_off.(nv) in
   let out_dst = Array.make arcs 0 and out_w = Array.make arcs 0.0 in
   let in_src = Array.make arcs 0 and in_w = Array.make arcs 0.0 in
-  let ocur = Array.sub out_off 0 (max 1 nv) in
-  let icur = Array.sub in_off 0 (max 1 nv) in
+  let cur = Array.sub in_off 0 nv in
   Digraph.iter_edges g (fun u v w ->
-      let i = ocur.(u) in
-      ocur.(u) <- i + 1;
-      out_dst.(i) <- v;
-      out_w.(i) <- w;
-      let j = icur.(v) in
-      icur.(v) <- j + 1;
+      let j = cur.(v) in
+      cur.(v) <- j + 1;
       in_src.(j) <- u;
       in_w.(j) <- w);
-  sort_rows nv out_off out_dst out_w;
-  sort_rows nv in_off in_src in_w;
+  Array.blit out_off 0 cur 0 nv;
+  for v = 0 to nv - 1 do
+    for j = in_off.(v) to in_off.(v + 1) - 1 do
+      let u = in_src.(j) in
+      let i = cur.(u) in
+      cur.(u) <- i + 1;
+      out_dst.(i) <- v;
+      out_w.(i) <- in_w.(j)
+    done
+  done;
   { n = nv; arcs; out_off; out_dst; out_w; in_off; in_src; in_w }
 
+(* One counting pass: for u ascending, u joins the row of each of its
+   neighbours, so every row fills sorted. *)
 let of_ugraph g =
   Metrics.inc m_builds;
   let nv = Ugraph.n g in
-  let off = Array.make (nv + 1) 0 in
-  Ugraph.iter_edges g (fun u v _ ->
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1);
-  prefix_sums off nv;
+  let off = offsets nv (Ugraph.degree g) in
   let arcs = off.(nv) in
   let dst = Array.make arcs 0 and w = Array.make arcs 0.0 in
-  let cur = Array.sub off 0 (max 1 nv) in
-  let put u v x =
-    let i = cur.(u) in
-    cur.(u) <- i + 1;
-    dst.(i) <- v;
-    w.(i) <- x
-  in
-  Ugraph.iter_edges g (fun u v x ->
-      put u v x;
-      put v u x);
-  sort_rows nv off dst w;
+  let cur = Array.sub off 0 nv in
+  for u = 0 to nv - 1 do
+    Ugraph.iter_neighbors g u (fun v x ->
+        let i = cur.(v) in
+        cur.(v) <- i + 1;
+        dst.(i) <- u;
+        w.(i) <- x)
+  done;
   (* Symmetric: the in-direction is the same physical arrays. *)
   { n = nv; arcs; out_off = off; out_dst = dst; out_w = w;
     in_off = off; in_src = dst; in_w = w }

@@ -4,7 +4,7 @@
     offset/endpoint/weight arrays, in both arc directions (one [float array]
     of weights per direction — with [flat_float_array], the compiler
     default, already an unboxed buffer the GC never scans). Freezing costs
-    one pass over the edges plus a per-row sort; afterwards cut evaluation
+    two counting passes over the edges and no sort; afterwards cut evaluation
     is a contiguous scan and single-vertex cut updates are O(degree) via
     {!cut_delta} — the workhorse of the Section 4 subset-enumeration
     decoder and of every solver that evaluates many cuts of one graph.
@@ -20,7 +20,7 @@
 type t
 
 val of_digraph : Digraph.t -> t
-(** Freeze a directed graph. O(n + m log m). *)
+(** Freeze a directed graph. O(n + m). *)
 
 val of_ugraph : Ugraph.t -> t
 (** Freeze an undirected graph as its symmetric directed view: each

@@ -9,14 +9,20 @@ let clamp p = Float.max 0.0 (Float.min 1.0 p)
    order depends on insertion history, which would make two equal graphs
    built by different routes (batch vs. streamed-and-compacted) sample
    different subgraphs from the same seed. Sorting the edges first makes
-   the sample a pure function of (seed, graph content). *)
+   the sample a pure function of (seed, graph content). The comparator is
+   monomorphic: polymorphic [compare] on (u, v) tuples would allocate two
+   tuples per comparison. *)
+let compare_edge (a, b, _) (c, d, _) =
+  let k = Int.compare a c in
+  if k <> 0 then k else Int.compare b d
+
 let sorted_edges_ugraph g =
   let edges = Array.make (Ugraph.m g) (0, 0, 0.0) in
   let i = ref 0 in
   Ugraph.iter_edges g (fun u v w ->
       edges.(!i) <- (u, v, w);
       incr i);
-  Array.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) edges;
+  Array.sort compare_edge edges;
   edges
 
 let sorted_edges_digraph g =
@@ -25,7 +31,7 @@ let sorted_edges_digraph g =
   Digraph.iter_edges g (fun u v w ->
       edges.(!i) <- (u, v, w);
       incr i);
-  Array.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) edges;
+  Array.sort compare_edge edges;
   edges
 
 let sample_ugraph rng ~prob g =

@@ -1,13 +1,22 @@
+(* Nagamochi–Ibaraki forest decomposition over the canonical edge order.
+
+   Every per-edge array is indexed by an edge's position in the ascending
+   (u, v) order of [Importance.sorted_edges_ugraph] (u < v): the greedy
+   forests, the indices, [fold] and the certificate all walk positions in
+   that order, so every result is a pure function of graph content, never
+   of hashtable history — required for streamed-and-compacted graphs to
+   sample identically to batch ones. [index] binary-searches the order. *)
+
 module Ugraph = Dcs_graph.Ugraph
 
 type t = {
-  idx : (int * int, int) Hashtbl.t;  (* key has u < v *)
-  cons : (int * int, int) Hashtbl.t; (* forests that used the edge (<= idx) *)
   n : int;
   rounds : int;
+  eu : int array;   (* edge endpoints, u < v, ascending (u, v) *)
+  ev : int array;
+  idx : int array;  (* NI index per edge *)
+  cons : int array; (* forests that used the edge (<= idx) *)
 }
-
-let key u v = if u < v then (u, v) else (v, u)
 
 (* Union-find used per forest round. *)
 let rec find parent x =
@@ -20,87 +29,76 @@ let rec find parent x =
 let compute ?(max_rounds = 512) g =
   if max_rounds < 1 then invalid_arg "Strength.compute: max_rounds";
   let n = Ugraph.n g in
-  let idx = Hashtbl.create (2 * Ugraph.m g) in
-  (* Remaining multiplicity per live edge. *)
-  let live = Hashtbl.create (2 * Ugraph.m g) in
-  Ugraph.iter_edges g (fun u v w ->
-      let mult = max 1 (int_of_float (Float.round w)) in
-      Hashtbl.replace live (key u v) mult);
-  (* Forest construction is greedy, so the edge order decides which edges
-     each spanning forest grabs. Iterating [live] directly would make the
-     strength indices depend on hashtable history; walking a sorted edge
-     array makes them a pure function of graph content — required for
-     streamed-and-compacted graphs to sample identically to batch ones. *)
-  let all_edges =
-    let a = Array.make (Hashtbl.length live) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun e _ ->
-        a.(!i) <- e;
-        incr i)
-      live;
-    Array.sort compare a;
-    a
+  let edges = Importance.sorted_edges_ugraph g in
+  let m = Array.length edges in
+  let eu = Array.map (fun (u, _, _) -> u) edges in
+  let ev = Array.map (fun (_, v, _) -> v) edges in
+  (* Remaining multiplicity per edge; 0 once exhausted. *)
+  let mult =
+    Array.map (fun (_, _, w) -> max 1 (int_of_float (Float.round w))) edges
   in
-  let round = ref 0 in
-  let cons = Hashtbl.create (2 * Ugraph.m g) in
-  while Hashtbl.length live > 0 && !round < max_rounds do
+  let idx = Array.make m 0 and cons = Array.make m 0 in
+  (* One union-find and one used-edge buffer serve every round: a
+     spanning forest has at most n - 1 edges. *)
+  let parent = Array.make n 0 in
+  let used = Array.make (max 0 (n - 1)) 0 in
+  let live = ref m and round = ref 0 in
+  while !live > 0 && !round < max_rounds do
     incr round;
-    let parent = Array.init n (fun i -> i) in
-    let used = ref [] in
-    Array.iter
-      (fun (u, v) ->
-        if Hashtbl.mem live (u, v) then begin
-          let ru = find parent u and rv = find parent v in
-          if ru <> rv then begin
-            parent.(ru) <- rv;
-            used := (u, v) :: !used
-          end
-        end)
-      all_edges;
-    List.iter
-      (fun e ->
-        Hashtbl.replace cons e
-          (1 + Option.value (Hashtbl.find_opt cons e) ~default:0);
-        let mult = Hashtbl.find live e in
-        if mult <= 1 then begin
-          Hashtbl.remove live e;
-          Hashtbl.replace idx e !round
+    for x = 0 to n - 1 do
+      parent.(x) <- x
+    done;
+    let nused = ref 0 in
+    for e = 0 to m - 1 do
+      if mult.(e) > 0 then begin
+        let ru = find parent eu.(e) and rv = find parent ev.(e) in
+        if ru <> rv then begin
+          parent.(ru) <- rv;
+          used.(!nused) <- e;
+          incr nused
         end
-        else Hashtbl.replace live e (mult - 1))
-      !used
+      end
+    done;
+    for k = 0 to !nused - 1 do
+      let e = used.(k) in
+      cons.(e) <- cons.(e) + 1;
+      mult.(e) <- mult.(e) - 1;
+      if mult.(e) = 0 then begin
+        idx.(e) <- !round;
+        decr live
+      end
+    done
   done;
   (* Edges still alive are at least max_rounds-connected (or were never
      reached because the forest construction stalled on multiplicity). *)
-  Hashtbl.iter (fun e _ -> Hashtbl.replace idx e !round) live;
-  { idx; cons; n; rounds = !round }
+  for e = 0 to m - 1 do
+    if mult.(e) > 0 then idx.(e) <- !round
+  done;
+  { n; rounds = !round; eu; ev; idx; cons }
 
 let index t u v =
-  match Hashtbl.find_opt t.idx (key u v) with
-  | Some i -> i
-  | None ->
-      invalid_arg (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v)
+  let a = min u v and b = max u v in
+  let rec search lo hi =
+    if lo > hi then
+      invalid_arg (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v);
+    let mid = (lo + hi) / 2 in
+    let c =
+      match Int.compare t.eu.(mid) a with 0 -> Int.compare t.ev.(mid) b | c -> c
+    in
+    if c = 0 then t.idx.(mid)
+    else if c < 0 then search (mid + 1) hi
+    else search lo (mid - 1)
+  in
+  search 0 (Array.length t.eu - 1)
 
 let rounds_used t = t.rounds
 
-(* Sorted-key iteration: hashtable order depends on insertion history, and
-   every consumer of these indices (samplers, certificates, stage
-   artifacts) is under the byte-identity contract. *)
-let sorted_keys (tbl : (int * int, int) Hashtbl.t) =
-  let a = Array.make (Hashtbl.length tbl) (0, 0) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun e _ ->
-      a.(!i) <- e;
-      incr i)
-    tbl;
-  Array.sort compare a;
-  a
-
 let fold f t init =
-  Array.fold_left
-    (fun acc (u, v) -> f u v (Hashtbl.find t.idx (u, v)) acc)
-    init (sorted_keys t.idx)
+  let acc = ref init in
+  for e = 0 to Array.length t.eu - 1 do
+    acc := f t.eu.(e) t.ev.(e) t.idx.(e) !acc
+  done;
+  !acc
 
 (* The Nagamochi–Ibaraki sparse certificate. The forest rounds of [compute]
    are maximal spanning forests of the not-yet-exhausted edges, so the
@@ -115,12 +113,13 @@ let fold f t init =
 let certificate t g =
   if Ugraph.n g <> t.n then invalid_arg "Strength.certificate: vertex count";
   let h = Ugraph.create t.n in
-  Array.iter
-    (fun (u, v) ->
-      let uses = float_of_int (Hashtbl.find t.cons (u, v)) in
-      let w = Float.min uses (Ugraph.weight g u v) in
-      if w > 0.0 then Ugraph.add_edge h u v w)
-    (sorted_keys t.cons);
+  for e = 0 to Array.length t.eu - 1 do
+    if t.cons.(e) > 0 then begin
+      let u = t.eu.(e) and v = t.ev.(e) in
+      let w = Float.min (float_of_int t.cons.(e)) (Ugraph.weight g u v) in
+      if w > 0.0 then Ugraph.add_edge h u v w
+    end
+  done;
   h
 
 let min_index t = fold (fun _ _ i acc -> min i acc) t max_int

@@ -11,21 +11,26 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* Branch-free SWAR popcount: bit counts of 2-, 4- and 8-bit fields, then
+   one multiply sums the eight byte counts into the top byte. *)
+let popcount64 x =
+  let open Int64 in
+  let m2 = 0x3333333333333333L in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x = add (logand x m2) (logand (shift_right_logical x 2) m2) in
+  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
 (* Gamma values must be odd; mix_gamma also guards against gammas with too
-   few bit transitions (as in the reference implementation). *)
+   few bit transitions (as in the reference implementation). It runs once
+   per [split] and [fork] — once per edge in some samplers — so the
+   transition count is a constant-time popcount. *)
 let mix_gamma z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
   let z = Int64.logor z 1L in
   let transitions = Int64.logxor z (Int64.shift_right_logical z 1) in
-  let popcount x =
-    let c = ref 0 in
-    for i = 0 to 63 do
-      if Int64.logand (Int64.shift_right_logical x i) 1L = 1L then incr c
-    done;
-    !c
-  in
-  if popcount transitions < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
+  if popcount64 transitions < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
 
 let create seed = { state = mix64 (Int64.of_int seed); gamma = golden_gamma }
 

@@ -266,6 +266,39 @@ let prop_csr_of_ugraph_cut_value =
       let s = Cut.random rng ~n in
       Csr.cut_value c s = Ugraph.cut_value g s)
 
+(* The freeze sorts nothing, so its row order is pinned directly: every
+   out-row and in-row, read back through [iter_out]/[iter_in], is the
+   hashtable row sorted by endpoint — for [of_digraph] after deletions
+   reshaped the hashtables, and for [of_ugraph] of the projection. *)
+let prop_csr_rows_sorted =
+  QCheck.Test.make ~name:"CSR rows are the sorted hashtable rows" ~count:60
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int rng 14 in
+      let g = random_int_digraph rng ~n ~p:0.4 ~max_weight:8 in
+      List.iter
+        (fun (u, v, _) -> if Prng.int rng 4 = 0 then Digraph.set_edge g u v 0.0)
+        (Digraph.edges g);
+      let row iter u =
+        let r = ref [] in
+        iter u (fun v w -> r := (v, w) :: !r);
+        !r
+      in
+      let same csr_iter iter u =
+        List.rev (row csr_iter u) = List.sort compare (row iter u)
+      in
+      let c = Csr.of_digraph g in
+      let ug = Ugraph.of_digraph g in
+      let cu = Csr.of_ugraph ug in
+      List.for_all
+        (fun u ->
+          same (Csr.iter_out c) (Digraph.iter_out g) u
+          && same (Csr.iter_in c) (Digraph.iter_in g) u
+          && same (Csr.iter_out cu) (Ugraph.iter_neighbors ug) u
+          && same (Csr.iter_in cu) (Ugraph.iter_neighbors ug) u)
+        (List.init n Fun.id))
+
 (* Incremental maintenance: after any flip sequence, seed + Σ deltas equals
    a from-scratch evaluation, bit for bit (integer weights). *)
 let prop_csr_cut_delta_flip_sequence =
@@ -744,4 +777,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_reverse_matches_digraph_reverse;
     QCheck_alcotest.to_alcotest prop_csr_of_ugraph_cut_value;
     QCheck_alcotest.to_alcotest prop_csr_cut_delta_flip_sequence;
+    QCheck_alcotest.to_alcotest prop_csr_rows_sorted;
   ]

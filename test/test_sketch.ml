@@ -197,6 +197,39 @@ let test_strength_max_rounds_cap () =
   Alcotest.(check int) "capped" 10 (Strength.index s 0 1);
   Alcotest.(check int) "rounds used" 10 (Strength.rounds_used s)
 
+(* Golden pin of the decomposition on one seeded graph mixing integer and
+   fractional weights: a digest of [fold]'s (u, v, index) triples, the
+   round count and the certificate's frozen fingerprint. *)
+let test_strength_golden () =
+  let rng = Prng.create 2024 in
+  let g0 = Generators.erdos_renyi_connected rng ~n:24 ~p:0.35 in
+  let g = Generators.random_multigraph_weights rng g0 ~max_weight:5 in
+  List.iter
+    (fun (u, v, w) ->
+      if (u + v) mod 3 = 0 then Ugraph.set_edge g u v ((w *. 0.5) +. 0.25))
+    (Ugraph.edges g);
+  let s = Strength.compute g in
+  let digest =
+    Strength.fold
+      (fun u v i h ->
+        List.fold_left
+          (fun h x -> Prng.mix64 (Int64.logxor h (Int64.of_int x)))
+          h [ u; v; i ])
+      s 0L
+  in
+  Alcotest.(check int64) "fold digest" (-5432684861885436900L) digest;
+  Alcotest.(check int) "rounds used" 24 (Strength.rounds_used s);
+  Alcotest.(check int64) "certificate fingerprint" 6483699861780285628L
+    (Csr.fingerprint (Csr.of_ugraph (Strength.certificate s g)));
+  Strength.fold
+    (fun u v i () ->
+      Alcotest.(check int) "index u v" i (Strength.index s u v);
+      Alcotest.(check int) "index v u" i (Strength.index s v u))
+    s ();
+  Alcotest.check_raises "self pair"
+    (Invalid_argument "Strength.index: (2, 2) is not an edge") (fun () ->
+      ignore (Strength.index s 2 2))
+
 (* NI index lower-bounds local edge connectivity. *)
 let prop_strength_below_connectivity =
   QCheck.Test.make ~name:"NI index <= local edge connectivity" ~count:30
@@ -562,6 +595,7 @@ let suite =
     Alcotest.test_case "strength: not found" `Quick test_strength_not_found;
     Alcotest.test_case "strength: fold sorted" `Quick test_strength_fold_sorted;
     Alcotest.test_case "strength: max rounds cap" `Quick test_strength_max_rounds_cap;
+    Alcotest.test_case "strength: golden fold and certificate" `Quick test_strength_golden;
     QCheck_alcotest.to_alcotest prop_strength_below_connectivity;
     QCheck_alcotest.to_alcotest prop_connectivity_estimates_sound;
     Alcotest.test_case "connectivity: exact when uncapped" `Quick test_connectivity_exact_when_uncapped;

@@ -100,6 +100,17 @@ let test_binomial_split_deterministic () =
   in
   Alcotest.(check bool) "split streams replay" true (draw () = draw ())
 
+(* Golden pin of 4096 indexed splits of one unadvanced parent, folded
+   through their fingerprints. 81 of these gammas take [mix_gamma]'s
+   low-transition XOR branch, which a handful of streams may never hit. *)
+let test_split_digest_pinned () =
+  let m = Prng.create 424242 in
+  let h = ref 0L in
+  for i = 0 to 4095 do
+    h := Prng.mix64 (Int64.logxor !h (Prng.fingerprint (Prng.split m i)))
+  done;
+  Alcotest.(check int64) "split digest" (-8649093878469504351L) !h
+
 let test_sign () =
   let g = Prng.create 77 in
   let pos = ref 0 in
@@ -436,6 +447,7 @@ let suite =
     Alcotest.test_case "prng: binomial extremes" `Quick test_binomial_extremes;
     Alcotest.test_case "prng: binomial expectation" `Quick test_binomial_expectation;
     Alcotest.test_case "prng: binomial split determinism" `Quick test_binomial_split_deterministic;
+    Alcotest.test_case "prng: split digest pinned" `Quick test_split_digest_pinned;
     Alcotest.test_case "prng: sign" `Quick test_sign;
     Alcotest.test_case "prng: gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "prng: shuffle permutes" `Quick test_shuffle_permutes;
