@@ -27,11 +27,18 @@ val maxflow : ?limit:float -> t -> s:int -> t:int -> float
     stops augmenting once that much flow has been routed: the result is
     the exact max-flow when it is below [limit] and exactly [limit]
     otherwise — the cheap form of a capped connectivity query
-    (min(λ(s,t), limit)) and of a running-minimum scan. *)
+    (min(λ(s,t), limit)) and of a running-minimum scan. Each phase's BFS
+    stops once [t] is labelled, and a run allocates no queue, stack or
+    per-vertex state of its own (the network holds them). Raises
+    [Invalid_argument] naming the vertex
+    (["Dinic.maxflow: vertex 7"]) when [s] or [t] is outside [0, n), and
+    when [s = t]. *)
 
 val mincut_side : t -> s:int -> t:int -> float * Dcs_graph.Cut.t
 (** Max-flow value together with the source side of a minimum s–t cut
-    (vertices reachable from [s] in the final residual network). *)
+    (vertices reachable from [s] in the final residual network, read off
+    the last phase's BFS, which misses [t] and so runs to completion).
+    Validates [s] and [t] like {!maxflow}, naming [mincut_side]. *)
 
 val edge_connectivity : Dcs_graph.Ugraph.t -> float
 (** Global edge connectivity: min over t <> 0 of maxflow(0, t). Exact for
@@ -44,4 +51,5 @@ val edge_connectivity : Dcs_graph.Ugraph.t -> float
 
 val edge_disjoint_paths : Dcs_graph.Ugraph.t -> s:int -> t:int -> int
 (** Max number of edge-disjoint s-t paths in an unweighted view of the graph
-    (capacities clamped to 1). *)
+    (capacities clamped to 1). Validates [s] and [t] like {!maxflow},
+    naming [edge_disjoint_paths]. *)

@@ -18,22 +18,27 @@ module Metrics = Dcs_obs_core.Metrics
    2. the Nagamochi–Ibaraki strength index — an O(cap) forest rounds
       prefilter, divided by (1+β) on digraphs (undirected local
       connectivity exceeds directed λ by at most that factor on
-      β-balanced graphs);
+      β-balanced graphs). The decomposition must be of the graph being
+      estimated (of its undirected projection, for digraphs); one of
+      another graph is rejected with [Invalid_argument] naming the
+      estimator. The check compares endpoints only;
    3. a common-neighbour bound: w(u,v) + Σ_z min(w(u,z), w(z,v)) — the
       direct edge plus one edge-disjoint two-hop path per shared
-      neighbour, an O(deg) sorted-row merge;
+      neighbour: a scatter of u's row and a gather over v's, O(deg v)
+      per edge, that stops once the sum reaches [cap];
    4. exact max-flow capped at [cap], batched over
       {!Dcs_util.Pool.run_batched} with one reusable Dinic residual
       network per worker domain (built once per domain, reset — an O(m)
       blit — between queries).
 
    Exact flows run only where the cheap tiers are uninformative (their
-   bound is below [cap]), weakest-bound-first under an optional flow
-   budget, and — for undirected graphs — on the NI sparse certificate
+   bound is below [cap]), on the [flow_budget] weakest bounds — a
+   partial selection by bounded heap, not a sort of every unresolved
+   edge — and, for undirected graphs, on the NI sparse certificate
    ({!Strength.certificate}, O(cap·n) edges) instead of the full graph.
    Results are a pure function of graph content: edges are visited in
    canonical sorted order and each flow task is a pure function of its
-   index, so estimates are byte-identical for every domain count. *)
+   edge, so estimates are byte-identical for every domain count. *)
 
 let m_edges = Metrics.counter "conn.edges"
 let m_by_weight = Metrics.counter "conn.by_weight"
@@ -78,62 +83,119 @@ let get t u v =
 let iter t f =
   Array.iteri (fun i (u, v, w) -> f u v w t.lambda.(i)) t.edges
 
-(* Adjacency rows of a frozen view as flat arrays, for the sorted-row
-   merges of the common-neighbour bound. *)
-let materialize n iter deg =
-  let heads = Array.init n (fun u -> Array.make (deg u) 0) in
-  let ws = Array.init n (fun u -> Array.make (deg u) 0.0) in
+(* Out- or in-rows of a frozen view as flat offset/endpoint/weight
+   arrays, endpoint-sorted, for the common-neighbour gathers. *)
+type rows = { off : int array; dst : int array; w : float array }
+
+let flat_rows n iter deg =
+  let off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    let i = ref 0 in
-    iter u (fun v w ->
-        heads.(u).(!i) <- v;
-        ws.(u).(!i) <- w;
+    off.(u + 1) <- off.(u) + deg u
+  done;
+  let dst = Array.make off.(n) 0 and w = Array.make off.(n) 0.0 in
+  for u = 0 to n - 1 do
+    let i = ref off.(u) in
+    iter u (fun v x ->
+        dst.(!i) <- v;
+        w.(!i) <- x;
         incr i)
   done;
-  (heads, ws)
+  { off; dst; w }
 
-(* Out- and in-rows of the graph the common-neighbour merges read; an
-   undirected (symmetric) view shares one materialization for both
-   sides. *)
+(* Out- and in-rows of the graph the common-neighbour bound reads; an
+   undirected (symmetric) view shares one copy for both sides. *)
 let rows_of_csr ~symmetric csr =
   let n = Csr.n csr in
-  let out = materialize n (Csr.iter_out csr) (Csr.out_degree csr) in
+  let out = flat_rows n (Csr.iter_out csr) (Csr.out_degree csr) in
   let inn =
-    if symmetric then out
-    else materialize n (Csr.iter_in csr) (Csr.in_degree csr)
+    if symmetric then out else flat_rows n (Csr.iter_in csr) (Csr.in_degree csr)
   in
   (out, inn)
 
-(* w_direct + Σ_{z <> u,v} min(w(u,z), w(z,v)): the direct edge plus one
+(* Tier 3, w_direct + Σ_z min(w(u,z), w(z,v)): the direct edge plus one
    two-hop path per common neighbour, pairwise edge-disjoint, so every
-   u→v cut severs at least this much weight. Rows are sorted by endpoint,
-   so the merge is linear in the two degrees. *)
-let common_neighbour_bound ~oh ~ow ~ih ~iw u v w_direct =
-  let a = oh.(u) and aw = ow.(u) and b = ih.(v) and bw = iw.(v) in
-  let la = Array.length a and lb = Array.length b in
-  let i = ref 0 and j = ref 0 in
-  let acc = ref w_direct in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      if x <> u && x <> v then acc := !acc +. Float.min aw.(!i) bw.(!j);
-      incr i;
+   u→v cut severs at least this much weight. The returned function is
+   called in ascending (u, v) order, so each tail u's out-row is scattered
+   once into [wu], with [stamp] marking the vertices it holds; each edge
+   then walks v's in-row and adds the term wherever z is stamped, in
+   ascending z — the summation order the estimates' bits depend on. (No
+   self-loops: a stamped z in v's in-row is neither u nor v.) A sum that
+   reaches [cap] stops there — weights are positive, so it only grows,
+   and the edge resolves to [cap] either way. The min is a plain
+   comparison: [Float.min] is an out-of-line call that boxes, and agrees
+   with it on finite positive weights. *)
+let common_neighbour_bound ~n ~cap (out, inn) =
+  let stamp = Array.make n (-1) and wu = Array.make n 0.0 in
+  let tail = ref (-1) in
+  fun u v w ->
+    if u <> !tail then begin
+      tail := u;
+      for j = out.off.(u) to out.off.(u + 1) - 1 do
+        let z = out.dst.(j) in
+        stamp.(z) <- u;
+        wu.(z) <- out.w.(j)
+      done
+    end;
+    let acc = ref w and j = ref inn.off.(v) in
+    let stop = inn.off.(v + 1) in
+    while !j < stop && !acc < cap do
+      let z = inn.dst.(!j) in
+      if stamp.(z) = u then begin
+        let a = wu.(z) and b = inn.w.(!j) in
+        acc := !acc +. if a < b then a else b
+      end;
       incr j
-    end
-    else if x < y then incr i
-    else incr j
-  done;
-  !acc
+    done;
+    !acc
+
+(* The [k] weakest of [cands] under the total order [weaker], weakest
+   first: a bounded max-heap holds the k weakest seen so far, strongest at
+   the root, and only those k are sorted. *)
+let weakest k weaker cands =
+  let heap = Array.make k 0 and size = ref 0 in
+  let swap a b =
+    let x = heap.(a) in
+    heap.(a) <- heap.(b);
+    heap.(b) <- x
+  in
+  Array.iter
+    (fun i ->
+      if !size < k then begin
+        let c = ref !size in
+        heap.(!c) <- i;
+        incr size;
+        while !c > 0 && weaker heap.((!c - 1) / 2) heap.(!c) do
+          swap !c ((!c - 1) / 2);
+          c := (!c - 1) / 2
+        done
+      end
+      else if k > 0 && weaker i heap.(0) then begin
+        heap.(0) <- i;
+        let p = ref 0 and sifting = ref true in
+        while !sifting do
+          let l = (2 * !p) + 1 in
+          let big = if l + 1 < k && weaker heap.(l) heap.(l + 1) then l + 1 else l in
+          if l < k && weaker heap.(!p) heap.(big) then begin
+            swap !p big;
+            p := big
+          end
+          else sifting := false
+        done
+      end)
+    cands;
+  Array.sort (fun i j -> if i = j then 0 else if weaker i j then -1 else 1) heap;
+  heap
 
 let default_rounds ~cap ~scale =
   if Float.is_finite cap then max 1 (int_of_float (ceil (cap *. scale)))
   else 512
 
-(* The shared tier chain. [ni i] must already include any balance
-   correction; the common-neighbour merges read [tri_csr] (the source
-   graph: sharpest) while the flows run on [flow_csr] (any weighted
-   subgraph of the source is sound — undirected estimation passes the NI
-   certificate so flow cost is independent of the source density). *)
+(* The shared tier chain. [ni.(i)] is edge i's strength bound, already
+   including any balance correction; the common-neighbour bound reads
+   [tri_rows] (the source graph: sharpest) while the flows run on
+   [flow_csr] (any weighted subgraph of the source is sound — undirected
+   estimation passes the NI certificate so flow cost is independent of the
+   source density). *)
 let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     ~tri_rows ~flow_csr () =
   if cap <= 0.0 then invalid_arg "Connectivity: cap must be positive";
@@ -141,68 +203,64 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
   let m = Array.length edges in
   let lambda = Array.make m 0.0 in
   let by_weight = ref 0 and by_strength = ref 0 and by_triangle = ref 0 in
-  let pending = ref [] in
-  for i = m - 1 downto 0 do
-    let _, _, w = edges.(i) in
+  let tri = common_neighbour_bound ~n ~cap tri_rows in
+  let unresolved = Array.make m 0 and nu = ref 0 in
+  for i = 0 to m - 1 do
+    let u, v, w = edges.(i) in
+    let b = Float.max w ni.(i) in
     if w >= cap then begin
       lambda.(i) <- cap;
       incr by_weight
     end
+    else if b >= cap then begin
+      lambda.(i) <- cap;
+      incr by_strength
+    end
     else begin
-      let b = Float.max w (ni i) in
-      if b >= cap then begin
+      let tb = tri u v w in
+      if tb >= cap then begin
         lambda.(i) <- cap;
-        incr by_strength
+        incr by_triangle
       end
       else begin
-        lambda.(i) <- b;
-        pending := i :: !pending
+        lambda.(i) <- Float.max b tb;
+        unresolved.(!nu) <- i;
+        incr nu
       end
     end
   done;
-  let (oh, ow), (ih, iw) = tri_rows in
-  let unresolved =
-    List.filter
-      (fun i ->
-        let u, v, w = edges.(i) in
-        let tb = common_neighbour_bound ~oh ~ow ~ih ~iw u v w in
-        if tb >= cap then begin
-          lambda.(i) <- cap;
-          incr by_triangle;
-          false
-        end
-        else begin
-          lambda.(i) <- Float.max lambda.(i) tb;
-          true
-        end)
-      !pending
-  in
-  let unresolved = Array.of_list unresolved in
+  let nu = !nu in
   (* Weakest bound first: those are the edges whose sampling probability
      an exact answer moves the most, so a finite flow budget buys the
-     sharpest estimates available. Ties break on edge index — the order
-     is a pure function of graph content. *)
-  Array.sort
-    (fun i j ->
-      let c = Float.compare lambda.(i) lambda.(j) in
-      if c <> 0 then c else Int.compare i j)
-    unresolved;
-  let nflows = min flow_budget (Array.length unresolved) in
+     sharpest estimates available. Ties break on edge index — the chosen
+     set is a pure function of graph content. A budget covering every
+     unresolved edge needs no order: each flow task is a pure function of
+     its edge. *)
+  let nflows = min flow_budget nu in
+  let unresolved = Array.sub unresolved 0 nu in
+  let chosen =
+    if nflows = nu then unresolved
+    else
+      weakest nflows
+        (fun i j ->
+          lambda.(i) < lambda.(j) || (lambda.(i) = lambda.(j) && i < j))
+        unresolved
+  in
   if nflows > 0 then begin
     let flows =
       Pool.run_batched ?domains
         ~arena:(fun () -> Dinic.of_csr flow_csr)
         ~n:nflows
         (fun net k ->
-          let u, v, _ = edges.(unresolved.(k)) in
+          let u, v, _ = edges.(chosen.(k)) in
           Dinic.maxflow ~limit:cap net ~s:u ~t:v)
     in
     for k = 0 to nflows - 1 do
-      let i = unresolved.(k) in
+      let i = chosen.(k) in
       lambda.(i) <- Float.max lambda.(i) flows.(k)
     done
   end;
-  let budgeted = Array.length unresolved - nflows in
+  let budgeted = nu - nflows in
   let table =
     lazy
       (let tbl = Hashtbl.create (2 * max 1 m) in
@@ -234,24 +292,40 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
       };
   }
 
+let mismatch fn =
+  invalid_arg
+    (Printf.sprintf "Connectivity.%s: strengths decompose a different graph" fn)
+
 let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
   let n = Ugraph.n g in
   let edges = Importance.sorted_edges_ugraph g in
+  let m = Array.length edges in
   let strengths =
     match strengths with
     | Some s -> s
     | None -> Strength.compute ~max_rounds:(default_rounds ~cap ~scale:1.0) g
   in
-  (* Neighbour merges read the full graph (sharpest sound bound); flows
-     run on the NI sparse certificate — a weighted subgraph with
-     O(rounds·n) edges preserving min(λ, rounds) — so per-query flow cost
-     is independent of the source density. *)
+  (* [Strength] keeps its edges in the same canonical order, so tier 2
+     reads the indices by position; matching the endpoints at every
+     position rejects a decomposition of another graph. *)
+  let ni = Array.make m 0.0 in
+  let seen =
+    Strength.fold
+      (fun u v idx k ->
+        if k >= m then mismatch "estimate_ugraph";
+        let a, b, _ = edges.(k) in
+        if a <> u || b <> v then mismatch "estimate_ugraph";
+        ni.(k) <- float_of_int idx;
+        k + 1)
+      strengths 0
+  in
+  if seen <> m then mismatch "estimate_ugraph";
+  (* The common-neighbour bound reads the full graph (sharpest sound
+     bound); flows run on the NI sparse certificate — a weighted subgraph
+     with O(rounds·n) edges preserving min(λ, rounds) — so per-query flow
+     cost is independent of the source density. *)
   let tri_rows = rows_of_csr ~symmetric:true (Csr.of_ugraph g) in
   let flow_csr = Csr.of_ugraph (Strength.certificate strengths g) in
-  let ni i =
-    let u, v, _ = edges.(i) in
-    float_of_int (Strength.index strengths u v)
-  in
   estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni ~tri_rows
     ~flow_csr ()
 
@@ -273,11 +347,25 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
      factor: on a β-balanced graph every undirected cut is at most (1+β)
      times its forward directed weight, so λ_dir >= λ_und/(1+β) >=
      NI/(1+β). The caller owns the β promise, exactly as in the
-     strength-based samplers. *)
-  let ni i =
-    let u, v, _ = edges.(i) in
-    float_of_int (Strength.index strengths u v) /. (1.0 +. beta)
+     strength-based samplers. Every arc's pair must be in the
+     decomposition, and the pair counts must agree: the projection has
+     one pair per arc u→v with u < v, plus one per arc u→v with u > v
+     whose reverse is absent. *)
+  let ni =
+    Array.map
+      (fun (u, v, _) ->
+        match Strength.index strengths u v with
+        | k -> float_of_int k /. (1.0 +. beta)
+        | exception Invalid_argument _ -> mismatch "estimate_digraph")
+      edges
   in
+  let pairs =
+    Array.fold_left
+      (fun c (u, v, _) -> if u < v || not (Digraph.mem_edge g v u) then c + 1 else c)
+      0 edges
+  in
+  if pairs <> Strength.fold (fun _ _ _ c -> c + 1) strengths 0 then
+    mismatch "estimate_digraph";
   estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni
     ~tri_rows:(rows_of_csr ~symmetric:false csr)
     ~flow_csr:csr ()

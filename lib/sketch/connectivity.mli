@@ -12,13 +12,15 @@
     + the Nagamochi–Ibaraki {!Strength} index (divided by (1+β) on
       β-balanced digraphs);
     + a common-neighbour bound (direct edge + one edge-disjoint two-hop
-      path per shared neighbour, a sorted-row merge);
+      path per shared neighbour), gathered over v's row against a
+      scatter of u's and stopped once it reaches [cap];
     + exact Dinic max-flow capped at [cap] — batched over
       {!Dcs_util.Pool.run_batched} with one reusable residual network per
-      worker domain (built once, reset between queries), run
-      weakest-bound-first under [flow_budget], and, for undirected
-      graphs, run on the {!Strength.certificate} (O(cap·n) edges) instead
-      of the full graph.
+      worker domain (built once, reset between queries), run on the
+      [flow_budget] weakest bounds (ties broken by edge index; a partial
+      selection, not a full sort), and, for undirected graphs, run on the
+      {!Strength.certificate} (O(cap·n) edges) instead of the full
+      graph.
 
     When the estimates feed p = min(1, ρ/λ̂) sampling, choose
     [cap] {e well above} ρ: estimates saturate at the cap, so [cap = ρ]
@@ -59,7 +61,12 @@ val estimate_ugraph :
     rounds — the default computes exactly that many); [flow_budget]
     (default unlimited) caps the exact tier. [cap] must be positive;
     pass [infinity] for uncapped exact local connectivities (the cheap
-    tiers then never fire). *)
+    tiers then never fire). Raises [Invalid_argument]
+    ["Connectivity.estimate_ugraph: strengths decompose a different graph"]
+    when [strengths]' edge list differs from [g]'s — its indices would
+    not bound [g]'s connectivities. Only endpoints are compared: a
+    decomposition of a graph with [g]'s edges but other weights
+    passes. *)
 
 val estimate_digraph :
   ?domains:int ->
@@ -75,7 +82,10 @@ val estimate_digraph :
     the {e undirected projection}; its index prefilters through the
     (1+β) balance factor (default [beta] = 1), which is sound exactly
     when [g] is β-balanced — the caller owns that promise, as in
-    {!Directed_sparsifier}. *)
+    {!Directed_sparsifier}. Raises [Invalid_argument]
+    ["Connectivity.estimate_digraph: strengths decompose a different graph"]
+    unless every arc's endpoint pair is in [strengths] and the pair
+    counts agree (endpoints only, as for {!estimate_ugraph}). *)
 
 val n : t -> int
 

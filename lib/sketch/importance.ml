@@ -8,30 +8,43 @@ let clamp p = Float.max 0.0 (Float.min 1.0 p)
    *iteration order* decides which draw lands on which edge. Hashtable
    order depends on insertion history, which would make two equal graphs
    built by different routes (batch vs. streamed-and-compacted) sample
-   different subgraphs from the same seed. Sorting the edges first makes
-   the sample a pure function of (seed, graph content). The comparator is
-   monomorphic: polymorphic [compare] on (u, v) tuples would allocate two
-   tuples per comparison. *)
-let compare_edge (a, b, _) (c, d, _) =
-  let k = Int.compare a c in
-  if k <> 0 then k else Int.compare b d
-
+   different subgraphs from the same seed. Listing the edges in ascending
+   (u, v) order makes the sample a pure function of (seed, graph content).
+   Counting passes lay that order down without a comparison sort: bucket
+   every edge by u, and fill the buckets while walking v in ascending
+   order, so each bucket fills sorted by v. *)
 let sorted_edges_ugraph g =
-  let edges = Array.make (Ugraph.m g) (0, 0, 0.0) in
-  let i = ref 0 in
-  Ugraph.iter_edges g (fun u v w ->
-      edges.(!i) <- (u, v, w);
-      incr i);
-  Array.sort compare_edge edges;
+  let n = Ugraph.n g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let later = ref 0 in
+    Ugraph.iter_neighbors g u (fun v _ -> if u < v then incr later);
+    off.(u + 1) <- off.(u) + !later
+  done;
+  let edges = Array.make off.(n) (0, 0, 0.0) in
+  for v = 0 to n - 1 do
+    Ugraph.iter_neighbors g v (fun u w ->
+        if u < v then begin
+          edges.(off.(u)) <- (u, v, w);
+          off.(u) <- off.(u) + 1
+        end)
+  done;
   edges
 
+(* The in-adjacency already groups arcs by head, so one pass over the
+   heads in ascending order fills every tail's bucket sorted. *)
 let sorted_edges_digraph g =
-  let edges = Array.make (Digraph.m g) (0, 0, 0.0) in
-  let i = ref 0 in
-  Digraph.iter_edges g (fun u v w ->
-      edges.(!i) <- (u, v, w);
-      incr i);
-  Array.sort compare_edge edges;
+  let n = Digraph.n g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Digraph.out_degree g u
+  done;
+  let edges = Array.make off.(n) (0, 0, 0.0) in
+  for v = 0 to n - 1 do
+    Digraph.iter_in g v (fun u w ->
+        edges.(off.(u)) <- (u, v, w);
+        off.(u) <- off.(u) + 1)
+  done;
   edges
 
 let sample_ugraph rng ~prob g =

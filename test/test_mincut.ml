@@ -123,6 +123,93 @@ let test_edge_disjoint_paths () =
   let k = Generators.complete ~n:5 in
   Alcotest.(check int) "K5: 4 paths" 4 (Dinic.edge_disjoint_paths k ~s:0 ~t:3)
 
+let digest h xs = List.fold_left (fun h x -> Prng.mix64 (Int64.logxor h x)) h xs
+let bits = Int64.bits_of_float
+
+(* Golden pins over fractional weights, where the augmenting-path order
+   decides the low bits of every flow: a digest of maxflow with and
+   without a limit and of the mincut_side value and side for every
+   ordered pair, on a ugraph and a digraph, plus edge_connectivity and a
+   Gomory–Hu tree. *)
+let test_dinic_golden () =
+  let rng = Prng.create 5151 in
+  let g0 = Generators.erdos_renyi_connected rng ~n:18 ~p:0.3 in
+  let ug = Generators.random_multigraph_weights rng g0 ~max_weight:4 in
+  List.iter
+    (fun (u, v, w) ->
+      if (u + (2 * v)) mod 3 = 0 then
+        Ugraph.set_edge ug u v ((w *. 0.6) +. 0.05))
+    (Ugraph.edges ug);
+  let dg = Generators.random_digraph rng ~n:14 ~p:0.3 ~max_weight:3.0 in
+  let flows net n =
+    let h = ref 0L in
+    for s = 0 to n - 1 do
+      for t = 0 to n - 1 do
+        if s <> t then begin
+          let f = Dinic.maxflow net ~s ~t in
+          let capped = Dinic.maxflow ~limit:2.5 net ~s ~t in
+          let v, side = Dinic.mincut_side net ~s ~t in
+          h :=
+            digest !h
+              ([ bits f; bits capped; bits v ]
+              @ List.map Int64.of_int (Cut.to_list side))
+        end
+      done
+    done;
+    !h
+  in
+  Alcotest.(check int64) "ugraph flows" 2899859581484991093L
+    (flows (Dinic.of_ugraph ug) 18);
+  Alcotest.(check int64) "digraph flows" 2010826768322305679L
+    (flows (Dinic.of_digraph dg) 14);
+  Alcotest.(check int64) "edge connectivity" 4617596992938311680L
+    (bits (Dinic.edge_connectivity ug));
+  Alcotest.(check int64) "gomory-hu tree" 8807062766248076965L
+    (List.fold_left
+       (fun h (c, p, f) -> digest h [ Int64.of_int c; Int64.of_int p; bits f ])
+       0L
+       (Gomory_hu.tree_edges (Gomory_hu.build ug)))
+
+let test_dinic_rejects_bad_vertices () =
+  let g = Digraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0) ] in
+  let net = Dinic.of_digraph g in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Dinic.maxflow: vertex 7" (fun () ->
+      ignore (Dinic.maxflow net ~s:0 ~t:7));
+  raises "Dinic.maxflow: vertex -1" (fun () ->
+      ignore (Dinic.maxflow ~limit:1.0 net ~s:(-1) ~t:3));
+  raises "Dinic.mincut_side: vertex 7" (fun () ->
+      ignore (Dinic.mincut_side net ~s:0 ~t:7));
+  raises "Dinic.mincut_side: vertex -1" (fun () ->
+      ignore (Dinic.mincut_side net ~s:(-1) ~t:3));
+  raises "Dinic.edge_disjoint_paths: vertex 4" (fun () ->
+      ignore (Dinic.edge_disjoint_paths (Generators.path ~n:4) ~s:0 ~t:4));
+  raises "Dinic.maxflow: s = t" (fun () -> ignore (Dinic.maxflow net ~s:2 ~t:2));
+  check_float "network still usable" 1.0 (Dinic.maxflow net ~s:0 ~t:3)
+
+(* Flows on a reused network allocate only boxed floats (the optional
+   limit, the result, one per augmenting path): the BFS queue and the
+   augmenting walk's arc stack come with the network. Capped flows on
+   the NI certificate of a planted two-block graph, as the connectivity
+   estimator runs them. *)
+let test_dinic_maxflow_allocation () =
+  let rng = Prng.create 128 in
+  let g0 = Generators.planted_mincut rng ~block:64 ~k:2 ~p_inner:0.6 in
+  let g = Generators.random_multigraph_weights rng g0 ~max_weight:6 in
+  let cert = Strength.certificate (Strength.compute ~max_rounds:8 g) g in
+  let net = Dinic.of_csr (Csr.of_ugraph cert) in
+  let pairs = Importance.sorted_edges_ugraph g in
+  let flows = 32 in
+  let before = Gc.minor_words () in
+  for k = 0 to flows - 1 do
+    let u, v, _ = pairs.(k * 37 mod Array.length pairs) in
+    ignore (Dinic.maxflow ~limit:300.0 net ~s:u ~t:v)
+  done;
+  let per_flow = (Gc.minor_words () -. before) /. float_of_int flows in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per flow < 256" per_flow)
+    true (per_flow < 256.0)
+
 (* --- Karger --- *)
 
 let test_karger_run_once_upper_bound () =
@@ -353,6 +440,10 @@ let suite =
     Alcotest.test_case "dinic: edge connectivity complete" `Quick test_edge_connectivity_complete;
     Alcotest.test_case "dinic: edge connectivity = sw" `Quick test_edge_connectivity_matches_sw;
     Alcotest.test_case "dinic: edge disjoint paths" `Quick test_edge_disjoint_paths;
+    Alcotest.test_case "dinic: golden flows" `Quick test_dinic_golden;
+    Alcotest.test_case "dinic: rejects bad vertices" `Quick test_dinic_rejects_bad_vertices;
+    Alcotest.test_case "dinic: maxflow allocation bounded" `Quick
+      test_dinic_maxflow_allocation;
     Alcotest.test_case "karger: run once upper bound" `Quick test_karger_run_once_upper_bound;
     Alcotest.test_case "karger: finds planted" `Quick test_karger_finds_planted;
     Alcotest.test_case "karger: candidates bounded/sorted" `Quick test_karger_candidates_sorted_and_bounded;

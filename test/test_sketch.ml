@@ -285,6 +285,156 @@ let test_connectivity_exact_when_uncapped () =
         (Dinic.maxflow net ~s:u ~t:v)
         lam)
 
+let digest h xs = List.fold_left (fun h x -> Prng.mix64 (Int64.logxor h x)) h xs
+
+let connectivity_digest conn =
+  let h = ref 0L in
+  Connectivity.iter conn (fun u v _ lam ->
+      h :=
+        digest !h [ Int64.of_int u; Int64.of_int v; Int64.bits_of_float lam ]);
+  !h
+
+let check_stats name
+    (edges, by_weight, by_strength, by_triangle, flows, budgeted) conn =
+  let s = Connectivity.stats conn in
+  let field f want got = Alcotest.(check int) (name ^ ": " ^ f) want got in
+  field "edges" edges s.Connectivity.edges;
+  field "by_weight" by_weight s.by_weight;
+  field "by_strength" by_strength s.by_strength;
+  field "by_triangle" by_triangle s.by_triangle;
+  field "flows" flows s.flows;
+  field "budgeted" budgeted s.budgeted
+
+(* Golden pins for the tier chain: (a) a planted two-block ugraph with
+   fractional weights (the common-neighbour sums are order-sensitive)
+   whose flow budget is below its unresolved count, with the budget's
+   cut-off inside a run of edges tied on λ̂, so the edge-index tie-break
+   decides which edges get flows; (b) the same graph with unlimited flows
+   and no cap; (c) a β-balanced digraph, every tier firing. *)
+let test_connectivity_golden () =
+  let rng = Prng.create 4242 in
+  let g0 = Generators.planted_mincut rng ~block:14 ~k:3 ~p_inner:0.45 in
+  let g = Generators.random_multigraph_weights rng g0 ~max_weight:3 in
+  List.iter
+    (fun (u, v, w) -> Ugraph.set_edge g u v ((w *. 0.7) +. 0.15))
+    (Ugraph.edges g);
+  let a = Connectivity.estimate_ugraph ~flow_budget:12 ~cap:7.0 g in
+  Alcotest.(check int64) "(a) digest" 3407639834417262837L
+    (connectivity_digest a);
+  check_stats "(a)" (102, 0, 23, 20, 12, 47) a;
+  let b = Connectivity.estimate_ugraph ~cap:infinity g in
+  Alcotest.(check int64) "(b) digest" 1865203440959793756L
+    (connectivity_digest b);
+  check_stats "(b)" (102, 0, 0, 0, 102, 0) b;
+  let d =
+    Generators.balanced_digraph (Prng.create 77) ~n:16 ~p:0.3 ~beta:2.0
+      ~max_weight:5.0
+  in
+  let c = Connectivity.estimate_digraph ~beta:2.0 ~cap:6.0 d in
+  Alcotest.(check int64) "(c) digest" (-5901374879931250206L)
+    (connectivity_digest c);
+  check_stats "(c)" (148, 4, 67, 68, 9, 0) c
+
+(* Budgets {0, 1, 5, unlimited} against caps {1, 6, ∞}: every edge is
+   resolved by exactly one tier or kept its cheap bound for lack of
+   budget, flows run up to the budget, and the conn.* registry moves by
+   exactly the returned stats. *)
+let prop_connectivity_stats_add_up =
+  let counters =
+    List.map
+      (fun name -> Obs.Metrics.counter ("conn." ^ name))
+      [ "edges"; "by_weight"; "by_strength"; "by_triangle"; "flows"; "budgeted" ]
+  in
+  let probe () = List.map Obs.Metrics.counter_value counters in
+  QCheck.Test.make ~name:"connectivity stats add up" ~count:10
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g0 = Generators.planted_mincut rng ~block:8 ~k:2 ~p_inner:0.5 in
+      let g = Generators.random_multigraph_weights rng g0 ~max_weight:4 in
+      let d =
+        Generators.balanced_digraph rng ~n:10 ~p:0.35 ~beta:2.0 ~max_weight:4.0
+      in
+      let adds_up budget estimate =
+        let before = probe () in
+        let s = Connectivity.stats (estimate ()) in
+        let delta = List.map2 ( - ) (probe ()) before in
+        s.Connectivity.edges
+        = s.by_weight + s.by_strength + s.by_triangle + s.flows + s.budgeted
+        && s.flows = min budget (s.flows + s.budgeted)
+        && delta
+           = [ s.edges; s.by_weight; s.by_strength; s.by_triangle; s.flows;
+               s.budgeted ]
+      in
+      List.for_all
+        (fun flow_budget ->
+          List.for_all
+            (fun cap ->
+              let budget = Option.value flow_budget ~default:max_int in
+              adds_up budget (fun () ->
+                  Connectivity.estimate_ugraph ?flow_budget ~cap g)
+              && adds_up budget (fun () ->
+                     Connectivity.estimate_digraph ?flow_budget ~beta:2.0 ~cap
+                       d))
+            [ 1.0; 6.0; infinity ])
+        [ Some 0; Some 1; Some 5; None ])
+
+(* A decomposition must be of the graph being estimated. On the unit path
+   0–1–2–3 (λ = 1 on every edge) a supergraph's indices exceed λ, which
+   would make the sampler undersample, and a subgraph's lack edges; the
+   path extended by an edge (3, 4) matches it at every position of the
+   path and differs only in length. All three are rejected by name, for a
+   ugraph and for a digraph whose undirected projection is the path. *)
+let test_connectivity_rejects_foreign_strengths () =
+  let path = Ugraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0) ] in
+  let super = Ugraph.copy path in
+  List.iter
+    (fun (u, v, w) -> Ugraph.add_edge super u v w)
+    [ (0, 1, 4.0); (1, 2, 5.0); (2, 3, 4.0);
+      (0, 2, 5.0); (1, 3, 5.0); (0, 3, 4.0) ];
+  let sub = Ugraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 1.0) ] in
+  let tail =
+    Ugraph.of_edges 5 [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (3, 4, 1.0) ]
+  in
+  let ug_error =
+    Invalid_argument
+      "Connectivity.estimate_ugraph: strengths decompose a different graph"
+  in
+  List.iter
+    (fun h ->
+      Alcotest.check_raises "ugraph" ug_error (fun () ->
+          ignore
+            (Connectivity.estimate_ugraph ~strengths:(Strength.compute h)
+               ~flow_budget:0 ~cap:100.0 path)))
+    [ super; sub; tail ];
+  let own =
+    Connectivity.estimate_ugraph ~strengths:(Strength.compute path)
+      ~flow_budget:0 ~cap:100.0 path
+  in
+  Connectivity.iter own (fun u v _ lam ->
+      check_float (Printf.sprintf "lambda(%d,%d)" u v) 1.0 lam);
+  (* 0→1 and 1→0 share the projection's pair (0, 1). *)
+  let d =
+    Digraph.of_edges 4 [ (0, 1, 1.0); (1, 0, 1.0); (1, 2, 1.0); (3, 2, 1.0) ]
+  in
+  let dg_error =
+    Invalid_argument
+      "Connectivity.estimate_digraph: strengths decompose a different graph"
+  in
+  List.iter
+    (fun h ->
+      Alcotest.check_raises "digraph" dg_error (fun () ->
+          ignore
+            (Connectivity.estimate_digraph ~strengths:(Strength.compute h)
+               ~flow_budget:0 ~cap:100.0 d)))
+    [ super; sub; tail ];
+  let own =
+    Connectivity.estimate_digraph ~strengths:(Strength.compute path)
+      ~flow_budget:0 ~cap:100.0 d
+  in
+  Alcotest.(check int) "digraph: every arc estimated" 4
+    (Connectivity.stats own).Connectivity.edges
+
 let test_connectivity_get_not_found () =
   let g = Ugraph.of_edges 3 [ (0, 1, 2.0); (1, 2, 1.0) ] in
   let conn = Connectivity.estimate_ugraph ~cap:4.0 g in
@@ -332,6 +482,36 @@ let test_binomial_keep_deterministic () =
   Alcotest.(check bool) "split streams replay" true (draw () = draw ())
 
 (* --- Importance sampling --- *)
+
+(* The canonical order laid down by counting passes equals a comparison
+   sort of the graph's edge list, on graphs from n = 0 up with some edges
+   deleted again through set_edge ... 0.0. *)
+let prop_sorted_edges =
+  QCheck.Test.make ~name:"sorted edges equal a comparison sort" ~count:60
+    QCheck.(pair (int_bound 100000) (int_bound 14))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let ug = Ugraph.create n and dg = Digraph.create n in
+      if n >= 2 then
+        for _ = 1 to 3 * n do
+          let u = Prng.int rng n and v = Prng.int rng n in
+          if u <> v then begin
+            let w = Prng.float rng 4.0 +. 0.5 in
+            Ugraph.add_edge ug u v w;
+            Digraph.add_edge dg u v w
+          end
+        done;
+      List.iter
+        (fun (u, v, _) -> if Prng.bool rng then Ugraph.set_edge ug u v 0.0)
+        (Ugraph.edges ug);
+      List.iter
+        (fun (u, v, _) -> if Prng.bool rng then Digraph.set_edge dg u v 0.0)
+        (Digraph.edges dg);
+      let by_uv (a, b, _) (c, d, _) = compare (a, b) (c, d) in
+      Array.to_list (Importance.sorted_edges_ugraph ug)
+      = List.sort by_uv (Ugraph.edges ug)
+      && Array.to_list (Importance.sorted_edges_digraph dg)
+         = List.sort by_uv (Digraph.edges dg))
 
 let test_importance_keep_all () =
   let rng = Prng.create 5 in
@@ -600,9 +780,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_connectivity_estimates_sound;
     Alcotest.test_case "connectivity: exact when uncapped" `Quick test_connectivity_exact_when_uncapped;
     Alcotest.test_case "connectivity: get not found" `Quick test_connectivity_get_not_found;
+    Alcotest.test_case "connectivity: golden estimates" `Quick test_connectivity_golden;
+    QCheck_alcotest.to_alcotest prop_connectivity_stats_add_up;
+    Alcotest.test_case "connectivity: rejects foreign strengths" `Quick
+      test_connectivity_rejects_foreign_strengths;
     Alcotest.test_case "binomial keep: identity" `Quick test_binomial_keep_identity;
     Alcotest.test_case "binomial keep: expectation" `Quick test_binomial_keep_expectation;
     Alcotest.test_case "binomial keep: determinism" `Quick test_binomial_keep_deterministic;
+    QCheck_alcotest.to_alcotest prop_sorted_edges;
     Alcotest.test_case "importance: keep all" `Quick test_importance_keep_all;
     Alcotest.test_case "importance: drop all" `Quick test_importance_drop_all;
     Alcotest.test_case "importance: unbiased" `Quick test_importance_unbiased_cut;
