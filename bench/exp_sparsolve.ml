@@ -77,7 +77,7 @@ let match_rho ~target conn =
   let lo = ref 0.01 and hi = ref q_cap in
   for _ = 1 to 50 do
     let mid = 0.5 *. (!lo +. !hi) in
-    if Directed_sparsifier.expected_kept ~rho:mid conn > target then hi := mid
+    if Connectivity.expected_kept conn ~rho:mid > target then hi := mid
     else lo := mid
   done;
   !lo
@@ -120,11 +120,9 @@ let quality_stage pl beta =
           ~cap:q_cap ~flow_budget:q_flow_budget g
       in
       let rho = match_rho ~target:(float_of_int kept_b *. q_match) conn in
-      let h =
-        Directed_sparsifier.connectivity_sparsify ~rho ~connectivity:conn
-          (P.seed_rng (name ^ ".conn"))
-          ~eps:q_eps ~beta g
-      in
+      let h = Digraph.create (Digraph.n g) in
+      Connectivity.sample conn ~rho (P.seed_rng (name ^ ".conn"))
+        (Digraph.add_edge h);
       let cuts =
         let crng = P.seed_rng (name ^ ".cuts") in
         List.init 30 (fun _ -> Cut.random crng ~n:q_n)

@@ -191,9 +191,8 @@ let projection_strengths t ~tag ~rounds gnode =
   | Some node -> node
   | None ->
       let name = Printf.sprintf "strength.%s r%d" tag rounds in
-      (* v2: [Strength.t]'s layout changed; v1 artifacts unmarshal wrong. *)
       let node =
-        Sched.stage t.dag ~name ~version:"v2" ~codec:(Sched.marshal_codec ())
+        Sched.stage t.dag ~name ~codec:(Sched.marshal_codec ())
           ~deps:[ Sched.dep gnode ]
           (fun () ->
             Strength.compute ~max_rounds:rounds

@@ -70,12 +70,14 @@
 # cache, deletes every second artifact in name order and reruns. A killed
 # run leaves downstream artifacts missing; this also deletes upstream
 # ones. Stdout must match the cold run's byte for byte, with both stage
-# runs and cache hits reported. E22 gets a kill-then-resume cycle through
-# its WAL-backed journal (DCS_STREAM_DIR / DCS_STREAM_KILL): the
-# journaled ingest is killed at a record boundary mid-stream (exit 3),
-# reopened in the same directory — snapshot restore plus WAL replay — and
-# the finished run's stdout must be byte-identical to an uninterrupted
-# run's.
+# runs and cache hits reported. Cache keys carry a digest of the running
+# executable, so a copy of the bench with one byte appended must match
+# the cold stdout with 0 cache hits over the same cache. E22 gets a
+# kill-then-resume cycle through its WAL-backed journal (DCS_STREAM_DIR /
+# DCS_STREAM_KILL): the journaled ingest is killed at a record boundary
+# mid-stream (exit 3), reopened in the same directory — snapshot restore
+# plus WAL replay — and the finished run's stdout must be byte-identical
+# to an uninterrupted run's.
 #
 # Finally it runs E18 (the instrumented profiling pass) with DCS_METRICS
 # pointing at a snapshot file, at DCS_DOMAINS=1, 2 and 4, and diffs the
@@ -85,12 +87,12 @@
 # trace files are timing by definition, so neither joins the diff — only
 # the metrics snapshot does.
 #
-# Last, every test executable runs at DCS_DOMAINS=1 and 4. @batched holds
-# the CSR kernels vs their scalar paths, run_batched's arena reuse and
-# lowest-index failure contract, run_supervised under crash/hang injection
-# (outputs, reports and counters identical across domain counts), the
-# golden Prng.fingerprint pins of task streams, and the Forall_lb/Brute
-# kernel routing. @sched, @sparsolve, @serve and @stream cover their
+# Last, each of the six test executables runs at DCS_DOMAINS=1 and 4.
+# @batched holds the CSR kernels vs their scalar paths, run_batched's
+# arena reuse and lowest-index failure contract, run_supervised under
+# crash/hang injection (outputs, reports and counters identical across
+# domain counts), the golden Prng.fingerprint pins of task streams, and
+# the Forall_lb/Brute kernel routing. @sched, @sparsolve, @serve and @stream cover their
 # subsystems; the main suite holds the Pool failure contract and the
 # Checkpoint.sweep kill-then-resume cases.
 set -eu
@@ -98,40 +100,22 @@ set -eu
 cd "$(dirname "$0")/.."
 experiments="${*:-E3 E4 E16 E17 E19 E20 E21 E22 E23 E24}"
 domain_counts="1 2 4"
+bench=_build/default/bench/main.exe
 
 echo "== building (bench, tests, @batched, @serve, @stream, @sched, @sparsolve suites) =="
 dune build bench/main.exe test/main.exe @batched @serve @stream @sched @sparsolve
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-
-# run_bench D ARGS...: run bench/main.exe at DCS_DOMAINS=D and print its
-# stdout minus the wall-clock footers ("[E3 done in 1.2s]" and the total):
-# timing is the one thing allowed to differ between runs. Its stderr is
-# kept in $tmpdir/bench.err. stdout goes through a file, not a pipe, so a
-# non-zero exit (an aborted experiment prints only the banner) fails the
-# gate and names the run instead of diffing banner against banner.
-run_bench () {
-    d="$1"
-    shift
-    status=0
-    DCS_DOMAINS="$d" dune exec --no-build bench/main.exe -- "$@" \
-        > "$tmpdir/bench.out" 2> "$tmpdir/bench.err" || status=$?
-    if [ "$status" -ne 0 ]; then
-        cat "$tmpdir/bench.err" >&2
-        echo "FAIL: bench/main.exe $* exited with status $status at DCS_DOMAINS=$d" >&2
-        exit 1
-    fi
-    grep -v ' done in ' "$tmpdir/bench.out"
-}
+. bin/run_bench.sh
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
 for exp in $experiments; do
     ref="$tmpdir/${exp}_d1.out"
-    run_bench 1 --only "$exp" > "$ref"
+    run_bench 1 "$bench" --only "$exp" > "$ref"
     for d in 2 4; do
         out="$tmpdir/${exp}_d$d.out"
-        run_bench "$d" --only "$exp" > "$out"
+        run_bench "$d" "$bench" --only "$exp" > "$out"
         if ! diff -u "$ref" "$out"; then
             echo "FAIL: $exp output diverges between DCS_DOMAINS=1 and $d" >&2
             exit 1
@@ -144,13 +128,13 @@ echo "experiment tables byte-identical across domain counts"
 echo "== scheduler disk-cache cycle (E3+E4+E16+E24, --sched-cache) =="
 cached="E3 E4 E16 E24"
 sched_cache="$tmpdir/sched_cache"
-run_bench 1 --only $cached --sched-cache "$sched_cache" > "$tmpdir/sched_cold.out"
+run_bench 1 "$bench" --only $cached --sched-cache "$sched_cache" > "$tmpdir/sched_cold.out"
 for d in 1 2 4; do
     # Warm rerun out of the spilled artifacts, in a fresh process at each
     # domain count: stdout must match the cold run byte for byte, and the
     # scheduler summary (stderr) must report zero stage runs (E24's
     # quality/speed floors are still re-checked from the cached artifacts).
-    run_bench "$d" --only $cached --sched-cache "$sched_cache" \
+    run_bench "$d" "$bench" --only $cached --sched-cache "$sched_cache" \
         > "$tmpdir/sched_warm_d$d.out"
     if ! diff -u "$tmpdir/sched_cold.out" "$tmpdir/sched_warm_d$d.out"; then
         echo "FAIL: warm --sched-cache run diverges from cold at DCS_DOMAINS=$d" >&2
@@ -174,7 +158,7 @@ for d in 1 2 4; do
         n=$((n + 1))
         if [ $((n % 2)) -eq 0 ]; then rm "$partial/$f"; fi
     done
-    run_bench "$d" --only $cached --sched-cache "$partial" \
+    run_bench "$d" "$bench" --only $cached --sched-cache "$partial" \
         > "$tmpdir/sched_partial_d$d.out"
     if ! diff -u "$tmpdir/sched_cold.out" "$tmpdir/sched_partial_d$d.out"; then
         echo "FAIL: partial-cache run diverges from cold at DCS_DOMAINS=$d" >&2
@@ -190,9 +174,28 @@ for d in 1 2 4; do
 done
 echo "partial-cache resume byte-identical to cold at DCS_DOMAINS=1, 2 and 4"
 
+echo "== cache key follows the executable ($cached, one byte appended) =="
+# A rebuilt binary must not read the old binary's artifacts: the copy's
+# digest differs, so every stage recomputes over the cold cache.
+rebuilt="$tmpdir/main_rebuilt.exe"
+cp "$bench" "$rebuilt"
+chmod u+w "$rebuilt"
+printf '\n' >> "$rebuilt"
+run_bench 1 "$rebuilt" --only $cached --sched-cache "$sched_cache" > "$tmpdir/sched_rebuilt.out"
+if ! diff -u "$tmpdir/sched_cold.out" "$tmpdir/sched_rebuilt.out"; then
+    echo "FAIL: rebuilt-binary run diverges from cold" >&2
+    exit 1
+fi
+if ! grep -q ', 0 cache hits' "$tmpdir/bench.err"; then
+    echo "FAIL: rebuilt binary read the old binary's artifacts" >&2
+    grep '\[sched:' "$tmpdir/bench.err" >&2 || true
+    exit 1
+fi
+echo "  rebuilt binary: byte-identical to cold; $(grep '\[sched:' "$tmpdir/bench.err")"
+
 echo "== WAL kill-then-replay cycle (E22, DCS_STREAM_KILL=20) =="
 export DCS_STREAM_DIR="$tmpdir/wal_ref"
-run_bench 1 --only E22 > "$tmpdir/wal_ref.out"
+run_bench 1 "$bench" --only E22 > "$tmpdir/wal_ref.out"
 for d in 1 2 4; do
     wal="$tmpdir/wal_d$d"
     # Phase 1: kill the journaled ingest after 20 fresh records. Exit 3
@@ -200,8 +203,7 @@ for d in 1 2 4; do
     # else is a failure of the crash plumbing.
     export DCS_STREAM_DIR="$wal"
     status=0
-    DCS_DOMAINS="$d" DCS_STREAM_KILL=20 \
-        dune exec --no-build bench/main.exe -- --only E22 \
+    DCS_DOMAINS="$d" DCS_STREAM_KILL=20 "$bench" --only E22 \
         > /dev/null 2> /dev/null || status=$?
     if [ "$status" -ne 3 ]; then
         echo "FAIL: DCS_STREAM_KILL exited with $status (want 3) at DCS_DOMAINS=$d" >&2
@@ -210,7 +212,7 @@ for d in 1 2 4; do
     # Phase 2: reopen the same journal directory — snapshot restore plus
     # WAL replay — and finish the stream; stdout must match the
     # uninterrupted reference byte for byte.
-    run_bench "$d" --only E22 > "$tmpdir/wal_resumed_d$d.out"
+    run_bench "$d" "$bench" --only E22 > "$tmpdir/wal_resumed_d$d.out"
     if ! diff -u "$tmpdir/wal_ref.out" "$tmpdir/wal_resumed_d$d.out"; then
         echo "FAIL: WAL-replayed run diverges from uninterrupted run at DCS_DOMAINS=$d" >&2
         exit 1
@@ -222,10 +224,10 @@ echo "WAL kill-then-replay cycle byte-identical at DCS_DOMAINS=1, 2 and 4"
 
 echo "== metrics snapshots (E18, DCS_METRICS) =="
 for d in 1 2 4; do
-    DCS_DOMAINS="$d" DCS_METRICS="$tmpdir/metrics_d$d.json" \
-        dune exec --no-build bench/main.exe -- --only E18 \
-        > /dev/null 2> /dev/null
+    export DCS_METRICS="$tmpdir/metrics_d$d.json"
+    run_bench "$d" "$bench" --only E18 > /dev/null
 done
+unset DCS_METRICS
 for d in 2 4; do
     if ! diff -u "$tmpdir/metrics_d1.json" "$tmpdir/metrics_d$d.json"; then
         echo "FAIL: E18 metrics snapshot diverges between DCS_DOMAINS=1 and $d" >&2
@@ -234,34 +236,13 @@ for d in 2 4; do
 done
 echo "E18 metrics snapshots byte-identical at DCS_DOMAINS=1, 2 and 4"
 
-echo "== batched kernel + pool suite (@batched) with DCS_DOMAINS=1 and 4 =="
-DCS_DOMAINS=1 dune exec --no-build test/batched/main_batched.exe > /dev/null
-DCS_DOMAINS=4 dune exec --no-build test/batched/main_batched.exe > /dev/null
-echo "batched kernel + pool suite green at DCS_DOMAINS=1 and 4"
-
-echo "== scheduler suite (@sched) with DCS_DOMAINS=1 and 4 =="
-DCS_DOMAINS=1 dune exec --no-build test/sched/main_sched.exe > /dev/null
-DCS_DOMAINS=4 dune exec --no-build test/sched/main_sched.exe > /dev/null
-echo "scheduler suite green at DCS_DOMAINS=1 and 4"
-
-echo "== sparsify-then-solve suite (@sparsolve) with DCS_DOMAINS=1 and 4 =="
-DCS_DOMAINS=1 dune exec --no-build test/sparsolve/main_sparsolve.exe > /dev/null
-DCS_DOMAINS=4 dune exec --no-build test/sparsolve/main_sparsolve.exe > /dev/null
-echo "sparsify-then-solve suite green at DCS_DOMAINS=1 and 4"
-
-echo "== serving-layer suite (@serve) with DCS_DOMAINS=1 and 4 =="
-DCS_DOMAINS=1 dune exec --no-build test/serve/main_serve.exe > /dev/null
-DCS_DOMAINS=4 dune exec --no-build test/serve/main_serve.exe > /dev/null
-echo "serving-layer suite green at DCS_DOMAINS=1 and 4"
-
-echo "== streaming suite (@stream) with DCS_DOMAINS=1 and 4 =="
-DCS_DOMAINS=1 dune exec --no-build test/stream/main_stream.exe > /dev/null
-DCS_DOMAINS=4 dune exec --no-build test/stream/main_stream.exe > /dev/null
-echo "streaming suite green at DCS_DOMAINS=1 and 4"
-
-echo "== test suite with DCS_DOMAINS=1 =="
-DCS_DOMAINS=1 dune exec --no-build test/main.exe
-echo "== test suite with DCS_DOMAINS=4 =="
-DCS_DOMAINS=4 dune exec --no-build test/main.exe
+echo "== test suites with DCS_DOMAINS=1 and 4 =="
+for suite in batched/main_batched sched/main_sched sparsolve/main_sparsolve \
+    serve/main_serve stream/main_stream main; do
+    for d in 1 4; do
+        run_bench "$d" "_build/default/test/$suite.exe" > /dev/null
+    done
+    echo "  test/$suite.exe: green at DCS_DOMAINS=1 and 4"
+done
 
 echo "OK: suites green, tables identical per experiment, cache and WAL resumes identical, metrics snapshots identical under DCS_DOMAINS=1, 2 and 4"

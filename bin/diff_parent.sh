@@ -8,13 +8,13 @@
 #        every id `bench/main.exe -- --list` prints except E10 and E18,
 #        whose tables are wall clock.)
 #
-# REV is checked out into a temporary git worktree (removed on exit,
-# however the script ends). bench/main.exe is built in both trees, and
-# each experiment runs alone at DCS_DOMAINS=1 in each. The wall-clock
-# footers (" done in ") are stripped, and the two outputs are diffed.
-# The first experiment whose outputs differ, or whose run fails in either
-# tree, is named, and the script exits 1; a bad REV or a failed build
-# exits 2. Run nothing CPU-heavy alongside: E20 and E24 enforce
+# REV is exported with `git archive` into a temporary directory (removed
+# on exit, however the script ends). bench/main.exe is built in both
+# trees, and each experiment runs alone at DCS_DOMAINS=1 in each. The
+# wall-clock footers (" done in ") are stripped, and the two outputs are
+# diffed. The first experiment whose outputs differ, or whose run fails
+# in either tree, is named, and the script exits 1; a bad REV or a failed
+# build exits 2. Run nothing CPU-heavy alongside: E20 and E24 enforce
 # wall-clock floors and abort (a failed run) on a busy host.
 set -eu
 
@@ -29,19 +29,17 @@ esac
 
 tmpdir=$(mktemp -d)
 parent="$tmpdir/parent"
-cleanup () {
-    git worktree remove --force "$parent" > /dev/null 2>&1 || true
-    git worktree prune > /dev/null 2>&1 || true
-    rm -rf "$tmpdir"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmpdir"' EXIT
 trap 'exit 130' INT TERM
+. bin/run_bench.sh
 
-if ! git worktree add --detach "$parent" "$rev" > "$tmpdir/git.err" 2>&1; then
+mkdir "$parent"
+if ! git archive -o "$tmpdir/parent.tar" "$rev" 2> "$tmpdir/git.err"; then
     cat "$tmpdir/git.err" >&2
-    echo "FAIL: cannot check out $rev" >&2
+    echo "FAIL: cannot export $rev" >&2
     exit 2
 fi
+tar -xf "$tmpdir/parent.tar" -C "$parent"
 
 echo "== building bench/main.exe at $rev and in the working tree =="
 for tree in "$parent" "$here"; do
@@ -59,24 +57,10 @@ else
         | awk '$1 != "E10" && $1 != "E18" { print $1 }')
 fi
 
-# run_bench TREE ID: the experiment's stdout in TREE minus the wall-clock
-# footers, or a failure naming the tree, with the run's stderr.
-run_bench () {
-    status=0
-    (cd "$1" && DCS_DOMAINS=1 ./_build/default/bench/main.exe --only "$2") \
-        > "$tmpdir/bench.out" 2> "$tmpdir/bench.err" || status=$?
-    if [ "$status" -ne 0 ]; then
-        cat "$tmpdir/bench.err" >&2
-        echo "FAIL: $2 exited with status $status in $1" >&2
-        exit 1
-    fi
-    grep -v ' done in ' "$tmpdir/bench.out"
-}
-
 echo "== experiment-by-experiment diff, $rev vs working tree, DCS_DOMAINS=1 =="
 for exp in $experiments; do
-    run_bench "$parent" "$exp" > "$tmpdir/parent.out"
-    run_bench "$here" "$exp" > "$tmpdir/change.out"
+    run_bench 1 "$parent/_build/default/bench/main.exe" --only "$exp" > "$tmpdir/parent.out"
+    run_bench 1 "$here/_build/default/bench/main.exe" --only "$exp" > "$tmpdir/change.out"
     if ! diff -u "$tmpdir/parent.out" "$tmpdir/change.out"; then
         echo "FAIL: $exp output differs from $rev" >&2
         exit 1

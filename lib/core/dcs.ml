@@ -31,10 +31,10 @@
       {!Directed_sparsifier} — sampling-based sketches.
     - {!Connectivity} — batched local edge-connectivity estimation
       (tiered lower bounds: weight, NI strength, common-neighbour,
-      capped Dinic flows on a reusable residual network), feeding
-      {!Directed_sparsifier.connectivity_sparsify} and
-      {!Partial_mincut} — sparsify-then-solve minimum cuts with
-      certify/repair against the original graph.
+      capped Dinic flows on a reusable residual network) and the one
+      connectivity sampler, {!Connectivity.sample} (CCPS21: p =
+      min(1, ρ/λ̂)), feeding {!Partial_mincut} — sparsify-then-solve
+      minimum cuts with certify/repair against the original graph.
 
     {1 The paper's lower bounds}
 

@@ -72,11 +72,11 @@ module Store = struct
     h := Prng.mix64 (Int64.logxor !h (Int64.of_int len));
     Printf.sprintf "%016Lx%08x" !h (Checksum.crc32 s)
 
-  let action_key ~name ~version ~fingerprint ~inputs =
+  let action_key ~name ~code ~fingerprint ~inputs =
     let buf = Buffer.create 128 in
     let field s = Buffer.add_string buf s; Buffer.add_char buf '\x00' in
     field name;
-    field version;
+    field code;
     field (Printf.sprintf "%016Lx" fingerprint);
     List.iter field inputs;
     content_hash (Buffer.contents buf)
@@ -189,7 +189,6 @@ type result_rec = {
 type boxed = {
   b_id : int;
   b_name : string;
-  b_version : string;
   b_fp : int64;
   b_mode : mode;
   b_deps : int array;
@@ -202,7 +201,7 @@ type t = {
   dag_store : Store.t;
   mutable nodes_rev : boxed list;
   mutable n_nodes : int;
-  identities : (string * string * int64, unit) Hashtbl.t;
+  identities : (string * int64, unit) Hashtbl.t;
   mutable dag_ran : bool;
 }
 
@@ -228,17 +227,16 @@ let store dag = dag.dag_store
 let size dag = dag.n_nodes
 let dep node = { p_dag = node.nd_dag; p_id = node.nd_boxed.b_id }
 
-let stage dag ~name ?(version = "v1") ?(fingerprint = 0L) ?(mode = Pooled)
-    ~codec ~deps thunk =
+let stage dag ~name ?(fingerprint = 0L) ?(mode = Pooled) ~codec ~deps thunk =
   if dag.dag_ran then invalid_arg "Sched.stage: DAG has already run";
   if name = "" then invalid_arg "Sched.stage: empty stage name";
-  let identity = (name, version, fingerprint) in
+  let identity = (name, fingerprint) in
   if Hashtbl.mem dag.identities identity then
     invalid_arg
       (Printf.sprintf
-         "Sched.stage: duplicate stage %S (version %S) — share the node \
-          instead of redeclaring it"
-         name version);
+         "Sched.stage: duplicate stage %S (fingerprint %016Lx) — share the \
+          node instead of redeclaring it"
+         name fingerprint);
   Hashtbl.add dag.identities identity ();
   let b_deps =
     Array.of_list
@@ -253,9 +251,8 @@ let stage dag ~name ?(version = "v1") ?(fingerprint = 0L) ?(mode = Pooled)
          deps)
   in
   let boxed =
-    { b_id = dag.n_nodes; b_name = name; b_version = version;
-      b_fp = fingerprint; b_mode = mode; b_deps;
-      b_run = (fun () -> codec.encode (thunk ())); b_result = None }
+    { b_id = dag.n_nodes; b_name = name; b_fp = fingerprint; b_mode = mode;
+      b_deps; b_run = (fun () -> codec.encode (thunk ())); b_result = None }
   in
   dag.nodes_rev <- boxed :: dag.nodes_rev;
   dag.n_nodes <- dag.n_nodes + 1;
@@ -311,9 +308,15 @@ type report = {
   levels : int;
 }
 
+(* The running executable's digest, read once per process: a rebuilt
+   binary never reads artifacts an older one wrote, whatever changed in
+   between (a stage's code, an artifact's type or layout). *)
+let code_digest = lazy (Digest.to_hex (Digest.file Sys.executable_name))
+
 let run ?domains dag =
   if dag.dag_ran then invalid_arg "Sched.run: DAG has already run";
   dag.dag_ran <- true;
+  let code = Lazy.force code_digest in
   Metrics.inc c_dag_runs;
   let nodes = Array.of_list (List.rev dag.nodes_rev) in
   let n = Array.length nodes in
@@ -339,8 +342,7 @@ let run ?domains dag =
              | None -> assert false)
            b.b_deps)
     in
-    Store.action_key ~name:b.b_name ~version:b.b_version ~fingerprint:b.b_fp
-      ~inputs
+    Store.action_key ~name:b.b_name ~code ~fingerprint:b.b_fp ~inputs
   in
   let complete ~cached b key bytes =
     if cached then begin

@@ -8,12 +8,16 @@
     domains through {!Dcs_util.Pool.run_supervised}, and memoizes
     every stage output in a content-addressed {!Store}.
 
-    A stage's cache key is a digest over (stage name, code version tag,
-    input artifact hashes, PRNG fingerprint) — see {!Store.action_key} —
-    so a stage re-runs exactly when its identity, its code version, the
+    A stage's cache key is a digest over (stage name, code digest, input
+    artifact hashes, PRNG fingerprint) — see {!Store.action_key} — so a
+    stage re-runs exactly when its identity, the running executable, the
     {e bytes} of any input artifact, or its randomness changes, and two
     experiments that declare the same prefix (same instances, same freeze)
-    share one computation.
+    share one computation. The code digest is the MD5 of
+    [Sys.executable_name], read once per process: a rebuilt binary gets
+    no disk hits from an older binary's artifacts, so a changed stage or
+    artifact type can never unmarshal stale bytes, and the same binary
+    still warms from its own cache.
 
     Determinism contract: a stage function must be a pure function of its
     declared dependencies (plus its own PRNG, rebuilt from a seed inside
@@ -57,11 +61,12 @@ module Store : sig
       hash of every dependent stage's key. *)
 
   val action_key :
-    name:string -> version:string -> fingerprint:int64 ->
+    name:string -> code:string -> fingerprint:int64 ->
     inputs:string list -> string
   (** The cache key of one stage execution: a digest over the stage name,
-      its code version tag, its PRNG fingerprint and the content hashes of
-      its inputs, in order. Filename-safe hex. *)
+      the code digest ({!run} passes the running executable's), its PRNG
+      fingerprint and the content hashes of its inputs, in order.
+      Filename-safe hex. *)
 
   val find : t -> string -> string option
   (** Memory tier first (refreshes recency), then disk; a disk hit is
@@ -130,16 +135,15 @@ val dep : 'a node -> packed
 val stage :
   t ->
   name:string ->
-  ?version:string ->
   ?fingerprint:int64 ->
   ?mode:mode ->
   codec:'a codec ->
   deps:packed list ->
   (unit -> 'a) ->
   'a node
-(** Declares one stage. [name]+[version] (default ["v1"])+[fingerprint]
-    (default [0L]; pass {!Dcs_util.Prng.fingerprint} of the stage's seed
-    stream when it draws randomness) must be unique within the DAG —
+(** Declares one stage. [name] and [fingerprint] (default [0L]; pass
+    {!Dcs_util.Prng.fingerprint} of the stage's seed stream when it
+    draws randomness) must be unique within the DAG —
     redeclaration raises [Invalid_argument], so two call sites that want
     to share a stage must share the node (the bench pipelines memoize
     their constructors). The thunk reads dependency values with {!value};

@@ -2,6 +2,7 @@ module Ugraph = Dcs_graph.Ugraph
 module Digraph = Dcs_graph.Digraph
 module Csr = Dcs_graph.Csr
 module Pool = Dcs_util.Pool
+module Prng = Dcs_util.Prng
 module Dinic = Dcs_mincut.Dinic
 module Metrics = Dcs_obs_core.Metrics
 
@@ -57,31 +58,50 @@ type stats = {
 }
 
 type t = {
-  n : int;
-  cap : float;
   edges : (int * int * float) array;
   lambda : float array;
-  table : (int * int, float) Hashtbl.t Lazy.t;
-      (* endpoint lookup is off the samplers' hot path; built on first
-         [find]/[get] *)
   stats : stats;
 }
 
-let n t = t.n
-let cap t = t.cap
 let edges t = t.edges
 let lambda_at t i = t.lambda.(i)
 let stats t = t.stats
-let find t u v = Hashtbl.find_opt (Lazy.force t.table) (u, v)
-
-let get t u v =
-  match find t u v with
-  | Some l -> l
-  | None ->
-      invalid_arg (Printf.sprintf "Connectivity.get: (%d, %d) is not an edge" u v)
 
 let iter t f =
   Array.iteri (fun i (u, v, w) -> f u v w t.lambda.(i)) t.edges
+
+(* [not (x > 0.0)] also rejects NaN, which passes every [x <= 0.0]
+   test: a NaN ρ would keep nothing. *)
+let positive fn name x =
+  if not (x > 0.0) then
+    invalid_arg (Printf.sprintf "%s: %s must be positive" fn name)
+
+(* CCPS21's keep rule p = min(1, ρ/λ̂); [Importance] clamps p to 1. *)
+let keep_p ~rho lam = if lam <= 0.0 then 1.0 else rho /. lam
+
+(* Edge i draws from its own [Prng.split master i] stream over the
+   canonical edge order, so the sample is a pure function of (seed, graph
+   content), and binomial resampling keeps an integer weight w as
+   Binomial(w, p)/p. *)
+let sample t ~rho rng f =
+  positive "Connectivity.sample" "rho" rho;
+  let master = Prng.fork rng in
+  Array.iteri
+    (fun i (u, v, w) ->
+      match
+        Importance.binomial_keep (Prng.split master i)
+          ~p:(keep_p ~rho t.lambda.(i)) ~w
+      with
+      | Some w' -> f u v w'
+      | None -> ())
+    t.edges
+
+let expected_kept t ~rho =
+  positive "Connectivity.expected_kept" "rho" rho;
+  let acc = ref 0.0 in
+  iter t (fun _ _ w lam ->
+      acc := !acc +. Importance.keep_probability ~p:(keep_p ~rho lam) ~w);
+  !acc
 
 (* Out- or in-rows of a frozen view as flat offset/endpoint/weight
    arrays, endpoint-sorted, for the common-neighbour gathers. *)
@@ -198,8 +218,6 @@ let default_rounds ~cap ~scale =
    source density). *)
 let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     ~tri_rows ~flow_csr () =
-  if cap <= 0.0 then invalid_arg "Connectivity: cap must be positive";
-  if flow_budget < 0 then invalid_arg "Connectivity: flow_budget >= 0";
   let m = Array.length edges in
   let lambda = Array.make m 0.0 in
   let by_weight = ref 0 and by_strength = ref 0 and by_triangle = ref 0 in
@@ -261,14 +279,6 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
     done
   end;
   let budgeted = nu - nflows in
-  let table =
-    lazy
-      (let tbl = Hashtbl.create (2 * max 1 m) in
-       Array.iteri
-         (fun i (u, v, _) -> Hashtbl.replace tbl (u, v) lambda.(i))
-         edges;
-       tbl)
-  in
   Metrics.inc ~by:m m_edges;
   Metrics.inc ~by:!by_weight m_by_weight;
   Metrics.inc ~by:!by_strength m_by_strength;
@@ -276,11 +286,8 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
   Metrics.inc ~by:nflows m_flows;
   Metrics.inc ~by:budgeted m_budgeted;
   {
-    n;
-    cap;
     edges;
     lambda;
-    table;
     stats =
       {
         edges = m;
@@ -296,7 +303,15 @@ let mismatch fn =
   invalid_arg
     (Printf.sprintf "Connectivity.%s: strengths decompose a different graph" fn)
 
+(* Checked before any work: a NaN cap would otherwise size the strength
+   rounds and run every flow to a NaN estimate. *)
+let check_params ~cap flow_budget =
+  positive "Connectivity" "cap" cap;
+  if Option.value flow_budget ~default:0 < 0 then
+    invalid_arg "Connectivity: flow_budget >= 0"
+
 let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
+  check_params ~cap flow_budget;
   let n = Ugraph.n g in
   let edges = Importance.sorted_edges_ugraph g in
   let m = Array.length edges in
@@ -332,6 +347,7 @@ let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
 let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
     ~cap g =
   if beta < 1.0 then invalid_arg "Connectivity.estimate_digraph: beta >= 1";
+  check_params ~cap flow_budget;
   let n = Digraph.n g in
   let edges = Importance.sorted_edges_digraph g in
   let csr = match csr with Some c -> c | None -> Csr.of_digraph g in

@@ -22,10 +22,11 @@
       {!Strength.certificate} (O(cap·n) edges) instead of the full
       graph.
 
-    When the estimates feed p = min(1, ρ/λ̂) sampling, choose
-    [cap] {e well above} ρ: estimates saturate at the cap, so [cap = ρ]
-    pins every keep probability at 1 and nothing is dropped; keep
-    probabilities bottom out at ρ/cap (the samplers default to 16·ρ).
+    {!sample} turns the estimates into CCPS21's sample, p = min(1, ρ/λ̂).
+    Choose [cap] {e well above} ρ: estimates saturate at the cap, so
+    [cap = ρ] pins every keep probability at 1 and nothing is dropped;
+    keep probabilities bottom out at ρ/cap ([Partial_mincut] defaults
+    to 16·ρ).
 
     Estimates are a pure function of graph content (canonical edge order,
     pure per-index flow tasks): byte-identical for every domain count.
@@ -59,9 +60,10 @@ val estimate_ugraph :
     precomputed NI decomposition (its {!Strength.certificate} is the flow
     graph, so estimates are sharp at [cap] when it ran for at least [cap]
     rounds — the default computes exactly that many); [flow_budget]
-    (default unlimited) caps the exact tier. [cap] must be positive;
-    pass [infinity] for uncapped exact local connectivities (the cheap
-    tiers then never fire). Raises [Invalid_argument]
+    (default unlimited) caps the exact tier. [cap] must be positive
+    (NaN is rejected before any work); pass [infinity] for uncapped
+    exact local connectivities (the cheap tiers then never fire). Raises
+    [Invalid_argument]
     ["Connectivity.estimate_ugraph: strengths decompose a different graph"]
     when [strengths]' edge list differs from [g]'s — its indices would
     not bound [g]'s connectivities. Only endpoints are compared: a
@@ -87,26 +89,32 @@ val estimate_digraph :
     unless every arc's endpoint pair is in [strengths] and the pair
     counts agree (endpoints only, as for {!estimate_ugraph}). *)
 
-val n : t -> int
-
-val cap : t -> float
-
 val edges : t -> (int * int * float) array
 (** The estimated edges with their original weights, in canonical
     ascending (u, v) order — the order {!Importance} samplers consume
     their streams in. Callers must not mutate. *)
 
 val lambda_at : t -> int -> float
-(** Estimate for {!edges}[(i)]; in [(0, cap t]]. *)
-
-val find : t -> int -> int -> float option
-(** Estimate by endpoints ((u, v) directed; (min, max) undirected). *)
-
-val get : t -> int -> int -> float
-(** Like {!find} but raises [Invalid_argument] naming the pair for a
-    non-edge. *)
+(** Estimate for {!edges}[(i)]; in [(0, cap]]. *)
 
 val iter : t -> (int -> int -> float -> float -> unit) -> unit
 (** [iter t f] calls [f u v w lambda] in canonical edge order. *)
 
 val stats : t -> stats
+
+val sample :
+  t -> rho:float -> Dcs_util.Prng.t -> (int -> int -> float -> unit) -> unit
+(** Connectivity sampling (CCPS21's compress) over the estimates:
+    [sample t ~rho rng f] keeps each edge with p = min(1, ρ/λ̂) (capping
+    only raises p, so any underestimate stays sound), resamples its
+    weight with {!Importance.binomial_keep}, and calls [f u v w'] once
+    per kept edge, in canonical order. Edge i draws from
+    [Prng.split master i], where [master] is one {!Dcs_util.Prng.fork} of
+    [rng], so the sample is a pure function of (seed, graph content).
+    Build a sparsifier with [Ugraph.add_edge h] or [Digraph.add_edge h].
+    Raises [Invalid_argument] unless [rho > 0] (NaN included). *)
+
+val expected_kept : t -> rho:float -> float
+(** Exact expected number of edges {!sample} keeps at rate [rho];
+    monotone in [rho] (bisect it to match a budget). Same [rho] check as
+    {!sample}. *)

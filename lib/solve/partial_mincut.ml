@@ -3,13 +3,12 @@ module Digraph = Dcs_graph.Digraph
 module Csr = Dcs_graph.Csr
 module Cut = Dcs_graph.Cut
 module Prng = Dcs_util.Prng
+module Pool = Dcs_util.Pool
 module Karger = Dcs_mincut.Karger
 module Karger_stein = Dcs_mincut.Karger_stein
 module Stoer_wagner = Dcs_mincut.Stoer_wagner
 module Dinic = Dcs_mincut.Dinic
 module Connectivity = Dcs_sketch.Connectivity
-module Importance = Dcs_sketch.Importance
-module Directed_sparsifier = Dcs_sketch.Directed_sparsifier
 module Metrics = Dcs_obs_core.Metrics
 
 (* Sparsify-then-solve (Cen–Li–Nanongkai et al., partial sparsification):
@@ -44,44 +43,30 @@ type stats = {
 
 type result = { value : float; cut : Dcs_graph.Cut.t; stats : stats }
 
-(* Undirected sampling rate: connectivity sampling of undirected graphs
-   needs only the Benczúr–Karger-shaped O(log n/ε²) rate (no balance
-   factor) — sampling by exact local connectivity at this rate preserves
-   all cuts within (1 ± ε) w.h.p. (Fung–Hariharan–Harvey–Panigrahi). *)
-let rho_ugraph ?(c = 2.0) ~eps ~n () =
-  if eps <= 0.0 || eps >= 1.0 then invalid_arg "Partial_mincut: eps in (0,1)";
-  c *. log (float_of_int (max 2 n)) /. (eps *. eps)
+(* ρ is checked here, before estimation runs; cap by the estimator, at
+   its entry. [not (x > 0.0)] also rejects NaN. *)
+let check_rho rho =
+  if not (rho > 0.0) then invalid_arg "Partial_mincut: rho must be positive"
 
-let sparsify ?c ?rho:rho_opt ?cap ?domains ?flow_budget ?connectivity
-    rng ~eps g =
-  let n = Ugraph.n g in
-  let rho =
-    match rho_opt with
-    | Some r ->
-        if r <= 0.0 then invalid_arg "Partial_mincut: rho must be positive";
-        r
-    | None -> rho_ugraph ?c ~eps ~n ()
-  in
+let check_eps eps =
+  if not (eps > 0.0 && eps < 1.0) then invalid_arg "Partial_mincut: eps in (0,1)"
+
+(* Estimates saturate at the cap and p = ρ/λ̂, so the cap must exceed ρ
+   for any edge to be dropped; the default lets keep probabilities fall
+   to 1/16. *)
+let default_cap ~rho cap = Option.value cap ~default:(16.0 *. rho)
+
+let sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
+  check_rho rho;
   let conn =
     match connectivity with
     | Some conn -> conn
     | None ->
-        (* Estimates saturate at the cap and p = ρ/λ̂, so the cap must
-           exceed ρ for any edge to be dropped; the default lets keep
-           probabilities fall to 1/16. *)
-        let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_ugraph ?domains ?flow_budget ~cap g
+        Connectivity.estimate_ugraph ?domains ?flow_budget
+          ~cap:(default_cap ~rho cap) g
   in
-  let master = Prng.fork rng in
-  let h = Ugraph.create n in
-  Array.iteri
-    (fun i (u, v, w) ->
-      let lam = Connectivity.lambda_at conn i in
-      let p = if lam <= 0.0 then 1.0 else rho /. lam in
-      match Importance.binomial_keep (Prng.split master i) ~p ~w with
-      | Some w' -> Ugraph.add_edge h u v w'
-      | None -> ())
-    (Connectivity.edges conn);
+  let h = Ugraph.create (Ugraph.n g) in
+  Connectivity.sample conn ~rho rng (Ugraph.add_edge h);
   (h, conn)
 
 let solve_dense ?domains rng ~solver g =
@@ -90,97 +75,68 @@ let solve_dense ?domains rng ~solver g =
   | Karger_stein { runs } -> Karger_stein.mincut ?domains ?runs rng g
   | Stoer_wagner -> Stoer_wagner.mincut g
 
-(* |w_G(S) - w_H(S)| <= ε·w_G(S): exactly the per-cut promise the
-   sparsifier makes, checked on the one cut that matters. *)
-let certifies ~eps ~exact ~sparse =
-  Float.abs (exact -. sparse) <= (eps *. exact) +. 1e-9
-
-let mincut ?domains ?c ?rho ?cap ?flow_budget ?connectivity ?csr rng
-    ~eps ~solver g =
-  Metrics.inc m_solves;
-  let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
-  let h, conn =
-    sparsify ?c ?rho ?cap ?domains ?flow_budget ?connectivity rng ~eps g
+(* The shared certify/repair step. [sparse] is the sparse answer as
+   (H-value, cut, exact G-weight of the cut), or [None] when H was
+   unsolvable. Accept iff |w_G(S) - w_H(S)| <= ε·w_G(S) — exactly the
+   per-cut promise the sparsifier makes, checked on the one cut that
+   matters — and report the exact weight; otherwise run [dense]. *)
+let certify ~eps ~m_full ~m_sparse conn sparse ~dense =
+  let stats sparse_value ~certified =
+    {
+      m_full;
+      m_sparse;
+      conn = Connectivity.stats conn;
+      sparse_value;
+      certified;
+      fell_back = not certified;
+    }
   in
+  match sparse with
+  | Some (sparse_value, cut, exact)
+    when Float.abs (exact -. sparse_value) <= (eps *. exact) +. 1e-9 ->
+      Metrics.inc m_certified;
+      { value = exact; cut; stats = stats sparse_value ~certified:true }
+  | _ ->
+      Metrics.inc m_fallbacks;
+      let value, cut = dense () in
+      let sparse_value = match sparse with Some (v, _, _) -> v | None -> nan in
+      { value; cut; stats = stats sparse_value ~certified:false }
+
+let mincut ?domains ?cap ?flow_budget ?connectivity ?csr ~rho rng ~eps
+    ~solver g =
+  Metrics.inc m_solves;
+  check_eps eps;
+  let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
+  let h, conn = sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
   let sparse_rng = Prng.fork rng in
   let fallback_rng = Prng.fork rng in
-  let stats ~sparse_value ~certified ~fell_back =
-    {
-      m_full = Ugraph.m g;
-      m_sparse = Ugraph.m h;
-      conn = Connectivity.stats conn;
-      sparse_value;
-      certified;
-      fell_back;
-    }
+  let sparse =
+    (* Sampling can disconnect H (binomial zero on a weak edge); the
+       solvers reject that with [Invalid_argument], bare or, from a
+       pooled trial, wrapped in [Pool.Task_failed]. The dense path
+       answers. *)
+    match solve_dense ?domains sparse_rng ~solver h with
+    | exception
+        (Invalid_argument _ | Pool.Task_failed { exn = Invalid_argument _; _ }) ->
+        None
+    | sparse_value, cut -> Some (sparse_value, cut, Csr.cut_value csr cut)
   in
-  let fall_back ~sparse_value =
-    Metrics.inc m_fallbacks;
-    let value, cut = solve_dense ?domains fallback_rng ~solver g in
-    { value; cut; stats = stats ~sparse_value ~certified:false ~fell_back:true }
-  in
-  match solve_dense ?domains sparse_rng ~solver h with
-  | exception Invalid_argument _ ->
-      (* Sampling can disconnect H (binomial zero on a weak edge); the
-         dense path answers. *)
-      fall_back ~sparse_value:nan
-  | sparse_value, cut ->
-      let exact = Csr.cut_value csr cut in
-      if certifies ~eps ~exact ~sparse:sparse_value then begin
-        Metrics.inc m_certified;
-        {
-          value = exact;
-          cut;
-          stats = stats ~sparse_value ~certified:true ~fell_back:false;
-        }
-      end
-      else fall_back ~sparse_value
+  certify ~eps ~m_full:(Ugraph.m g) ~m_sparse:(Ugraph.m h) conn sparse
+    ~dense:(fun () -> solve_dense ?domains fallback_rng ~solver g)
 
-let st_mincut ?c ?rho:rho_opt ?cap ?domains ?flow_budget ?connectivity
-    rng ~eps ~beta ~s ~t:sink g =
+let st_mincut ?cap ?flow_budget ~rho rng ~eps ~beta ~s ~t:sink g =
   Metrics.inc m_solves;
-  let n = Digraph.n g in
+  check_eps eps;
+  check_rho rho;
   if s = sink then invalid_arg "Partial_mincut.st_mincut: s = t";
   let csr = Csr.of_digraph g in
-  let rho =
-    match rho_opt with
-    | Some r -> r
-    | None -> Directed_sparsifier.rho ?c ~eps ~beta ~n ()
-  in
   let conn =
-    match connectivity with
-    | Some conn -> conn
-    | None ->
-        let cap = match cap with Some k -> k | None -> 16.0 *. rho in
-        Connectivity.estimate_digraph ?domains ?flow_budget ~csr ~beta
-          ~cap g
+    Connectivity.estimate_digraph ?flow_budget ~csr ~beta
+      ~cap:(default_cap ~rho cap) g
   in
-  let h =
-    Directed_sparsifier.connectivity_sparsify ~rho ~connectivity:conn rng ~eps
-      ~beta g
-  in
-  let stats ~sparse_value ~certified ~fell_back =
-    {
-      m_full = Digraph.m g;
-      m_sparse = Digraph.m h;
-      conn = Connectivity.stats conn;
-      sparse_value;
-      certified;
-      fell_back;
-    }
-  in
+  let h = Digraph.create (Digraph.n g) in
+  Connectivity.sample conn ~rho rng (Digraph.add_edge h);
   let sparse_value, side = Dinic.mincut_side (Dinic.of_digraph h) ~s ~t:sink in
-  let exact = Csr.cut_weight csr (Cut.mem side) in
-  if certifies ~eps ~exact ~sparse:sparse_value then begin
-    Metrics.inc m_certified;
-    {
-      value = exact;
-      cut = side;
-      stats = stats ~sparse_value ~certified:true ~fell_back:false;
-    }
-  end
-  else begin
-    Metrics.inc m_fallbacks;
-    let value, cut = Dinic.mincut_side (Dinic.of_csr csr) ~s ~t:sink in
-    { value; cut; stats = stats ~sparse_value ~certified:false ~fell_back:true }
-  end
+  certify ~eps ~m_full:(Digraph.m g) ~m_sparse:(Digraph.m h) conn
+    (Some (sparse_value, side, Csr.cut_weight csr (Cut.mem side)))
+    ~dense:(fun () -> Dinic.mincut_side (Dinic.of_csr csr) ~s ~t:sink)

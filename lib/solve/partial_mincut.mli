@@ -33,59 +33,52 @@ type result = { value : float; cut : Dcs_graph.Cut.t; stats : stats }
 (** [value] is always an exact cut weight of the {e original} graph for
     [cut] — repaired on the sparse path, native on the dense path. *)
 
-val rho_ugraph : ?c:float -> eps:float -> n:int -> unit -> float
-(** Undirected sampling rate c·ln n/ε² (default [c] = 2): sampling by
-    local connectivity at this rate preserves all cuts within (1 ± ε)
-    w.h.p. (Fung–Hariharan–Harvey–Panigrahi shape — no balance factor
-    needed undirected). *)
-
 val sparsify :
-  ?c:float ->
-  ?rho:float ->
   ?cap:float ->
   ?domains:int ->
   ?flow_budget:int ->
   ?connectivity:Dcs_sketch.Connectivity.t ->
+  rho:float ->
   Dcs_util.Prng.t ->
-  eps:float ->
   Dcs_graph.Ugraph.t ->
   Dcs_graph.Ugraph.t * Dcs_sketch.Connectivity.t
-(** Connectivity-sampled undirected sparsifier: p = min(1, ρ/λ̂) with λ̂
-    from {!Connectivity.estimate_ugraph}, binomial weight resampling,
-    one [Prng.split] stream per edge in canonical order (byte-identical
-    for every domain count). Returns the sparsifier and the estimates it
-    sampled from. [rho] overrides {!rho_ugraph}; [cap] is the estimation
-    ceiling (default 16·ρ — it must exceed ρ for anything to be
-    dropped, since estimates saturate there and p = ρ/λ̂);
-    [connectivity] reuses estimates (must be from this graph). *)
+(** Connectivity-sampled undirected sparsifier:
+    {!Dcs_sketch.Connectivity.sample} at rate [rho] over
+    {!Dcs_sketch.Connectivity.estimate_ugraph}'s λ̂ (byte-identical for
+    every domain count). Returns the sparsifier and the estimates it
+    sampled from. [cap] is the estimation ceiling (default 16·ρ — it must
+    exceed ρ for anything to be dropped, since estimates saturate there
+    and p = ρ/λ̂); [connectivity] reuses estimates (must be from this
+    graph; [cap] is then ignored). [rho] and [cap] must be positive:
+    anything else, NaN included, raises [Invalid_argument] before
+    estimation runs. *)
 
 val mincut :
   ?domains:int ->
-  ?c:float ->
-  ?rho:float ->
   ?cap:float ->
   ?flow_budget:int ->
   ?connectivity:Dcs_sketch.Connectivity.t ->
   ?csr:Dcs_graph.Csr.t ->
+  rho:float ->
   Dcs_util.Prng.t ->
   eps:float ->
   solver:solver ->
   Dcs_graph.Ugraph.t ->
   result
 (** Global minimum cut through {!sparsify} + [solver] + certify/repair.
-    [csr] reuses an existing frozen view of the input graph for
-    certification (it must match [g]); omitted, one is frozen here.
-    Note Stoer–Wagner's O(n³) does not shrink with the edge count — pair
-    it with this driver for certification value, not speed; the
-    contraction solvers (Karger, Karger–Stein) are the fast path. *)
+    [eps] is the certification tolerance, in (0, 1). [csr] reuses an
+    existing frozen view of the input graph for certification (it must
+    match [g]); omitted, one is frozen here. A sparsifier the solver
+    rejects as disconnected — directly, or from a pooled trial as
+    {!Dcs_util.Pool.Task_failed} — falls back to the dense solve. Note
+    Stoer–Wagner's O(n³) does not shrink with the edge count — pair it
+    with [mincut] for certification value, not speed; the contraction
+    solvers (Karger, Karger–Stein) are the fast path. *)
 
 val st_mincut :
-  ?c:float ->
-  ?rho:float ->
   ?cap:float ->
-  ?domains:int ->
   ?flow_budget:int ->
-  ?connectivity:Dcs_sketch.Connectivity.t ->
+  rho:float ->
   Dcs_util.Prng.t ->
   eps:float ->
   beta:float ->
@@ -94,8 +87,10 @@ val st_mincut :
   Dcs_graph.Digraph.t ->
   result
 (** Directed s–t minimum cut: Dinic on a
-    {!Directed_sparsifier.connectivity_sparsify} sparsifier (the CLNPSQ
-    use case), certified against the original digraph's frozen view and
+    {!Dcs_sketch.Connectivity.sample} sparsifier over
+    {!Dcs_sketch.Connectivity.estimate_digraph}'s λ̂ (the CLNPSQ use
+    case), certified against the original digraph's frozen view and
     repaired to the exact directed weight; dense Dinic on violation.
     [beta] is the graph's cut-balance promise, as everywhere in the
-    directed samplers. *)
+    directed samplers; [rho], [cap] and [eps] are checked as in
+    {!mincut}. *)

@@ -46,13 +46,12 @@ let () =
 
 (* Support samplers per state: enough independent ℓ₀ copies that a
    for-each seed edge query succeeds with good constant probability. *)
-let default_copies = 8
+let copies = 8
 
 type t = {
   n : int;
   seed : int;
   refreeze : refreeze;
-  copies : int;
   mutable delta : Csr.delta;  (* frozen base + unfrozen overlay *)
   mutable frozen : Csr.t option;  (* memoized canonical freeze *)
   imb : float array;  (* out-weight minus in-weight, per vertex *)
@@ -63,21 +62,20 @@ type t = {
 
 let empty_base n = Csr.of_digraph (Digraph.create n)
 
-let create ?(refreeze = Rebuild) ?(copies = default_copies) ~n ~seed () =
+let create ?(refreeze = Rebuild) ~n ~seed () =
   if n < 1 then invalid_arg "Stream_sketch.create: n must be positive";
   (match refreeze with
   | Delta_buffer { compact_threshold } when compact_threshold < 1 ->
       invalid_arg "Stream_sketch.create: compact_threshold must be positive"
   | _ -> ());
-  (* The sampler hash family is a pure function of (seed, n, copies), so a
-     recovered state rebuilt from the same triple is sampler-compatible
+  (* The sampler hash family is a pure function of (seed, n), so a
+     recovered state rebuilt from the same pair is sampler-compatible
      with — and, being linear, byte-equal in state to — the lost one. *)
   let rng = Prng.create seed in
   {
     n;
     seed;
     refreeze;
-    copies;
     delta = Csr.delta_of (empty_base n);
     frozen = None;
     imb = Array.make n 0.0;
@@ -203,7 +201,7 @@ let delete t ~u ~v ~w =
 
 let sample_arc t =
   let rec go i =
-    if i >= t.copies then None
+    if i >= copies then None
     else
       match L0_sampler.query t.support.(i) with
       | Some (idx, _) -> Some (idx / t.n, idx mod t.n)
@@ -238,7 +236,7 @@ let digest t =
 (* --- checkpoint-compacted snapshots --- *)
 
 let signature t =
-  Printf.sprintf "stream-sketch v1 n=%d seed=%d copies=%d" t.n t.seed t.copies
+  Printf.sprintf "stream-sketch v1 n=%d seed=%d copies=%d" t.n t.seed copies
 
 let encode_edges csr =
   let buf = Buffer.create 4096 in
@@ -302,8 +300,8 @@ type recovery = {
   snapshot_seq : int;  (* floor restored from the snapshot (0 if none) *)
 }
 
-let recover ?refreeze ?copies ~n ~seed ~snapshot ~wal () =
-  let t = create ?refreeze ?copies ~n ~seed () in
+let recover ?refreeze ~n ~seed ~snapshot ~wal () =
+  let t = create ?refreeze ~n ~seed () in
   match restore_snapshot t ~path:snapshot with
   | exception Restore_failed e -> Error e
   | snapshot_seq -> (
@@ -342,12 +340,12 @@ let journal_checkpoint j =
       ~next_seq:(j.state.applied_seq + 1) ();
   j.since_checkpoint <- 0
 
-let open_journal ?refreeze ?copies ?(checkpoint_every = 0) ~dir ~n ~seed () =
+let open_journal ?refreeze ?(checkpoint_every = 0) ~dir ~n ~seed () =
   if checkpoint_every < 0 then
     invalid_arg "Stream_sketch.open_journal: negative checkpoint_every";
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let snapshot_path, wal_path = journal_paths ~dir in
-  match recover ?refreeze ?copies ~n ~seed ~snapshot:snapshot_path ~wal:wal_path () with
+  match recover ?refreeze ~n ~seed ~snapshot:snapshot_path ~wal:wal_path () with
   | Error e -> Error e
   | Ok { state; report; _ } ->
       (* Fold the surviving replay into a fresh snapshot and truncate the

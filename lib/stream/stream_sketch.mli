@@ -48,11 +48,11 @@ exception Rejected of reject
 
 type t
 
-val create : ?refreeze:refreeze -> ?copies:int -> n:int -> seed:int -> unit -> t
-(** Empty state on [n] vertices. [seed] determines the sampler hash
-    family (a pure function of [(seed, n, copies)], so recovery rebuilds
-    a compatible family); [copies] (default 8) is the number of ℓ₀
-    support samplers. Default policy is [Rebuild]. *)
+val create : ?refreeze:refreeze -> n:int -> seed:int -> unit -> t
+(** Empty state on [n] vertices, with 8 ℓ₀ support samplers. [seed]
+    determines the sampler hash family (a pure function of [(seed, n)],
+    so recovery rebuilds a compatible family). Default policy is
+    [Rebuild]. *)
 
 val n : t -> int
 val seed : t -> int
@@ -108,7 +108,7 @@ val to_digraph : t -> Dcs_graph.Digraph.t
 val sample_arc : t -> (int * int) option
 (** An arc from the live support, via the first ℓ₀ copy whose query
     verifies. [None] when the graph is empty (or all copies fail, which
-    has probability exponentially small in [copies]). *)
+    has probability exponentially small in the 8 copies). *)
 
 val exact_sketch : t -> Dcs_sketch.Sketch.t
 (** Exact graph-valued sketch of the live graph — identical (same
@@ -144,7 +144,6 @@ type recovery = {
 
 val recover :
   ?refreeze:refreeze ->
-  ?copies:int ->
   n:int ->
   seed:int ->
   snapshot:string ->
@@ -171,7 +170,6 @@ type journal
 
 val open_journal :
   ?refreeze:refreeze ->
-  ?copies:int ->
   ?checkpoint_every:int ->
   dir:string ->
   n:int ->

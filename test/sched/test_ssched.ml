@@ -1,6 +1,6 @@
 (* DAG semantics of Dcs.Sched: values flow along declared edges, the
    report's accounting is exact, cache keys are sensitive to exactly
-   (name, version, fingerprint, input hashes), and the scheduler is
+   (name, code digest, fingerprint, input hashes), and the scheduler is
    deterministic at any domain count — the contracts E23 enforces
    end-to-end, pinned here in isolation. *)
 
@@ -23,18 +23,18 @@ let with_tmp_dir f =
     (fun () -> f dir)
 
 (* a = 7; b = a + 1; c = a * 2; d = b + c. *)
-let diamond ?(version = "v1") dag =
-  let a = Sched.stage dag ~name:"a" ~version ~codec:int_codec ~deps:[] (fun () -> 7) in
+let diamond dag =
+  let a = Sched.stage dag ~name:"a" ~codec:int_codec ~deps:[] (fun () -> 7) in
   let b =
-    Sched.stage dag ~name:"b" ~version ~codec:int_codec ~deps:[ Sched.dep a ]
+    Sched.stage dag ~name:"b" ~codec:int_codec ~deps:[ Sched.dep a ]
       (fun () -> Sched.value dag a + 1)
   in
   let c =
-    Sched.stage dag ~name:"c" ~version ~codec:int_codec ~deps:[ Sched.dep a ]
+    Sched.stage dag ~name:"c" ~codec:int_codec ~deps:[ Sched.dep a ]
       (fun () -> Sched.value dag a * 2)
   in
   let d =
-    Sched.stage dag ~name:"d" ~version ~codec:int_codec
+    Sched.stage dag ~name:"d" ~codec:int_codec
       ~deps:[ Sched.dep b; Sched.dep c ]
       (fun () -> Sched.value dag b + Sched.value dag c)
   in
@@ -69,18 +69,6 @@ let test_warm_all_hits () =
   Alcotest.(check int) "warm hits" 4 rep.Sched.hits;
   Alcotest.(check int) "warm d" 22 (Sched.value warm d);
   Alcotest.(check bool) "warm d from cache" true (Sched.from_cache warm d)
-
-let test_version_invalidates () =
-  let store = Sched.Store.create () in
-  let v1 = Sched.create ~store () in
-  let _, _, _, d1 = diamond v1 in
-  ignore (Sched.run v1);
-  let v2 = Sched.create ~store () in
-  let _, _, _, d2 = diamond ~version:"v2" v2 in
-  let rep = Sched.run v2 in
-  Alcotest.(check int) "v2 recomputes everything" 4 rep.Sched.ran;
-  Alcotest.(check bool) "keys differ" true
-    (Sched.key_of v1 d1 <> Sched.key_of v2 d2)
 
 let test_fingerprint_invalidates () =
   let store = Sched.Store.create () in
@@ -135,11 +123,11 @@ let test_duplicate_stage_rejected () =
   (match
      Sched.stage dag ~name:"dup" ~codec:int_codec ~deps:[] (fun () -> 2)
    with
-  | _ -> Alcotest.fail "duplicate (name, version, fingerprint) must raise"
+  | _ -> Alcotest.fail "duplicate (name, fingerprint) must raise"
   | exception Invalid_argument _ -> ());
-  (* A different version of the same name is a distinct stage. *)
+  (* A different fingerprint under the same name is a distinct stage. *)
   ignore
-    (Sched.stage dag ~name:"dup" ~version:"v2" ~codec:int_codec ~deps:[]
+    (Sched.stage dag ~name:"dup" ~fingerprint:2L ~codec:int_codec ~deps:[]
        (fun () -> 3))
 
 let test_run_once () =
@@ -295,7 +283,6 @@ let suite =
   [
     Alcotest.test_case "diamond: values, levels, accounting" `Quick test_diamond;
     Alcotest.test_case "warm rerun is all cache hits" `Quick test_warm_all_hits;
-    Alcotest.test_case "version bump invalidates" `Quick test_version_invalidates;
     Alcotest.test_case "fingerprint change invalidates" `Quick
       test_fingerprint_invalidates;
     Alcotest.test_case "changed input hash cascades" `Quick

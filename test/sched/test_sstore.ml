@@ -48,11 +48,11 @@ let test_content_hash_sensitivity () =
 
 let test_action_key_sensitivity () =
   let base =
-    Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:1L
+    Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
       ~inputs:[ "aa"; "bb" ]
   in
   let same =
-    Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:1L
+    Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
       ~inputs:[ "aa"; "bb" ]
   in
   Alcotest.(check string) "deterministic" base same;
@@ -61,22 +61,22 @@ let test_action_key_sensitivity () =
       Alcotest.(check bool) (what ^ " changes the key") true (key <> base))
     [
       ("name",
-       Store.action_key ~name:"stage2" ~version:"v1" ~fingerprint:1L
+       Store.action_key ~name:"stage2" ~code:"c1" ~fingerprint:1L
          ~inputs:[ "aa"; "bb" ]);
-      ("version",
-       Store.action_key ~name:"stage" ~version:"v2" ~fingerprint:1L
+      ("code",
+       Store.action_key ~name:"stage" ~code:"c2" ~fingerprint:1L
          ~inputs:[ "aa"; "bb" ]);
       ("fingerprint",
-       Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:2L
+       Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:2L
          ~inputs:[ "aa"; "bb" ]);
       ("input hash",
-       Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:1L
+       Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
          ~inputs:[ "aa"; "bc" ]);
       ("input order",
-       Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:1L
+       Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
          ~inputs:[ "bb"; "aa" ]);
       ("input arity",
-       Store.action_key ~name:"stage" ~version:"v1" ~fingerprint:1L
+       Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
          ~inputs:[ "aa" ]);
     ]
 

@@ -33,17 +33,27 @@ let test_certified_equals_dense () =
     (Ugraph.cut_value g r.Partial_mincut.cut)
 
 (* rho = 0.05 with cap 1 guts the sparsifier; the certifier must reject
-   it and the dense rerun must reproduce Stoer-Wagner exactly. *)
+   it and the dense rerun must reproduce Stoer-Wagner exactly. The gutted
+   H is disconnected: Stoer-Wagner reports a zero cut, while the
+   contraction solvers raise from inside a pooled trial, and every solver
+   must fall back. *)
 let test_forced_fallback_repairs () =
   let g = planted ~block:40 ~k:3 23 in
   let exact, _ = Stoer_wagner.mincut g in
-  let r =
-    Partial_mincut.mincut ~rho:0.05 ~cap:1.0 (Prng.create 4) ~eps:0.3
-      ~solver:Partial_mincut.Stoer_wagner g
-  in
-  Alcotest.(check bool) "fell back" true r.Partial_mincut.stats.Partial_mincut.fell_back;
-  Alcotest.(check bool) "not certified" false r.Partial_mincut.stats.Partial_mincut.certified;
-  Alcotest.(check (float 1e-9)) "fallback = dense" exact r.Partial_mincut.value
+  List.iter
+    (fun solver ->
+      let r =
+        Partial_mincut.mincut ~rho:0.05 ~cap:1.0 (Prng.create 4) ~eps:0.3
+          ~solver g
+      in
+      Alcotest.(check bool) "fell back" true r.Partial_mincut.stats.Partial_mincut.fell_back;
+      Alcotest.(check bool) "not certified" false r.Partial_mincut.stats.Partial_mincut.certified;
+      Alcotest.(check (float 1e-9)) "fallback = dense" exact r.Partial_mincut.value)
+    [
+      Partial_mincut.Stoer_wagner;
+      Partial_mincut.Karger { trials = 16 };
+      Partial_mincut.Karger_stein { runs = Some 1 };
+    ]
 
 (* Every solver through the same driver agrees up to the (1+eps) promise
    and never reports below the minimum (the value is a real cut weight). *)

@@ -435,13 +435,6 @@ let test_connectivity_rejects_foreign_strengths () =
   Alcotest.(check int) "digraph: every arc estimated" 4
     (Connectivity.stats own).Connectivity.edges
 
-let test_connectivity_get_not_found () =
-  let g = Ugraph.of_edges 3 [ (0, 1, 2.0); (1, 2, 1.0) ] in
-  let conn = Connectivity.estimate_ugraph ~cap:4.0 g in
-  Alcotest.check_raises "non-edge"
-    (Invalid_argument "Connectivity.get: (0, 2) is not an edge") (fun () ->
-      ignore (Connectivity.get conn 0 2))
-
 (* --- Binomial weight resampling --- *)
 
 let test_binomial_keep_identity () =
@@ -779,7 +772,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_strength_below_connectivity;
     QCheck_alcotest.to_alcotest prop_connectivity_estimates_sound;
     Alcotest.test_case "connectivity: exact when uncapped" `Quick test_connectivity_exact_when_uncapped;
-    Alcotest.test_case "connectivity: get not found" `Quick test_connectivity_get_not_found;
     Alcotest.test_case "connectivity: golden estimates" `Quick test_connectivity_golden;
     QCheck_alcotest.to_alcotest prop_connectivity_stats_add_up;
     Alcotest.test_case "connectivity: rejects foreign strengths" `Quick
