@@ -53,7 +53,7 @@ let metrics_arg =
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Print the observability registry (counters, gauges, histograms) to \
+          "Print the observability registry (counters, histograms) to \
            stderr after the run. The DCS_METRICS environment variable is \
            honored either way.")
 

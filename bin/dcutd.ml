@@ -10,8 +10,9 @@
    latency and throughput are virtual ticks, so two invocations with the
    same flags print byte-identical reports at any DCS_DOMAINS.
 
-   The admission knobs honor the DCS_QUEUE_DEPTH and DCS_SHED_POLICY
-   environment variables; the flags below override them. *)
+   The flags are the only configuration. Values the server, the traffic
+   generator or the fault injectors would reject are reported before
+   serving, as a usage error (exit 124). *)
 
 open Cmdliner
 open Dcs
@@ -66,18 +67,18 @@ let deadline_arg =
 
 let queue_depth_arg =
   Arg.(
-    value & opt (some int) None
-    & info [ "queue-depth" ] ~docv:"N"
-        ~doc:"Admission queue bound (overrides $(b,DCS_QUEUE_DEPTH)).")
+    value
+    & opt int Serve.default_config.Serve.queue_depth
+    & info [ "queue-depth" ] ~docv:"N" ~doc:"Admission queue bound.")
 
 let shed_policy_arg =
   Arg.(
     value
-    & opt (some (enum [ ("newest", Serve.Reject_newest); ("oldest", Serve.Reject_oldest) ])) None
+    & opt
+        (enum [ ("newest", Serve.Reject_newest); ("oldest", Serve.Reject_oldest) ])
+        Serve.default_config.Serve.shed_policy
     & info [ "shed-policy" ] ~docv:"WHO"
-        ~doc:
-          "Who is shed on queue overflow: newest | oldest (overrides \
-           $(b,DCS_SHED_POLICY)).")
+        ~doc:"Who is shed on queue overflow: newest | oldest.")
 
 let oracle_timeout_arg =
   Arg.(
@@ -110,42 +111,14 @@ let percentile sorted p =
   let len = Array.length sorted in
   if len = 0 then 0 else sorted.((len - 1) * p / 100)
 
-let serve metrics seed requests keys hot_fraction mean_gap burst_every
-    burst_len burst_factor deadline queue_depth shed_policy oracle_timeout
-    drop corrupt retries retransmissions =
+let run ~metrics ~seed ~requests traffic cfg =
   let rng = Prng.create seed in
   let catalog_rng = Prng.fork rng in
   let graphs =
-    Array.init keys (fun i ->
+    Array.init traffic.Traffic.keys (fun i ->
         let r = Prng.split catalog_rng i in
         let g0 = Generators.erdos_renyi_connected r ~n:48 ~p:0.12 in
         Csr.of_ugraph (Generators.random_multigraph_weights r g0 ~max_weight:8))
-  in
-  let traffic =
-    {
-      Traffic.keys;
-      Traffic.hot_keys = max 1 (keys / 8);
-      Traffic.hot_fraction = hot_fraction;
-      Traffic.mean_gap = mean_gap;
-      Traffic.burst_every = burst_every;
-      Traffic.burst_len = burst_len;
-      Traffic.burst_factor = burst_factor;
-      Traffic.deadline = deadline;
-    }
-  in
-  let cfg = Serve.config_of_env Serve.default_config in
-  let cfg =
-    {
-      cfg with
-      Serve.queue_depth =
-        (match queue_depth with Some d -> d | None -> cfg.Serve.queue_depth);
-      Serve.shed_policy =
-        (match shed_policy with Some p -> p | None -> cfg.Serve.shed_policy);
-      Serve.oracle = Fault.policy ~timeout:oracle_timeout ();
-      Serve.wire = Fault.policy ~drop ~corrupt ();
-      Serve.retry_budget = retries;
-      Serve.max_retransmissions = retransmissions;
-    }
   in
   let reqs = Traffic.generate (Prng.fork rng) traffic ~n:requests in
   let srv = Serve.create cfg ~graphs ~rng:(Prng.fork rng) in
@@ -186,13 +159,36 @@ let serve metrics seed requests keys hot_fraction mean_gap burst_every
   end
   else 0
 
+let serve metrics seed requests keys hot_fraction mean_gap burst_every
+    burst_len burst_factor deadline queue_depth shed_policy oracle_timeout
+    drop corrupt retries retransmissions =
+  match
+    if requests < 0 then invalid_arg "requests must be >= 0";
+    let traffic =
+      { Traffic.keys; hot_keys = max 1 (keys / 8); hot_fraction; mean_gap;
+        burst_every; burst_len; burst_factor; deadline }
+    in
+    Traffic.validate traffic;
+    let cfg =
+      { Serve.default_config with queue_depth; shed_policy;
+        oracle = Fault.policy ~timeout:oracle_timeout ();
+        wire = Fault.policy ~drop ~corrupt ();
+        retry_budget = retries; max_retransmissions = retransmissions }
+    in
+    Serve.validate cfg;
+    (traffic, cfg)
+  with
+  | exception Invalid_argument reason -> `Error (false, reason)
+  | traffic, cfg -> `Ok (run ~metrics ~seed ~requests traffic cfg)
+
 let () =
   let term =
     Term.(
-      const serve $ metrics_arg $ seed_arg $ requests_arg $ keys_arg $ hot_arg
-      $ gap_arg $ burst_every_arg $ burst_len_arg $ burst_factor_arg
-      $ deadline_arg $ queue_depth_arg $ shed_policy_arg $ oracle_timeout_arg
-      $ drop_arg $ corrupt_arg $ retries_arg $ retransmissions_arg)
+      ret
+        (const serve $ metrics_arg $ seed_arg $ requests_arg $ keys_arg
+       $ hot_arg $ gap_arg $ burst_every_arg $ burst_len_arg $ burst_factor_arg
+       $ deadline_arg $ queue_depth_arg $ shed_policy_arg $ oracle_timeout_arg
+       $ drop_arg $ corrupt_arg $ retries_arg $ retransmissions_arg))
   in
   let info =
     Cmd.info "dcutd" ~version:"1.0.0"

@@ -74,8 +74,8 @@
       byte-identical to cold ones. *)
 
 (** The observability substrate: {!Obs.Metrics} (per-domain sharded
-    counters, gauges and exponential-bucket histograms with a deterministic
-    merge), {!Obs.Trace} (spans with Chrome trace export, [DCS_TRACE]),
+    counters and exponential-bucket histograms with a deterministic merge),
+    {!Obs.Trace} (spans with Chrome trace export, [DCS_TRACE]),
     {!Obs.Report} (the registry rendered as text tables and JSON snapshots,
     [DCS_METRICS]). Every layer below funnels its accounting here; E18
     cross-checks the registry against the bespoke meters. *)

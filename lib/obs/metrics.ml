@@ -10,12 +10,9 @@
 
 let shard_count = 16 (* power of two: domain ids are masked in *)
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Histogram
 
-let kind_name = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
+let kind_name = function Counter -> "counter" | Histogram -> "histogram"
 
 (* Histogram layout: [buckets] exponential buckets followed by one sum cell.
    Bucket 0 holds values <= 0; bucket i (i >= 1) holds [2^(i-1), 2^i), with
@@ -35,7 +32,6 @@ let lock = Mutex.create ()
 let next_id = ref 0
 
 type counter = t
-type gauge = t
 type histogram = t
 
 let default_buckets = 24
@@ -55,7 +51,7 @@ let make ~name ~kind ~buckets =
              m.buckets);
       m
   | None ->
-      let width = match kind with Histogram -> buckets + 1 | _ -> 1 in
+      let width = match kind with Histogram -> buckets + 1 | Counter -> 1 in
       let m =
         {
           id = !next_id;
@@ -74,7 +70,6 @@ let make ~name ~kind ~buckets =
       m
 
 let counter name = make ~name ~kind:Counter ~buckets:0
-let gauge name = make ~name ~kind:Gauge ~buckets:0
 
 let histogram ?(buckets = default_buckets) name =
   if buckets < 2 then invalid_arg "Metrics.histogram: need >= 2 buckets";
@@ -89,8 +84,7 @@ let shard_of_domain () = (Domain.self () :> int) land (shard_count - 1)
    crashed-and-retried task would count twice. [in_attempt] buffers the
    calling domain's increments in a domain-local journal and applies them
    only when the attempt returns — a discarded attempt leaves no trace, so
-   a retried task counts exactly once in the merged snapshot. Gauge [set]s
-   bypass the journal (there is no meaningful delta to replay). Increments
+   a retried task counts exactly once in the merged snapshot. Increments
    made by domains the attempt itself spawns are not buffered. *)
 
 type journal = (int, int array) Hashtbl.t
@@ -154,13 +148,6 @@ let inc ?(by = 1) m =
   if by < 0 then invalid_arg "Metrics.inc: counters are monotone";
   if by > 0 then bump m 0 by
 
-let set m v =
-  (* last-set-wins on the domain's own shard would not merge deterministically;
-     a gauge is a single cell written in place, outside any journal. *)
-  Atomic.set m.cells.(0).(0) v
-
-let add m delta = bump m 0 delta
-
 let bucket_of m v =
   if v <= 0 then 0
   else begin
@@ -178,7 +165,6 @@ let cell_total m cell =
   Array.fold_left (fun acc shard -> acc + Atomic.get shard.(cell)) 0 m.cells
 
 let counter_value m = cell_total m 0
-let gauge_value m = cell_total m 0
 
 type histogram_value = { count : int; sum : int; bucket_counts : int array }
 
@@ -198,10 +184,7 @@ let bucket_label ~buckets b =
   else if b = buckets - 1 then Printf.sprintf "%d+" (bucket_lo b)
   else Printf.sprintf "%d-%d" (bucket_lo b) ((1 lsl b) - 1)
 
-type value =
-  | Counter_v of int
-  | Gauge_v of int
-  | Histogram_v of histogram_value
+type value = Counter_v of int | Histogram_v of histogram_value
 
 type snapshot = (string * value) list
 
@@ -216,15 +199,7 @@ let snapshot () : snapshot =
          let v =
            match m.kind with
            | Counter -> Counter_v (counter_value m)
-           | Gauge -> Gauge_v (gauge_value m)
            | Histogram -> Histogram_v (histogram_value m)
          in
          (m.name, v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset () =
-  List.iter
-    (fun m ->
-      Array.iter (fun shard -> Array.iter (fun c -> Atomic.set c 0) shard)
-        m.cells)
-    (all_metrics ())

@@ -1,8 +1,8 @@
-(** Per-domain sharded metrics: counters, gauges, exponential-bucket
+(** Per-domain sharded metrics: counters and exponential-bucket
     histograms.
 
-    Metrics are process-global and named; {!counter}/{!gauge}/{!histogram}
-    are get-or-create, so any layer can reach for ["oracle.edge_queries"]
+    Metrics are process-global and named; {!counter}/{!histogram} are
+    get-or-create, so any layer can reach for ["oracle.edge_queries"]
     without plumbing a handle through every call site. Each metric is
     sharded over a fixed number of atomic cells indexed by the bumping
     domain, so increments from a {!Dcs_util.Pool} fan-out are never lost
@@ -14,14 +14,11 @@
     them); timing lives in {!Trace}. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
 (** Get-or-create. Raises [Invalid_argument] if the name is already
     registered as a different kind. *)
-
-val gauge : string -> gauge
 
 val histogram : ?buckets:int -> string -> histogram
 (** Exponential buckets (default 24): bucket 0 counts values <= 0, bucket
@@ -31,14 +28,6 @@ val histogram : ?buckets:int -> string -> histogram
 
 val inc : ?by:int -> counter -> unit
 (** Add [by] (default 1, must be >= 0) to the calling domain's shard. *)
-
-val set : gauge -> int -> unit
-(** Plain store (single cell, no sharding): last set wins. Only
-    deterministic when the sets themselves are; typically written once from
-    the main domain (configuration, sizes). Bypasses attempt journals. *)
-
-val add : gauge -> int -> unit
-(** Sharded signed accumulate (e.g. a high-water delta). *)
 
 val observe : histogram -> int -> unit
 (** Count the value into its bucket and accumulate it into the sum cell. *)
@@ -50,15 +39,13 @@ val in_attempt : (unit -> 'a) -> 'a
     how {!Dcs_util.Pool.run_supervised} makes a crashed-and-retried task
     count exactly once in the merged snapshot. Nests: an inner commit folds
     into the enclosing journal, so an outer discard rolls back the whole
-    subtree. Gauge {!set}s and increments made by domains spawned inside
-    [f] bypass the journal. *)
+    subtree. Increments made by domains spawned inside [f] bypass the
+    journal. *)
 
 (** {2 Reading} *)
 
 val counter_value : counter -> int
 (** Merged (all-shard) value. *)
-
-val gauge_value : gauge -> int
 
 type histogram_value = {
   count : int;             (** total observations *)
@@ -74,16 +61,9 @@ val bucket_lo : int -> int
 val bucket_label : buckets:int -> int -> string
 (** Human label for bucket [b], e.g. ["0"], ["4-7"], ["4194304+"]. *)
 
-type value =
-  | Counter_v of int
-  | Gauge_v of int
-  | Histogram_v of histogram_value
+type value = Counter_v of int | Histogram_v of histogram_value
 
 type snapshot = (string * value) list
 (** Sorted by name. *)
 
 val snapshot : unit -> snapshot
-
-val reset : unit -> unit
-(** Zero every cell of every metric; registrations survive. Meant for
-    experiment harnesses that want per-run deltas from a clean slate. *)

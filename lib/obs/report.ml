@@ -14,7 +14,6 @@ let scalar_rows snap =
   List.filter_map
     (function
       | name, Metrics.Counter_v v -> Some [ name; "counter"; Table.fint v ]
-      | name, Metrics.Gauge_v v -> Some [ name; "gauge"; Table.fint v ]
       | _, Metrics.Histogram_v _ -> None)
     snap
 
@@ -108,8 +107,6 @@ let snapshot_json () =
       match v with
       | Metrics.Counter_v c ->
           Buffer.add_string buf (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" c)
-      | Metrics.Gauge_v g ->
-          Buffer.add_string buf (Printf.sprintf "{\"type\":\"gauge\",\"value\":%d}" g)
       | Metrics.Histogram_v h ->
           Buffer.add_string buf
             (Printf.sprintf

@@ -15,7 +15,7 @@ val env_var : string
     JSON snapshot is written to. *)
 
 val render : unit -> string
-(** Text tables: one for counters and gauges, one for histogram buckets
+(** Text tables: one for counters, one for histogram buckets
     (bars rendered with {!Dcs_util.Stats.bucket_bars}). *)
 
 val print : unit -> unit

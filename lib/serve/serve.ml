@@ -41,7 +41,6 @@ type config = {
   queue_depth : int;
   shed_policy : shed_policy;
   batch : int;
-  pool_threshold : int;
   bucket_capacity : int;
   rate_num : int;
   rate_den : int;
@@ -66,7 +65,6 @@ let default_config =
     queue_depth = 512;
     shed_policy = Reject_newest;
     batch = 32;
-    pool_threshold = 8;
     bucket_capacity = 256;
     rate_num = 1;
     rate_den = 2;
@@ -87,32 +85,6 @@ let default_config =
     wire = Fault.no_faults;
   }
 
-let queue_depth_env = "DCS_QUEUE_DEPTH"
-let shed_policy_env = "DCS_SHED_POLICY"
-
-let config_of_env cfg =
-  let cfg =
-    match Sys.getenv_opt queue_depth_env with
-    | None | Some "" -> cfg
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some d when d >= 1 -> { cfg with queue_depth = d }
-        | _ ->
-            invalid_arg
-              (Printf.sprintf "Serve: %s must be a positive integer, got %S"
-                 queue_depth_env s))
-  in
-  match Sys.getenv_opt shed_policy_env with
-  | None | Some "" -> cfg
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "newest" | "reject_newest" -> { cfg with shed_policy = Reject_newest }
-      | "oldest" | "reject_oldest" -> { cfg with shed_policy = Reject_oldest }
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Serve: %s must be \"newest\" or \"oldest\", got %S"
-               shed_policy_env s))
-
 let validate cfg =
   let pos name v = if v < 1 then invalid_arg ("Serve: " ^ name ^ " must be >= 1") in
   let nonneg name v =
@@ -120,7 +92,6 @@ let validate cfg =
   in
   pos "queue_depth" cfg.queue_depth;
   pos "batch" cfg.batch;
-  pos "pool_threshold" cfg.pool_threshold;
   pos "bucket_capacity" cfg.bucket_capacity;
   pos "rate_num" cfg.rate_num;
   pos "rate_den" cfg.rate_den;
@@ -147,31 +118,40 @@ let validate cfg =
   pos "breaker.trip_queue" cfg.breaker.trip_queue;
   pos "breaker.recovery_windows" cfg.breaker.recovery_windows
 
-(* serve.* registry meters; snapshots of these are what the determinism
-   gate diffs across DCS_DOMAINS. *)
-let m_offered = Metrics.counter "serve.offered"
-let m_answered = Metrics.counter "serve.answered"
-let m_degraded_answers = Metrics.counter "serve.answered_degraded"
-let m_shed = Metrics.counter "serve.shed"
-let m_queue_full = Metrics.counter "serve.queue_full"
-let m_rate_limited = Metrics.counter "serve.rate_limited"
-let m_wire_rejections = Metrics.counter "serve.wire_rejections"
-let m_deadline = Metrics.counter "serve.deadline_exceeded"
-let m_cache_hits = Metrics.counter "serve.cache_hits"
-let m_cache_misses = Metrics.counter "serve.cache_misses"
-let m_cache_evictions = Metrics.counter "serve.cache_evictions"
-let m_cache_invalidations = Metrics.counter "serve.cache_invalidations"
-let m_oracle_retries = Metrics.counter "serve.oracle_retries"
-let m_oracle_exhausted = Metrics.counter "serve.oracle_exhausted"
-let m_backoff = Metrics.counter "serve.backoff_ticks"
-let m_breaker_trips = Metrics.counter "serve.breaker_trips"
-let m_breaker_recoveries = Metrics.counter "serve.breaker_recoveries"
-let m_batches = Metrics.counter "serve.batches"
+(* The serve.* registry counters; snapshots of these are what the
+   determinism gate diffs across DCS_DOMAINS. Each also has a slot in every
+   server's [counts], so [stats] reads one server while the registry sums
+   the process. *)
+type tally = { slot : int; meter : Metrics.counter }
+
+let tallies = ref 0
+
+let tally name =
+  let slot = !tallies in
+  incr tallies;
+  { slot; meter = Metrics.counter ("serve." ^ name) }
+
+let offered = tally "offered"
+let answered = tally "answered"
+let degraded_answers = tally "answered_degraded"
+let shed = tally "shed"
+let queue_full = tally "queue_full"
+let rate_limited = tally "rate_limited"
+let wire_rejections = tally "wire_rejections"
+let deadline_rejections = tally "deadline_exceeded"
+let cache_hits = tally "cache_hits"
+let cache_misses = tally "cache_misses"
+let cache_evictions = tally "cache_evictions"
+let cache_invalidations = tally "cache_invalidations"
+let oracle_retries = tally "oracle_retries"
+let oracle_exhausted = tally "oracle_exhausted"
+let backoff_ticks = tally "backoff_ticks"
+let breaker_trips = tally "breaker_trips"
+let breaker_recoveries = tally "breaker_recoveries"
+let batches = tally "batches"
 let m_latency = Metrics.histogram "serve.latency_ticks"
 
 type mode = Full | Degraded
-
-type cache_entry = { graph : Csr.t; mutable last_use : int }
 
 type stats = {
   offered : int;
@@ -201,7 +181,7 @@ type t = {
   domains : int option;
   graphs : Csr.t array;
   fps : int64 array;
-  cache : (int64, cache_entry) Hashtbl.t;
+  cache : (int64, int ref) Hashtbl.t; (* fingerprint -> last use *)
   mutable cache_ops : int;
   bucket : Token_bucket.t;
   wire : Channel.lossy;
@@ -213,25 +193,8 @@ type t = {
   mutable win_seen : int;
   mutable win_faulted : int;
   mutable healthy_streak : int;
-  (* cumulative accounting *)
-  mutable s_offered : int;
-  mutable s_answered : int;
-  mutable s_degraded : int;
-  mutable s_queue_full : int;
-  mutable s_rate_limited : int;
-  mutable s_wire : int;
-  mutable s_deadline : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_invalidations : int;
-  mutable s_retries : int;
-  mutable s_exhausted : int;
-  mutable s_backoff : int;
-  mutable s_trips : int;
-  mutable s_recoveries : int;
-  mutable s_batches : int;
-  mutable s_queue_peak : int;
+  counts : int array; (* by tally slot, since [create] *)
+  mutable queue_peak : int;
 }
 
 let create ?domains cfg ~graphs ~rng =
@@ -262,27 +225,15 @@ let create ?domains cfg ~graphs ~rng =
     win_seen = 0;
     win_faulted = 0;
     healthy_streak = 0;
-    s_offered = 0;
-    s_answered = 0;
-    s_degraded = 0;
-    s_queue_full = 0;
-    s_rate_limited = 0;
-    s_wire = 0;
-    s_deadline = 0;
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
-    s_invalidations = 0;
-    s_retries = 0;
-    s_exhausted = 0;
-    s_backoff = 0;
-    s_trips = 0;
-    s_recoveries = 0;
-    s_batches = 0;
-    s_queue_peak = 0;
+    counts = Array.make !tallies 0;
+    queue_peak = 0;
   }
 
 let degraded t = t.mode = Degraded
+
+let count ?(by = 1) t c =
+  t.counts.(c.slot) <- t.counts.(c.slot) + by;
+  Metrics.inc ~by c.meter
 
 (* Live catalog mutation: the streaming layer re-freezes a graph and swaps
    it in here. Invalidation is keyed exactly like lookup — by fingerprint —
@@ -298,36 +249,32 @@ let update_graph t ~key csr =
   t.fps.(key) <- fp;
   if not (Int64.equal fp old_fp) then begin
     Hashtbl.remove t.cache old_fp;
-    t.s_invalidations <- t.s_invalidations + 1;
-    Metrics.inc m_cache_invalidations
+    count t cache_invalidations
   end
 
 (* Sketch-cache lookup by graph fingerprint, control-plane only (never
    touched from pool tasks). Returns whether it was a hit; a miss installs
    the entry, evicting the least-recently-used one at capacity. *)
-let cache_lookup t fp key =
+let cache_lookup t fp =
   t.cache_ops <- t.cache_ops + 1;
   match Hashtbl.find_opt t.cache fp with
-  | Some e ->
-      e.last_use <- t.cache_ops;
-      t.s_hits <- t.s_hits + 1;
-      Metrics.inc m_cache_hits;
+  | Some last_use ->
+      last_use := t.cache_ops;
+      count t cache_hits;
       true
   | None ->
-      t.s_misses <- t.s_misses + 1;
-      Metrics.inc m_cache_misses;
+      count t cache_misses;
       if Hashtbl.length t.cache >= t.cfg.cache_capacity then begin
-        (* last_use values are distinct, so the LRU victim is unique and
+        (* last-use ticks are distinct, so the LRU victim is unique and
            the scan order cannot leak into the outcome. *)
         let victim = ref Int64.zero and oldest = ref max_int in
         Hashtbl.iter
-          (fun k e -> if e.last_use < !oldest then (victim := k; oldest := e.last_use))
+          (fun k u -> if !u < !oldest then (victim := k; oldest := !u))
           t.cache;
         Hashtbl.remove t.cache !victim;
-        t.s_evictions <- t.s_evictions + 1;
-        Metrics.inc m_cache_evictions
+        count t cache_evictions
       end;
-      Hashtbl.add t.cache fp { graph = t.graphs.(key); last_use = t.cache_ops };
+      Hashtbl.add t.cache fp (ref t.cache_ops);
       false
 
 (* Snap a value to the nearest power of (1 + eps): the quantized answer is
@@ -366,14 +313,18 @@ let trip t =
   t.healthy_streak <- 0;
   t.win_seen <- 0;
   t.win_faulted <- 0;
-  t.s_trips <- t.s_trips + 1;
-  Metrics.inc m_breaker_trips
+  count t breaker_trips
 
 let recover t =
   t.mode <- Full;
   t.healthy_streak <- 0;
-  t.s_recoveries <- t.s_recoveries + 1;
-  Metrics.inc m_breaker_recoveries
+  count t breaker_recoveries
+
+(* Batches at least this big fan out on Pool.run_supervised; smaller ones
+   run inline on the control domain. Each slot is a pure function of the
+   trace seq (fault and jitter streams are split by it), so the inline path
+   computes bit for bit what the pool would. *)
+let pool_threshold = 8
 
 let run t (reqs : Traffic.request array) =
   let cfg = t.cfg in
@@ -386,8 +337,7 @@ let run t (reqs : Traffic.request array) =
   done;
   if n > 0 && reqs.(0).Traffic.arrival < t.clock then
     invalid_arg "Serve.run: trace starts before the server clock";
-  t.s_offered <- t.s_offered + n;
-  Metrics.inc ~by:n m_offered;
+  count ~by:n t offered;
   let resp : response option array = Array.make n None in
   let respond pos r =
     assert (resp.(pos) = None);
@@ -396,27 +346,20 @@ let run t (reqs : Traffic.request array) =
   let reject pos rej =
     (match rej with
     | Overloaded cause ->
-        Metrics.inc m_shed;
-        (match cause with
-        | Queue_full ->
-            t.s_queue_full <- t.s_queue_full + 1;
-            Metrics.inc m_queue_full
-        | Rate_limited ->
-            t.s_rate_limited <- t.s_rate_limited + 1;
-            Metrics.inc m_rate_limited
-        | Wire_give_up _ ->
-            t.s_wire <- t.s_wire + 1;
-            Metrics.inc m_wire_rejections)
-    | Deadline_exceeded _ ->
-        t.s_deadline <- t.s_deadline + 1;
-        Metrics.inc m_deadline);
+        count t shed;
+        count t
+          (match cause with
+          | Queue_full -> queue_full
+          | Rate_limited -> rate_limited
+          | Wire_give_up _ -> wire_rejections)
+    | Deadline_exceeded _ -> count t deadline_rejections);
     respond pos (Rejected rej)
   in
   let queue : int Queue.t = Queue.create () in
   let qi = ref 0 in
   let note_depth () =
     let d = Queue.length queue in
-    if d > t.s_queue_peak then t.s_queue_peak <- d
+    if d > t.queue_peak then t.queue_peak <- d
   in
   (* Ingest every arrival due at the current clock: same-tick groups share
      one CRC frame over the lossy wire, then each surviving request faces
@@ -504,72 +447,52 @@ let run t (reqs : Traffic.request array) =
         Array.map
           (fun pos ->
             let r = reqs.(pos) in
-            let hit = cache_lookup t t.fps.(r.Traffic.key) r.Traffic.key in
+            let hit = cache_lookup t t.fps.(r.Traffic.key) in
             (pos, r, t.graphs.(r.Traffic.key), hit))
           live
       in
-      let batch_rng = Prng.split t.pool_master t.s_batches in
-      t.s_batches <- t.s_batches + 1;
-      Metrics.inc m_batches;
-      (* Each slot is a pure function of the trace seq (fault and jitter
-         streams are split by it), so the inline fast path below the
-         dispatch threshold computes bit for bit what the pool would. *)
+      let batch_rng = Prng.split t.pool_master t.counts.(batches.slot) in
+      count t batches;
       let compute_one p =
         let _, r, g, hit = prepared.(p) in
-            let exact =
-              Csr.cut_value g (Cut.random (Prng.create r.Traffic.cut_seed) ~n:(Csr.n g))
-            in
-            let build = if hit then 0 else cfg.cost_build in
-            match mode with
-            | Degraded ->
-                {
-                  c_value = quantize ~eps:cfg.eps_degraded exact;
-                  c_eps = cfg.eps_degraded;
-                  c_degraded = true;
-                  c_cost = cfg.cost_degraded + build;
-                  c_retries = 0;
-                  c_exhausted = false;
-                  c_backoff = 0;
-                  c_hit = hit;
-                }
-            | Full -> (
-                (* Per-request injector and jitter streams are split by the
-                   trace seq, so retries replay identically at any domain
-                   count or batch composition. *)
-                let inj = Fault.split t.oracle r.Traffic.seq in
-                let jrng = Prng.split t.jitter_master r.Traffic.seq in
-                let o =
-                  Retry.with_jittered_backoff ~budget:cfg.retry_budget
-                    ~base:cfg.backoff_base ~cap:cfg.backoff_cap ~rng:jrng
-                    (fun ~attempt:_ -> if Fault.times_out inj then None else Some ())
-                in
-                let retries = o.Retry.attempts - 1 in
-                match o.Retry.value with
-                | Some () ->
-                    {
-                      c_value = quantize ~eps:cfg.eps_full exact;
-                      c_eps = cfg.eps_full;
-                      c_degraded = false;
-                      c_cost = cfg.cost_full + o.Retry.backoff_units + build;
-                      c_retries = retries;
-                      c_exhausted = false;
-                      c_backoff = o.Retry.backoff_units;
-                      c_hit = hit;
-                    }
-                | None ->
-                    {
-                      c_value = quantize ~eps:cfg.eps_degraded exact;
-                      c_eps = cfg.eps_degraded;
-                      c_degraded = true;
-                      c_cost = cfg.cost_degraded + o.Retry.backoff_units + build;
-                      c_retries = retries;
-                      c_exhausted = true;
-                      c_backoff = o.Retry.backoff_units;
-                      c_hit = hit;
-                    })
+        let exact =
+          Csr.cut_value g (Cut.random (Prng.create r.Traffic.cut_seed) ~n:(Csr.n g))
+        in
+        let full, retries, backoff =
+          match mode with
+          | Degraded -> (false, 0, 0)
+          | Full ->
+              (* Per-request injector and jitter streams are split by the
+                 trace seq, so retries replay identically at any domain
+                 count or batch composition. *)
+              let inj = Fault.split t.oracle r.Traffic.seq in
+              let jrng = Prng.split t.jitter_master r.Traffic.seq in
+              let o =
+                Retry.with_jittered_backoff ~budget:cfg.retry_budget
+                  ~base:cfg.backoff_base ~cap:cfg.backoff_cap ~rng:jrng
+                  (fun ~attempt:_ -> if Fault.times_out inj then None else Some ())
+              in
+              ( Option.is_some o.Retry.value,
+                o.Retry.attempts - 1,
+                o.Retry.backoff_units )
+        in
+        let eps, cost =
+          if full then (cfg.eps_full, cfg.cost_full)
+          else (cfg.eps_degraded, cfg.cost_degraded)
+        in
+        {
+          c_value = quantize ~eps exact;
+          c_eps = eps;
+          c_degraded = not full;
+          c_cost = cost + backoff + (if hit then 0 else cfg.cost_build);
+          c_retries = retries;
+          c_exhausted = (mode = Full && not full);
+          c_backoff = backoff;
+          c_hit = hit;
+        }
       in
       let results =
-        if Array.length prepared < cfg.pool_threshold then
+        if Array.length prepared < pool_threshold then
           Array.init (Array.length prepared) compute_one
         else
           fst
@@ -588,28 +511,15 @@ let run t (reqs : Traffic.request array) =
           t.win_seen <- t.win_seen + 1;
           if c.c_retries > 0 || c.c_exhausted then
             t.win_faulted <- t.win_faulted + 1;
-          if c.c_retries > 0 then begin
-            t.s_retries <- t.s_retries + c.c_retries;
-            Metrics.inc ~by:c.c_retries m_oracle_retries
-          end;
-          if c.c_exhausted then begin
-            t.s_exhausted <- t.s_exhausted + 1;
-            Metrics.inc m_oracle_exhausted
-          end;
-          if c.c_backoff > 0 then begin
-            t.s_backoff <- t.s_backoff + c.c_backoff;
-            Metrics.inc ~by:c.c_backoff m_backoff
-          end;
+          count ~by:c.c_retries t oracle_retries;
+          if c.c_exhausted then count t oracle_exhausted;
+          count ~by:c.c_backoff t backoff_ticks;
           let latency = !tserv - r.arrival in
           if latency > r.deadline then
             reject pos (Deadline_exceeded { lateness = latency - r.deadline })
           else begin
-            t.s_answered <- t.s_answered + 1;
-            Metrics.inc m_answered;
-            if c.c_degraded then begin
-              t.s_degraded <- t.s_degraded + 1;
-              Metrics.inc m_degraded_answers
-            end;
+            count t answered;
+            if c.c_degraded then count t degraded_answers;
             Metrics.observe m_latency latency;
             respond pos
               (Answered
@@ -640,25 +550,26 @@ let run t (reqs : Traffic.request array) =
     resp
 
 let stats t =
+  let v c = t.counts.(c.slot) in
   {
-    offered = t.s_offered;
-    answered = t.s_answered;
-    degraded_answers = t.s_degraded;
-    shed = t.s_queue_full + t.s_rate_limited + t.s_wire;
-    queue_full = t.s_queue_full;
-    rate_limited = t.s_rate_limited;
-    wire_rejections = t.s_wire;
-    deadline_rejections = t.s_deadline;
-    cache_hits = t.s_hits;
-    cache_misses = t.s_misses;
-    cache_evictions = t.s_evictions;
-    cache_invalidations = t.s_invalidations;
-    oracle_retries = t.s_retries;
-    oracle_exhausted = t.s_exhausted;
-    backoff_ticks = t.s_backoff;
-    breaker_trips = t.s_trips;
-    breaker_recoveries = t.s_recoveries;
-    batches = t.s_batches;
-    queue_peak = t.s_queue_peak;
+    offered = v offered;
+    answered = v answered;
+    degraded_answers = v degraded_answers;
+    shed = v shed;
+    queue_full = v queue_full;
+    rate_limited = v rate_limited;
+    wire_rejections = v wire_rejections;
+    deadline_rejections = v deadline_rejections;
+    cache_hits = v cache_hits;
+    cache_misses = v cache_misses;
+    cache_evictions = v cache_evictions;
+    cache_invalidations = v cache_invalidations;
+    oracle_retries = v oracle_retries;
+    oracle_exhausted = v oracle_exhausted;
+    backoff_ticks = v backoff_ticks;
+    breaker_trips = v breaker_trips;
+    breaker_recoveries = v breaker_recoveries;
+    batches = v batches;
+    queue_peak = t.queue_peak;
     clock = t.clock;
   }

@@ -12,8 +12,9 @@
     {b The cardinal rule: rejected ≠ dropped.} Every offered request gets
     exactly one response — an answer, or a {e typed} rejection saying who
     refused it and why. [run] enforces structurally that
-    [answered + shed + deadline_rejections = offered], and the same
-    accounting is mirrored in the [serve.*] metrics registry.
+    [answered + shed + deadline_rejections = offered]. Each counted event
+    bumps the server's own tally and its [serve.*] registry counter in one
+    step, so {!stats} and the registry agree.
 
     The life of a request:
 
@@ -25,8 +26,9 @@
     + {b admission}: a token bucket ({!Dcs_util.Token_bucket}) rate-limits
       at the arrival tick, then a bounded FIFO queue admits or sheds per
       the configured {!shed_policy};
-    + {b service}: batches are pulled from the queue and executed on
-      {!Dcs_util.Pool.run_supervised}. The sketch cache — keyed by
+    + {b service}: batches are pulled from the queue; a batch of 8 or more
+      live requests runs on {!Dcs_util.Pool.run_supervised}, a smaller one
+      inline (bit-identical either way). The sketch cache — keyed by
       {!Dcs_graph.Csr.fingerprint} — is consulted in the control plane; a
       miss charges the sketch (re)build cost. Oracle timeouts (seeded
       {!Dcs_util.Fault}) are retried with capped jittered exponential
@@ -84,14 +86,9 @@ type breaker_config = {
 }
 
 type config = {
-  queue_depth : int;        (** admission queue bound ([DCS_QUEUE_DEPTH]) *)
-  shed_policy : shed_policy;(** who is shed on overflow ([DCS_SHED_POLICY]) *)
+  queue_depth : int;        (** admission queue bound *)
+  shed_policy : shed_policy;(** who is shed on overflow *)
   batch : int;              (** max requests pulled per service batch *)
-  pool_threshold : int;     (** batches at least this big fan out on
-                                {!Dcs_util.Pool.run_supervised};
-                                smaller ones execute inline on the control
-                                domain (bit-identical either way — slots
-                                are pure functions of the trace seq) *)
   bucket_capacity : int;    (** token-bucket burst capacity, tokens *)
   rate_num : int;           (** bucket refill: [rate_num / rate_den] ... *)
   rate_den : int;           (** ... tokens per tick *)
@@ -113,21 +110,9 @@ type config = {
 
 val default_config : config
 (** Fault-free, calm-capacity defaults: queue 512 / [Reject_newest],
-    batch 32 (pool threshold 8), bucket 256 at 1/2 token per tick, eps
-    0.05 full / 0.25
+    batch 32, bucket 256 at 1/2 token per tick, eps 0.05 full / 0.25
     degraded, costs 6/2/12 + overhead 2, cache 16, retry budget 4 with
     backoff 1..16, 4 retransmissions, breaker (64, 0.5, 384, 3). *)
-
-val queue_depth_env : string
-(** ["DCS_QUEUE_DEPTH"]. *)
-
-val shed_policy_env : string
-(** ["DCS_SHED_POLICY"]: ["newest"] or ["oldest"] (case-insensitive). *)
-
-val config_of_env : config -> config
-(** Overlay the two admission knobs from the environment, when set and
-    non-empty: [DCS_QUEUE_DEPTH] (positive integer) and [DCS_SHED_POLICY].
-    Anything unparseable raises [Invalid_argument]. *)
 
 val validate : config -> unit
 (** [Invalid_argument] on nonsensical bounds (non-positive depths, batch,

@@ -61,14 +61,58 @@ let check_accounting responses (s : Serve.stats) =
   Alcotest.(check int) "shed decomposition" s.Serve.shed
     (s.Serve.queue_full + s.Serve.rate_limited + s.Serve.wire_rejections)
 
+(* Each registry counter beside the stats field that tallies it. *)
+let registry_tallies (s : Serve.stats) =
+  Serve.
+    [ ("serve.offered", s.offered); ("serve.answered", s.answered);
+      ("serve.answered_degraded", s.degraded_answers); ("serve.shed", s.shed);
+      ("serve.queue_full", s.queue_full); ("serve.rate_limited", s.rate_limited);
+      ("serve.wire_rejections", s.wire_rejections);
+      ("serve.deadline_exceeded", s.deadline_rejections);
+      ("serve.cache_hits", s.cache_hits); ("serve.cache_misses", s.cache_misses);
+      ("serve.cache_evictions", s.cache_evictions);
+      ("serve.cache_invalidations", s.cache_invalidations);
+      ("serve.oracle_retries", s.oracle_retries);
+      ("serve.oracle_exhausted", s.oracle_exhausted);
+      ("serve.backoff_ticks", s.backoff_ticks);
+      ("serve.breaker_trips", s.breaker_trips);
+      ("serve.breaker_recoveries", s.breaker_recoveries);
+      ("serve.batches", s.batches) ]
+
+let registry_counter snap name =
+  match List.assoc_opt name snap with
+  | Some (Obs.Metrics.Counter_v v) -> v
+  | _ -> Alcotest.failf "%s is not a registered counter" name
+
+(* Each tally of [s] equals how far its registry counter moved since
+   [before], a registry snapshot taken before the server ran. *)
+let check_registry before (s : Serve.stats) =
+  let after = Obs.Metrics.snapshot () in
+  List.iter
+    (fun (name, tally) ->
+      Alcotest.(check int) (name ^ " = registry delta") tally
+        (registry_counter after name - registry_counter before name))
+    (registry_tallies s)
+
+(* Serve [reqs] on a fresh server over the shared catalog, then check the
+   accounting and the registry. *)
+let serve_checked ?domains cfg ~seed reqs =
+  let srv =
+    Serve.create ?domains cfg ~graphs:(Lazy.force graphs) ~rng:(Prng.create seed)
+  in
+  let before = Obs.Metrics.snapshot () in
+  let responses = Serve.run srv reqs in
+  let s = Serve.stats srv in
+  check_accounting responses s;
+  check_registry before s;
+  (responses, s)
+
 (* --- calm path --- *)
 
 let test_calm_all_answered () =
   let gs = Lazy.force graphs in
   let reqs = trace (List.init 64 (fun i -> (i * 20, i mod 4))) in
-  let srv = Serve.create Serve.default_config ~graphs:gs ~rng:(Prng.create 1) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
+  let responses, s = serve_checked Serve.default_config ~seed:1 reqs in
   Alcotest.(check int) "one response per request" 64 (Array.length responses);
   Alcotest.(check int) "all answered" 64 s.Serve.answered;
   Alcotest.(check int) "nothing degraded" 0 s.Serve.degraded_answers;
@@ -82,21 +126,16 @@ let test_calm_all_answered () =
       | Serve.Rejected _ -> Alcotest.fail "calm trace rejected a request")
     responses;
   check_accuracy gs reqs responses;
-  check_accounting responses s;
   (* 4 distinct keys, capacity 16: first touch per key misses, rest hit. *)
   Alcotest.(check int) "one miss per key" 4 s.Serve.cache_misses;
   Alcotest.(check int) "the rest hit" 60 s.Serve.cache_hits;
   Alcotest.(check int) "no evictions" 0 s.Serve.cache_evictions
 
 let test_cache_thrash_evicts () =
-  let gs = Lazy.force graphs in
   (* Round-robin over 8 keys with room for 2: every lookup misses. *)
   let reqs = trace (List.init 64 (fun i -> (i * 20, i mod 8))) in
   let cfg = { Serve.default_config with Serve.cache_capacity = 2 } in
-  let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create 2) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let _, s = serve_checked cfg ~seed:2 reqs in
   Alcotest.(check int) "every lookup misses" 64 s.Serve.cache_misses;
   Alcotest.(check bool) "evictions happened" true (s.Serve.cache_evictions > 0);
   Alcotest.(check int) "lookups = computed requests" s.Serve.answered
@@ -164,29 +203,21 @@ let queue_full_seqs responses =
   List.rev !shed
 
 let test_shed_newest_exact () =
-  let gs = Lazy.force graphs in
   (* 16 simultaneous arrivals into a depth-4 queue: seqs 0-3 are admitted,
      every later arrival is the newest and is shed. *)
   let reqs = trace (List.init 16 (fun i -> (0, i mod 4))) in
-  let srv = Serve.create overflow_cfg ~graphs:gs ~rng:(Prng.create 3) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked overflow_cfg ~seed:3 reqs in
   Alcotest.(check (list int)) "arrivals 4..15 shed"
     (List.init 12 (fun i -> i + 4))
     (queue_full_seqs responses);
   Alcotest.(check int) "the four oldest answered" 4 s.Serve.answered
 
 let test_shed_oldest_exact () =
-  let gs = Lazy.force graphs in
   (* Same offered load, opposite policy: each arrival displaces the head,
      so the last 4 arrivals survive and seqs 0-11 are shed. *)
   let reqs = trace (List.init 16 (fun i -> (0, i mod 4))) in
   let cfg = { overflow_cfg with Serve.shed_policy = Serve.Reject_oldest } in
-  let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create 3) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked cfg ~seed:3 reqs in
   Alcotest.(check (list int)) "arrivals 0..11 shed"
     (List.init 12 Fun.id)
     (queue_full_seqs responses);
@@ -194,7 +225,6 @@ let test_shed_oldest_exact () =
   Alcotest.(check int) "queue peak = depth" 4 s.Serve.queue_peak
 
 let test_rate_limiting () =
-  let gs = Lazy.force graphs in
   (* One-token bucket refilling a token per 1000 ticks: of ten arrivals in
      ten ticks, only the first is admitted. *)
   let reqs = trace (List.init 10 (fun i -> (i, 0))) in
@@ -206,10 +236,7 @@ let test_rate_limiting () =
       Serve.rate_den = 1_000;
     }
   in
-  let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create 4) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked cfg ~seed:4 reqs in
   Alcotest.(check int) "one admitted" 1 s.Serve.answered;
   Alcotest.(check int) "nine rate-limited" 9 s.Serve.rate_limited;
   Array.iteri
@@ -222,14 +249,10 @@ let test_rate_limiting () =
     responses
 
 let test_deadline_exceeded_typed () =
-  let gs = Lazy.force graphs in
   (* Service costs 6 + 2 overhead ticks against a 1-tick budget: every
      request completes, late, and says by how much. *)
   let reqs = trace ~deadline:1 (List.init 8 (fun i -> (i * 500, i mod 4))) in
-  let srv = Serve.create Serve.default_config ~graphs:gs ~rng:(Prng.create 5) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked Serve.default_config ~seed:5 reqs in
   Alcotest.(check int) "all late" 8 s.Serve.deadline_rejections;
   Array.iter
     (function
@@ -239,7 +262,6 @@ let test_deadline_exceeded_typed () =
     responses
 
 let test_wire_give_up_rejects_frame () =
-  let gs = Lazy.force graphs in
   (* A dead wire: every frame exhausts its retransmissions and its whole
      group is rejected with the give-up accounting attached. *)
   let reqs = trace (List.init 12 (fun i -> (i * 100, i mod 4))) in
@@ -250,10 +272,7 @@ let test_wire_give_up_rejects_frame () =
       Serve.max_retransmissions = 2;
     }
   in
-  let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create 6) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked cfg ~seed:6 reqs in
   Alcotest.(check int) "everything rejected on the wire" 12
     s.Serve.wire_rejections;
   Array.iter
@@ -286,10 +305,7 @@ let test_breaker_trips_and_recovers () =
         };
     }
   in
-  let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create 7) in
-  let responses = Serve.run srv reqs in
-  let s = Serve.stats srv in
-  check_accounting responses s;
+  let responses, s = serve_checked cfg ~seed:7 reqs in
   check_accuracy gs reqs responses;
   Alcotest.(check bool) "breaker tripped more than once" true
     (s.Serve.breaker_trips >= 2);
@@ -350,38 +366,7 @@ let test_run_validates_trace () =
        false
      with Invalid_argument _ -> true)
 
-(* --- config plumbing --- *)
-
-let test_config_of_env () =
-  let with_env k v f =
-    let old = Sys.getenv_opt k in
-    Unix.putenv k v;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv k (Option.value old ~default:""))
-      f
-  in
-  with_env Serve.queue_depth_env "77" (fun () ->
-      with_env Serve.shed_policy_env "OLDEST" (fun () ->
-          let cfg = Serve.config_of_env Serve.default_config in
-          Alcotest.(check int) "depth from env" 77 cfg.Serve.queue_depth;
-          Alcotest.(check bool) "policy from env" true
-            (cfg.Serve.shed_policy = Serve.Reject_oldest)));
-  with_env Serve.queue_depth_env "" (fun () ->
-      let cfg = Serve.config_of_env Serve.default_config in
-      Alcotest.(check int) "empty means default"
-        Serve.default_config.Serve.queue_depth cfg.Serve.queue_depth);
-  with_env Serve.queue_depth_env "-3" (fun () ->
-      Alcotest.(check bool) "bad depth rejected" true
-        (try
-           ignore (Serve.config_of_env Serve.default_config);
-           false
-         with Invalid_argument _ -> true));
-  with_env Serve.shed_policy_env "sideways" (fun () ->
-      Alcotest.(check bool) "bad policy rejected" true
-        (try
-           ignore (Serve.config_of_env Serve.default_config);
-           false
-         with Invalid_argument _ -> true))
+(* --- config validation --- *)
 
 let test_validate_rejects () =
   let bad msg cfg =
@@ -406,43 +391,77 @@ let test_validate_rejects () =
     };
   Serve.validate Serve.default_config
 
+(* --- the stressed trace: bursty arrivals, faulty oracle, flaky wire,
+   small queue; full batches of 8 fan out on the pool --- *)
+
+let stressed_reqs =
+  lazy
+    (Traffic.generate (Prng.create 44)
+       {
+         Traffic.keys = 8;
+         Traffic.hot_keys = 2;
+         Traffic.hot_fraction = 0.8;
+         Traffic.mean_gap = 4;
+         Traffic.burst_every = 500;
+         Traffic.burst_len = 150;
+         Traffic.burst_factor = 8;
+         Traffic.deadline = 60;
+       }
+       ~n:3_000)
+
+let stressed_cfg =
+  {
+    Serve.default_config with
+    Serve.queue_depth = 16;
+    Serve.batch = 8;
+    Serve.oracle = Fault.policy ~timeout:0.3 ();
+    Serve.wire = Fault.policy ~drop:0.05 ~corrupt:0.05 ();
+  }
+
+(* --- golden pin --- *)
+
+let response_line = function
+  | Serve.Answered a ->
+      Printf.sprintf "answered %h %h %b %d %b" a.Serve.value a.Serve.eps
+        a.Serve.degraded a.Serve.latency a.Serve.cache_hit
+  | Serve.Rejected (Serve.Overloaded Serve.Queue_full) -> "queue_full"
+  | Serve.Rejected (Serve.Overloaded Serve.Rate_limited) -> "rate_limited"
+  | Serve.Rejected (Serve.Overloaded (Serve.Wire_give_up g)) ->
+      Printf.sprintf "wire %d %d %d" g.Channel.transmissions g.Channel.gu_drops
+        g.Channel.gu_corruptions
+  | Serve.Rejected (Serve.Deadline_exceeded { lateness }) ->
+      Printf.sprintf "late %d" lateness
+
+(* Golden values for the stressed trace plus one live update: a change to
+   the engine's bookkeeping must move no response and no count, and every
+   tally must equal the delta of its registry counter. *)
+let test_golden_stressed () =
+  let gs = Array.copy (Lazy.force graphs) in
+  let before = Obs.Metrics.snapshot () in
+  let srv = Serve.create stressed_cfg ~graphs:gs ~rng:(Prng.create 45) in
+  let responses = Serve.run srv (Lazy.force stressed_reqs) in
+  Serve.update_graph srv ~key:0 gs.(1);
+  let s = Serve.stats srv in
+  let lines =
+    Array.to_list (Array.map response_line responses)
+    @ List.map
+        (fun (k, v) -> Printf.sprintf "%s %d" k v)
+        (registry_tallies s
+        @ [ ("queue_peak", s.Serve.queue_peak); ("clock", s.Serve.clock) ])
+  in
+  Alcotest.(check string) "digest of responses and stats"
+    "8cec3593d993e81b6fbfb479697e75e4"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)));
+  check_registry before s
+
 (* --- determinism across DCS_DOMAINS --- *)
 
 let test_cross_domain_identical () =
-  let gs = Lazy.force graphs in
-  (* A stressed trace (bursty arrivals, faulty oracle, flaky wire, small
-     queue, pool dispatch forced on) must be byte-identical at 1/2/4
-     domains: responses and every counter. *)
-  let traffic =
-    {
-      Traffic.keys = 8;
-      Traffic.hot_keys = 2;
-      Traffic.hot_fraction = 0.8;
-      Traffic.mean_gap = 4;
-      Traffic.burst_every = 500;
-      Traffic.burst_len = 150;
-      Traffic.burst_factor = 8;
-      Traffic.deadline = 60;
-    }
-  in
-  let reqs = Traffic.generate (Prng.create 44) traffic ~n:3_000 in
-  let cfg =
-    {
-      Serve.default_config with
-      Serve.queue_depth = 16;
-      Serve.batch = 8;
-      Serve.pool_threshold = 1;
-      Serve.oracle = Fault.policy ~timeout:0.3 ();
-      Serve.wire = Fault.policy ~drop:0.05 ~corrupt:0.05 ();
-    }
-  in
-  let run domains =
-    let srv = Serve.create ~domains cfg ~graphs:gs ~rng:(Prng.create 45) in
-    let responses = Serve.run srv reqs in
-    (responses, Serve.stats srv)
-  in
+  (* The stressed trace must be byte-identical at 1/2/4 domains: responses
+     and every counter. *)
+  let reqs = Lazy.force stressed_reqs in
+  let run domains = serve_checked ~domains stressed_cfg ~seed:45 reqs in
   let r1, s1 = run 1 in
-  check_accounting r1 s1;
   Alcotest.(check bool)
     (Printf.sprintf "answers exercised (%d)" s1.Serve.answered)
     true (s1.Serve.answered > 0);
@@ -474,7 +493,6 @@ let prop_no_silent_drops =
       quad (int_range 0 60) (int_range 1 6) (int_range 1 1_000)
         (int_range 1 10_000))
     (fun (n, queue_depth, deadline, seed) ->
-      let gs = Lazy.force graphs in
       let traffic =
         {
           Traffic.keys = 8;
@@ -499,23 +517,8 @@ let prop_no_silent_drops =
           Serve.max_retransmissions = 1;
         }
       in
-      let srv = Serve.create cfg ~graphs:gs ~rng:(Prng.create (seed + 1)) in
-      let responses = Serve.run srv reqs in
-      let s = Serve.stats srv in
-      let answered = ref 0 and shed = ref 0 and late = ref 0 in
-      Array.iter
-        (function
-          | Serve.Answered _ -> incr answered
-          | Serve.Rejected (Serve.Overloaded _) -> incr shed
-          | Serve.Rejected (Serve.Deadline_exceeded _) -> incr late)
-        responses;
-      Array.length responses = n
-      && !answered + !shed + !late = n
-      && s.Serve.answered = !answered
-      && s.Serve.shed = !shed
-      && s.Serve.deadline_rejections = !late
-      && s.Serve.shed
-         = s.Serve.queue_full + s.Serve.rate_limited + s.Serve.wire_rejections)
+      let responses, s = serve_checked cfg ~seed:(seed + 1) reqs in
+      Array.length responses = n && s.Serve.offered = n)
 
 let suite =
   [
@@ -540,9 +543,9 @@ let suite =
       test_clock_persists_across_runs;
     Alcotest.test_case "serve: run validates trace" `Quick
       test_run_validates_trace;
-    Alcotest.test_case "serve: config from environment" `Quick
-      test_config_of_env;
     Alcotest.test_case "serve: validate rejects" `Quick test_validate_rejects;
+    Alcotest.test_case "serve: golden stressed trace" `Quick
+      test_golden_stressed;
     Alcotest.test_case "serve: cross-domain identical" `Quick
       test_cross_domain_identical;
     QCheck_alcotest.to_alcotest prop_no_silent_drops;

@@ -16,7 +16,7 @@ module M = Obs.Metrics
 
 let domain_counts = [ 1; 2; 4 ]
 
-(* --- counters, gauges, histograms: single-domain basics --- *)
+(* --- counters, histograms: single-domain basics --- *)
 
 let test_counter_basics () =
   let c = M.counter "obs.test.basic" in
@@ -29,20 +29,11 @@ let test_counter_basics () =
 
 let test_kind_mismatch_raises () =
   ignore (M.counter "obs.test.kinded");
-  Alcotest.(check bool) "counter reopened as gauge raises" true
+  Alcotest.(check bool) "counter reopened as histogram raises" true
     (try
-       ignore (M.gauge "obs.test.kinded");
+       ignore (M.histogram "obs.test.kinded");
        false
      with Invalid_argument _ -> true)
-
-let test_gauge () =
-  let g = M.gauge "obs.test.gauge" in
-  M.set g 7;
-  Alcotest.(check int) "set" 7 (M.gauge_value g);
-  M.set g 3;
-  Alcotest.(check int) "last set wins" 3 (M.gauge_value g);
-  M.add g (-5);
-  Alcotest.(check int) "signed accumulate" (-2) (M.gauge_value g)
 
 let test_histogram_buckets () =
   let h = M.histogram ~buckets:8 "obs.test.hist" in
@@ -266,7 +257,6 @@ let suite =
   [
     Alcotest.test_case "metrics: counter basics" `Quick test_counter_basics;
     Alcotest.test_case "metrics: kind mismatch raises" `Quick test_kind_mismatch_raises;
-    Alcotest.test_case "metrics: gauge" `Quick test_gauge;
     Alcotest.test_case "metrics: histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "metrics: no lost increments (parallel)" `Quick
       test_no_lost_increments_parallel;
