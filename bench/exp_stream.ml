@@ -380,15 +380,16 @@ let streamed_exact _rng graph =
   Digraph.iter_edges graph (fun u v w -> edges := (u, v, w) :: !edges);
   List.iteri
     (fun i (u, v, w) ->
+      let push op w = apply_direct t { op; u; v; w } in
       if u <> v then begin
         if i mod 3 = 0 then begin
-          Stream_sketch.insert t ~u ~v ~w:(w /. 2.);
-          Stream_sketch.insert t ~u ~v ~w:(w /. 2.)
+          push Wal.Insert (w /. 2.);
+          push Wal.Insert (w /. 2.)
         end
-        else Stream_sketch.insert t ~u ~v ~w;
+        else push Wal.Insert w;
         if i mod 5 = 0 then begin
-          Stream_sketch.insert t ~u ~v ~w:2.0;
-          Stream_sketch.delete t ~u ~v ~w:2.0
+          push Wal.Insert 2.0;
+          push Wal.Delete 2.0
         end
       end)
     !edges;
@@ -539,11 +540,12 @@ let serving_battery () =
         let t = Stream_sketch.create ~n:gn ~seed:(100 + i) () in
         let k = ref 0 in
         Digraph.iter_edges g (fun u v w ->
+            let push op w = apply_direct t { op; u; v; w } in
             incr k;
-            Stream_sketch.insert t ~u ~v ~w;
+            push Wal.Insert w;
             if !k mod 4 = 0 then begin
-              Stream_sketch.insert t ~u ~v ~w:2.0;
-              Stream_sketch.delete t ~u ~v ~w:2.0
+              push Wal.Insert 2.0;
+              push Wal.Delete 2.0
             end);
         Common.enforce "E22" "streamed catalog graph = batch fingerprint"
           (Int64.equal (Stream_sketch.fingerprint t)

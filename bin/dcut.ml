@@ -40,8 +40,17 @@ let with_output path f =
       let oc = open_out p in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
-let read_digraph ic = Dcs_graph.Serialize.input_digraph ic
-let read_ugraph ic = Dcs_graph.Serialize.input_ugraph ic
+(* A malformed graph file is a usage error, reported like a bad flag: one
+   "dcut: <reason>" line on stderr and exit 124, before any output. *)
+let read parse ic =
+  match parse ic with
+  | Ok g -> g
+  | Error e ->
+      prerr_endline ("dcut: input " ^ e);
+      exit Cmd.Exit.cli_error
+
+let read_digraph = read Dcs_graph.Serialize.input_digraph
+let read_ugraph = read Dcs_graph.Serialize.input_ugraph
 
 (* --- common args --- *)
 

@@ -9,9 +9,12 @@
 # on exit). Each pair runs `perfbench/run.py --trace 0` once in REV and
 # once in the working tree, alternating which side goes first. Prints
 # every run's end-to-end metrics, then per metric both sides' median and
-# quartiles and how many pairs the working tree won. Exits 1 if a run
-# reports failed operations or `correct: false`, 2 on bad usage, a bad
-# REV or a failed run. Run nothing CPU-heavy alongside.
+# quartiles and how many pairs the working tree won, then one JSON ledger
+# line: REV, commit, workload, seed, pairs, seconds, host (nproc, OCaml,
+# DCS_DOMAINS), per metric both sides' median/q1/q3 and the change's
+# wins, and failed operations per side. Exits 1 if a run reports failed
+# operations or `correct: false`, 2 on bad usage, a bad REV or a failed
+# run. Run nothing CPU-heavy alongside.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,6 +53,7 @@ if ! git archive -o "$tmpdir/parent.tar" "$rev" 2> "$tmpdir/git.err"; then
     exit 2
 fi
 tar -xf "$tmpdir/parent.tar" -C "$tmpdir/parent"
+commit=$(git rev-parse --verify "$rev^{commit}")
 
 # run_side SIDE TREE PAIR: one perfbench run; its JSON result line is kept.
 run_side () {
@@ -75,10 +79,11 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-python3 - "$tmpdir" "$pairs" "$rev" <<'EOF'
-import json, statistics, sys
+python3 - "$tmpdir" "$pairs" "$rev" "$commit" "$workload" "$seed" "$seconds" <<'EOF'
+import json, os, statistics, subprocess, sys
 
-tmpdir, pairs, rev = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+tmpdir, pairs, rev, commit, workload, seed, seconds = sys.argv[1:]
+pairs = int(pairs)
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 runs = {side: [json.load(open(f"{tmpdir}/{side}.{i}.json")) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
@@ -94,6 +99,7 @@ for i in range(pairs):
 def quartiles(xs):
     return tuple(statistics.quantiles(xs, n=4, method="inclusive")) if len(xs) > 1 else (xs[0],) * 3
 
+ledger = {}
 print(f"\nmetric      {rev + ' median [q1, q3]':>34}  {'change median [q1, q3]':>34}    diff  wins")
 for m in metrics:
     p, c = ([value(r, m) for r in runs[side]] for side in ("parent", "change"))
@@ -102,6 +108,13 @@ for m in metrics:
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
     print(f"{m['name']:<11} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>34}  "
           f"{f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>34}  {100 * (cm - pm) / pm:+5.1f}%  {wins}/{pairs}")
+    ledger[m["name"]] = {"parent": {"median": pm, "q1": p1, "q3": p3},
+                         "change": {"median": cm, "q1": c1, "q3": c3}, "change_wins": wins}
+ocaml = subprocess.run(["ocaml", "-vnum"], capture_output=True, text=True).stdout.strip()
+host = {"nproc": len(os.sched_getaffinity(0)), "ocaml": ocaml, "DCS_DOMAINS": os.environ.get("DCS_DOMAINS")}
+print(json.dumps({"rev": rev, "commit": commit, "workload": workload, "seed": int(seed), "pairs": pairs,
+                  "seconds": float(seconds), "host": host, "metrics": ledger,
+                  "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}))
 if any(r["failed"] > 0 or not r["correct"] for side in runs.values() for r in side):
     sys.exit("FAIL: a run reported failed operations")
 EOF

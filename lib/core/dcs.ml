@@ -55,7 +55,8 @@
       streams: CRC-framed write-ahead logging with typed quarantine of
       damaged records, checkpoint-compacted recovery that reproduces the
       pre-kill sketch state bit for bit, and incremental maintenance of
-      the for-each machinery atop {!Csr} delta overlays.
+      the for-each machinery on a live {!Digraph} with a memoized
+      canonical {!Csr} freeze.
 
     {1 Serving}
 

@@ -26,12 +26,6 @@ let m_cut_delta = Metrics.counter "csr.cut_delta"
 let m_cut_many = Metrics.counter "csr.cut_many_calls"
 let m_flip_sweep = Metrics.counter "csr.flip_sweep_calls"
 
-(* Streaming overlay funnel: one [delta_cuts] per cut evaluated through a
-   delta overlay (on top of the [cut_full] its base scan counts), one
-   [compactions] per overlay merged back into a frozen view. *)
-let m_delta_cut = Metrics.counter "csr.delta_cuts"
-let m_compactions = Metrics.counter "csr.compactions"
-
 type t = {
   n : int;
   arcs : int;
@@ -322,84 +316,3 @@ let to_digraph t =
     done
   done;
   g
-
-(* --- delta overlays: mutation without re-freezing ---
-
-   A [delta] is a frozen base plus a hashtable of signed weight adjustments
-   keyed by arc. Cut evaluation pays one base scan plus O(overlay) — the
-   streaming hot path between compactions. All float work is ordered
-   canonically (base in row order, overlay in ascending (u, v) key order),
-   so values are a pure function of (base content, overlay content); with
-   integer/dyadic weights the accumulated adjustments cancel exactly and
-   [compact] reproduces the fingerprint a from-scratch freeze would give. *)
-
-type delta = {
-  base : t;
-  tbl : (int, float) Hashtbl.t; (* key u*n+v -> accumulated adjustment *)
-}
-
-let delta_of base = { base; tbl = Hashtbl.create 64 }
-let delta_base d = d.base
-let delta_pairs d = Hashtbl.length d.tbl
-
-let delta_add d u v dw =
-  check_vertex d.base u "delta_add";
-  check_vertex d.base v "delta_add";
-  if u = v then invalid_arg "Csr.delta_add: self-loop";
-  if dw <> 0.0 then begin
-    let key = (u * d.base.n) + v in
-    let cur = Option.value (Hashtbl.find_opt d.tbl key) ~default:0.0 in
-    let next = cur +. dw in
-    if next = 0.0 then Hashtbl.remove d.tbl key
-    else Hashtbl.replace d.tbl key next
-  end
-
-let delta_weight d u v =
-  let base = weight d.base u v in
-  match Hashtbl.find_opt d.tbl ((u * d.base.n) + v) with
-  | None -> base
-  | Some dw -> base +. dw
-
-(* Overlay keys in ascending order: the one canonical iteration the float
-   sums below depend on. *)
-let delta_sorted_keys d =
-  let keys = Array.make (Hashtbl.length d.tbl) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
-      keys.(!i) <- k;
-      incr i)
-    d.tbl;
-  Array.sort compare keys;
-  keys
-
-let delta_cut_weight d mem =
-  Metrics.inc m_delta_cut;
-  let acc = ref (cut_weight d.base mem) in
-  let n = d.base.n in
-  Array.iter
-    (fun key ->
-      let u = key / n and v = key mod n in
-      if mem u && not (mem v) then acc := !acc +. Hashtbl.find d.tbl key)
-    (delta_sorted_keys d);
-  !acc
-
-let delta_cut_value d c =
-  if Cut.n c <> d.base.n then invalid_arg "Csr.delta_cut_value: size mismatch";
-  delta_cut_weight d (Cut.mem c)
-
-let compact d =
-  Metrics.inc m_compactions;
-  let g = to_digraph d.base in
-  let n = d.base.n in
-  Array.iter
-    (fun key ->
-      let u = key / n and v = key mod n in
-      let merged = Digraph.weight g u v +. Hashtbl.find d.tbl key in
-      if merged < 0.0 then
-        invalid_arg
-          (Printf.sprintf "Csr.compact: arc (%d, %d) merges to negative weight"
-             u v);
-      Digraph.set_edge g u v merged)
-    (delta_sorted_keys d);
-  of_digraph g

@@ -119,19 +119,7 @@ val flip_sweep :
     A vertex may appear many times (each occurrence toggles it again).
     Counts [len] [csr.cut_delta]s and one [csr.flip_sweep_calls]. *)
 
-(** {2 Canonical thaw and delta overlays}
-
-    The streaming layer's middle ground between "re-freeze on every edge
-    mutation" (O(n + m) each) and "never freeze" (losing the canonical
-    hot-path arrays): a {!delta} overlays signed weight adjustments on a
-    frozen base, answers cuts at one base scan plus O(overlay) extra, and
-    is merged back into a fresh frozen view by {!compact} once it grows
-    past the caller's threshold. All overlay float work happens in
-    ascending arc order, so every value is a pure function of content —
-    two overlays reaching the same graph by different mutation histories
-    agree bit for bit whenever the weights sum exactly (integers, dyadic
-    rationals), and [compact] then reproduces the fingerprint of a
-    from-scratch freeze. Metered as [csr.delta_cuts] / [csr.compactions]. *)
+(** {2 Canonical thaw} *)
 
 val to_digraph : t -> Digraph.t
 (** Thaw back to a mutable {!Digraph}, inserting arcs in (source asc,
@@ -139,38 +127,3 @@ val to_digraph : t -> Digraph.t
     downstream consumer sensitive to construction order sees the same
     digraph whatever history produced [t]. A symmetric {!of_ugraph} view
     thaws to both opposite arcs. *)
-
-type delta
-(** A frozen base plus an unfrozen overlay of signed weight adjustments. *)
-
-val delta_of : t -> delta
-(** Empty overlay on [t]. The base is shared, not copied. *)
-
-val delta_base : delta -> t
-val delta_pairs : delta -> int
-(** Distinct arcs currently adjusted — the overlay's memory footprint and
-    the quantity compaction thresholds watch. Adjustments that cancel back
-    to exactly 0 leave the overlay (so insert-then-delete churn does not
-    grow it). *)
-
-val delta_add : delta -> int -> int -> float -> unit
-(** [delta_add d u v dw] accumulates [dw] onto arc (u, v) (negative to
-    delete weight). Bounds-checked; self-loops rejected. The overlay may
-    hold transiently negative adjustments (a deletion of a base arc); only
-    {!compact} insists the merged weights are nonnegative. *)
-
-val delta_weight : delta -> int -> int -> float
-(** Base weight plus adjustment. *)
-
-val delta_cut_weight : delta -> (int -> bool) -> float
-(** {!cut_weight} of the adjusted graph: base scan in row order plus
-    overlay corrections in ascending arc order. *)
-
-val delta_cut_value : delta -> Cut.t -> float
-(** {!delta_cut_weight} of a {!Cut.t} side; checks the size. *)
-
-val compact : delta -> t
-(** Merge the overlay into a fresh frozen view (thaw base canonically,
-    apply adjustments in ascending arc order, re-freeze). Raises
-    [Invalid_argument] if any arc merges to a negative weight — the
-    overlay was promising deletions the base never had. *)

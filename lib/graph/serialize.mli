@@ -7,17 +7,24 @@
     ...
     v}
     Weights round-trip exactly (printed with 17 significant digits). Used
-    by the [dcut] CLI and handy for fixtures. *)
+    by the [dcut] CLI and handy for fixtures.
+
+    Parsing is line by line. Blank lines are skipped; the first other
+    line must be one non-negative integer [n], and every later one
+    exactly three fields [u v w] with [0 <= u, v < n], [u <> v] and a
+    finite [w >= 0]. Anything else is an [Error] naming the 1-based line
+    number and the reason, as are repeated edges whose weights sum past
+    the largest float; a parser never raises. *)
 
 val ugraph_to_string : Ugraph.t -> string
-val ugraph_of_string : string -> Ugraph.t
+val ugraph_of_string : string -> (Ugraph.t, string) result
 val digraph_to_string : Digraph.t -> string
-val digraph_of_string : string -> Digraph.t
+val digraph_of_string : string -> (Digraph.t, string) result
 
 val output_ugraph : out_channel -> Ugraph.t -> unit
-val input_ugraph : in_channel -> Ugraph.t
+val input_ugraph : in_channel -> (Ugraph.t, string) result
 val output_digraph : out_channel -> Digraph.t -> unit
-val input_digraph : in_channel -> Digraph.t
+val input_digraph : in_channel -> (Digraph.t, string) result
 
 (** {2 Checksummed frames}
 

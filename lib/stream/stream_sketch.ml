@@ -4,8 +4,6 @@ module Metrics = Dcs_obs_core.Metrics
 module Digraph = Dcs_graph.Digraph
 module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
-module Cut = Dcs_graph.Cut
-module Sketch = Dcs_sketch.Sketch
 module Exact_sketch = Dcs_sketch.Exact_sketch
 module Imbalance_sketch = Dcs_sketch.Imbalance_sketch
 
@@ -37,30 +35,21 @@ let pp_reject = function
       Printf.sprintf "deleting %h from arc (%d, %d) holding only %h" requested
         u v have
 
-exception Rejected of reject
-
-let () =
-  Printexc.register_printer (function
-    | Rejected r -> Some ("Stream_sketch.Rejected: " ^ pp_reject r)
-    | _ -> None)
-
-(* Support samplers per state: enough independent ℓ₀ copies that a
-   for-each seed edge query succeeds with good constant probability. *)
-let copies = 8
-
+(* One live graph, one sampler. [live] takes every mutation in place;
+   [frozen] is [Csr.of_digraph live] as of the last compaction, and [stale]
+   maps each arc whose live weight has drifted from [frozen] to its frozen
+   weight, so an arc that returns to that weight leaves the set. *)
 type t = {
   n : int;
   seed : int;
   refreeze : refreeze;
-  mutable delta : Csr.delta;  (* frozen base + unfrozen overlay *)
-  mutable frozen : Csr.t option;  (* memoized canonical freeze *)
+  live : Digraph.t;
+  mutable frozen : Csr.t;
+  stale : (int, float) Hashtbl.t;  (* key u*n+v -> weight in [frozen] *)
   imb : float array;  (* out-weight minus in-weight, per vertex *)
-  support : L0_sampler.t array;  (* ±1 on arc-presence toggles *)
+  support : L0_sampler.t;  (* ±1 on arc-presence toggles *)
   mutable applied_seq : int;  (* WAL slots folded in (applied or consumed) *)
-  mutable arcs : int;  (* live arcs *)
 }
-
-let empty_base n = Csr.of_digraph (Digraph.create n)
 
 let create ?(refreeze = Rebuild) ~n ~seed () =
   if n < 1 then invalid_arg "Stream_sketch.create: n must be positive";
@@ -68,62 +57,40 @@ let create ?(refreeze = Rebuild) ~n ~seed () =
   | Delta_buffer { compact_threshold } when compact_threshold < 1 ->
       invalid_arg "Stream_sketch.create: compact_threshold must be positive"
   | _ -> ());
-  (* The sampler hash family is a pure function of (seed, n), so a
-     recovered state rebuilt from the same pair is sampler-compatible
-     with — and, being linear, byte-equal in state to — the lost one. *)
-  let rng = Prng.create seed in
+  (* The sampler's hashes are a pure function of (seed, n), so a recovered
+     state rebuilt from the same pair is sampler-compatible with — and,
+     being linear, byte-equal in state to — the lost one. *)
+  let live = Digraph.create n in
   {
     n;
     seed;
     refreeze;
-    delta = Csr.delta_of (empty_base n);
-    frozen = None;
+    live;
+    frozen = Csr.of_digraph live;
+    stale = Hashtbl.create 64;
     imb = Array.make n 0.0;
     support =
-      L0_sampler.create_family ~nonnegative:true rng ~universe:(n * n)
-        ~count:copies;
+      L0_sampler.create ~nonnegative:true (Prng.create seed) ~universe:(n * n);
     applied_seq = 0;
-    arcs = 0;
   }
 
-let n t = t.n
-let seed t = t.seed
-let refreeze_policy t = t.refreeze
 let applied_seq t = t.applied_seq
-let arcs t = t.arcs
-let delta_pairs t = Csr.delta_pairs t.delta
-let edge_weight t u v = Csr.delta_weight t.delta u v
+let arcs t = Digraph.m t.live
+let delta_pairs t = Hashtbl.length t.stale
 let imbalances t = Array.copy t.imb
 
 let compact_now t =
   Metrics.inc m_compactions;
-  let base = Csr.compact t.delta in
-  t.delta <- Csr.delta_of base;
-  t.frozen <- Some base;
-  base
+  t.frozen <- Csr.of_digraph t.live;
+  Hashtbl.clear t.stale;
+  t.frozen
 
-let frozen t =
-  match t.frozen with
-  | Some c -> c
-  | None ->
-      if Csr.delta_pairs t.delta = 0 then begin
-        let base = Csr.delta_base t.delta in
-        t.frozen <- Some base;
-        base
-      end
-      else compact_now t
-
+let frozen t = if Hashtbl.length t.stale = 0 then t.frozen else compact_now t
 let fingerprint t = Csr.fingerprint (frozen t)
 
-let cut_weight t mem =
-  Metrics.inc m_cut_queries;
-  (* Hot path: never forces a freeze — one base scan plus O(overlay). *)
-  if Csr.delta_pairs t.delta = 0 then Csr.cut_weight (Csr.delta_base t.delta) mem
-  else Csr.delta_cut_weight t.delta mem
-
 let cut_value t c =
-  if Cut.n c <> t.n then invalid_arg "Stream_sketch.cut_value: size mismatch";
-  cut_weight t (Cut.mem c)
+  Metrics.inc m_cut_queries;
+  Csr.cut_value (frozen t) c
 
 let check t ~op ~u ~v ~w =
   if u < 0 || u >= t.n || v < 0 || v >= t.n then
@@ -134,87 +101,59 @@ let check t ~op ~u ~v ~w =
     match op with
     | Wal.Insert -> None
     | Wal.Delete ->
-        let have = edge_weight t u v in
+        let have = Digraph.weight t.live u v in
         if have < w then Some (Below_zero { u; v; have; requested = w })
         else None
 
-(* The one mutation point. Presence toggles drive the support samplers:
-   +1 when an arc's weight leaves zero, -1 when it returns exactly to
-   zero. With weights whose sums are exact in floating point (integers,
-   dyadic rationals — the convention all enforced batteries use), the
-   toggle decisions are exact and the sampler state is a linear function
-   of the net arc multiset, which is what makes snapshot-restore + replay
-   reproduce it byte for byte. *)
+(* The one mutation point, for checked ops only. Presence toggles drive the
+   support sampler: +1 when an arc's weight leaves zero, -1 when it returns
+   exactly to zero. With weights whose sums are exact in floating point
+   (integers, dyadic rationals — the convention all enforced batteries
+   use), the toggle decisions are exact and the sampler state is a linear
+   function of the net arc multiset, which is what makes snapshot-restore
+   + replay reproduce it byte for byte. *)
 let mutate t ~op ~u ~v ~w =
-  let before = edge_weight t u v in
+  let before = Digraph.weight t.live u v in
   let signed = match op with Wal.Insert -> w | Wal.Delete -> -.w in
-  Csr.delta_add t.delta u v signed;
   let after = before +. signed in
+  Digraph.set_edge t.live u v after;
+  let key = (u * t.n) + v in
+  (match Hashtbl.find_opt t.stale key with
+  | None -> Hashtbl.replace t.stale key before
+  | Some fw -> if after = fw then Hashtbl.remove t.stale key);
   t.imb.(u) <- t.imb.(u) +. signed;
   t.imb.(v) <- t.imb.(v) -. signed;
-  let idx = (u * t.n) + v in
-  if before = 0.0 && after > 0.0 then begin
-    Array.iter (fun s -> L0_sampler.update s idx 1) t.support;
-    t.arcs <- t.arcs + 1
-  end
-  else if before > 0.0 && after = 0.0 then begin
-    Array.iter (fun s -> L0_sampler.update s idx (-1)) t.support;
-    t.arcs <- t.arcs - 1
-  end;
-  t.frozen <- None
+  if before = 0.0 && after > 0.0 then L0_sampler.update t.support key 1
+  else if before > 0.0 && after = 0.0 then L0_sampler.update t.support key (-1)
 
-let apply_unchecked t ~op ~u ~v ~w =
-  mutate t ~op ~u ~v ~w;
-  (match op with
-  | Wal.Insert -> Metrics.inc m_inserts
-  | Wal.Delete -> Metrics.inc m_deletes);
-  match t.refreeze with
-  | Rebuild -> ignore (compact_now t)
-  | Delta_buffer { compact_threshold } ->
-      (* Forced compaction under memory pressure: the overlay never holds
-         more than the threshold's worth of adjusted arcs. *)
-      if Csr.delta_pairs t.delta > compact_threshold then
-        ignore (compact_now t)
-
-let apply t ~op ~u ~v ~w =
+(* A rejection is metered and mutates nothing. *)
+let validate t ~op ~u ~v ~w =
   match check t ~op ~u ~v ~w with
+  | None -> Ok ()
   | Some r ->
       Metrics.inc m_rejects;
       Error (pp_reject r)
-  | None ->
-      apply_unchecked t ~op ~u ~v ~w;
-      Ok ()
 
-let insert t ~u ~v ~w =
-  match check t ~op:Wal.Insert ~u ~v ~w with
-  | Some r ->
-      Metrics.inc m_rejects;
-      raise (Rejected r)
-  | None -> apply_unchecked t ~op:Wal.Insert ~u ~v ~w
+(* Mutate a validated op, then re-freeze on the policy's schedule. *)
+let commit t ~op ~u ~v ~w =
+  mutate t ~op ~u ~v ~w;
+  Metrics.inc (match op with Wal.Insert -> m_inserts | Wal.Delete -> m_deletes);
+  match t.refreeze with
+  | Rebuild -> ignore (compact_now t)
+  | Delta_buffer { compact_threshold } ->
+      if Hashtbl.length t.stale > compact_threshold then ignore (compact_now t)
 
-let delete t ~u ~v ~w =
-  match check t ~op:Wal.Delete ~u ~v ~w with
-  | Some r ->
-      Metrics.inc m_rejects;
-      raise (Rejected r)
-  | None -> apply_unchecked t ~op:Wal.Delete ~u ~v ~w
+let apply t ~op ~u ~v ~w =
+  Result.map (fun () -> commit t ~op ~u ~v ~w) (validate t ~op ~u ~v ~w)
 
 let sample_arc t =
-  let rec go i =
-    if i >= copies then None
-    else
-      match L0_sampler.query t.support.(i) with
-      | Some (idx, _) -> Some (idx / t.n, idx mod t.n)
-      | None -> go (i + 1)
-  in
-  go 0
+  Option.map (fun (idx, _) -> (idx / t.n, idx mod t.n)) (L0_sampler.query t.support)
 
 (* --- derived sketches: always from the canonical frozen view, so a
    streamed state and a batch build of the same graph hand the identical
    content (and construction history) to the samplers. --- *)
 
 let to_digraph t = Csr.to_digraph (frozen t)
-
 let exact_sketch t = Exact_sketch.create (to_digraph t)
 
 let imbalance_sketch ?c t rng ~eps ~beta =
@@ -227,16 +166,19 @@ let digest t =
   let mix = Prng.mix64 in
   let h = ref (mix (Int64.of_int t.applied_seq)) in
   let fold i64 = h := mix (Int64.logxor !h i64) in
-  fold (Csr.fingerprint (if Csr.delta_pairs t.delta = 0 then Csr.delta_base t.delta else Csr.compact t.delta));
+  (* A throwaway freeze when stale: the digest moves no stream.* counter. *)
+  fold
+    (Csr.fingerprint
+       (if Hashtbl.length t.stale = 0 then t.frozen else Csr.of_digraph t.live));
   Array.iter (fun x -> fold (Int64.bits_of_float x)) t.imb;
-  Array.iter (fun s -> fold (L0_sampler.digest s)) t.support;
-  fold (Int64.of_int t.arcs);
+  fold (L0_sampler.digest t.support);
+  fold (Int64.of_int (arcs t));
   !h
 
 (* --- checkpoint-compacted snapshots --- *)
 
 let signature t =
-  Printf.sprintf "stream-sketch v1 n=%d seed=%d copies=%d" t.n t.seed copies
+  Printf.sprintf "stream-sketch v1 n=%d seed=%d" t.n t.seed
 
 let encode_edges csr =
   let buf = Buffer.create 4096 in
@@ -275,21 +217,13 @@ let restore_snapshot t ~path =
         String.split_on_char '\n' edges
         |> List.iter (fun line ->
                if line <> "" then
-                 match String.split_on_char ' ' line with
-                 | [ u; v; w ] -> (
-                     match
-                       ( int_of_string_opt u,
-                         int_of_string_opt v,
-                         float_of_string_opt w )
-                     with
-                     | Some u, Some v, Some w when u >= 0 && u < t.n && v >= 0
-                                                   && v < t.n && u <> v
-                                                   && Float.is_finite w
-                                                   && w > 0.0 ->
-                         mutate t ~op:Wal.Insert ~u ~v ~w
-                     | _ -> raise (Restore_failed "checkpoint: unparsable edge"))
-                 | _ -> raise (Restore_failed "checkpoint: bad edge line"));
-        if Csr.delta_pairs t.delta > 0 then ignore (compact_now t);
+                 match Scanf.sscanf_opt line "%d %d %h%!" (fun u v w -> (u, v, w)) with
+                 | None -> raise (Restore_failed "checkpoint: unparsable edge")
+                 | Some (u, v, w) -> (
+                     match check t ~op:Wal.Insert ~u ~v ~w with
+                     | None -> mutate t ~op:Wal.Insert ~u ~v ~w
+                     | Some r -> raise (Restore_failed ("checkpoint: " ^ pp_reject r))));
+        if Hashtbl.length t.stale > 0 then ignore (compact_now t);
         t.applied_seq <- applied_seq;
         applied_seq
     | Ok _ -> raise (Restore_failed "checkpoint: unexpected record shape")
@@ -369,18 +303,17 @@ let open_journal ?refreeze ?(checkpoint_every = 0) ~dir ~n ~seed () =
 let journal_state j = j.state
 
 let journal_apply j op ~u ~v ~w =
-  (* Write-ahead: the record is durable (and its sequence slot consumed)
-     before the state mutates, so a kill at any boundary replays cleanly
-     and a rejected op is visible in the log's accounting, never lost. *)
-  let r = Wal.append j.writer op ~u ~v ~w in
-  let result = apply j.state ~op ~u ~v ~w in
-  j.state.applied_seq <- r.Wal.seq;
-  (match result with
-  | Ok () ->
+  (* Validate first, so a rejected op never reaches the log. Then
+     write-ahead: the record is durable before the state mutates, so a
+     kill at any boundary replays cleanly. *)
+  Result.map
+    (fun () ->
+      let r = Wal.append j.writer op ~u ~v ~w in
+      commit j.state ~op ~u ~v ~w;
+      j.state.applied_seq <- r.Wal.seq;
       j.since_checkpoint <- j.since_checkpoint + 1;
-      if j.every > 0 && j.since_checkpoint >= j.every then journal_checkpoint j
-  | Error _ -> ());
-  result
+      if j.every > 0 && j.since_checkpoint >= j.every then journal_checkpoint j)
+    (validate j.state ~op ~u ~v ~w)
 
 let journal_insert j ~u ~v ~w = journal_apply j Wal.Insert ~u ~v ~w
 let journal_delete j ~u ~v ~w = journal_apply j Wal.Delete ~u ~v ~w

@@ -208,7 +208,7 @@ let replay ~base_seq ~apply scan =
 
 (* --- writer --- *)
 
-type writer = { path : string; oc : out_channel; mutable next : int }
+type writer = { oc : out_channel; mutable next : int }
 
 let create_writer ?(truncate = false) ~path ~next_seq () =
   if next_seq < 1 then invalid_arg "Wal.create_writer: next_seq must be >= 1";
@@ -216,7 +216,7 @@ let create_writer ?(truncate = false) ~path ~next_seq () =
     [ Open_wronly; Open_creat; Open_binary ]
     @ if truncate then [ Open_trunc ] else [ Open_append ]
   in
-  { path; oc = open_out_gen flags 0o644 path; next = next_seq }
+  { oc = open_out_gen flags 0o644 path; next = next_seq }
 
 let append t op ~u ~v ~w =
   if u < 0 || v < 0 then invalid_arg "Wal.append: negative vertex";
@@ -231,8 +231,6 @@ let append t op ~u ~v ~w =
   Metrics.inc m_appends;
   r
 
-let next_seq t = t.next
-let writer_path t = t.path
 let close_writer t = close_out_noerr t.oc
 
 (* --- deterministic damage --- *)

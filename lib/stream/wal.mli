@@ -121,8 +121,6 @@ val append : writer -> op -> u:int -> v:int -> w:float -> record
     lands on a record boundary; assigns and returns the next sequence.
     Bumps [stream.wal_appends]. *)
 
-val next_seq : writer -> int
-val writer_path : writer -> string
 val close_writer : writer -> unit
 
 (** {2 Deterministic damage} *)

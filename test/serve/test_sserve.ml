@@ -154,9 +154,9 @@ let test_update_graph_invalidates () =
      stream, ingest a new arc, and swap the re-frozen view into the live
      catalog. *)
   let t = Stream_sketch.create ~n:(Csr.n gs.(0)) ~seed:7 () in
-  Digraph.iter_edges (Csr.to_digraph gs.(0)) (fun u v w ->
-      Stream_sketch.insert t ~u ~v ~w);
-  Stream_sketch.insert t ~u:0 ~v:1 ~w:5.0;
+  let insert u v w = Result.get_ok (Stream_sketch.apply t ~op:Wal.Insert ~u ~v ~w) in
+  Digraph.iter_edges (Csr.to_digraph gs.(0)) insert;
+  insert 0 1 5.0;
   Serve.update_graph srv ~key:0 (Stream_sketch.frozen t);
   gs.(0) <- Stream_sketch.frozen t;
   let s2 = Serve.stats srv in

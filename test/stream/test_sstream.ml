@@ -43,10 +43,8 @@ let final_digraph ops =
   Hashtbl.iter (fun (u, v) w -> if w > 0.0 then Digraph.add_edge g u v w) weights;
   g
 
-let push t op ~u ~v ~w =
-  match op with
-  | Wal.Insert -> Stream_sketch.insert t ~u ~v ~w
-  | Wal.Delete -> Stream_sketch.delete t ~u ~v ~w
+let ok = function Ok x -> x | Error e -> Alcotest.fail e
+let push t op ~u ~v ~w = ok (Stream_sketch.apply t ~op ~u ~v ~w)
 
 let feed ?refreeze ops =
   let t = Stream_sketch.create ?refreeze ~n ~seed:42 () in
@@ -148,21 +146,18 @@ let test_delta_threshold_respected () =
 let test_rejects_leave_state_untouched () =
   let t = feed (ops_of_spec demo_spec) in
   let before = Stream_sketch.digest t in
-  let expect_reject name f =
-    (match f () with
-    | exception Stream_sketch.Rejected _ -> ()
-    | () -> Alcotest.fail (name ^ ": expected a rejection"));
+  let expect_reject name op ~u ~v ~w =
+    (match Stream_sketch.apply t ~op ~u ~v ~w with
+    | Error _ -> ()
+    | Ok () -> Alcotest.fail (name ^ ": expected a rejection"));
     Alcotest.(check bool) (name ^ ": state untouched") true
       (Int64.equal before (Stream_sketch.digest t))
   in
-  expect_reject "below zero" (fun () ->
-      Stream_sketch.delete t ~u:0 ~v:1 ~w:1e9);
-  expect_reject "out of range" (fun () ->
-      Stream_sketch.insert t ~u:0 ~v:n ~w:1.0);
-  expect_reject "self loop" (fun () -> Stream_sketch.insert t ~u:3 ~v:3 ~w:1.0);
-  expect_reject "bad weight" (fun () ->
-      Stream_sketch.insert t ~u:0 ~v:1 ~w:Float.nan);
-  expect_reject "zero weight" (fun () -> Stream_sketch.insert t ~u:0 ~v:1 ~w:0.0)
+  expect_reject "below zero" Wal.Delete ~u:0 ~v:1 ~w:1e9;
+  expect_reject "out of range" Wal.Insert ~u:0 ~v:n ~w:1.0;
+  expect_reject "self loop" Wal.Insert ~u:3 ~v:3 ~w:1.0;
+  expect_reject "bad weight" Wal.Insert ~u:0 ~v:1 ~w:Float.nan;
+  expect_reject "zero weight" Wal.Insert ~u:0 ~v:1 ~w:0.0
 
 let test_apply_reports_rejects () =
   let t = Stream_sketch.create ~n ~seed:1 () in
@@ -182,7 +177,7 @@ let test_sample_arc_live () =
       Alcotest.(check bool) "sampled arc is live" true (Digraph.mem_edge g u v)
   | None -> Alcotest.fail "nonempty support must sample");
   (* Delete everything: the samplers must collapse back to zero. *)
-  Digraph.iter_edges g (fun u v w -> Stream_sketch.delete t ~u ~v ~w);
+  Digraph.iter_edges g (fun u v w -> push t Wal.Delete ~u ~v ~w);
   Alcotest.(check int) "no arcs" 0 (Stream_sketch.arcs t);
   Alcotest.(check (option (pair int int))) "empty support" None
     (Stream_sketch.sample_arc t)
@@ -212,20 +207,15 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let journal_with dir ops =
-  match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-  | Error e -> Alcotest.fail e
-  | Ok (j, _) ->
-      List.iter
-        (fun (op, u, v, w) ->
-          let r =
-            match op with
-            | Wal.Insert -> Stream_sketch.journal_insert j ~u ~v ~w
-            | Wal.Delete -> Stream_sketch.journal_delete j ~u ~v ~w
-          in
-          match r with Ok () -> () | Error e -> Alcotest.fail e)
-        ops;
-      j
+let journal_op j (op, u, v, w) =
+  match op with
+  | Wal.Insert -> Stream_sketch.journal_insert j ~u ~v ~w
+  | Wal.Delete -> Stream_sketch.journal_delete j ~u ~v ~w
+
+let journal_with ?refreeze ?checkpoint_every ?(n = n) ?(seed = 42) dir ops =
+  let j, _ = ok (Stream_sketch.open_journal ?refreeze ?checkpoint_every ~dir ~n ~seed ()) in
+  List.iter (fun op -> ok (journal_op j op)) ops;
+  j
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
@@ -235,16 +225,15 @@ let test_checkpoint_restore () =
       let ops = ops_of_spec demo_spec in
       let t = feed ops in
       Stream_sketch.checkpoint t ~path:snapshot;
-      match
-        Stream_sketch.recover ~n ~seed:42 ~snapshot
-          ~wal:(Filename.concat dir "absent.log") ()
-      with
-      | Error e -> Alcotest.fail e
-      | Ok { state; report; snapshot_seq } ->
-          Alcotest.(check int) "nothing replayed" 0 report.Wal.offered;
-          Alcotest.(check int) "floor" 0 snapshot_seq;
-          Alcotest.(check bool) "restored state is byte-identical" true
-            (Int64.equal (Stream_sketch.digest t) (Stream_sketch.digest state)))
+      let { Stream_sketch.state; report; snapshot_seq } =
+        ok
+          (Stream_sketch.recover ~n ~seed:42 ~snapshot
+             ~wal:(Filename.concat dir "absent.log") ())
+      in
+      Alcotest.(check int) "nothing replayed" 0 report.Wal.offered;
+      Alcotest.(check int) "floor" 0 snapshot_seq;
+      Alcotest.(check bool) "restored state is byte-identical" true
+        (Int64.equal (Stream_sketch.digest t) (Stream_sketch.digest state)))
 
 let test_kill_at_every_record_boundary () =
   let ops = ops_of_spec demo_spec in
@@ -252,23 +241,14 @@ let test_kill_at_every_record_boundary () =
   (* Reference digests: digest after i ops of one uninterrupted journal. *)
   let reference = Array.make (k + 1) Int64.zero in
   with_temp_dir (fun dir ->
-      match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-      | Error e -> Alcotest.fail e
-      | Ok (j, _) ->
-          reference.(0) <- Stream_sketch.digest (Stream_sketch.journal_state j);
-          List.iteri
-            (fun i (op, u, v, w) ->
-              (match
-                 match op with
-                 | Wal.Insert -> Stream_sketch.journal_insert j ~u ~v ~w
-                 | Wal.Delete -> Stream_sketch.journal_delete j ~u ~v ~w
-               with
-              | Ok () -> ()
-              | Error e -> Alcotest.fail e);
-              reference.(i + 1) <-
-                Stream_sketch.digest (Stream_sketch.journal_state j))
-            ops;
-          Stream_sketch.close_journal j);
+      let j = journal_with dir [] in
+      reference.(0) <- Stream_sketch.digest (Stream_sketch.journal_state j);
+      List.iteri
+        (fun i op ->
+          ok (journal_op j op);
+          reference.(i + 1) <- Stream_sketch.digest (Stream_sketch.journal_state j))
+        ops;
+      Stream_sketch.close_journal j);
   (* Kill after every prefix: a journal stopped dead after i records
      (every append is flushed whole, so closing without a checkpoint is
      exactly a boundary kill) must recover to reference.(i). *)
@@ -276,20 +256,18 @@ let test_kill_at_every_record_boundary () =
     with_temp_dir (fun dir ->
         let j = journal_with dir (take i ops) in
         Stream_sketch.close_journal j;
-        match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-        | Error e -> Alcotest.fail e
-        | Ok (j2, report) ->
-            Alcotest.(check int)
-              (Printf.sprintf "kill at %d: replay applied" i)
-              i report.Wal.applied;
-            Alcotest.(check int) "no quarantine on a clean kill" 0
-              (List.length report.Wal.quarantined);
-            Alcotest.(check bool)
-              (Printf.sprintf "kill at %d: digest reproduced" i)
-              true
-              (Int64.equal reference.(i)
-                 (Stream_sketch.digest (Stream_sketch.journal_state j2)));
-            Stream_sketch.close_journal j2)
+        let j2, report = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+        Alcotest.(check int)
+          (Printf.sprintf "kill at %d: replay applied" i)
+          i report.Wal.applied;
+        Alcotest.(check int) "no quarantine on a clean kill" 0
+          (List.length report.Wal.quarantined);
+        Alcotest.(check bool)
+          (Printf.sprintf "kill at %d: digest reproduced" i)
+          true
+          (Int64.equal reference.(i)
+             (Stream_sketch.digest (Stream_sketch.journal_state j2)));
+        Stream_sketch.close_journal j2)
   done
 
 let test_torn_write_recovery () =
@@ -301,64 +279,174 @@ let test_torn_write_recovery () =
          after the recovery checkpoint are clean. *)
       let j = journal_with dir ops in
       Stream_sketch.close_journal j;
-      let _, wal_path = (Filename.concat dir "snapshot.ckpt", Filename.concat dir "wal.log") in
+      let wal_path = Filename.concat dir "wal.log" in
       let raw = read_file wal_path in
       (* Tear mid-way through the last record. *)
       let at = String.length raw - 3 in
       write_file wal_path (Wal.Adversary.tear raw ~at);
-      match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-      | Error e -> Alcotest.fail e
-      | Ok (j2, report) ->
-          Alcotest.(check int) "one record lost to the tear" (k - 1)
-            report.Wal.applied;
-          (match report.Wal.quarantined with
-          | [ Wal.Damaged (Wal.Torn _) ] -> ()
-          | _ -> Alcotest.fail "expected exactly the torn tail quarantined");
-          (* The recovered journal keeps working: the open-time checkpoint
-             cleared the damaged tail out of the log's future. *)
-          (match Stream_sketch.journal_insert j2 ~u:0 ~v:1 ~w:1.0 with
-          | Ok () -> ()
-          | Error e -> Alcotest.fail e);
-          Stream_sketch.close_journal j2;
-          match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-          | Error e -> Alcotest.fail e
-          | Ok (j3, report3) ->
-              Alcotest.(check int) "clean replay after recovery" 1
-                report3.Wal.applied;
-              Alcotest.(check int) "no residual quarantine" 0
-                (List.length report3.Wal.quarantined);
-              Stream_sketch.close_journal j3)
+      let j2, report = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+      Alcotest.(check int) "one record lost to the tear" (k - 1)
+        report.Wal.applied;
+      (match report.Wal.quarantined with
+      | [ Wal.Damaged (Wal.Torn _) ] -> ()
+      | _ -> Alcotest.fail "expected exactly the torn tail quarantined");
+      (* The recovered journal keeps working: the open-time checkpoint
+         cleared the damaged tail out of the log's future. *)
+      ok (Stream_sketch.journal_insert j2 ~u:0 ~v:1 ~w:1.0);
+      Stream_sketch.close_journal j2;
+      let j3, report3 = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+      Alcotest.(check int) "clean replay after recovery" 1 report3.Wal.applied;
+      Alcotest.(check int) "no residual quarantine" 0
+        (List.length report3.Wal.quarantined);
+      Stream_sketch.close_journal j3)
 
 let test_periodic_checkpoint_compacts () =
   with_temp_dir (fun dir ->
-      match Stream_sketch.open_journal ~checkpoint_every:4 ~dir ~n ~seed:42 () with
-      | Error e -> Alcotest.fail e
-      | Ok (j, _) ->
-          let ops = ops_of_spec demo_spec in
-          List.iter
-            (fun (op, u, v, w) ->
-              match
-                match op with
-                | Wal.Insert -> Stream_sketch.journal_insert j ~u ~v ~w
-                | Wal.Delete -> Stream_sketch.journal_delete j ~u ~v ~w
-              with
-              | Ok () -> ()
-              | Error e -> Alcotest.fail e)
-            ops;
-          let digest = Stream_sketch.digest (Stream_sketch.journal_state j) in
-          Stream_sketch.close_journal j;
-          (* The log only holds the tail since the last auto-checkpoint. *)
-          (match Wal.scan_file ~path:(Filename.concat dir "wal.log") with
-          | Error e -> Alcotest.fail e
-          | Ok scan ->
-              Alcotest.(check bool) "log compacted" true (scan.Wal.units < 4));
-          match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-          | Error e -> Alcotest.fail e
-          | Ok (j2, _) ->
-              Alcotest.(check bool) "compacted recovery byte-identical" true
-                (Int64.equal digest
-                   (Stream_sketch.digest (Stream_sketch.journal_state j2)));
-              Stream_sketch.close_journal j2)
+      let j = journal_with ~checkpoint_every:4 dir (ops_of_spec demo_spec) in
+      let digest = Stream_sketch.digest (Stream_sketch.journal_state j) in
+      Stream_sketch.close_journal j;
+      (* The log only holds the tail since the last auto-checkpoint. *)
+      let scan = ok (Wal.scan_file ~path:(Filename.concat dir "wal.log")) in
+      Alcotest.(check bool) "log compacted" true (scan.Wal.units < 4);
+      let j2, _ = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+      Alcotest.(check bool) "compacted recovery byte-identical" true
+        (Int64.equal digest (Stream_sketch.digest (Stream_sketch.journal_state j2)));
+      Stream_sketch.close_journal j2)
+
+(* Each kind of rejection is decided before the write-ahead append: the op
+   returns [Error], bumps [stream.rejects], takes no sequence slot and
+   leaves nothing in the log for replay to quarantine. *)
+let test_journal_rejects_before_logging () =
+  let rejects () = Obs.Metrics.(counter_value (counter "stream.rejects")) in
+  with_temp_dir (fun dir ->
+      let j = journal_with dir [ (Wal.Insert, 0, 1, 1.0) ] in
+      let t = Stream_sketch.journal_state j in
+      List.iteri
+        (fun i (name, op) ->
+          let digest, seq, r = (Stream_sketch.digest t, Stream_sketch.applied_seq t, rejects ()) in
+          Alcotest.(check bool) (name ^ ": rejected") true (Result.is_error (journal_op j op));
+          Alcotest.(check (triple int64 int int)) (name ^ ": state, slot, meter") (digest, seq, r + 1)
+            (Stream_sketch.digest t, Stream_sketch.applied_seq t, rejects ());
+          ok (journal_op j (Wal.Insert, i + 1, i + 2, 1.0));
+          Alcotest.(check int) (name ^ ": next op takes the next slot") (seq + 1)
+            (Stream_sketch.applied_seq t))
+        [
+          ("NaN weight", (Wal.Insert, 0, 1, Float.nan));
+          ("negative weight", (Wal.Insert, 0, 1, -1.0));
+          ("negative vertex", (Wal.Insert, -1, 1, 1.0));
+          ("out-of-range arc", (Wal.Insert, 0, n, 1.0));
+          ("self-loop", (Wal.Insert, 2, 2, 1.0));
+          ("over-deletion", (Wal.Delete, 0, 1, 2.0));
+        ];
+      let expected = Stream_sketch.digest t in
+      Stream_sketch.close_journal j;
+      let j2, report = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+      Alcotest.(check (pair int int)) "only accepted ops logged, all replayed" (7, 7)
+        (report.Wal.offered, report.Wal.applied);
+      Alcotest.(check (list string)) "nothing quarantined" []
+        (List.map Wal.pp_quarantine report.Wal.quarantined);
+      Alcotest.(check int64) "reopen reproduces the state" expected
+        (Stream_sketch.digest (Stream_sketch.journal_state j2));
+      Stream_sketch.close_journal j2)
+
+(* --- golden pin of the ingest engine ---
+
+   A seeded 400-op stream of dyadic weights on 24 vertices under each
+   re-freeze policy, pinned before the live-graph refactor: the per-op
+   [delta_pairs] trace, compaction and freeze counts, the sampled arc
+   every 50 ops, the final content (8 cuts, fingerprint, imbalances, arcs,
+   sampled arc) and the same after a journal's snapshot + replay
+   recovery. [digest] is left out: it folds the sampler's layout. *)
+
+let golden_ops =
+  let rng = Prng.create 1822 in
+  let shadow = Hashtbl.create 97 in
+  List.init 400 (fun _ ->
+      let u = Prng.int rng 24 in
+      let v0 = Prng.int rng 23 in
+      let v = if v0 >= u then v0 + 1 else v0 in
+      let w = float_of_int (1 + Prng.int rng 6) /. 2. in
+      let h = Option.value ~default:0.0 (Hashtbl.find_opt shadow (u, v)) in
+      let op, w =
+        if h > 0.0 && Prng.bernoulli rng 0.35 then
+          (Wal.Delete, if Prng.bernoulli rng 0.5 then h else Float.min h w)
+        else (Wal.Insert, w)
+      in
+      Hashtbl.replace shadow (u, v) (if op = Wal.Insert then h +. w else h -. w);
+      (op, u, v, w))
+
+let mix_in h x = Prng.mix64 (Int64.logxor h x)
+let pp_sample = function None -> "-" | Some (u, v) -> Printf.sprintf "%d>%d" u v
+
+(* Cuts first, while the state may still hold stale arcs. *)
+let golden_content t =
+  let cut i = Stream_sketch.cut_value t (Cut.random (Prng.create (1823 + i)) ~n:24) in
+  let cuts = List.init 8 (fun i -> Printf.sprintf "%h" (cut i)) in
+  let fp = Stream_sketch.fingerprint t in
+  Printf.sprintf "fp=%016Lx imb=%016Lx arcs=%d sample=%s cuts=%s" fp
+    (Array.fold_left (fun h x -> mix_in h (Int64.bits_of_float x)) 0L (Stream_sketch.imbalances t))
+    (Stream_sketch.arcs t)
+    (pp_sample (Stream_sketch.sample_arc t))
+    (String.concat "," cuts)
+
+let golden_run (name, refreeze) =
+  let count c = Obs.Metrics.(counter_value (counter c)) in
+  let now () = (count "stream.compactions", count "csr.builds") in
+  let since (c0, b0) =
+    Printf.sprintf "compactions=%d builds=%d" (count "stream.compactions" - c0)
+      (count "csr.builds" - b0)
+  in
+  let start = now () in
+  let t = Stream_sketch.create ~refreeze ~n:24 ~seed:99 () in
+  let trace = ref 0L and samples = ref [] in
+  List.iteri
+    (fun i (op, u, v, w) ->
+      push t op ~u ~v ~w;
+      trace := mix_in !trace (Int64.of_int (Stream_sketch.delta_pairs t));
+      if (i + 1) mod 50 = 0 then samples := pp_sample (Stream_sketch.sample_arc t) :: !samples)
+    golden_ops;
+  let moved = since start in
+  let stream =
+    Printf.sprintf "trace=%016Lx %s samples=%s" !trace moved (String.concat " " (List.rev !samples))
+  in
+  let live = golden_content t in
+  let recovered =
+    with_temp_dir (fun dir ->
+        Stream_sketch.close_journal
+          (journal_with ~refreeze ~checkpoint_every:128 ~n:24 ~seed:99 dir golden_ops);
+        let start = now () in
+        let { Stream_sketch.state; report; snapshot_seq } =
+          ok
+            (Stream_sketch.recover ~refreeze ~n:24 ~seed:99
+               ~snapshot:(Filename.concat dir "snapshot.ckpt")
+               ~wal:(Filename.concat dir "wal.log") ())
+        in
+        let moved = since start in
+        Printf.sprintf "floor=%d replayed=%d %s %s" snapshot_seq report.Wal.applied moved
+          (golden_content state))
+  in
+  List.map (fun s -> name ^ " " ^ s) [ stream; live; recovered ]
+
+(* Any change to these values is a behaviour change of the ingest engine. *)
+let golden_expected =
+  [
+    "rebuild trace=0000000000000000 compactions=400 builds=401 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
+    "rebuild fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "rebuild floor=384 replayed=16 compactions=17 builds=18 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-1 trace=e37f3e952abfb6a1 compactions=200 builds=201 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
+    "delta-1 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-1 floor=384 replayed=16 compactions=9 builds=10 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-4 trace=663d1cc5a8d8a89d compactions=80 builds=81 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
+    "delta-4 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-4 floor=384 replayed=16 compactions=4 builds=5 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-64 trace=2f1a6ebc53cb650f compactions=5 builds=6 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
+    "delta-64 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-64 floor=384 replayed=16 compactions=1 builds=2 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+  ]
+
+let test_golden_ingest () =
+  Alcotest.(check (list string)) "golden ingest" golden_expected
+    (List.concat_map golden_run policies)
 
 (* --- properties --- *)
 
@@ -403,12 +491,10 @@ let qcheck_kill_recover =
           let j = journal_with dir prefix in
           let expected = Stream_sketch.digest (Stream_sketch.journal_state j) in
           Stream_sketch.close_journal j;
-          match Stream_sketch.open_journal ~dir ~n ~seed:42 () with
-          | Error e -> QCheck.Test.fail_report e
-          | Ok (j2, report) ->
-              let got = Stream_sketch.digest (Stream_sketch.journal_state j2) in
-              Stream_sketch.close_journal j2;
-              report.Wal.applied = i && Int64.equal expected got))
+          let j2, report = ok (Stream_sketch.open_journal ~dir ~n ~seed:42 ()) in
+          let got = Stream_sketch.digest (Stream_sketch.journal_state j2) in
+          Stream_sketch.close_journal j2;
+          report.Wal.applied = i && Int64.equal expected got))
 
 let suite =
   [
@@ -433,6 +519,9 @@ let suite =
     Alcotest.test_case "torn write recovery" `Quick test_torn_write_recovery;
     Alcotest.test_case "periodic checkpoints compact the log" `Quick
       test_periodic_checkpoint_compacts;
+    Alcotest.test_case "journal rejects before logging" `Quick
+      test_journal_rejects_before_logging;
+    Alcotest.test_case "golden ingest pin" `Quick test_golden_ingest;
     QCheck_alcotest.to_alcotest qcheck_streamed_equals_batch;
     QCheck_alcotest.to_alcotest qcheck_policy_is_content_invisible;
     QCheck_alcotest.to_alcotest qcheck_kill_recover;

@@ -557,19 +557,49 @@ let test_spanning_forest () =
 
 let test_serialize_ugraph_roundtrip_small () =
   let g = Ugraph.of_edges 4 [ (0, 1, 1.5); (2, 3, 0.25) ] in
-  let g' = Serialize.ugraph_of_string (Serialize.ugraph_to_string g) in
+  let g' = Result.get_ok (Serialize.ugraph_of_string (Serialize.ugraph_to_string g)) in
   Alcotest.(check bool) "equal" true (Ugraph.equal g g')
 
 let test_serialize_digraph_roundtrip_small () =
   let g = Digraph.of_edges 3 [ (0, 1, 3.14159); (1, 0, 2.71828) ] in
-  let g' = Serialize.digraph_of_string (Serialize.digraph_to_string g) in
+  let g' = Result.get_ok (Serialize.digraph_of_string (Serialize.digraph_to_string g)) in
   Alcotest.(check bool) "equal" true (Digraph.equal g g')
 
 let test_serialize_empty_graph () =
   let g = Ugraph.create 5 in
-  let g' = Serialize.ugraph_of_string (Serialize.ugraph_to_string g) in
+  let g' = Result.get_ok (Serialize.ugraph_of_string (Serialize.ugraph_to_string g)) in
   Alcotest.(check int) "n preserved" 5 (Ugraph.n g');
   Alcotest.(check int) "no edges" 0 (Ugraph.m g')
+
+(* Each malformed file is an [Error] naming its line, never a silent
+   truncation or an exception. The stray comma used to end the input early
+   (Stoer-Wagner then answered 2, not 5). *)
+let test_serialize_rejects_malformed () =
+  List.iter
+    (fun (input, line) ->
+      match Serialize.ugraph_of_string input with
+      | Ok _ -> Alcotest.failf "%S: accepted" input
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S: %s" input e) true
+            (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) e))
+    [
+      ("3\n0 1 2\n1 2 3,\n0 2 4\n", 3); ("3\n0 5 4\n", 2); ("3\n0 1 -4\n", 2);
+      ("3\n1 1 4\n", 2); ("3\n0 1 nan\n", 2); ("3\n\n0 1\n", 3); ("-3\n", 1);
+      ("3\n0 1 2 1 2 3\n", 2);
+    ];
+  Alcotest.(check bool) "empty input" true (Result.is_error (Serialize.ugraph_of_string ""));
+  Alcotest.(check bool) "merged weight overflows" true
+    (Result.is_error (Serialize.ugraph_of_string "2\n0 1 1e308\n1 0 1e308\n"));
+  Alcotest.(check (float 0.0)) "blank lines, tabs, CRLF" 5.0
+    (Ugraph.total_weight (Result.get_ok (Serialize.ugraph_of_string "\n3\r\n0\t1  2\n\n1 2 3\n")))
+
+let prop_serialize_never_raises =
+  QCheck.Test.make ~name:"edge-list parsers return a result on any bytes" ~count:500
+    QCheck.(string_gen_of_size (Gen.int_range 0 40) (Gen.oneofl [ '0'; '1'; '2'; '-'; '.'; ' '; '\n'; 'e'; 'x'; ',' ]))
+    (fun s ->
+      ignore (Serialize.ugraph_of_string s);
+      ignore (Serialize.digraph_of_string ("3\n" ^ s));
+      true)
 
 let prop_serialize_roundtrip =
   QCheck.Test.make ~name:"serialization round-trips exactly" ~count:40
@@ -577,7 +607,7 @@ let prop_serialize_roundtrip =
     (fun seed ->
       let rng = Prng.create seed in
       let g = Generators.random_digraph rng ~n:12 ~p:0.3 ~max_weight:5.0 in
-      Digraph.equal g (Serialize.digraph_of_string (Serialize.digraph_to_string g)))
+      Digraph.equal g (Result.get_ok (Serialize.digraph_of_string (Serialize.digraph_to_string g))))
 
 (* qcheck properties *)
 
@@ -689,7 +719,7 @@ let prop_ugraph_serialize_roundtrip =
       let rng = Prng.create seed in
       let g0 = Generators.erdos_renyi_connected rng ~n:11 ~p:0.3 in
       let g = Generators.random_multigraph_weights rng g0 ~max_weight:9 in
-      Ugraph.equal g (Serialize.ugraph_of_string (Serialize.ugraph_to_string g)))
+      Ugraph.equal g (Result.get_ok (Serialize.ugraph_of_string (Serialize.ugraph_to_string g))))
 
 let prop_balance_of_complement_inverts =
   QCheck.Test.make ~name:"balance(S) * balance(S̄) = 1" ~count:50
@@ -763,6 +793,9 @@ let suite =
     Alcotest.test_case "serialize: ugraph roundtrip" `Quick test_serialize_ugraph_roundtrip_small;
     Alcotest.test_case "serialize: digraph roundtrip" `Quick test_serialize_digraph_roundtrip_small;
     Alcotest.test_case "serialize: empty" `Quick test_serialize_empty_graph;
+    Alcotest.test_case "serialize: malformed input is a typed error" `Quick
+      test_serialize_rejects_malformed;
+    QCheck_alcotest.to_alcotest prop_serialize_never_raises;
     QCheck_alcotest.to_alcotest prop_serialize_roundtrip;
     QCheck_alcotest.to_alcotest prop_complement_involution;
     QCheck_alcotest.to_alcotest prop_cut_partition_identity;
