@@ -112,18 +112,14 @@ let flaky_row pl inst row (p, vote_k) =
              let fault =
                Fault.create (Fault.policy ~timeout:p ~lie:(p /. 2.0) ()) rng
              in
-             let o = Oracle.create i.g2 in
-             let fo = Faulty_oracle.create ~vote_k fault o in
+             let o = Oracle.create ~fault ~vote_k i.g2 in
              try
-               let r =
-                 Estimator.estimate ~faulty:fo rng o ~eps:eps_b
-                   ~mode:Estimator.Modified
-               in
+               let r = Estimator.estimate rng o ~eps:eps_b ~mode:Estimator.Modified in
                Some
                  ( r.Estimator.estimate,
                    r.Estimator.total_queries,
-                   (Faulty_oracle.stats fo).Faulty_oracle.retries )
-             with Faulty_oracle.Exhausted _ -> None)))
+                   (Oracle.stats o).Oracle.retries )
+             with Oracle.Exhausted _ -> None)))
 
 let plan pl =
   let inst = instance_stage pl in

@@ -23,8 +23,6 @@ let send t ~bits =
   Metrics.inc ~by:bits m_bits;
   Metrics.inc m_messages
 
-let exchange = send
-
 let total_bits t = t.bits
 let rounds t = t.rounds
 
@@ -80,8 +78,7 @@ let transmit l ?(retransmission = false) ~bits payload =
 
 type give_up = { transmissions : int; gu_drops : int; gu_corruptions : int }
 
-let transmit_reliable l ?(verify = fun _ -> true) ~max_retransmissions ~bits
-    payload =
+let transmit_reliable l ~verify ~max_retransmissions ~bits payload =
   if max_retransmissions < 0 then
     invalid_arg "Channel.transmit_reliable: max_retransmissions must be >= 0";
   let rec go attempt drops corruptions =
@@ -98,7 +95,8 @@ let transmit_reliable l ?(verify = fun _ -> true) ~max_retransmissions ~bits
       match transmit l ~retransmission:(attempt > 0) ~bits payload with
       | Dropped -> go (attempt + 1) (drops + 1) corruptions
       | Received s ->
-          if verify s then Ok s else go (attempt + 1) drops (corruptions + 1)
+          if verify ~attempt s then Ok s
+          else go (attempt + 1) drops (corruptions + 1)
   in
   go 0 0 0
 

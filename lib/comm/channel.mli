@@ -13,14 +13,10 @@ val create : unit -> t
 val send : t -> bits:int -> unit
 (** Record a message of [bits] bits from Alice to Bob. *)
 
-val exchange : t -> bits:int -> unit
-(** Record an interactive exchange (used by the Lemma 5.6 query simulation,
-    where each local query costs at most 2 bits). *)
-
 val total_bits : t -> int
 
 val rounds : t -> int
-(** Number of [send]/[exchange] events. *)
+(** Number of [send] events. *)
 
 (** {2 Lossy channels}
 
@@ -62,34 +58,31 @@ val lossy_corruptions : lossy -> int
 
 (** {2 Bounded reliable delivery}
 
-    The retransmission loops layered on {!transmit} (the coordinator's
-    sketch deliveries, the serving layer's request frames) each hand-rolled
-    their give-up logic — and a loop with no bound would retry a dead link
-    forever. {!transmit_reliable} is the canonical bounded loop: first send
-    plus at most [max_retransmissions] re-sends, each delivery checked by
-    [verify] (give it the CRC check, e.g.
-    [fun s -> Result.is_ok (Dcs_util.Checksum.unframe s)]), and giving up
-    is a {e typed} outcome carrying the loss accounting — never an
-    unbounded spin, never a silent drop. Give-ups are metered on the
+    {!transmit_reliable} is the one bounded retransmission loop over
+    {!transmit}, shared by the coordinator's sketch deliveries and the
+    serving layer's request frames: a first send plus at most
+    [max_retransmissions] re-sends, each delivery judged by [verify], and
+    giving up is a {e typed} outcome carrying the loss accounting — never
+    an unbounded spin, never a silent drop. Give-ups are metered on the
     [channel.gave_up] registry counter. *)
 
 type give_up = {
   transmissions : int;        (** sends made: [1 + max_retransmissions] *)
   gu_drops : int;             (** of them, dropped in flight *)
-  gu_corruptions : int;       (** of them, delivered but failing [verify] *)
+  gu_corruptions : int;       (** of them, delivered but rejected by [verify] *)
 }
 
 val transmit_reliable :
   lossy ->
-  ?verify:(string -> bool) ->
+  verify:(attempt:int -> string -> bool) ->
   max_retransmissions:int ->
   bits:int ->
   string ->
   (string, give_up) result
-(** [transmit_reliable l ~max_retransmissions ~bits payload] transmits
-    [payload] (metering [bits] per send, first-send vs retransmission
-    counters as in {!transmit}) until a delivery passes [verify] (default:
-    accept anything delivered) or [max_retransmissions >= 0] re-sends have
-    been spent. [Ok] carries the delivered (possibly corrupted — [verify]
-    accepted it) payload; [Error] means the bounded loop gave up. With
-    {!Dcs_util.Fault.disabled} the first send always succeeds. *)
+(** Transmits [payload] (metering [bits] per send as {!transmit} does)
+    until [verify ~attempt s] accepts the delivery [s] of 0-based send
+    [attempt], or [max_retransmissions >= 0] re-sends are spent. [verify]
+    is the receiver's check, e.g.
+    [fun ~attempt:_ s -> Result.is_ok (Dcs_util.Checksum.unframe s)], and
+    may keep its own accounting of what it rejects. [Ok] carries the
+    accepted delivery. *)

@@ -41,7 +41,8 @@
     - {!Foreach_lb} — Section 3 / Theorem 1.1.
     - {!Forall_lb} — Section 4 / Theorem 1.2.
     - {!Oracle}, {!Gxy}, {!Verify_guess}, {!Estimator} — Section 5 /
-      Theorems 1.3 and 5.7.
+      Theorems 1.3 and 5.7; an {!Oracle} built with a {!Fault} injector
+      answers through retry-and-vote recovery.
 
     {1 Distributed min-cut}
 
@@ -144,7 +145,6 @@ module Forall_lb = Dcs_lower.Forall_lb
 module Naive_foreach = Dcs_lower.Naive_foreach
 
 module Oracle = Dcs_localquery.Oracle
-module Faulty_oracle = Dcs_localquery.Faulty_oracle
 module Gxy = Dcs_localquery.Gxy
 module Verify_guess = Dcs_localquery.Verify_guess
 module Estimator = Dcs_localquery.Estimator

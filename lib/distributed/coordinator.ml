@@ -10,7 +10,8 @@ module Trace = Dcs_obs_core.Trace
 
 (* Registry mirrors of the per-run [fault_report] meters: each run bumps
    these by the report's values, so a registry delta over a batch equals the
-   field-wise sum of the batch's reports (E18 relies on that identity). *)
+   field-wise sum of the batch's reports (test/test_fault_golden.ml checks
+   that identity). *)
 let m_runs = Metrics.counter "coord.runs"
 let m_shards = Metrics.counter "coord.shards"
 let m_retrans = Metrics.counter "coord.retransmissions"
@@ -77,127 +78,111 @@ type fault_report = {
 
 type robust_result = { base : result; report : fault_report }
 
-(* One server→coordinator sketch delivery over the lossy channel: frame the
-   canonical encoding with a checksum, transmit, let the receiver detect a
-   drop (nothing arrives) or a corruption (checksum fails) and re-request
-   with exponential backoff, up to [retry_budget] retransmissions.
+(* Re-requests allowed per sketch beyond the first send. *)
+let retry_budget = 4
+
+(* Recovery meters summed over one run's sketch deliveries. *)
+type tally = {
+  mutable retrans : int;
+  mutable drops : int;
+  mutable corrupt : int;
+  mutable stragglers : int;
+  mutable spec : int;
+  mutable backoff : int;
+}
+
+(* One server→coordinator sketch delivery: the checksummed frame goes
+   through the channel's bounded loop, whose [verify] is the receiver. It
+   rejects a corrupted frame and a straggler (delivered past the
+   per-sketch deadline, as the policy's timeout rate models); a straggler
+   is re-requested speculatively and kept as the fallback, so it costs
+   bits, never data. [f] failed attempts wait Σ 2^a = 2^f − 1 backoff
+   units. Returns the payload bits and the sketch received, if any.
 
    When the injector is inactive no frame can be damaged, so the textual
    round-trip is skipped entirely (the metering is identical either way):
    this keeps the idealized pipeline's fast path — and makes [min_cut]
    literally the zero-fault instance of the robust one. *)
-type 'a delivery_stats = {
-  got : 'a option;
-  payload_bits : int;
-  d_retrans : int;
-  d_drops : int;
-  d_corrupt : int;
-  d_stragglers : int;
-  d_spec : int;
-  d_backoff : int;
-}
-
-let deliver_sketch lossy ~fault ~retry_budget h =
+let deliver_sketch lossy ~fault tally h =
   let payload_bits = Sketch.ugraph_encoding_bits h in
   let bits = payload_bits + Sketch.checksum_bits in
   if not (Fault.active fault) then begin
     ignore (Channel.transmit lossy ~bits "");
-    { got = Some h; payload_bits; d_retrans = 0; d_drops = 0; d_corrupt = 0;
-      d_stragglers = 0; d_spec = 0; d_backoff = 0 }
+    (payload_bits, Some h)
   end
   else begin
-    let frame = Serialize.ugraph_to_frame h in
-    (* [late] is a straggler frame: it was delivered, but only after the
-       coordinator's per-sketch deadline (the policy's timeout rate models
-       the deadline being exceeded). The coordinator speculatively
-       re-requests instead of waiting — the late copy is kept as a fallback,
-       so a straggling shard costs speculative bits, never data. *)
-    let finish ~late attempt drops corrupt stragglers spec backoff =
-      match late with
-      | None ->
-          { got = None; payload_bits; d_retrans = retry_budget; d_drops = drops;
-            d_corrupt = corrupt; d_stragglers = stragglers; d_spec = spec;
-            d_backoff = backoff }
-      | Some s -> (
-          match Serialize.ugraph_of_frame s with
-          | Ok g ->
-              { got = Some g; payload_bits; d_retrans = min attempt retry_budget;
-                d_drops = drops; d_corrupt = corrupt; d_stragglers = stragglers;
-                d_spec = spec; d_backoff = backoff }
-          | Error _ ->
-              { got = None; payload_bits; d_retrans = retry_budget;
-                d_drops = drops; d_corrupt = corrupt + 1;
-                d_stragglers = stragglers; d_spec = spec; d_backoff = backoff })
-    in
-    let rec go attempt ~late drops corrupt stragglers spec backoff =
-      if attempt > retry_budget then
-        finish ~late attempt drops corrupt stragglers spec backoff
+    let got = ref None and late = ref None in
+    let verify ~attempt s =
+      if Fault.times_out fault then begin
+        tally.stragglers <- tally.stragglers + 1;
+        if attempt < retry_budget then tally.spec <- tally.spec + 1;
+        late := Some s;
+        false
+      end
       else
-        match Channel.transmit lossy ~retransmission:(attempt > 0) ~bits frame with
-        | Channel.Dropped ->
-            go (attempt + 1) ~late (drops + 1) corrupt stragglers spec
-              (backoff + (1 lsl attempt))
-        | Channel.Received s ->
-            if Fault.times_out fault then
-              (* Straggler: fire a speculative re-request (if budget remains)
-                 and remember the late copy. *)
-              let spec = if attempt + 1 <= retry_budget then spec + 1 else spec in
-              go (attempt + 1) ~late:(Some s) drops corrupt (stragglers + 1)
-                spec
-                (backoff + (1 lsl attempt))
-            else (
-              match Serialize.ugraph_of_frame s with
-              | Ok g ->
-                  { got = Some g; payload_bits; d_retrans = attempt;
-                    d_drops = drops; d_corrupt = corrupt;
-                    d_stragglers = stragglers; d_spec = spec;
-                    d_backoff = backoff }
-              | Error _ ->
-                  go (attempt + 1) ~late drops (corrupt + 1) stragglers spec
-                    (backoff + (1 lsl attempt)))
+        match Serialize.ugraph_of_frame s with
+        | Ok g ->
+            got := Some (g, attempt);
+            true
+        | Error _ ->
+            tally.corrupt <- tally.corrupt + 1;
+            false
     in
-    go 0 ~late:None 0 0 0 0 0
+    let drops0 = Channel.lossy_drops lossy in
+    let outcome =
+      Channel.transmit_reliable lossy ~verify ~max_retransmissions:retry_budget
+        ~bits (Serialize.ugraph_to_frame h)
+    in
+    (* The accepted attempt's index counts the failures before it. *)
+    let failed = match !got with Some (_, a) -> a | None -> retry_budget + 1 in
+    tally.drops <- tally.drops + Channel.lossy_drops lossy - drops0;
+    tally.retrans <- tally.retrans + min failed retry_budget;
+    tally.backoff <- tally.backoff + (1 lsl failed) - 1;
+    match (outcome, !late) with
+    | Error _, Some s -> (
+        match Serialize.ugraph_of_frame s with
+        | Ok g -> (payload_bits, Some g)
+        | Error _ ->
+            tally.corrupt <- tally.corrupt + 1;
+            (payload_bits, None))
+    | _ -> (payload_bits, Option.map fst !got)
   end
 
-let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
+let min_cut_robust rng cfg ~fault shards =
   validate cfg;
-  if retry_budget < 0 then
-    invalid_arg "Coordinator.min_cut_robust: retry_budget must be >= 0";
   if Array.length shards = 0 then invalid_arg "Coordinator.min_cut: no shards";
   Trace.with_span "coord.min_cut" @@ fun () ->
   Metrics.inc m_runs;
   Metrics.inc ~by:(Array.length shards) m_shards;
   let n = Ugraph.n shards.(0) in
   let lossy = Channel.create_lossy fault in
+  let tally =
+    { retrans = 0; drops = 0; corrupt = 0; stragglers = 0; spec = 0; backoff = 0 }
+  in
   (* Server side: each shard produces its two sketches and ships them in
      checksummed frames. A shard may be disconnected or even empty — the
      samplers handle that (strength indices are per-component). The rng
      draw order (all coarse sketches, then all fine ones, then the
      contraction trials) matches the idealized pipeline exactly. *)
-  let sketch_shard builder shard =
-    if Ugraph.m shard = 0 then shard else builder shard
+  let ship sparsify =
+    Array.map
+      (fun shard ->
+        deliver_sketch lossy ~fault tally
+          (if Ugraph.m shard = 0 then shard else sparsify shard))
+      shards
   in
   let coarse =
     Trace.with_span "coord.coarse" @@ fun () ->
-    Array.map
-      (fun shard ->
-        deliver_sketch lossy ~fault ~retry_budget
-          (sketch_shard (Dcs_sketch.Benczur_karger.sparsify rng ~eps:cfg.eps_coarse) shard))
-      shards
+    ship (Dcs_sketch.Benczur_karger.sparsify rng ~eps:cfg.eps_coarse)
   in
   let fine =
     Trace.with_span "coord.fine" @@ fun () ->
-    Array.map
-      (fun shard ->
-        deliver_sketch lossy ~fault ~retry_budget
-          (sketch_shard (Dcs_sketch.Foreach_sampler.sparsify rng ~eps:cfg.eps) shard))
-      shards
+    ship (Dcs_sketch.Foreach_sampler.sparsify rng ~eps:cfg.eps)
   in
   (* Coordinator side: merge the surviving coarse sparsifiers and enumerate
      near-minimum candidate cuts by repeated contraction. *)
   let surviving_coarse =
-    Array.of_list
-      (List.filter_map (fun d -> d.got) (Array.to_list coarse))
+    Array.of_list (List.filter_map snd (Array.to_list coarse))
   in
   if Array.length surviving_coarse = 0 then
     failwith "Coordinator.min_cut_robust: every coarse sketch lost past the retry budget";
@@ -224,7 +209,7 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
   let surviving_weight =
     Array.fold_left
       (fun acc i ->
-        match fine.(i).got with
+        match snd fine.(i) with
         | Some _ -> acc +. Ugraph.total_weight shards.(i)
         | None -> acc)
       0.0
@@ -237,9 +222,7 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
      refinement evaluates every candidate cut against every shard, so the
      per-shard hashtable scans would dominate. *)
   let fine_frozen =
-    Array.map
-      (fun d -> Option.map Dcs_graph.Csr.of_ugraph d.got)
-      fine
+    Array.map (fun (_, h) -> Option.map Dcs_graph.Csr.of_ugraph h) fine
   in
   let score cut =
     Array.fold_left
@@ -266,8 +249,7 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
     | None -> invalid_arg "Coordinator.min_cut: no candidate cuts (empty graph?)"
   in
   let sum f arr = Array.fold_left (fun acc d -> acc + f d) 0 arr in
-  let forall_bits = sum (fun d -> d.payload_bits) coarse in
-  let foreach_bits = sum (fun d -> d.payload_bits) fine in
+  let forall_bits = sum fst coarse and foreach_bits = sum fst fine in
   let naive_bits =
     Array.fold_left (fun acc s -> acc + Sketch.ugraph_encoding_bits s) 0 shards
   in
@@ -294,7 +276,7 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
       fullacc_forall_bits;
     }
   in
-  let lost arr = sum (fun d -> if d.got = None then 1 else 0) arr in
+  let lost arr = sum (fun (_, h) -> if Option.is_none h then 1 else 0) arr in
   let coarse_lost = lost coarse and fine_lost = lost fine in
   let lost_weight = total_weight -. surviving_weight in
   let eps_effective =
@@ -305,14 +287,11 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
   in
   let report =
     {
-      retransmissions = sum (fun d -> d.d_retrans) coarse + sum (fun d -> d.d_retrans) fine;
-      drops_seen = sum (fun d -> d.d_drops) coarse + sum (fun d -> d.d_drops) fine;
-      corruptions_detected =
-        sum (fun d -> d.d_corrupt) coarse + sum (fun d -> d.d_corrupt) fine;
-      stragglers =
-        sum (fun d -> d.d_stragglers) coarse + sum (fun d -> d.d_stragglers) fine;
-      speculative_retransmissions =
-        sum (fun d -> d.d_spec) coarse + sum (fun d -> d.d_spec) fine;
+      retransmissions = tally.retrans;
+      drops_seen = tally.drops;
+      corruptions_detected = tally.corrupt;
+      stragglers = tally.stragglers;
+      speculative_retransmissions = tally.spec;
       coarse_lost;
       fine_lost;
       checksum_bits = Sketch.checksum_bits * 2 * Array.length shards;
@@ -320,7 +299,7 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
       (* every server advertises its shard's total weight up front on the
          reliable control plane: one 64-bit float per shard *)
       control_bits = 64 * Array.length shards;
-      backoff_units = sum (fun d -> d.d_backoff) coarse + sum (fun d -> d.d_backoff) fine;
+      backoff_units = tally.backoff;
       eps_effective;
       degraded = coarse_lost > 0 || fine_lost > 0;
     }
@@ -336,4 +315,4 @@ let min_cut_robust ?(retry_budget = 4) rng cfg ~fault shards =
   { base; report }
 
 let min_cut rng cfg shards =
-  (min_cut_robust ~retry_budget:0 rng cfg ~fault:Fault.disabled shards).base
+  (min_cut_robust rng cfg ~fault:Fault.disabled shards).base

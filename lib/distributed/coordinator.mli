@@ -11,12 +11,13 @@
     by the sketches' canonical encodings.
 
     {!min_cut_robust} runs the same pipeline over a lossy medium
-    ({!Dcs_util.Fault}): sketches travel in checksummed frames, the
-    coordinator detects dropped or corrupted deliveries and re-requests
-    with exponential backoff up to a retry budget, and past the budget it
-    degrades gracefully — candidates come from the surviving coarse
-    sketches, scores are rescaled by the advertised weight of surviving
-    fine shards, and the error bound is widened accordingly. {!min_cut} is
+    ({!Dcs_util.Fault}): sketches travel in checksummed frames through
+    {!Dcs_comm.Channel.transmit_reliable}, the coordinator detects dropped
+    or corrupted deliveries and re-requests with exponential backoff up to
+    4 times per sketch, and past that budget it degrades gracefully —
+    candidates come from the surviving coarse sketches, scores are
+    rescaled by the advertised weight of surviving fine shards, and the
+    error bound is widened accordingly. {!min_cut} is
     exactly the zero-fault instance: same estimates, same metered bits.
 
     Stragglers: the policy's timeout rate models a shard sketch arriving
@@ -86,16 +87,15 @@ type fault_report = {
 type robust_result = { base : result; report : fault_report }
 
 val min_cut_robust :
-  ?retry_budget:int ->
   Dcs_util.Prng.t ->
   config ->
   fault:Dcs_util.Fault.t ->
   Dcs_graph.Ugraph.t array ->
   robust_result
-(** [retry_budget] (default 4) is the number of re-requests allowed per
-    sketch beyond the first send. With {!Dcs_util.Fault.disabled} the
-    [base] result is bit-identical to {!min_cut}'s — the payload metering
-    ([forall_bits] etc.) never includes the robustness overhead, which is
-    reported separately in the {!fault_report}. Raises [Failure] when every
+(** Each sketch gets a first send and up to 4 re-requests. With
+    {!Dcs_util.Fault.disabled} the [base] result is bit-identical to
+    {!min_cut}'s — the payload metering ([forall_bits] etc.) never
+    includes the robustness overhead, which is reported separately in the
+    {!fault_report}. Raises [Failure] when every
     coarse sketch is lost (or the surviving merge is disconnected): with
     no usable for-all information there is nothing to degrade to. *)

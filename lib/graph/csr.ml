@@ -316,3 +316,29 @@ let to_digraph t =
     done
   done;
   g
+
+(* Each direction is one pass over the out-rows against the list's
+   cursor; an undirected edge's reverse arcs are the reverse view's. *)
+let is_view t ~n ~symmetric edges =
+  let rows_are t =
+    let i = ref 0 in
+    match
+      for src = 0 to t.n - 1 do
+        for j = t.out_off.(src) to t.out_off.(src + 1) - 1 do
+          let dst = t.out_dst.(j) in
+          if (not symmetric) || dst > src then begin
+            if !i = Array.length edges then raise Exit;
+            let a, b, w = edges.(!i) in
+            if a <> src || b <> dst || w <> t.out_w.(j) then raise Exit;
+            incr i
+          end
+        done
+      done
+    with
+    | () -> !i = Array.length edges
+    | exception Exit -> false
+  in
+  t.n = n
+  && t.arcs = (if symmetric then 2 else 1) * Array.length edges
+  && rows_are t
+  && ((not symmetric) || rows_are (reverse t))

@@ -52,6 +52,12 @@ val mem_edge : t -> int -> int -> bool
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
+val is_view : t -> n:int -> symmetric:bool -> (int * int * float) array -> bool
+(** Whether [t] freezes the graph on [n] vertices whose edges, in
+    canonical ascending (u, v) order, are [edges] — weights included, and
+    with [symmetric] as the undirected graph (u < v, both arc directions).
+    One linear merge per direction. *)
+
 val iter_out : t -> int -> (int -> float -> unit) -> unit
 (** Out-neighbors in increasing vertex order. *)
 

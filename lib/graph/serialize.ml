@@ -3,9 +3,12 @@ let output_generic out n iter =
   Buffer.add_char out '\n';
   iter (fun u v w -> Buffer.add_string out (Printf.sprintf "%d %d %.17g\n" u v w))
 
+let max_vertices = 1 lsl 20
+
 (* Line by line: the first non-blank line is the vertex count, every later
    non-blank line one edge. The first violation is an [Error] naming its
-   1-based line number and the reason. *)
+   1-based line number and the reason. The count is bounded before any
+   graph is allocated: building one costs a hashtable per vertex. *)
 let parse_string s =
   let fail lno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lno m)) fmt in
   let rec go n lno acc = function
@@ -20,6 +23,8 @@ let parse_string s =
         | _, [] -> next n acc
         | None, _ -> (
             match List.map int_of_string_opt fields with
+            | [ Some k ] when k > max_vertices ->
+                fail lno "vertex count %d exceeds the bound of %d" k max_vertices
             | [ Some k ] when k >= 0 -> next (Some k) acc
             | _ -> fail lno "expected a non-negative vertex count, got %S" line)
         | Some k, [ u; v; w ] -> (

@@ -10,11 +10,16 @@
     by the [dcut] CLI and handy for fixtures.
 
     Parsing is line by line. Blank lines are skipped; the first other
-    line must be one non-negative integer [n], and every later one
+    line must be one integer [0 <= n <= max_vertices], and every later one
     exactly three fields [u v w] with [0 <= u, v < n], [u <> v] and a
     finite [w >= 0]. Anything else is an [Error] naming the 1-based line
     number and the reason, as are repeated edges whose weights sum past
     the largest float; a parser never raises. *)
+
+val max_vertices : int
+(** 2^20: the largest vertex count a parser accepts. Far above what the
+    quadratic and cubic solvers can run, and it keeps a one-line input
+    from allocating a graph of empty adjacency tables. *)
 
 val ugraph_to_string : Ugraph.t -> string
 val ugraph_of_string : string -> (Ugraph.t, string) result

@@ -17,23 +17,17 @@ type result = {
   search_calls : int;
 }
 
-let estimate ?(c0 = 2.0) ?(beta0 = 0.5) ?(c_margin = 4.0) ?faulty rng oracle ~eps
-    ~mode =
+(* Search accuracy in [Modified] mode, and the safety margin of the
+   confirming call. *)
+let beta0 = 0.5
+let c_margin = 4.0
+
+let estimate ?(c0 = 2.0) rng oracle ~eps ~mode =
   if eps <= 0.0 || eps > 1.0 then invalid_arg "Estimator.estimate: eps in (0,1]";
   Trace.with_span "estimator.estimate" @@ fun () ->
   Metrics.inc m_runs;
-  (match faulty with
-  | Some f when Faulty_oracle.oracle f != oracle ->
-      invalid_arg "Estimator.estimate: faulty wrapper must wrap the given oracle"
-  | _ -> ());
   Oracle.reset oracle;
-  let n = Oracle.n oracle in
-  let query_degree =
-    match faulty with
-    | None -> Oracle.degree oracle
-    | Some f -> Faulty_oracle.degree f
-  in
-  let degrees = Array.init n (fun u -> query_degree u) in
+  let degrees = Array.init (Oracle.n oracle) (Oracle.degree oracle) in
   let min_degree = Array.fold_left min max_int degrees in
   (* k <= min degree: the singleton cut. Start the halving there. *)
   let search_eps = match mode with Original -> eps | Modified -> beta0 in
@@ -42,7 +36,7 @@ let estimate ?(c0 = 2.0) ?(beta0 = 0.5) ?(c_margin = 4.0) ?faulty rng oracle ~ep
     if t < 1.0 then (* degenerate: accept the smallest guess *) 1.0
     else begin
       incr search_calls;
-      let o = Verify_guess.run ~c0 ?faulty rng oracle ~degrees ~t ~eps:search_eps in
+      let o = Verify_guess.run ~c0 rng oracle ~degrees ~t ~eps:search_eps in
       if o.Verify_guess.accepted then t else search (t /. 2.0)
     end
   in
@@ -57,7 +51,7 @@ let estimate ?(c0 = 2.0) ?(beta0 = 0.5) ?(c_margin = 4.0) ?faulty rng oracle ~ep
     | Original -> c_margin /. (eps *. eps)
   in
   let t_final = Float.max 1.0 (t_accepted /. margin) in
-  let final = Verify_guess.run ~c0 ?faulty rng oracle ~degrees ~t:t_final ~eps in
+  let final = Verify_guess.run ~c0 rng oracle ~degrees ~t:t_final ~eps in
   Metrics.inc ~by:!search_calls m_search_calls;
   let stats = Oracle.stats oracle in
   {

@@ -14,10 +14,9 @@
       the margin shrinks to κ(β₀) = Θ(ln n), and only the single final call
       runs at accuracy ε — total Õ(m/(ε²·k)).
 
-    Margins are exposed as constants (c_margin, default 4.0): the modified
-    final guess is t/c_margin and the original one is t·ε²... precisely
-    t/(c_margin/ε²), reproducing the two κ regimes with the ln n factor
-    dropped at laptop scale (recorded in EXPERIMENTS.md). *)
+    The margins are constants: the modified final guess is t/4 and the
+    original one is t/(4/ε²), reproducing the two κ regimes with the
+    ln n factor dropped at laptop scale (recorded in EXPERIMENTS.md). *)
 
 type mode = Original | Modified
 
@@ -33,22 +32,16 @@ type result = {
 
 val estimate :
   ?c0:float ->
-  ?beta0:float ->
-  ?c_margin:float ->
-  ?faulty:Faulty_oracle.t ->
   Dcs_util.Prng.t ->
   Oracle.t ->
   eps:float ->
   mode:mode ->
   result
 (** Resets the oracle meters before starting, so the reported counts are
-    exactly this run's. Defaults: [c0] = 2.0 (VERIFY-GUESS oversampling),
-    [beta0] = 0.5 (search accuracy in [Modified] mode), [c_margin] = 4.0.
+    exactly this run's. [c0] (default 2.0) is VERIFY-GUESS's
+    oversampling; search calls in [Modified] mode run at accuracy 0.5.
 
-    When [faulty] is given (it must wrap the same [oracle]), degree and
-    edge queries go through its retry-and-vote recovery; every retry and
-    vote is charged to the oracle's meters, so the reported counts measure
-    the true robustness overhead against the Theorem 5.7 budget. May raise
-    {!Faulty_oracle.Exhausted} when a query outlives its retry budget.
-    With an inactive injector the run is bit-identical to the unwrapped
-    one — same estimate, same metered counts. *)
+    Against a faulty oracle ({!Oracle.create} with [fault]) every retry
+    and vote is charged to the meters, so the reported counts measure the
+    true robustness overhead against the Theorem 5.7 budget, and a query
+    that outlives its retry budget raises {!Oracle.Exhausted}. *)

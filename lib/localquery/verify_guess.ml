@@ -9,20 +9,15 @@ type outcome = {
   p : float;
 }
 
-let run ?(c0 = 2.0) ?(threshold = 0.5) ?faulty rng oracle ~degrees ~t ~eps =
+(* Accept iff the sample's estimate reaches this fraction of the guess. *)
+let threshold = 0.5
+
+let run ?(c0 = 2.0) rng oracle ~degrees ~t ~eps =
   if t <= 0.0 then invalid_arg "Verify_guess.run: t > 0";
   if eps <= 0.0 || eps > 1.0 then invalid_arg "Verify_guess.run: eps in (0,1]";
   Dcs_obs_core.Trace.with_span "verify_guess.run" @@ fun () ->
   let n = Oracle.n oracle in
   if Array.length degrees <> n then invalid_arg "Verify_guess.run: degrees length";
-  let ith_neighbor =
-    match faulty with
-    | None -> Oracle.ith_neighbor oracle
-    | Some f ->
-        if Faulty_oracle.oracle f != oracle then
-          invalid_arg "Verify_guess.run: faulty wrapper must wrap the given oracle";
-        Faulty_oracle.ith_neighbor f
-  in
   let p = Float.min 1.0 (c0 *. log (float_of_int (max 2 n)) /. (eps *. eps *. t)) in
   let slot_p = if p >= 1.0 then 1.0 else p /. 2.0 in
   let h = Ugraph.create n in
@@ -31,7 +26,7 @@ let run ?(c0 = 2.0) ?(threshold = 0.5) ?faulty rng oracle ~degrees ~t ~eps =
     for i = 0 to degrees.(u) - 1 do
       if slot_p >= 1.0 || Prng.bernoulli rng slot_p then begin
         incr queries;
-        match ith_neighbor u i with
+        match Oracle.ith_neighbor oracle u i with
         | Some v when v <> u ->
             (* Full read keeps original unit weight; a sampled slot carries
                weight 1/p so each edge's expected sampled weight is 1. A

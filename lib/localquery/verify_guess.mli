@@ -10,7 +10,7 @@
     sample's minimum cut estimates k; if t >= Θ(ln n/ε²)·k the minimum cut
     is so under-sampled that its sampled value falls below the acceptance
     threshold (possibly disconnecting the sample). The decision rule is
-    accept iff estimate >= threshold·t.
+    accept iff estimate >= t/2.
 
     Query cost: Binomial(2m, p/2) edge queries — Õ(ε⁻²·m/t) in expectation,
     exactly Lemma 5.8's bound. Degree queries are not issued here: D is an
@@ -26,21 +26,16 @@ type outcome = {
 
 val run :
   ?c0:float ->
-  ?threshold:float ->
-  ?faulty:Faulty_oracle.t ->
   Dcs_util.Prng.t ->
   Oracle.t ->
   degrees:int array ->
   t:float ->
   eps:float ->
   outcome
-(** Defaults: [c0] = 2.0 (the paper's 2000 is a worst-case constant;
-    EXPERIMENTS.md records the scaling), [threshold] = 0.5. When p reaches
-    1 the whole graph is read (2m edge queries) and the estimate is exact.
+(** [c0] defaults to 2.0 (the paper's 2000 is a worst-case constant;
+    EXPERIMENTS.md records the scaling). When p reaches 1 the whole graph
+    is read (2m edge queries) and the estimate is exact.
 
-    When [faulty] is given (it must wrap the same [oracle]), every edge
-    query goes through the fault layer's retry-and-vote recovery; retries
-    and votes hit the underlying meters, and [edge_queries] still counts
-    {e logical} queries (the metered physical count is on the oracle).
-    May raise {!Faulty_oracle.Exhausted}. With an inactive injector the
-    run is bit-identical to the unwrapped one. *)
+    Against a faulty oracle, [edge_queries] still counts {e logical}
+    queries; the metered physical count, retries and votes included, is
+    on the oracle. May raise {!Oracle.Exhausted}. *)

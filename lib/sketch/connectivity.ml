@@ -350,7 +350,13 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
   check_params ~cap flow_budget;
   let n = Digraph.n g in
   let edges = Importance.sorted_edges_digraph g in
-  let csr = match csr with Some c -> c | None -> Csr.of_digraph g in
+  let csr =
+    match csr with
+    | None -> Csr.of_digraph g
+    | Some c when Csr.is_view c ~n ~symmetric:false edges -> c
+    | Some _ ->
+        invalid_arg "Connectivity.estimate_digraph: csr is a view of a different graph"
+  in
   let strengths =
     match strengths with
     | Some s -> s

@@ -80,7 +80,10 @@ val estimate_digraph :
   Dcs_graph.Digraph.t ->
   t
 (** λ̂ for every directed edge, flows on the digraph itself ([csr]
-    reuses a frozen view of [g]). [strengths] is an NI decomposition of
+    reuses a frozen view of [g]; a view with other arcs or weights raises
+    [Invalid_argument]
+    ["Connectivity.estimate_digraph: csr is a view of a different graph"]
+    before any work). [strengths] is an NI decomposition of
     the {e undirected projection}; its index prefilters through the
     (1+β) balance factor (default [beta] = 1), which is sound exactly
     when [g] is β-balanced — the caller owns that promise, as in

@@ -56,7 +56,34 @@ let check_eps eps =
    to 1/16. *)
 let default_cap ~rho cap = Option.value cap ~default:(16.0 *. rho)
 
-let sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
+(* A caller's estimates or frozen view must describe [g] itself — the
+   same edges at the same weights — or certification would vouch for a
+   cut of another graph. Both are checked before any work. *)
+let foreign what =
+  invalid_arg (Printf.sprintf "Partial_mincut: %s does not describe the graph" what)
+
+let check_connectivity g conn =
+  let n = Ugraph.n g and edges = Connectivity.edges conn in
+  let own (u, v, w) = u < v && v < n && Ugraph.weight g u v = w in
+  if Array.length edges <> Ugraph.m g || not (Array.for_all own edges) then
+    foreign "connectivity"
+
+(* Checked estimates carry [g]'s canonical edge list, so a view beside
+   them costs one linear merge. Alone, each of its arcs is looked up in
+   [g]: as many arcs as [g] has, all of them [g]'s, make the view exact. *)
+let check_csr g connectivity csr =
+  let n = Ugraph.n g in
+  match connectivity with
+  | Some conn ->
+      if not (Csr.is_view csr ~n ~symmetric:true (Connectivity.edges conn)) then
+        foreign "csr"
+  | None ->
+      if Csr.n csr <> n || Csr.m csr <> 2 * Ugraph.m g then foreign "csr";
+      for u = 0 to n - 1 do
+        Csr.iter_out csr u (fun v w -> if Ugraph.weight g u v <> w then foreign "csr")
+      done
+
+let sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
   check_rho rho;
   let conn =
     match connectivity with
@@ -68,6 +95,10 @@ let sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
   let h = Ugraph.create (Ugraph.n g) in
   Connectivity.sample conn ~rho rng (Ugraph.add_edge h);
   (h, conn)
+
+let sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
+  Option.iter (check_connectivity g) connectivity;
+  sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g
 
 let solve_dense ?domains rng ~solver g =
   match solver with
@@ -106,8 +137,10 @@ let mincut ?domains ?cap ?flow_budget ?connectivity ?csr ~rho rng ~eps
     ~solver g =
   Metrics.inc m_solves;
   check_eps eps;
+  Option.iter (check_connectivity g) connectivity;
+  Option.iter (check_csr g connectivity) csr;
   let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
-  let h, conn = sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
+  let h, conn = sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
   let sparse_rng = Prng.fork rng in
   let fallback_rng = Prng.fork rng in
   let sparse =

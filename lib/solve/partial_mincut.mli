@@ -48,8 +48,10 @@ val sparsify :
     every domain count). Returns the sparsifier and the estimates it
     sampled from. [cap] is the estimation ceiling (default 16·ρ — it must
     exceed ρ for anything to be dropped, since estimates saturate there
-    and p = ρ/λ̂); [connectivity] reuses estimates (must be from this
-    graph; [cap] is then ignored). [rho] and [cap] must be positive:
+    and p = ρ/λ̂); [connectivity] reuses estimates of this graph ([cap]
+    is then ignored; estimates of other edges or weights raise
+    [Invalid_argument "Partial_mincut: connectivity does not describe the
+    graph"] before any work). [rho] and [cap] must be positive:
     anything else, NaN included, raises [Invalid_argument] before
     estimation runs. *)
 
@@ -67,8 +69,10 @@ val mincut :
   result
 (** Global minimum cut through {!sparsify} + [solver] + certify/repair.
     [eps] is the certification tolerance, in (0, 1). [csr] reuses an
-    existing frozen view of the input graph for certification (it must
-    match [g]); omitted, one is frozen here. A sparsifier the solver
+    existing frozen view of the input graph for certification; omitted,
+    one is frozen here. A view of other arcs or weights raises
+    [Invalid_argument "Partial_mincut: csr does not describe the graph"]
+    before any work, and [connectivity] is checked as in {!sparsify}. A sparsifier the solver
     rejects as disconnected — directly, or from a pooled trial as
     {!Dcs_util.Pool.Task_failed} — falls back to the dense solve. Note
     Stoer–Wagner's O(n³) does not shrink with the edge count — pair it

@@ -4,17 +4,21 @@ type 'a outcome = {
   backoff_units : int;
 }
 
-let with_budget ~budget f =
-  if budget < 1 then invalid_arg "Retry.with_budget: budget must be >= 1";
+(* The one bounded loop: [wait a] is charged after failed attempt [a]
+   whenever another attempt follows it. *)
+let bounded ~name ~budget ~wait f =
+  if budget < 1 then invalid_arg (name ^ ": budget must be >= 1");
   let rec go attempt backoff =
     match f ~attempt with
     | Some _ as v -> { value = v; attempts = attempt + 1; backoff_units = backoff }
-    | None ->
-        if attempt + 1 >= budget then
-          { value = None; attempts = attempt + 1; backoff_units = backoff }
-        else go (attempt + 1) (backoff + (1 lsl attempt))
+    | None when attempt + 1 >= budget ->
+        { value = None; attempts = attempt + 1; backoff_units = backoff }
+    | None -> go (attempt + 1) (backoff + wait attempt)
   in
   go 0 0
+
+let with_budget ~budget f =
+  bounded ~name:"Retry.with_budget" ~budget ~wait:(fun a -> 1 lsl a) f
 
 (* min cap (base * 2^a) without overflow: once the doubling clears the cap
    the clamp is exact, so stop multiplying there. *)
@@ -29,19 +33,12 @@ let jittered_wait ~rng ~base ~cap ~attempt =
   let hi = clamped_exponential ~base ~cap attempt in
   1 + Prng.int (Prng.split rng attempt) hi
 
-let with_jittered_backoff ~budget ?(base = 1) ?(cap = 64) ~rng f =
-  if budget < 1 then invalid_arg "Retry.with_jittered_backoff: budget must be >= 1";
-  if base < 1 then invalid_arg "Retry.with_jittered_backoff: base must be >= 1";
-  if cap < 1 then invalid_arg "Retry.with_jittered_backoff: cap must be >= 1";
-  let rec go attempt backoff =
-    match f ~attempt with
-    | Some _ as v -> { value = v; attempts = attempt + 1; backoff_units = backoff }
-    | None ->
-        if attempt + 1 >= budget then
-          { value = None; attempts = attempt + 1; backoff_units = backoff }
-        else go (attempt + 1) (backoff + jittered_wait ~rng ~base ~cap ~attempt)
-  in
-  go 0 0
+let with_jittered_backoff ~budget ~base ~cap ~rng f =
+  let name = "Retry.with_jittered_backoff" in
+  if base < 1 then invalid_arg (name ^ ": base must be >= 1");
+  if cap < 1 then invalid_arg (name ^ ": cap must be >= 1");
+  bounded ~name ~budget f ~wait:(fun attempt ->
+      jittered_wait ~rng ~base ~cap ~attempt)
 
 let majority ~k f =
   if k < 1 then invalid_arg "Retry.majority: k must be >= 1";

@@ -45,14 +45,14 @@ val jittered_wait : rng:Prng.t -> base:int -> cap:int -> attempt:int -> int
 
 val with_jittered_backoff :
   budget:int ->
-  ?base:int ->
-  ?cap:int ->
+  base:int ->
+  cap:int ->
   rng:Prng.t ->
   (attempt:int -> 'a option) ->
   'a outcome
-(** Like {!with_budget} — same attempt contract, same [attempts <= budget]
+(** {!with_budget}'s loop — same attempt contract, same [attempts <= budget]
     guarantee — but each failed-and-retried attempt [a] charges
     {!jittered_wait} units instead of [2^a]: [backoff_units] is their sum
-    and therefore never exceeds [(budget - 1) * cap]. [base] defaults to 1,
-    [cap] to 64. [rng] is not advanced (pass a frozen per-request stream);
-    equal stream positions give equal schedules. *)
+    and therefore never exceeds [(budget - 1) * cap]. [rng] is not advanced
+    (pass a frozen per-request stream); equal stream positions give equal
+    schedules. *)

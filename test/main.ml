@@ -11,6 +11,8 @@ let () =
       ("mincut-agreement", Test_mincut_agreement.suite);
       ("comm", Test_comm.suite);
       ("fault", Test_fault.suite);
+      ("fault-golden", Test_fault_golden.suite);
+      ("fuzz", Test_fuzz.suite);
       ("sketch", Test_sketch.suite);
       ("foreach_lb", Test_foreach_lb.suite);
       ("forall_lb", Test_forall_lb.suite);

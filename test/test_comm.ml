@@ -35,7 +35,7 @@ let test_bitstring_ones_concat () =
 let test_channel_accounting () =
   let ch = Channel.create () in
   Channel.send ch ~bits:10;
-  Channel.exchange ch ~bits:2;
+  Channel.send ch ~bits:2;
   Alcotest.(check int) "bits" 12 (Channel.total_bits ch);
   Alcotest.(check int) "rounds" 2 (Channel.rounds ch)
 

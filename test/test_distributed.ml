@@ -177,19 +177,21 @@ let test_robust_recovers_under_drops () =
      <= (0.5 *. exact) +. 1e-9)
 
 let test_robust_degrades_past_budget () =
-  (* retry_budget 0 under heavy loss: some sketches are abandoned and the
-     coordinator degrades instead of failing, widening its error bound. *)
+  (* Loss heavy enough to outlast the 4 re-requests: some sketches are
+     abandoned and the coordinator degrades instead of failing, widening
+     its error bound. *)
   let g = planted 38 in
   let rng = Prng.create 39 in
   let shards = Partition.random rng ~servers:4 g in
   let cfg = Coordinator.default_config ~eps:0.3 in
-  let fault = Fault.create (Fault.policy ~drop:0.6 ()) rng in
-  let r = Coordinator.min_cut_robust ~retry_budget:0 rng cfg ~fault shards in
+  let fault = Fault.create (Fault.policy ~drop:0.85 ()) rng in
+  let r = Coordinator.min_cut_robust rng cfg ~fault shards in
   let rep = r.Coordinator.report in
   Alcotest.(check bool) "sketches lost" true
     (rep.Coordinator.coarse_lost + rep.Coordinator.fine_lost > 0);
   Alcotest.(check bool) "degraded flagged" true rep.Coordinator.degraded;
-  Alcotest.(check bool) "no retries allowed" true (rep.Coordinator.retransmissions = 0);
+  Alcotest.(check bool) "retries within the budget" true
+    (rep.Coordinator.retransmissions <= 4 * 2 * Array.length shards);
   if rep.Coordinator.fine_lost > 0 then
     Alcotest.(check bool) "error bound widened" true
       (rep.Coordinator.eps_effective > cfg.Coordinator.eps);

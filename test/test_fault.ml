@@ -141,7 +141,9 @@ let test_jittered_wait_bounds () =
 let test_jittered_backoff_schedule () =
   let rng = Prng.create 12 in
   (* Success on the first call: no waits at all. *)
-  let out = Retry.with_jittered_backoff ~budget:5 ~rng (fun ~attempt:_ -> Some 1) in
+  let out =
+    Retry.with_jittered_backoff ~budget:5 ~base:1 ~cap:64 ~rng (fun ~attempt:_ -> Some 1)
+  in
   Alcotest.(check int) "no backoff" 0 out.Retry.backoff_units;
   (* All failures: exactly the sum of the per-attempt jittered waits for
      the retried attempts (the final failure is not retried). *)
@@ -157,7 +159,8 @@ let test_jittered_backoff_schedule () =
     (Invalid_argument "Retry.with_jittered_backoff: budget must be >= 1")
     (fun () ->
       ignore
-        (Retry.with_jittered_backoff ~budget:0 ~rng (fun ~attempt:_ -> Some ())))
+        (Retry.with_jittered_backoff ~budget:0 ~base:1 ~cap:64 ~rng
+           (fun ~attempt:_ -> Some ())))
 
 let test_majority_recovers_truth () =
   (* 2 honest votes out of 3 beat one lie. *)
@@ -243,12 +246,17 @@ let test_lossy_retransmission_metered_separately () =
 
 (* --- transmit_reliable: the bounded retransmission loop --- *)
 
+let accept_any ~attempt:_ _ = true
+
 let gave_up_counter () = Obs.Metrics.counter "channel.gave_up"
 
 let test_reliable_clean_first_try () =
   let before = Obs.Metrics.counter_value (gave_up_counter ()) in
   let l = Channel.create_lossy Fault.disabled in
-  (match Channel.transmit_reliable l ~max_retransmissions:3 ~bits:80 "frame" with
+  (match
+     Channel.transmit_reliable l ~verify:accept_any ~max_retransmissions:3
+       ~bits:80 "frame"
+   with
   | Ok p -> Alcotest.(check string) "delivered verbatim" "frame" p
   | Error _ -> Alcotest.fail "gave up without faults");
   Alcotest.(check int) "one send" 80 (Channel.first_send_bits l);
@@ -260,7 +268,10 @@ let test_reliable_gives_up_typed () =
   let before = Obs.Metrics.counter_value (gave_up_counter ()) in
   let rng = Prng.create 21 in
   let l = Channel.create_lossy (Fault.create (Fault.policy ~drop:1.0 ()) rng) in
-  (match Channel.transmit_reliable l ~max_retransmissions:3 ~bits:64 "x" with
+  (match
+     Channel.transmit_reliable l ~verify:accept_any ~max_retransmissions:3
+       ~bits:64 "x"
+   with
   | Ok _ -> Alcotest.fail "delivered through a dead link"
   | Error gu ->
       Alcotest.(check int) "first send + 3 re-sends" 4 gu.Channel.transmissions;
@@ -273,7 +284,9 @@ let test_reliable_gives_up_typed () =
   Alcotest.check_raises "bound must be nonnegative"
     (Invalid_argument
        "Channel.transmit_reliable: max_retransmissions must be >= 0") (fun () ->
-      ignore (Channel.transmit_reliable l ~max_retransmissions:(-1) ~bits:1 "x"))
+      ignore
+        (Channel.transmit_reliable l ~verify:accept_any
+           ~max_retransmissions:(-1) ~bits:1 "x"))
 
 let test_reliable_verify_rejects_corruption () =
   let rng = Prng.create 22 in
@@ -284,7 +297,7 @@ let test_reliable_verify_rejects_corruption () =
   (* Every delivery is corrupted and the CRC check refuses each one. *)
   (match
      Channel.transmit_reliable l
-       ~verify:(fun s -> Result.is_ok (Checksum.unframe s))
+       ~verify:(fun ~attempt:_ s -> Result.is_ok (Checksum.unframe s))
        ~max_retransmissions:2
        ~bits:(8 * String.length framed)
        framed
@@ -293,8 +306,11 @@ let test_reliable_verify_rejects_corruption () =
   | Error gu ->
       Alcotest.(check int) "transmissions" 3 gu.Channel.transmissions;
       Alcotest.(check int) "all failed verify" 3 gu.Channel.gu_corruptions);
-  (* Without verify, a corrupted delivery is accepted as-is. *)
-  match Channel.transmit_reliable l ~max_retransmissions:2 ~bits:8 "abc" with
+  (* A verify that accepts anything takes a corrupted delivery as-is. *)
+  match
+    Channel.transmit_reliable l ~verify:accept_any ~max_retransmissions:2
+      ~bits:8 "abc"
+  with
   | Ok p -> Alcotest.(check bool) "corrupted accepted" true (p <> "abc")
   | Error _ -> Alcotest.fail "unverified delivery refused"
 
@@ -304,7 +320,10 @@ let test_reliable_max_zero_single_shot () =
   let l = Channel.create_lossy (Fault.create (Fault.policy ~drop:0.5 ()) rng) in
   let oks = ref 0 and give_ups = ref 0 in
   for _ = 1 to 200 do
-    match Channel.transmit_reliable l ~max_retransmissions:0 ~bits:8 "b" with
+    match
+      Channel.transmit_reliable l ~verify:accept_any ~max_retransmissions:0
+        ~bits:8 "b"
+    with
     | Ok _ -> incr oks
     | Error gu ->
         Alcotest.(check int) "single transmission" 1 gu.Channel.transmissions;
@@ -408,7 +427,7 @@ let prop_transmit_reliable_bounded =
       let framed = Checksum.frame "prop payload" in
       match
         Channel.transmit_reliable l
-          ~verify:(fun s -> Result.is_ok (Checksum.unframe s))
+          ~verify:(fun ~attempt:_ s -> Result.is_ok (Checksum.unframe s))
           ~max_retransmissions
           ~bits:(8 * String.length framed)
           framed

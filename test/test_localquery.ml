@@ -296,53 +296,43 @@ let test_oracle_negative_index_raises () =
   Alcotest.(check int) "meters untouched" 0 (Oracle.total_queries o)
 
 let test_faulty_oracle_disabled_bit_identical () =
-  (* With Fault.disabled the wrapped estimator must be bit-identical to
-     the unwrapped one: same estimate AND same metered query counts. *)
+  (* With Fault.disabled the faulty oracle's estimator must be
+     bit-identical to the plain one: same estimate AND same metered query
+     counts. *)
   let g = planted 20 in
-  let run faulty_of =
-    let rng = Prng.create 21 in
-    let o = Oracle.create g in
-    let r = Estimator.estimate ?faulty:(faulty_of o) rng o ~eps:0.5 ~mode:Estimator.Modified in
+  let run o =
+    let r = Estimator.estimate (Prng.create 21) o ~eps:0.5 ~mode:Estimator.Modified in
     (r.Estimator.estimate, r.Estimator.total_queries, r.Estimator.degree_queries,
      Oracle.comm_bits o)
   in
-  let plain = run (fun _ -> None) in
-  let fo = ref None in
-  let wrapped =
-    run (fun o ->
-        let f = Faulty_oracle.create Fault.disabled o in
-        fo := Some f;
-        Some f)
-  in
-  Alcotest.(check bool) "identical (estimate, queries, bits)" true (plain = wrapped);
-  let stats = Faulty_oracle.stats (Option.get !fo) in
-  Alcotest.(check int) "no retries" 0 stats.Faulty_oracle.retries;
-  Alcotest.(check int) "no backoff" 0 stats.Faulty_oracle.backoff_units
+  let plain = run (Oracle.create g) in
+  let o = Oracle.create ~fault:Fault.disabled g in
+  Alcotest.(check bool) "identical (estimate, queries, bits)" true (plain = run o);
+  let stats = Oracle.stats o in
+  Alcotest.(check int) "no retries" 0 stats.Oracle.retries;
+  Alcotest.(check int) "no backoff" 0 stats.Oracle.backoff_units
+
+let test_faulty_oracle_vote_k_validated () =
+  let g = triangle () in
+  Alcotest.check_raises "vote_k without faults"
+    (Invalid_argument "Oracle.create: vote_k needs a fault injector") (fun () ->
+      ignore (Oracle.create ~vote_k:3 g));
+  Alcotest.check_raises "vote_k < 1"
+    (Invalid_argument "Oracle.create: vote_k must be >= 1") (fun () ->
+      ignore (Oracle.create ~fault:Fault.disabled ~vote_k:0 g))
 
 let test_faulty_oracle_timeout_exhausts () =
-  (* Every query times out: the retry budget runs dry and the wrapper
+  (* Every query times out: the retry budget runs dry and the oracle
      raises instead of silently answering. *)
   let rng = Prng.create 22 in
   let g = planted 23 in
-  let o = Oracle.create g in
   let fault = Fault.create (Fault.policy ~timeout:1.0 ()) rng in
-  let fo = Faulty_oracle.create ~retry_budget:3 fault o in
-  (match Estimator.estimate ~faulty:fo rng o ~eps:1.0 ~mode:Estimator.Modified with
+  let o = Oracle.create ~fault g in
+  (match Estimator.estimate rng o ~eps:1.0 ~mode:Estimator.Modified with
   | _ -> Alcotest.fail "estimator survived a fully dead oracle"
-  | exception Faulty_oracle.Exhausted _ -> ());
+  | exception Oracle.Exhausted _ -> ());
   (* Timed-out queries were still issued and paid for. *)
   Alcotest.(check bool) "queries metered" true (Oracle.total_queries o > 0)
-
-let test_faulty_oracle_wrapper_mismatch_rejected () =
-  let g = planted 24 in
-  let o = Oracle.create g in
-  let other = Oracle.create g in
-  let fo = Faulty_oracle.create Fault.disabled other in
-  Alcotest.check_raises "wrapper must wrap the given oracle"
-    (Invalid_argument "Estimator.estimate: faulty wrapper must wrap the given oracle")
-    (fun () ->
-      ignore (Estimator.estimate ~faulty:fo (Prng.create 0) o ~eps:1.0
-                ~mode:Estimator.Modified))
 
 let test_faulty_oracle_majority_vote_domain_independent () =
   (* The majority-vote estimator fans trials over domains; explicit domain
@@ -351,15 +341,14 @@ let test_faulty_oracle_majority_vote_domain_independent () =
   let g = planted 25 in
   let trial t =
     let rng = Prng.create (1000 + t) in
-    let o = Oracle.create g in
     let fault = Fault.create (Fault.policy ~timeout:0.1 ~lie:0.05 ()) rng in
-    let fo = Faulty_oracle.create fault o in
-    match Estimator.estimate ~faulty:fo rng o ~eps:1.0 ~mode:Estimator.Modified with
+    let o = Oracle.create ~fault g in
+    match Estimator.estimate rng o ~eps:1.0 ~mode:Estimator.Modified with
     | r ->
-        let s = Faulty_oracle.stats fo in
+        let s = Oracle.stats o in
         (r.Estimator.estimate, r.Estimator.total_queries,
-         s.Faulty_oracle.retries, s.Faulty_oracle.votes_cast)
-    | exception Faulty_oracle.Exhausted _ -> (-1.0, 0, 0, 0)
+         s.Oracle.retries, s.Oracle.votes_cast)
+    | exception Oracle.Exhausted _ -> (-1.0, 0, 0, 0)
   in
   let seq = Pool.parallel_init ~domains:1 ~n:6 trial in
   let par = Pool.parallel_init ~domains:4 ~n:6 trial in
@@ -373,43 +362,42 @@ let test_verify_guess_exhausted_end_to_end () =
      were still issued, so the query meter is charged. *)
   let rng = Prng.create 26 in
   let g = planted 27 in
-  let o = Oracle.create g in
   let degrees = Array.init (Ugraph.n g) (fun u -> Ugraph.degree g u) in
   let fault = Fault.create (Fault.policy ~timeout:1.0 ()) rng in
-  let fo = Faulty_oracle.create ~retry_budget:3 fault o in
-  (match Verify_guess.run ~faulty:fo rng o ~degrees ~t:4.0 ~eps:0.5 with
+  let o = Oracle.create ~fault g in
+  (match Verify_guess.run rng o ~degrees ~t:4.0 ~eps:0.5 with
   | _ -> Alcotest.fail "verify-guess survived a fully dead oracle"
-  | exception Faulty_oracle.Exhausted _ -> ());
+  | exception Oracle.Exhausted _ -> ());
   Alcotest.(check bool) "dead attempts still metered" true
     (Oracle.total_queries o > 0);
   Alcotest.(check bool) "retries recorded" true
-    ((Faulty_oracle.stats fo).Faulty_oracle.retries > 0)
+    ((Oracle.stats o).Oracle.retries > 0)
 
 let test_verify_guess_timeout_recovery_bit_identical () =
   (* Timeouts below the exhaustion threshold: retries eventually deliver
      the true answer, so the decision and estimate are bit-identical to
      the fault-free run — only the oracle meters pay for the recovery. *)
   let g = planted 28 in
-  let degrees_of o = Array.init (Oracle.n o) (fun u -> Oracle.degree o u) in
+  let degrees =
+    let o = Oracle.create g in
+    Array.init (Oracle.n o) (fun u -> Oracle.degree o u)
+  in
   let clean =
     let o = Oracle.create g in
-    let out = Verify_guess.run (Prng.create 29) o ~degrees:(degrees_of o) ~t:4.0 ~eps:0.5 in
+    let out = Verify_guess.run (Prng.create 29) o ~degrees ~t:4.0 ~eps:0.5 in
     (out.Verify_guess.accepted, out.Verify_guess.estimate, out.Verify_guess.edge_queries)
   in
-  let o = Oracle.create g in
   let fault = Fault.create (Fault.policy ~timeout:0.3 ()) (Prng.create 30) in
-  let fo = Faulty_oracle.create ~retry_budget:16 fault o in
-  let degrees = degrees_of o in
-  let physical_before = Oracle.total_queries o in
-  let out = Verify_guess.run ~faulty:fo (Prng.create 29) o ~degrees ~t:4.0 ~eps:0.5 in
+  let o = Oracle.create ~fault g in
+  let out = Verify_guess.run (Prng.create 29) o ~degrees ~t:4.0 ~eps:0.5 in
   Alcotest.(check bool) "outcome bit-identical under recovered timeouts" true
     (clean
     = (out.Verify_guess.accepted, out.Verify_guess.estimate, out.Verify_guess.edge_queries));
-  let retries = (Faulty_oracle.stats fo).Faulty_oracle.retries in
+  let retries = (Oracle.stats o).Oracle.retries in
   Alcotest.(check bool) "recovery forced retries" true (retries > 0);
   Alcotest.(check int) "every retry hit the meter"
     (out.Verify_guess.edge_queries + retries)
-    (Oracle.total_queries o - physical_before)
+    (Oracle.total_queries o)
 
 let prop_lemma55 =
   QCheck.Test.make ~name:"Lemma 5.5: MINCUT = 2·INT" ~count:10
@@ -457,7 +445,7 @@ let suite =
     Alcotest.test_case "oracle: negative index raises" `Quick test_oracle_negative_index_raises;
     Alcotest.test_case "faulty-oracle: disabled bit-identical" `Quick test_faulty_oracle_disabled_bit_identical;
     Alcotest.test_case "faulty-oracle: timeout exhausts" `Quick test_faulty_oracle_timeout_exhausts;
-    Alcotest.test_case "faulty-oracle: wrapper mismatch" `Quick test_faulty_oracle_wrapper_mismatch_rejected;
+    Alcotest.test_case "faulty-oracle: vote_k validated" `Quick test_faulty_oracle_vote_k_validated;
     Alcotest.test_case "faulty-oracle: vote domain-independent" `Quick test_faulty_oracle_majority_vote_domain_independent;
     Alcotest.test_case "verify-guess: exhaustion reaches caller" `Quick test_verify_guess_exhausted_end_to_end;
     Alcotest.test_case "verify-guess: timeout recovery bit-identical" `Quick test_verify_guess_timeout_recovery_bit_identical;
