@@ -138,4 +138,4 @@ let run () =
       print_newline ();
       (* Wall clock below this line: stdout of E18 is excluded from the
          byte-diff determinism gate; only its DCS_METRICS snapshot is. *)
-      Table.print (Obs.Report.span_table ~top:12 ()))
+      Table.print (Obs.Report.span_table ()))

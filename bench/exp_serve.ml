@@ -174,13 +174,7 @@ let run () =
           Serve.queue_depth = 256;
           Serve.batch = 64;
           Serve.cost_degraded = 1;
-          Serve.breaker =
-            {
-              Serve.window = 64;
-              Serve.trip_fault_rate = 0.5;
-              Serve.trip_queue = 192;
-              Serve.recovery_windows = 2;
-            };
+          Serve.breaker = { Serve.trip_queue = 192; Serve.recovery_windows = 2 };
         }
   in
   Common.enforce "E21" "bursts shed (typed, not dropped)"
@@ -206,13 +200,6 @@ let run () =
           Serve.oracle = Fault.policy ~timeout:0.75 ();
           Serve.retry_budget = 3;
           Serve.backoff_cap = 8;
-          Serve.breaker =
-            {
-              Serve.window = 64;
-              Serve.trip_fault_rate = 0.5;
-              Serve.trip_queue = 384;
-              Serve.recovery_windows = 3;
-            };
         }
   in
   Common.enforce "E21" "oracle faults retry"

@@ -30,7 +30,9 @@
 # degradation — under five scenarios. Virtual time keeps every latency and
 # shed decision a pure function of (trace, config, seed), so the whole
 # throughput x p50/p99 x shed-rate table must be byte-identical at every
-# DCS_DOMAINS value.
+# DCS_DOMAINS value. Its three runs also write DCS_METRICS snapshots,
+# diffed like E18's below: the serve.* tallies and the pool.* counts of
+# its batch fan-out must not depend on the domain count either.
 #
 # E16 is in the default set because it exercises the fault-injection layer:
 # its drop/corruption/timeout/lie draws must come out of the split streams
@@ -110,18 +112,35 @@ trap 'rm -rf "$tmpdir"' EXIT
 . bin/run_bench.sh
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
+# metrics_for EXP D: point DCS_METRICS at EXP's snapshot for domain
+# count D when EXP's metrics are diffed (E21), else leave it unset.
+metrics_for () {
+    unset DCS_METRICS
+    if [ "$1" = E21 ]; then
+        export DCS_METRICS="$tmpdir/$1_metrics_d$2.json"
+    fi
+}
+
 for exp in $experiments; do
     ref="$tmpdir/${exp}_d1.out"
+    metrics_for "$exp" 1
     run_bench 1 "$bench" --only "$exp" > "$ref"
     for d in 2 4; do
         out="$tmpdir/${exp}_d$d.out"
+        metrics_for "$exp" "$d"
         run_bench "$d" "$bench" --only "$exp" > "$out"
         if ! diff -u "$ref" "$out"; then
             echo "FAIL: $exp output diverges between DCS_DOMAINS=1 and $d" >&2
             exit 1
         fi
+        if [ -n "${DCS_METRICS:-}" ] \
+            && ! diff -u "$tmpdir/${exp}_metrics_d1.json" "$DCS_METRICS"; then
+            echo "FAIL: $exp metrics snapshot diverges between DCS_DOMAINS=1 and $d" >&2
+            exit 1
+        fi
     done
-    echo "  $exp: byte-identical at DCS_DOMAINS=$domain_counts"
+    echo "  $exp: byte-identical at DCS_DOMAINS=$domain_counts${DCS_METRICS:+ (stdout and metrics snapshot)}"
+    unset DCS_METRICS
 done
 echo "experiment tables byte-identical across domain counts"
 

@@ -53,4 +53,4 @@ let () =
      that bin/check_determinism.sh byte-diffs across domain counts. *)
   print_newline ();
   Obs.Report.print ();
-  Table.print (Obs.Report.span_table ~top:6 ())
+  Table.print (Obs.Report.span_table ())

@@ -24,29 +24,22 @@ let m_fine_lost = Metrics.counter "coord.fine_lost"
 let m_backoff = Metrics.counter "coord.backoff_units"
 let m_candidates = Metrics.histogram ~buckets:12 "coord.candidate_cuts"
 
-type config = {
-  eps : float;
-  eps_coarse : float;
-  karger_trials : int;
-  candidate_factor : float;
-}
+type config = { eps : float; karger_trials : int }
 
 (* The paper uses (1 ± 0.2) coarse sketches; at laptop scale the ln n/ε²
    oversampling of Benczúr–Karger only drops below 1 for very dense graphs,
-   so the default coarse accuracy is 0.5 (with a correspondingly wider
-   candidate factor). EXPERIMENTS.md discusses the regime. *)
-let default_config ~eps =
-  { eps; eps_coarse = 0.5; karger_trials = 200; candidate_factor = 2.0 }
+   so the coarse accuracy is 0.5, with a correspondingly wide candidate
+   factor of 2. EXPERIMENTS.md discusses the regime. *)
+let eps_coarse = 0.5
+let candidate_factor = 2.0
+
+let default_config ~eps = { eps; karger_trials = 200 }
 
 let validate cfg =
   if not (cfg.eps > 0.0 && cfg.eps < 1.0) then
     invalid_arg "Coordinator: eps must be in (0, 1)";
-  if not (cfg.eps_coarse > 0.0) then
-    invalid_arg "Coordinator: eps_coarse must be positive";
   if cfg.karger_trials < 1 then
-    invalid_arg "Coordinator: karger_trials must be >= 1";
-  if not (cfg.candidate_factor >= 1.0) then
-    invalid_arg "Coordinator: candidate_factor must be >= 1.0"
+    invalid_arg "Coordinator: karger_trials must be >= 1"
 
 type result = {
   estimate : float;
@@ -95,9 +88,12 @@ type tally = {
    through the channel's bounded loop, whose [verify] is the receiver. It
    rejects a corrupted frame and a straggler (delivered past the
    per-sketch deadline, as the policy's timeout rate models); a straggler
-   is re-requested speculatively and kept as the fallback, so it costs
-   bits, never data. [f] failed attempts wait Σ 2^a = 2^f − 1 backoff
-   units. Returns the payload bits and the sketch received, if any.
+   is re-requested speculatively and parsed on arrival, and the newest
+   copy that parses is the fallback, so a corrupted late copy never
+   displaces an intact earlier one. Past the budget the sketch is lost
+   only when no straggler copy parsed, counted as one corruption if any
+   arrived. [f] failed attempts wait Σ 2^a = 2^f − 1 backoff units.
+   Returns the payload bits and the sketch received, if any.
 
    When the injector is inactive no frame can be damaged, so the textual
    round-trip is skipped entirely (the metering is identical either way):
@@ -111,12 +107,13 @@ let deliver_sketch lossy ~fault tally h =
     (payload_bits, Some h)
   end
   else begin
-    let got = ref None and late = ref None in
+    let got = ref None and late = ref None and straggled = ref false in
     let verify ~attempt s =
       if Fault.times_out fault then begin
         tally.stragglers <- tally.stragglers + 1;
         if attempt < retry_budget then tally.spec <- tally.spec + 1;
-        late := Some s;
+        straggled := true;
+        Result.iter (fun g -> late := Some g) (Serialize.ugraph_of_frame s);
         false
       end
       else
@@ -138,14 +135,12 @@ let deliver_sketch lossy ~fault tally h =
     tally.drops <- tally.drops + Channel.lossy_drops lossy - drops0;
     tally.retrans <- tally.retrans + min failed retry_budget;
     tally.backoff <- tally.backoff + (1 lsl failed) - 1;
-    match (outcome, !late) with
-    | Error _, Some s -> (
-        match Serialize.ugraph_of_frame s with
-        | Ok g -> (payload_bits, Some g)
-        | Error _ ->
-            tally.corrupt <- tally.corrupt + 1;
-            (payload_bits, None))
-    | _ -> (payload_bits, Option.map fst !got)
+    match outcome with
+    | Ok _ -> (payload_bits, Option.map fst !got)
+    | Error _ ->
+        if !straggled && Option.is_none !late then
+          tally.corrupt <- tally.corrupt + 1;
+        (payload_bits, !late)
   end
 
 let min_cut_robust rng cfg ~fault shards =
@@ -173,7 +168,7 @@ let min_cut_robust rng cfg ~fault shards =
   in
   let coarse =
     Trace.with_span "coord.coarse" @@ fun () ->
-    ship (Dcs_sketch.Benczur_karger.sparsify rng ~eps:cfg.eps_coarse)
+    ship (Dcs_sketch.Benczur_karger.sparsify rng ~eps:eps_coarse)
   in
   let fine =
     Trace.with_span "coord.fine" @@ fun () ->
@@ -193,7 +188,7 @@ let min_cut_robust rng cfg ~fault shards =
   let candidates =
     Trace.with_span "coord.candidates" @@ fun () ->
     Dcs_mincut.Karger.candidate_cuts rng ~trials:cfg.karger_trials
-      ~factor:cfg.candidate_factor merged
+      ~factor:candidate_factor merged
   in
   Metrics.observe m_candidates (List.length candidates);
   let coarse_estimate =

@@ -24,25 +24,25 @@
     past the coordinator's per-sketch deadline. Rather than wait, the
     coordinator fires a {e speculative re-request} (sharing the same
     retry budget and backoff schedule as drop/corruption recovery) and
-    keeps the late copy as a fallback — whichever intact copy it ends up
-    holding is used, so straggling costs speculative bits but never loses
-    a sketch, and the estimate is unchanged. *)
+    keeps the newest late copy that parses as a fallback — a corrupted
+    late copy never displaces an intact earlier one, so straggling costs
+    speculative bits but never loses a sketch that arrived intact, and
+    the estimate is unchanged. *)
 
+(** The for-all sketches are built at accuracy 0.5 (the paper uses 0.2;
+    0.5 at laptop scale), and candidates are the cuts within a factor 2
+    of the best. *)
 type config = {
   eps : float;            (** target accuracy of the final estimate *)
-  eps_coarse : float;     (** accuracy of the for-all sketches (paper: 0.2;
-                              default 0.5 at laptop scale) *)
   karger_trials : int;    (** contraction runs for candidate enumeration *)
-  candidate_factor : float;  (** keep cuts within this factor of the best *)
 }
 
 val default_config : eps:float -> config
 
 val validate : config -> unit
-(** [Invalid_argument] unless [0 < eps < 1], [eps_coarse > 0],
-    [karger_trials >= 1] and [candidate_factor >= 1.0]. Called by both
-    entry points, so a bad config fails loudly instead of silently
-    producing garbage estimates. *)
+(** [Invalid_argument] unless [0 < eps < 1] and [karger_trials >= 1].
+    Called by both entry points, so a bad config fails loudly instead of
+    silently producing garbage estimates. *)
 
 type result = {
   estimate : float;               (** refined min-cut estimate *)

@@ -266,14 +266,14 @@ let cut_many ?into t sides =
   end;
   out
 
-let flip_sweep ?(off = 0) ?len t ~side ~init ~flips ~vals =
-  let len = match len with Some l -> l | None -> Array.length flips - off in
-  if off < 0 || len < 0 || off + len > Array.length flips then
-    invalid_arg "Csr.flip_sweep: bad off/len";
+let flip_sweep ?len t ~side ~init ~flips ~vals =
+  let len = Option.value len ~default:(Array.length flips) in
+  if len < 0 || len > Array.length flips then
+    invalid_arg "Csr.flip_sweep: bad len";
   if Array.length vals < len then invalid_arg "Csr.flip_sweep: vals too short";
   if Array.length side <> t.n then
     invalid_arg "Csr.flip_sweep: side length mismatch";
-  for j = off to off + len - 1 do
+  for j = 0 to len - 1 do
     let x = flips.(j) in
     if x < 0 || x >= t.n then invalid_arg "Csr.flip_sweep: vertex out of range"
   done;
@@ -283,7 +283,7 @@ let flip_sweep ?(off = 0) ?len t ~side ~init ~flips ~vals =
   let in_off = t.in_off and in_src = t.in_src and in_w = t.in_w in
   let cur = ref init in
   for j = 0 to len - 1 do
-    let x = Array.unsafe_get flips (off + j) in
+    let x = Array.unsafe_get flips j in
     let d = ref 0.0 in
     for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1 do
       if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then

@@ -106,7 +106,6 @@ val cut_many : ?into:float array -> t -> bool array array -> float array
     cut and one [csr.cut_many_calls] per call. *)
 
 val flip_sweep :
-  ?off:int ->
   ?len:int ->
   t ->
   side:bool array ->
@@ -115,11 +114,10 @@ val flip_sweep :
   vals:float array ->
   float
 (** [flip_sweep t ~side ~init ~flips ~vals] applies the single-vertex flips
-    [flips.(off) .. flips.(off+len-1)] (default: the whole array) to
+    [flips.(0) .. flips.(len-1)] (default: the whole array) to
     [side] in order, maintaining a running cut value seeded with [init]
-    (the caller's [cut_weight] of the starting side): after each flip the
-    running value is stored in the corresponding slot of [vals]
-    (0-indexed from the start of this call), and the final value is
+    (the caller's [cut_weight] of the starting side): after flip [j] the
+    running value is stored in [vals.(j)], and the final value is
     returned. Equivalent to — and bit-identical with — a loop of
     {!cut_delta} + manual flip + accumulate; [side] is mutated in place.
     A vertex may appear many times (each occurrence toggles it again).

@@ -3,8 +3,8 @@ module Prng = Dcs_util.Prng
 let imbalance g =
   Array.init (Digraph.n g) (fun v -> Digraph.out_weight g v -. Digraph.in_weight g v)
 
-let is_circulation ?(tol = 1e-9) g =
-  Array.for_all (fun b -> Float.abs b <= tol) (imbalance g)
+let is_circulation g =
+  Array.for_all (fun b -> Float.abs b <= 1e-9) (imbalance g)
 
 let random_circulation rng ~n ~cycles ~max_weight =
   if n < 2 then invalid_arg "Eulerian.random_circulation: n >= 2";

@@ -6,8 +6,8 @@
     the 1-balanced graphs, the class (Eulerian sparsification) the paper's
     related work singles out. *)
 
-val is_circulation : ?tol:float -> Digraph.t -> bool
-(** Per-vertex in-weight = out-weight (within [tol], default 1e-9). *)
+val is_circulation : Digraph.t -> bool
+(** Per-vertex in-weight = out-weight, within 1e-9. *)
 
 val imbalance : Digraph.t -> float array
 (** out-weight minus in-weight per vertex. *)

@@ -7,13 +7,15 @@ module Bitstring = Dcs_comm.Bitstring
 module Gap_hamming = Dcs_comm.Gap_hamming
 module Sketch = Dcs_sketch.Sketch
 
-type params = { n : int; beta : int; inv_eps_sq : int; c : float }
+type params = { n : int; beta : int; inv_eps_sq : int }
 
-let make_params ?(c = 0.25) ~beta ~inv_eps_sq n =
+(* The paper's Gap-Hamming gap constant c. *)
+let gap_c = 0.25
+
+let make_params ~beta ~inv_eps_sq n =
   if beta < 1 then invalid_arg "Forall_lb: beta >= 1";
   if inv_eps_sq < 4 || inv_eps_sq mod 4 <> 0 then
     invalid_arg "Forall_lb: 1/eps^2 must be a positive multiple of 4";
-  if c <= 0.0 then invalid_arg "Forall_lb: c > 0";
   let block = beta * inv_eps_sq in
   if n <= 0 || n mod block <> 0 || n / block < 2 then
     invalid_arg
@@ -21,7 +23,7 @@ let make_params ?(c = 0.25) ~beta ~inv_eps_sq n =
          "Forall_lb: n (%d) must be a multiple of block %d with at least 2 blocks"
          n block);
   if block mod 2 <> 0 then invalid_arg "Forall_lb: block must be even";
-  { n; beta; inv_eps_sq; c }
+  { n; beta; inv_eps_sq }
 
 let block_size p = p.beta * p.inv_eps_sq
 let layout p = Layout.create ~n:p.n ~block:(block_size p)
@@ -79,7 +81,7 @@ let encode p gh =
 
 let random_instance rng p =
   let gh =
-    Gap_hamming.generate rng ~h:(total_strings p) ~inv_eps_sq:p.inv_eps_sq ~c:p.c
+    Gap_hamming.generate rng ~h:(total_strings p) ~inv_eps_sq:p.inv_eps_sq ~c:gap_c
   in
   encode p gh
 
@@ -371,7 +373,7 @@ let codec_bits p =
   Bits.write_nonneg c p.n;
   Bits.write_nonneg c p.beta;
   Bits.write_nonneg c p.inv_eps_sq;
-  Bits.write_float c p.c;
+  Bits.write_float c gap_c;
   Bits.add c (bits_capacity p);
   Bits.total c
 

@@ -25,11 +25,11 @@ type params = {
   n : int;            (** total vertices; multiple of block k = β·(1/ε²) *)
   beta : int;         (** balance parameter, >= 1 *)
   inv_eps_sq : int;   (** d = 1/ε²; a positive multiple of 4 *)
-  c : float;          (** Gap-Hamming gap constant (paper's c) *)
 }
 
-val make_params : ?c:float -> beta:int -> inv_eps_sq:int -> int -> params
-(** [make_params ~beta ~inv_eps_sq n]; default [c] is 0.25. *)
+val make_params : beta:int -> inv_eps_sq:int -> int -> params
+(** [make_params ~beta ~inv_eps_sq n]. The Gap-Hamming gap constant (the
+    paper's c) is 0.25. *)
 
 val layout : params -> Layout.t
 val eps : params -> float

@@ -11,7 +11,10 @@ module Trace = Dcs_obs_core.Trace
 let m_bits_decoded = Metrics.counter "foreach_lb.bits_decoded"
 let m_cut_queries = Metrics.counter "foreach_lb.cut_queries"
 
-type params = { n : int; beta : int; inv_eps : int; c1 : float }
+type params = { n : int; beta : int; inv_eps : int }
+
+(* The paper's ‖x‖_∞ bound constant c₁. *)
+let c1 = 2.0
 
 let is_power_of_two x = x > 0 && x land (x - 1) = 0
 
@@ -19,15 +22,14 @@ let int_sqrt x =
   let r = int_of_float (Float.round (sqrt (float_of_int x))) in
   if r * r = x then Some r else None
 
-let make_params ?(c1 = 2.0) ~beta ~inv_eps n =
+let make_params ~beta ~inv_eps n =
   if beta < 1 then invalid_arg "Foreach_lb: beta >= 1";
   if not (is_power_of_two inv_eps) || inv_eps < 2 then
     invalid_arg "Foreach_lb: 1/eps must be a power of two >= 2";
   (match int_sqrt beta with
   | None -> invalid_arg "Foreach_lb: beta must be a perfect square"
   | Some _ -> ());
-  if c1 <= 0.0 then invalid_arg "Foreach_lb: c1 > 0";
-  let p = { n; beta; inv_eps; c1 } in
+  let p = { n; beta; inv_eps } in
   let block =
     match int_sqrt beta with Some sb -> sb * inv_eps | None -> assert false
   in
@@ -51,12 +53,12 @@ let cluster_pairs_per_pair p = p.beta
 let bits_per_pair p = p.beta * bits_per_cluster p
 let bits_capacity p = bits_per_pair p * ((layout p).Layout.chains - 1)
 
-let weight_base p = 2.0 *. p.c1 *. ln_inv_eps p
-let weight_low p = p.c1 *. ln_inv_eps p
-let weight_high p = 3.0 *. p.c1 *. ln_inv_eps p
+let weight_base p = 2.0 *. c1 *. ln_inv_eps p
+let weight_low p = c1 *. ln_inv_eps p
+let weight_high p = 3.0 *. c1 *. ln_inv_eps p
 let balance_upper_bound p = weight_high p *. float_of_int p.beta
 
-let infnorm_bound p = p.c1 *. ln_inv_eps p *. float_of_int p.inv_eps
+let infnorm_bound p = c1 *. ln_inv_eps p *. float_of_int p.inv_eps
 
 type instance = {
   params : params;
@@ -205,7 +207,7 @@ let codec_bits p =
   Bits.write_nonneg c p.n;
   Bits.write_nonneg c p.beta;
   Bits.write_nonneg c p.inv_eps;
-  Bits.write_float c p.c1;
+  Bits.write_float c c1;
   Bits.add c (bits_capacity p);
   Bits.total c
 

@@ -16,12 +16,11 @@ type params = {
   n : int;        (** total vertices, a multiple of block = √β/ε *)
   beta : int;     (** balance parameter; must be a perfect square *)
   inv_eps : int;  (** 1/ε; a power of two, >= 2 *)
-  c1 : float;     (** ‖x‖_∞ bound constant (encode failure threshold) *)
 }
 
-val make_params : ?c1:float -> beta:int -> inv_eps:int -> int -> params
+val make_params : beta:int -> inv_eps:int -> int -> params
 (** [make_params ~beta ~inv_eps n] validates all divisibility constraints.
-    Default [c1] is 2.0. *)
+    The ‖x‖_∞ bound constant c₁ (the encode failure threshold) is 2.0. *)
 
 val layout : params -> Layout.t
 val eps : params -> float

@@ -70,7 +70,7 @@ let render () =
 
 let print () = print_string (render ())
 
-let span_table ?(top = 12) () =
+let span_table () =
   let t =
     Table.create ~title:"hot paths: top spans by self time (wall clock)"
       ~columns:[ "span"; "count"; "total ms"; "self ms"; "self %" ]
@@ -91,7 +91,7 @@ let span_table ?(top = 12) () =
         take (n - 1) tl
     | _ -> ()
   in
-  take top stats;
+  take 12 stats;
   t
 
 (* --- JSON snapshot (metrics only: no wall clock, deterministic) --- *)

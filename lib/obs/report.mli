@@ -21,8 +21,8 @@ val render : unit -> string
 val print : unit -> unit
 (** [render] to stdout. *)
 
-val span_table : ?top:int -> unit -> Dcs_util.Table.t
-(** Top spans by self time from {!Trace.stats} (default 12 rows). Wall
+val span_table : unit -> Dcs_util.Table.t
+(** The 12 top spans by self time from {!Trace.stats}. Wall
     clock: for humans, never for determinism diffs. *)
 
 val snapshot_json : unit -> string

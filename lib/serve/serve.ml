@@ -30,29 +30,15 @@ type reply = {
 
 type response = Answered of reply | Rejected of rejection
 
-type breaker_config = {
-  window : int;
-  trip_fault_rate : float;
-  trip_queue : int;
-  recovery_windows : int;
-}
+type breaker_config = { trip_queue : int; recovery_windows : int }
 
 type config = {
   queue_depth : int;
   shed_policy : shed_policy;
   batch : int;
-  bucket_capacity : int;
-  rate_num : int;
-  rate_den : int;
-  eps_full : float;
-  eps_degraded : float;
-  cost_full : int;
   cost_degraded : int;
-  cost_build : int;
-  batch_overhead : int;
   cache_capacity : int;
   retry_budget : int;
-  backoff_base : int;
   backoff_cap : int;
   max_retransmissions : int;
   breaker : breaker_config;
@@ -60,27 +46,30 @@ type config = {
   wire : Fault.policy;
 }
 
+(* Engine constants: every program serves at these values. *)
+let eps_full = 0.05 (* advertised accuracy at full fidelity *)
+let eps_degraded = 0.25 (* advertised accuracy in degraded mode *)
+let bucket_capacity = 256 (* token-bucket burst, tokens *)
+let rate_num = 1 (* bucket refill: rate_num / rate_den tokens per tick *)
+let rate_den = 2
+let cost_full = 6 (* ticks per full-fidelity evaluation *)
+let cost_build = 12 (* ticks to (re)build a cache-missed sketch *)
+let batch_overhead = 2 (* ticks per service batch *)
+let backoff_base = 1 (* jittered-backoff base, ticks *)
+let breaker_window = 64 (* requests per breaker window *)
+let trip_fault_rate = 0.5 (* a window's oracle fault rate that trips it *)
+
 let default_config =
   {
     queue_depth = 512;
     shed_policy = Reject_newest;
     batch = 32;
-    bucket_capacity = 256;
-    rate_num = 1;
-    rate_den = 2;
-    eps_full = 0.05;
-    eps_degraded = 0.25;
-    cost_full = 6;
     cost_degraded = 2;
-    cost_build = 12;
-    batch_overhead = 2;
     cache_capacity = 16;
     retry_budget = 4;
-    backoff_base = 1;
     backoff_cap = 16;
     max_retransmissions = 4;
-    breaker =
-      { window = 64; trip_fault_rate = 0.5; trip_queue = 384; recovery_windows = 3 };
+    breaker = { trip_queue = 384; recovery_windows = 3 };
     oracle = Fault.no_faults;
     wire = Fault.no_faults;
   }
@@ -92,29 +81,11 @@ let validate cfg =
   in
   pos "queue_depth" cfg.queue_depth;
   pos "batch" cfg.batch;
-  pos "bucket_capacity" cfg.bucket_capacity;
-  pos "rate_num" cfg.rate_num;
-  pos "rate_den" cfg.rate_den;
-  let eps name e =
-    if not (e > 0. && e <= 1.) then
-      invalid_arg ("Serve: " ^ name ^ " must be in (0, 1]")
-  in
-  eps "eps_full" cfg.eps_full;
-  eps "eps_degraded" cfg.eps_degraded;
-  if cfg.eps_degraded < cfg.eps_full then
-    invalid_arg "Serve: eps_degraded must be >= eps_full";
-  nonneg "cost_full" cfg.cost_full;
   nonneg "cost_degraded" cfg.cost_degraded;
-  nonneg "cost_build" cfg.cost_build;
-  nonneg "batch_overhead" cfg.batch_overhead;
   pos "cache_capacity" cfg.cache_capacity;
   pos "retry_budget" cfg.retry_budget;
-  pos "backoff_base" cfg.backoff_base;
   pos "backoff_cap" cfg.backoff_cap;
   nonneg "max_retransmissions" cfg.max_retransmissions;
-  pos "breaker.window" cfg.breaker.window;
-  if not (cfg.breaker.trip_fault_rate >= 0. && cfg.breaker.trip_fault_rate <= 1.)
-  then invalid_arg "Serve: breaker.trip_fault_rate must be in [0, 1]";
   pos "breaker.trip_queue" cfg.breaker.trip_queue;
   pos "breaker.recovery_windows" cfg.breaker.recovery_windows
 
@@ -187,7 +158,6 @@ type t = {
   wire : Channel.lossy;
   oracle : Fault.t;
   jitter_master : Prng.t;
-  pool_master : Prng.t;
   mutable clock : int;
   mutable mode : mode;
   mutable win_seen : int;
@@ -200,12 +170,10 @@ type t = {
 let create ?domains cfg ~graphs ~rng =
   validate cfg;
   if Array.length graphs = 0 then invalid_arg "Serve.create: empty catalog";
-  (* Fixed fork order: oracle, wire, jitter, pool — part of the seed
-     contract. *)
+  (* Fixed fork order: oracle, wire, jitter — part of the seed contract. *)
   let oracle = Fault.create cfg.oracle rng in
   let wire = Channel.create_lossy (Fault.create cfg.wire rng) in
   let jitter_master = Prng.fork rng in
-  let pool_master = Prng.fork rng in
   {
     cfg;
     domains;
@@ -213,13 +181,10 @@ let create ?domains cfg ~graphs ~rng =
     fps = Array.map Csr.fingerprint graphs;
     cache = Hashtbl.create 64;
     cache_ops = 0;
-    bucket =
-      Token_bucket.create ~capacity:cfg.bucket_capacity ~rate_num:cfg.rate_num
-        ~rate_den:cfg.rate_den ();
+    bucket = Token_bucket.create ~capacity:bucket_capacity ~rate_num ~rate_den;
     wire;
     oracle;
     jitter_master;
-    pool_master;
     clock = 0;
     mode = Full;
     win_seen = 0;
@@ -320,7 +285,7 @@ let recover t =
   t.healthy_streak <- 0;
   count t breaker_recoveries
 
-(* Batches at least this big fan out on Pool.run_supervised; smaller ones
+(* Batches at least this big fan out on Pool.parallel_init; smaller ones
    run inline on the control domain. Each slot is a pure function of the
    trace seq (fault and jitter streams are split by it), so the inline path
    computes bit for bit what the pool would. *)
@@ -402,13 +367,13 @@ let run t (reqs : Traffic.request array) =
     if t.mode = Full && Queue.length queue >= cfg.breaker.trip_queue then trip t
   in
   let breaker_after_batch () =
-    if t.win_seen >= cfg.breaker.window then begin
+    if t.win_seen >= breaker_window then begin
       let rate = float_of_int t.win_faulted /. float_of_int t.win_seen in
       (match t.mode with
-      | Full -> if rate >= cfg.breaker.trip_fault_rate then trip t
+      | Full -> if rate >= trip_fault_rate then trip t
       | Degraded ->
           let healthy =
-            rate <= cfg.breaker.trip_fault_rate /. 2.
+            rate <= trip_fault_rate /. 2.
             && Queue.length queue <= cfg.breaker.trip_queue / 2
           in
           if healthy then begin
@@ -451,7 +416,6 @@ let run t (reqs : Traffic.request array) =
             (pos, r, t.graphs.(r.Traffic.key), hit))
           live
       in
-      let batch_rng = Prng.split t.pool_master t.counts.(batches.slot) in
       count t batches;
       let compute_one p =
         let _, r, g, hit = prepared.(p) in
@@ -469,7 +433,7 @@ let run t (reqs : Traffic.request array) =
               let jrng = Prng.split t.jitter_master r.Traffic.seq in
               let o =
                 Retry.with_jittered_backoff ~budget:cfg.retry_budget
-                  ~base:cfg.backoff_base ~cap:cfg.backoff_cap ~rng:jrng
+                  ~base:backoff_base ~cap:cfg.backoff_cap ~rng:jrng
                   (fun ~attempt:_ -> if Fault.times_out inj then None else Some ())
               in
               ( Option.is_some o.Retry.value,
@@ -477,14 +441,13 @@ let run t (reqs : Traffic.request array) =
                 o.Retry.backoff_units )
         in
         let eps, cost =
-          if full then (cfg.eps_full, cfg.cost_full)
-          else (cfg.eps_degraded, cfg.cost_degraded)
+          if full then (eps_full, cost_full) else (eps_degraded, cfg.cost_degraded)
         in
         {
           c_value = quantize ~eps exact;
           c_eps = eps;
           c_degraded = not full;
-          c_cost = cost + backoff + (if hit then 0 else cfg.cost_build);
+          c_cost = cost + backoff + (if hit then 0 else cost_build);
           c_retries = retries;
           c_exhausted = (mode = Full && not full);
           c_backoff = backoff;
@@ -492,18 +455,14 @@ let run t (reqs : Traffic.request array) =
         }
       in
       let results =
-        if Array.length prepared < pool_threshold then
-          Array.init (Array.length prepared) compute_one
-        else
-          fst
-            (Pool.run_supervised ?domains:t.domains ~rng:batch_rng
-               ~n:(Array.length prepared)
-               (fun ctx -> compute_one ctx.Pool.index))
+        let k = Array.length prepared in
+        if k < pool_threshold then Array.init k compute_one
+        else Pool.parallel_init ?domains:t.domains ~n:k compute_one
       in
       (* Completion times: batch dispatch overhead, then requests finish in
          batch order, each charging its own cost (compute + backoff +
          rebuild). *)
-      let tserv = ref (t.clock + cfg.batch_overhead) in
+      let tserv = ref (t.clock + batch_overhead) in
       Array.iteri
         (fun p (pos, (r : Traffic.request), _, _) ->
           let c = results.(p) in

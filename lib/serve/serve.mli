@@ -27,7 +27,7 @@
       at the arrival tick, then a bounded FIFO queue admits or sheds per
       the configured {!shed_policy};
     + {b service}: batches are pulled from the queue; a batch of 8 or more
-      live requests runs on {!Dcs_util.Pool.run_supervised}, a smaller one
+      live requests runs on {!Dcs_util.Pool.parallel_init}, a smaller one
       inline (bit-identical either way). The sketch cache — keyed by
       {!Dcs_graph.Csr.fingerprint} — is consulted in the control plane; a
       miss charges the sketch (re)build cost. Oracle timeouts (seeded
@@ -72,35 +72,25 @@ type reply = {
 type response = Answered of reply | Rejected of rejection
 
 (** Circuit-breaker thresholds. The breaker trips — entering degraded
-    mode — when a [window]-request sliding window's oracle fault rate
-    reaches [trip_fault_rate], or the queue depth reaches [trip_queue].
-    It recovers only after [recovery_windows] {e consecutive} healthy
-    windows (fault rate at most half the trip rate and queue at most half
-    [trip_queue]) — the hysteresis that keeps one clean batch from
-    flapping the breaker open and shut. *)
-type breaker_config = {
-  window : int;
-  trip_fault_rate : float;
-  trip_queue : int;
-  recovery_windows : int;
-}
+    mode — when a 64-request sliding window's oracle fault rate reaches
+    0.5, or the queue depth reaches [trip_queue]. It recovers only after
+    [recovery_windows] {e consecutive} healthy windows (fault rate at most
+    0.25 and queue at most half [trip_queue]) — the hysteresis that keeps
+    one clean batch from flapping the breaker open and shut. *)
+type breaker_config = { trip_queue : int; recovery_windows : int }
 
+(** The settings programs vary. Every server runs at the same engine
+    constants: [eps] 0.05 at full fidelity and 0.25 degraded, a 256-token
+    bucket refilling 1/2 token per tick (full at tick 0), 6 ticks per
+    full-fidelity evaluation, 12 per sketch rebuild, 2 per service batch,
+    and a jittered-backoff base of 1 tick. *)
 type config = {
   queue_depth : int;        (** admission queue bound *)
   shed_policy : shed_policy;(** who is shed on overflow *)
   batch : int;              (** max requests pulled per service batch *)
-  bucket_capacity : int;    (** token-bucket burst capacity, tokens *)
-  rate_num : int;           (** bucket refill: [rate_num / rate_den] ... *)
-  rate_den : int;           (** ... tokens per tick *)
-  eps_full : float;         (** advertised accuracy at full fidelity *)
-  eps_degraded : float;     (** advertised accuracy in degraded mode *)
-  cost_full : int;          (** ticks per full-fidelity evaluation *)
   cost_degraded : int;      (** ticks per degraded evaluation *)
-  cost_build : int;         (** ticks to (re)build a cache-missed sketch *)
-  batch_overhead : int;     (** ticks per service batch (dispatch cost) *)
   cache_capacity : int;     (** sketch-cache entries before LRU eviction *)
   retry_budget : int;       (** oracle attempts per request, >= 1 *)
-  backoff_base : int;       (** jittered-backoff base, ticks *)
   backoff_cap : int;        (** jittered-backoff cap, ticks *)
   max_retransmissions : int;(** wire re-sends before a frame gives up *)
   breaker : breaker_config;
@@ -110,14 +100,13 @@ type config = {
 
 val default_config : config
 (** Fault-free, calm-capacity defaults: queue 512 / [Reject_newest],
-    batch 32, bucket 256 at 1/2 token per tick, eps 0.05 full / 0.25
-    degraded, costs 6/2/12 + overhead 2, cache 16, retry budget 4 with
-    backoff 1..16, 4 retransmissions, breaker (64, 0.5, 384, 3). *)
+    batch 32, degraded cost 2, cache 16, retry budget 4 with backoff cap
+    16, 4 retransmissions, breaker (384, 3). *)
 
 val validate : config -> unit
 (** [Invalid_argument] on nonsensical bounds (non-positive depths, batch,
-    budgets, rates or window; [eps] outside (0, 1]; [eps_degraded <
-    eps_full]; negative costs or retransmissions). *)
+    budgets or backoff cap; a negative degraded cost or retransmission
+    count). *)
 
 type t
 
@@ -126,8 +115,8 @@ val create : ?domains:int -> config -> graphs:Dcs_graph.Csr.t array -> rng:Dcs_u
     requests address graphs by index (the trace's [key]) and the sketch
     cache is keyed by each graph's {!Dcs_graph.Csr.fingerprint}, computed
     once here. [rng] seeds (by forking, in a fixed order) the oracle and
-    wire fault injectors, the retry jitter, and the pool master — equal
-    seeds give byte-identical servers. [domains] overrides the pool's
+    wire fault injectors and the retry jitter — equal seeds give
+    byte-identical servers. [domains] overrides the pool's
     domain count (default: [DCS_DOMAINS] / recommended). *)
 
 val degraded : t -> bool

@@ -12,11 +12,9 @@
 val sparsify :
   ?c:float -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Dcs_graph.Ugraph.t
 
-val sketch :
-  ?c:float -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Sketch.t
-(** Graph-valued sketch (symmetric digraph of the sparsifier) whose
-    [size_bits] is the canonical encoding of the sparsifier. *)
+val sketch : Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Sketch.t
+(** Graph-valued sketch (symmetric digraph of the sparsifier at [c] = 4.0)
+    whose [size_bits] is the canonical encoding of the sparsifier. *)
 
-val expected_edges :
-  ?c:float -> eps:float -> Dcs_graph.Ugraph.t -> float
-(** Predicted sample size for the given parameters. *)
+val expected_edges : eps:float -> Dcs_graph.Ugraph.t -> float
+(** Predicted sample size for the given parameters, at [c] = 4.0. *)

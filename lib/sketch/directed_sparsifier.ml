@@ -27,10 +27,10 @@ let foreach_sparsify ?(c = 4.0) rng ~eps ~beta g =
 let to_sketch ~name h =
   Sketch.of_digraph ~name ~size_bits:(Sketch.digraph_encoding_bits h) h
 
-let forall_sketch ?c rng ~eps ~beta g =
+let forall_sketch rng ~eps ~beta g =
   to_sketch
     ~name:(Printf.sprintf "directed-forall(eps=%g,beta=%g)" eps beta)
-    (forall_sparsify ?c rng ~eps ~beta g)
+    (forall_sparsify rng ~eps ~beta g)
 
 let foreach_sketch ?c rng ~eps ~beta g =
   to_sketch

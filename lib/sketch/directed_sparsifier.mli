@@ -24,7 +24,8 @@
     {!Connectivity.sample}. *)
 
 val forall_sketch :
-  ?c:float -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_graph.Digraph.t -> Sketch.t
+  Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_graph.Digraph.t -> Sketch.t
+(** {!forall_sparsify} at its default [c] (4.0), as a sketch. *)
 
 val foreach_sketch :
   ?c:float -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_graph.Digraph.t -> Sketch.t

@@ -18,5 +18,5 @@ let sketch ?c rng ~eps g =
     ~size_bits:(Sketch.ugraph_encoding_bits h)
     (Ugraph.to_digraph h)
 
-let expected_edges ?c ~eps g =
-  Importance.expected_edges_ugraph ~prob:(probability ?c ~eps g) g
+let expected_edges ~eps g =
+  Importance.expected_edges_ugraph ~prob:(probability ~eps g) g

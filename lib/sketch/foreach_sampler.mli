@@ -19,4 +19,5 @@ val sparsify :
 val sketch :
   ?c:float -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Sketch.t
 
-val expected_edges : ?c:float -> eps:float -> Dcs_graph.Ugraph.t -> float
+val expected_edges : eps:float -> Dcs_graph.Ugraph.t -> float
+(** Predicted sample size at the default [c] (3.0). *)

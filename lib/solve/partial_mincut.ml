@@ -58,7 +58,7 @@ let default_cap ~rho cap = Option.value cap ~default:(16.0 *. rho)
 
 (* A caller's estimates or frozen view must describe [g] itself — the
    same edges at the same weights — or certification would vouch for a
-   cut of another graph. Both are checked before any work. *)
+   cut of another graph. *)
 let foreign what =
   invalid_arg (Printf.sprintf "Partial_mincut: %s does not describe the graph" what)
 
@@ -67,21 +67,6 @@ let check_connectivity g conn =
   let own (u, v, w) = u < v && v < n && Ugraph.weight g u v = w in
   if Array.length edges <> Ugraph.m g || not (Array.for_all own edges) then
     foreign "connectivity"
-
-(* Checked estimates carry [g]'s canonical edge list, so a view beside
-   them costs one linear merge. Alone, each of its arcs is looked up in
-   [g]: as many arcs as [g] has, all of them [g]'s, make the view exact. *)
-let check_csr g connectivity csr =
-  let n = Ugraph.n g in
-  match connectivity with
-  | Some conn ->
-      if not (Csr.is_view csr ~n ~symmetric:true (Connectivity.edges conn)) then
-        foreign "csr"
-  | None ->
-      if Csr.n csr <> n || Csr.m csr <> 2 * Ugraph.m g then foreign "csr";
-      for u = 0 to n - 1 do
-        Csr.iter_out csr u (fun v w -> if Ugraph.weight g u v <> w then foreign "csr")
-      done
 
 let sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
   check_rho rho;
@@ -138,9 +123,18 @@ let mincut ?domains ?cap ?flow_budget ?connectivity ?csr ~rho rng ~eps
   Metrics.inc m_solves;
   check_eps eps;
   Option.iter (check_connectivity g) connectivity;
-  Option.iter (check_csr g connectivity) csr;
-  let csr = match csr with Some c -> c | None -> Csr.of_ugraph g in
   let h, conn = sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
+  (* [conn] is the caller's checked estimates or the ones just computed:
+     either way it carries [g]'s canonical edge list, so one linear merge
+     checks a caller's view. *)
+  let csr =
+    match csr with
+    | None -> Csr.of_ugraph g
+    | Some c ->
+        if not (Csr.is_view c ~n:(Ugraph.n g) ~symmetric:true (Connectivity.edges conn))
+        then foreign "csr";
+        c
+  in
   let sparse_rng = Prng.fork rng in
   let fallback_rng = Prng.fork rng in
   let sparse =

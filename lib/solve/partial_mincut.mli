@@ -70,9 +70,11 @@ val mincut :
 (** Global minimum cut through {!sparsify} + [solver] + certify/repair.
     [eps] is the certification tolerance, in (0, 1). [csr] reuses an
     existing frozen view of the input graph for certification; omitted,
-    one is frozen here. A view of other arcs or weights raises
-    [Invalid_argument "Partial_mincut: csr does not describe the graph"]
-    before any work, and [connectivity] is checked as in {!sparsify}. A sparsifier the solver
+    one is frozen here. [connectivity] is checked as in {!sparsify}. A
+    view of other arcs or weights raises [Invalid_argument
+    "Partial_mincut: csr does not describe the graph"] after estimation
+    and before solving: it is merged against the estimates' edge list,
+    the caller's or the ones just computed. A sparsifier the solver
     rejects as disconnected — directly, or from a pooled trial as
     {!Dcs_util.Pool.Task_failed} — falls back to the dense solve. Note
     Stoer–Wagner's O(n³) does not shrink with the edge count — pair it

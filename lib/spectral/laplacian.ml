@@ -48,9 +48,10 @@ let deflate x =
   let mean = Array.fold_left ( +. ) 0.0 x /. float_of_int n in
   Array.map (fun v -> v -. mean) x
 
-let solve ?(tol = 1e-9) ?max_iter t b =
+let tol = 1e-9
+
+let solve t b =
   if Array.length b <> t.size then invalid_arg "Laplacian.solve: length";
-  let max_iter = Option.value max_iter ~default:(10 * t.size) in
   let b = deflate b in
   let x = Array.make t.size 0.0 in
   let r = Array.copy b in
@@ -60,7 +61,7 @@ let solve ?(tol = 1e-9) ?max_iter t b =
   if b_norm < tol then x
   else begin
     (try
-       for _ = 1 to max_iter do
+       for _ = 1 to 10 * t.size do
          let lp = apply t p in
          let denom = dot p lp in
          if Float.abs denom < 1e-300 then raise Exit;

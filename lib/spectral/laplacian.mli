@@ -23,11 +23,10 @@ val quadratic_form : t -> float array -> float
 val cut_value : t -> Dcs_graph.Cut.t -> float
 (** Quadratic form of the indicator vector: the undirected cut value. *)
 
-val solve :
-  ?tol:float -> ?max_iter:int -> t -> float array -> float array
+val solve : t -> float array -> float array
 (** [solve l b] returns the minimum-norm x with L·x = b, for b orthogonal
     to the all-ones vector (the component along 1 is projected away first).
-    Conjugate gradients; requires a connected graph for convergence.
-    Defaults: tol 1e-9, max_iter 10·n. *)
+    Conjugate gradients to relative residual 1e-9, at most 10·n
+    iterations; requires a connected graph for convergence. *)
 
 val entry : t -> int -> int -> float

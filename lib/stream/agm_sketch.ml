@@ -14,11 +14,10 @@ let edge_index ~n u v =
   let a = min u v and b = max u v in
   (a * n) + b
 
-let create ?(copies = 3) ?(rounds = 0) rng ~n =
+let create ?(copies = 3) rng ~n =
   if n < 1 then invalid_arg "Agm_sketch.create: n";
   let rounds =
-    if rounds > 0 then rounds
-    else 2 + int_of_float (Float.ceil (Dcs_util.Stats.log2 (float_of_int (max 2 n))))
+    2 + int_of_float (Float.ceil (Dcs_util.Stats.log2 (float_of_int (max 2 n))))
   in
   let universe = n * n in
   {

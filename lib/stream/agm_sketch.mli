@@ -15,10 +15,10 @@
 
 type t
 
-val create : ?copies:int -> ?rounds:int -> Dcs_util.Prng.t -> n:int -> t
-(** Sketch for an n-vertex graph. [rounds] bounds the Boruvka depth
-    (default ceil(log2 n) + 2); [copies] is the per-round redundancy
-    (default 3), trading size for decode success. *)
+val create : ?copies:int -> Dcs_util.Prng.t -> n:int -> t
+(** Sketch for an n-vertex graph, with ceil(log2 n) + 2 Boruvka rounds.
+    [copies] is the per-round redundancy (default 3), trading size for
+    decode success. *)
 
 val n : t -> int
 

@@ -42,7 +42,7 @@ type t = {
   fingerprint : int array;  (* per level: Σ c_i · q^i mod p *)
 }
 
-let make_hashes ?(nonnegative = false) rng ~universe =
+let make_hashes ~nonnegative rng ~universe =
   if universe <= 0 then invalid_arg "L0_sampler: universe must be positive";
   let levels = 2 + int_of_float (Dcs_util.Stats.log2 (float_of_int universe)) in
   {
@@ -62,13 +62,13 @@ let of_hashes h =
     fingerprint = Array.make h.levels 0;
   }
 
-let create_family ?nonnegative rng ~universe ~count =
+let create_family rng ~universe ~count =
   if count < 1 then invalid_arg "L0_sampler.create_family: count";
-  let h = make_hashes ?nonnegative rng ~universe in
+  let h = make_hashes ~nonnegative:false rng ~universe in
   Array.init count (fun _ -> of_hashes h)
 
-let create ?nonnegative rng ~universe =
-  (create_family ?nonnegative rng ~universe ~count:1).(0)
+let create ?(nonnegative = false) rng ~universe =
+  of_hashes (make_hashes ~nonnegative rng ~universe)
 
 let nonnegative s = s.h.nonneg
 

@@ -37,10 +37,11 @@ val create : ?nonnegative:bool -> Dcs_util.Prng.t -> universe:int -> t
     that the aggregate total masked. *)
 
 val create_family :
-  ?nonnegative:bool -> Dcs_util.Prng.t -> universe:int -> count:int -> t array
+  Dcs_util.Prng.t -> universe:int -> count:int -> t array
 (** [count] sketches sharing hash functions (mergeable with one another),
     each with independent level hashes... see [merge]. All sketches in the
-    family use the same hashes, so family members are pairwise mergeable. *)
+    family use the same hashes, so family members are pairwise mergeable.
+    Family members make no nonnegative promise. *)
 
 val nonnegative : t -> bool
 (** Whether the sketch was created with the nonnegative promise. *)

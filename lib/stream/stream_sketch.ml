@@ -156,8 +156,8 @@ let sample_arc t =
 let to_digraph t = Csr.to_digraph (frozen t)
 let exact_sketch t = Exact_sketch.create (to_digraph t)
 
-let imbalance_sketch ?c t rng ~eps ~beta =
-  Imbalance_sketch.of_imbalances ?c rng ~eps ~beta ~imb:(Array.copy t.imb)
+let imbalance_sketch t rng ~eps ~beta =
+  Imbalance_sketch.of_imbalances rng ~eps ~beta ~imb:(Array.copy t.imb)
     (Ugraph.of_digraph (to_digraph t))
 
 (* --- state digest --- *)

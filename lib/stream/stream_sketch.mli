@@ -102,8 +102,7 @@ val exact_sketch : t -> Dcs_sketch.Sketch.t
     is what the E3/E4 streamed-vs-batch reruns enforce. *)
 
 val imbalance_sketch :
-  ?c:float -> t -> Dcs_util.Prng.t -> eps:float -> beta:float ->
-  Dcs_sketch.Sketch.t
+  t -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_sketch.Sketch.t
 (** For-each sketch via {!Dcs_sketch.Imbalance_sketch.of_imbalances},
     fed by the incrementally-maintained imbalances and the canonical
     projection — bit-identical to a batch build from the same PRNG. *)

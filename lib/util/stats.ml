@@ -94,8 +94,7 @@ let histogram ~bins xs =
   Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
   end
 
-let bucket_bars ?(width = 24) counts =
-  if width < 1 then invalid_arg "Stats.bucket_bars: width must be positive";
+let bucket_bars counts =
   let most = Array.fold_left max 0 counts in
   Array.map
     (fun c ->
@@ -103,7 +102,7 @@ let bucket_bars ?(width = 24) counts =
       if most = 0 then ""
       else begin
         (* Nonzero counts always get at least one mark. *)
-        let len = c * width / most in
+        let len = c * 24 / most in
         String.make (if c > 0 then max 1 len else 0) '#'
       end)
     counts

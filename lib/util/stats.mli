@@ -41,9 +41,9 @@ val histogram : bins:int -> float array -> (float * int) array
     [Invalid_argument] when [bins <= 0]; the empty input yields the empty
     histogram [[||]] (there is no data range to split into bins). *)
 
-val bucket_bars : ?width:int -> int array -> string array
-(** Proportional ['#'] bars for bucket counts, longest bar = [width]
-    (default 24) marks, nonzero counts always at least one mark. Shared by
-    {!histogram} consumers and the {!Dcs_obs.Report} histogram tables so
-    every bucket rendering in the repo looks the same. Raises
-    [Invalid_argument] on a nonpositive [width] or a negative count. *)
+val bucket_bars : int array -> string array
+(** Proportional ['#'] bars for bucket counts, longest bar 24 marks,
+    nonzero counts always at least one mark. Shared by {!histogram}
+    consumers and the {!Dcs_obs.Report} histogram tables so every bucket
+    rendering in the repo looks the same. Raises [Invalid_argument] on a
+    negative count. *)

@@ -10,20 +10,12 @@ type t = {
   mutable last : int;  (* tick the level is current at *)
 }
 
-let create ?initial ~capacity ~rate_num ~rate_den () =
+let create ~capacity ~rate_num ~rate_den =
   if capacity < 1 then invalid_arg "Token_bucket.create: capacity must be >= 1";
   if rate_num < 0 then invalid_arg "Token_bucket.create: rate_num must be >= 0";
   if rate_den < 1 then invalid_arg "Token_bucket.create: rate_den must be >= 1";
-  let initial = match initial with None -> capacity | Some i -> i in
-  if initial < 0 || initial > capacity then
-    invalid_arg "Token_bucket.create: initial must be in [0, capacity]";
-  {
-    cap_micro = capacity * rate_den;
-    rate_num;
-    rate_den;
-    level = initial * rate_den;
-    last = 0;
-  }
+  let cap_micro = capacity * rate_den in
+  { cap_micro; rate_num; rate_den; level = cap_micro; last = 0 }
 
 let advance t ~now =
   if now < t.last then

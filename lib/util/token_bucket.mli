@@ -14,12 +14,10 @@
 
 type t
 
-val create :
-  ?initial:int -> capacity:int -> rate_num:int -> rate_den:int -> unit -> t
-(** A bucket holding [initial] tokens (default: full) that refills at
-    [rate_num / rate_den] tokens per tick, clamped to [capacity]. Requires
-    [capacity >= 1], [rate_num >= 0], [rate_den >= 1],
-    [0 <= initial <= capacity]. The clock starts at tick 0. *)
+val create : capacity:int -> rate_num:int -> rate_den:int -> t
+(** A full bucket that refills at [rate_num / rate_den] tokens per tick,
+    clamped to [capacity]. Requires [capacity >= 1], [rate_num >= 0],
+    [rate_den >= 1]. The clock starts at tick 0. *)
 
 val try_take : t -> now:int -> bool
 (** Advance the bucket to tick [now] (refilling), then take one token if a

@@ -123,7 +123,7 @@ let prop_flip_sweep_matches_cut_delta =
       && side_b = side_a)
 
 let prop_flip_sweep_window =
-  QCheck.Test.make ~name:"flip_sweep ?off ?len applies exactly the window"
+  QCheck.Test.make ~name:"flip_sweep ?len applies exactly the window"
     ~count:60
     QCheck.(int_bound 100000)
     (fun seed ->
@@ -132,30 +132,29 @@ let prop_flip_sweep_window =
       let c = random_csr rng ~n in
       let total = 1 + Prng.int rng 30 in
       let flips = Array.init total (fun _ -> Prng.int rng n) in
-      let off = Prng.int rng total in
-      let len = Prng.int rng (total - off + 1) in
+      let len = Prng.int rng (total + 1) in
       let side0 = Array.init n (fun _ -> Prng.bool rng) in
       let init = Csr.cut_weight c (fun v -> side0.(v)) in
       let side_a = Array.copy side0 in
       let cur = ref init in
-      for j = off to off + len - 1 do
+      for j = 0 to len - 1 do
         cur := !cur +. Csr.cut_delta c side_a flips.(j);
         side_a.(flips.(j)) <- not side_a.(flips.(j))
       done;
       let side_b = Array.copy side0 in
       let vals = Array.make (max 1 len) nan in
-      let final = Csr.flip_sweep ~off ~len c ~side:side_b ~init ~flips ~vals in
+      let final = Csr.flip_sweep ~len c ~side:side_b ~init ~flips ~vals in
       final = !cur && side_b = side_a)
 
 let test_flip_sweep_validation () =
   let g = Digraph.of_edges 3 [ (0, 1, 1.0) ] in
   let c = Csr.of_digraph g in
   let side = Array.make 3 false in
-  Alcotest.check_raises "bad off/len"
-    (Invalid_argument "Csr.flip_sweep: bad off/len") (fun () ->
+  Alcotest.check_raises "bad len"
+    (Invalid_argument "Csr.flip_sweep: bad len") (fun () ->
       ignore
-        (Csr.flip_sweep ~off:1 ~len:2 c ~side ~init:0.0 ~flips:[| 0; 1 |]
-           ~vals:(Array.make 2 0.0)));
+        (Csr.flip_sweep ~len:3 c ~side ~init:0.0 ~flips:[| 0; 1 |]
+           ~vals:(Array.make 3 0.0)));
   Alcotest.check_raises "vals too short"
     (Invalid_argument "Csr.flip_sweep: vals too short") (fun () ->
       ignore

@@ -119,12 +119,8 @@ let test_coordinator_validate () =
   in
   raises "Coordinator: eps must be in (0, 1)" { cfg with Coordinator.eps = 0.0 };
   raises "Coordinator: eps must be in (0, 1)" { cfg with Coordinator.eps = 1.0 };
-  raises "Coordinator: eps_coarse must be positive"
-    { cfg with Coordinator.eps_coarse = 0.0 };
   raises "Coordinator: karger_trials must be >= 1"
     { cfg with Coordinator.karger_trials = 0 };
-  raises "Coordinator: candidate_factor must be >= 1.0"
-    { cfg with Coordinator.candidate_factor = 0.9 };
   (* Both entry points validate before doing any work. *)
   let g = planted 30 in
   let shards = Partition.random (Prng.create 31) ~servers:2 g in
@@ -243,6 +239,26 @@ let test_robust_all_stragglers_fall_back_to_late_copy () =
   Alcotest.(check bool) "estimate unchanged" true
     (r.Coordinator.base = clean.Coordinator.base)
 
+let test_robust_keeps_intact_late_copy () =
+  (* Seeded so that two fine-sketch deliveries each receive an intact
+     straggler copy, then a corrupted one, and give up. The fallback is
+     the newest copy that parses, so neither sketch is lost; keeping only
+     the newest copy lost both (report lost=0/2, corruptions 5, estimate
+     3.078 against a minimum cut of 5). *)
+  let g = planted 9 in
+  let shards = Partition.random (Prng.create 2) ~servers:3 g in
+  let cfg = { (Coordinator.default_config ~eps:0.3) with Coordinator.karger_trials = 40 } in
+  let policy = Fault.policy ~drop:0.3 ~corrupt:0.4 ~timeout:0.4 () in
+  let fault = Fault.create policy (Prng.create 31) in
+  let r = Coordinator.min_cut_robust (Prng.create 1) cfg ~fault shards in
+  let rep = r.Coordinator.report in
+  Alcotest.(check (pair int int)) "no sketch lost" (0, 0)
+    (rep.Coordinator.coarse_lost, rep.Coordinator.fine_lost);
+  Alcotest.(check int) "corruptions" 3 rep.Coordinator.corruptions_detected;
+  Alcotest.(check int) "stragglers" 5 rep.Coordinator.stragglers;
+  check_float "estimate is the minimum cut" (Stoer_wagner.mincut_value g)
+    r.Coordinator.base.Coordinator.estimate
+
 let test_robust_drop_only_reports_no_stragglers () =
   (* Drop faults must not leak into the straggler counters: the two
      recovery paths are metered separately. *)
@@ -292,5 +308,6 @@ let suite =
     Alcotest.test_case "robust: stragglers never lose data" `Quick test_robust_stragglers_never_lose_data;
     Alcotest.test_case "robust: all-straggler late-copy fallback" `Quick test_robust_all_stragglers_fall_back_to_late_copy;
     Alcotest.test_case "robust: drop-only leaves straggler meters zero" `Quick test_robust_drop_only_reports_no_stragglers;
+    Alcotest.test_case "robust: an intact late copy outlives a corrupted one" `Quick test_robust_keeps_intact_late_copy;
     QCheck_alcotest.to_alcotest prop_estimate_lower_bounded;
   ]

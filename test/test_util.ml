@@ -241,10 +241,10 @@ let test_histogram_edges () =
     (Array.fold_left (fun acc (_, c) -> acc + c) 0 h)
 
 let test_bucket_bars () =
-  let bars = Stats.bucket_bars ~width:8 [| 0; 4; 8; 1 |] in
+  let bars = Stats.bucket_bars [| 0; 50; 100; 1 |] in
   Alcotest.(check string) "zero count -> empty bar" "" bars.(0);
-  Alcotest.(check string) "half" "####" bars.(1);
-  Alcotest.(check string) "max fills the width" "########" bars.(2);
+  Alcotest.(check string) "half" (String.make 12 '#') bars.(1);
+  Alcotest.(check string) "max fills the width" (String.make 24 '#') bars.(2);
   Alcotest.(check string) "tiny count still visible" "#" bars.(3);
   Alcotest.(check (array string)) "all-zero counts" [| ""; "" |]
     (Stats.bucket_bars [| 0; 0 |])
@@ -377,7 +377,7 @@ let test_table_formats () =
 
 let test_bucket_burst_then_starve () =
   (* Full bucket: the burst drains capacity, then refill gates admission. *)
-  let b = Token_bucket.create ~capacity:4 ~rate_num:1 ~rate_den:2 () in
+  let b = Token_bucket.create ~capacity:4 ~rate_num:1 ~rate_den:2 in
   for i = 1 to 4 do
     Alcotest.(check bool) (Printf.sprintf "burst take %d" i) true
       (Token_bucket.try_take b ~now:0)
@@ -389,8 +389,14 @@ let test_bucket_burst_then_starve () =
   Alcotest.(check bool) "and spent" false (Token_bucket.try_take b ~now:2)
 
 let test_bucket_clamps_at_capacity () =
-  let b = Token_bucket.create ~initial:0 ~capacity:3 ~rate_num:1 ~rate_den:1 () in
-  (* A long idle stretch cannot bank more than [capacity] tokens. *)
+  let b = Token_bucket.create ~capacity:3 ~rate_num:1 ~rate_den:1 in
+  (* Drained at tick 0, a long idle stretch then cannot bank more than
+     [capacity] tokens. *)
+  for i = 1 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "drain %d" i) true
+      (Token_bucket.try_take b ~now:0)
+  done;
+  Alcotest.(check int) "drained" 0 (Token_bucket.tokens b ~now:0);
   Alcotest.(check int) "clamped" 3 (Token_bucket.tokens b ~now:1_000);
   Alcotest.(check int) "capacity" 3 (Token_bucket.capacity b);
   for i = 1 to 3 do
@@ -402,20 +408,15 @@ let test_bucket_clamps_at_capacity () =
 let test_bucket_validates () =
   Alcotest.check_raises "capacity"
     (Invalid_argument "Token_bucket.create: capacity must be >= 1") (fun () ->
-      ignore (Token_bucket.create ~capacity:0 ~rate_num:1 ~rate_den:1 ()));
-  Alcotest.check_raises "initial"
-    (Invalid_argument "Token_bucket.create: initial must be in [0, capacity]")
-    (fun () ->
-      ignore
-        (Token_bucket.create ~initial:5 ~capacity:4 ~rate_num:1 ~rate_den:1 ()));
-  let b = Token_bucket.create ~capacity:1 ~rate_num:1 ~rate_den:1 () in
+      ignore (Token_bucket.create ~capacity:0 ~rate_num:1 ~rate_den:1));
+  let b = Token_bucket.create ~capacity:1 ~rate_num:1 ~rate_den:1 in
   ignore (Token_bucket.try_take b ~now:10);
   Alcotest.check_raises "monotone clock"
     (Invalid_argument "Token_bucket: the virtual clock must not move backwards")
     (fun () -> ignore (Token_bucket.try_take b ~now:9))
 
 (* Admissions over any nondecreasing arrival sequence never exceed
-   initial + elapsed * rate, and an admission implies a token existed. *)
+   capacity + elapsed * rate, and an admission implies a token existed. *)
 let prop_bucket_never_overspends =
   QCheck.Test.make ~name:"token bucket never admits beyond its refill"
     ~count:200
@@ -424,7 +425,7 @@ let prop_bucket_never_overspends =
         (pair (int_range 1 8) (pair (int_range 0 3) (int_range 1 4)))
         (small_list (int_range 0 5)))
     (fun ((capacity, (rate_num, rate_den)), gaps) ->
-      let b = Token_bucket.create ~capacity ~rate_num ~rate_den () in
+      let b = Token_bucket.create ~capacity ~rate_num ~rate_den in
       let now = ref 0 and admitted = ref 0 in
       List.iter
         (fun gap ->
