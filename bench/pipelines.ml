@@ -7,10 +7,10 @@
    configuration shares one vertex of the merged DAG — one computation
    cold, one artifact-store hit warm.
 
-   Stage thunks must be re-entrant (crash supervision may re-execute
-   them), so every stage derives its randomness inside the thunk from
-   [seed_rng name] — a pure function of the stage name — and never
-   captures live [Prng.t] state. The same seed feeds the stage's cache-key
+   Stage thunks must be pure and re-entrant (stages of one level run
+   concurrently on the pool), so every stage derives its randomness
+   inside the thunk from [seed_rng name] — a pure function of the stage
+   name — and never captures live [Prng.t] state. The same seed feeds the stage's cache-key
    fingerprint, so reseeding or renaming a stage invalidates its artifact. *)
 
 open Dcs

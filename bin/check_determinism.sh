@@ -52,7 +52,10 @@
 # sched.* registry = scheduler reports) and walks the disk tier through a
 # bit-flip/recompute/repair cycle — all of it must come out identical at
 # every DCS_DOMAINS value, since the artifact bytes are the cache keys.
-# The gate additionally runs a cross-process --sched-cache cycle below: a
+# Its three runs also write DCS_METRICS snapshots, diffed like E21's: the
+# pool.batched_calls and pool.tasks its pooled stages meter on
+# Pool.parallel_init, like the sched.* counts, must not depend on the
+# domain count. The gate additionally runs a cross-process --sched-cache cycle below: a
 # cold E3+E4+E16+E24 run fills a cache directory at DCS_DOMAINS=1 and warm
 # reruns at 1, 2 and 4 must reproduce the cold stdout byte for byte from
 # disk.
@@ -113,12 +116,12 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
 # metrics_for EXP D: point DCS_METRICS at EXP's snapshot for domain
-# count D when EXP's metrics are diffed (E21), else leave it unset.
+# count D when EXP's metrics are diffed (E21, E23), else leave it unset.
 metrics_for () {
     unset DCS_METRICS
-    if [ "$1" = E21 ]; then
-        export DCS_METRICS="$tmpdir/$1_metrics_d$2.json"
-    fi
+    case "$1" in
+        E21 | E23) export DCS_METRICS="$tmpdir/$1_metrics_d$2.json" ;;
+    esac
 }
 
 for exp in $experiments; do

@@ -12,10 +12,11 @@
 # on exit, however the script ends). bench/main.exe is built in both
 # trees, and each experiment runs alone at DCS_DOMAINS=1 in each. The
 # wall-clock footers (" done in ") are stripped, and the two outputs are
-# diffed. The first experiment whose outputs differ, or whose run fails
-# in either tree, is named, and the script exits 1; a bad REV or a failed
-# build exits 2. Run nothing CPU-heavy alongside: E20 and E24 enforce
-# wall-clock floors and abort (a failed run) on a busy host.
+# diffed. Every experiment runs: each one whose outputs differ prints its
+# diff, and a last FAIL line names all of them (exit 1). A run that fails
+# in either tree stops the script at once, naming it (exit 1); a bad REV
+# or a failed build exits 2. Run nothing CPU-heavy alongside: E20 and E24
+# enforce wall-clock floors and abort (a failed run) on a busy host.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,13 +59,19 @@ else
 fi
 
 echo "== experiment-by-experiment diff, $rev vs working tree, DCS_DOMAINS=1 =="
+moved=""
 for exp in $experiments; do
     run_bench 1 "$parent/_build/default/bench/main.exe" --only "$exp" > "$tmpdir/parent.out"
     run_bench 1 "$here/_build/default/bench/main.exe" --only "$exp" > "$tmpdir/change.out"
-    if ! diff -u "$tmpdir/parent.out" "$tmpdir/change.out"; then
-        echo "FAIL: $exp output differs from $rev" >&2
-        exit 1
+    if diff -u "$tmpdir/parent.out" "$tmpdir/change.out"; then
+        echo "  $exp: byte-identical"
+    else
+        echo "  $exp: differs"
+        moved="$moved $exp"
     fi
-    echo "  $exp: byte-identical"
 done
+if [ -n "$moved" ]; then
+    echo "FAIL: output differs from $rev in$moved" >&2
+    exit 1
+fi
 echo "every experiment byte-identical to $rev"

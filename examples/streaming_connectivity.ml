@@ -32,7 +32,7 @@ let () =
   (* Phase 2: delete a random spanning tree's worth of edges and watch the
      sketch track the truth. Deletions are what linear sketches buy: a
      sampling-based summary cannot survive them. *)
-  let edges = Array.of_list (Ugraph.edges g) in
+  let edges = Ugraph.edges g in
   Prng.shuffle rng edges;
   let deleted = ref 0 in
   let current = Ugraph.copy g in

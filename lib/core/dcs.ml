@@ -70,7 +70,7 @@
     {1 Scheduling}
 
     - {!Sched} — experiments as typed stage DAGs: level-parallel execution
-      over {!Pool.run_supervised} and a content-addressed artifact
+      over {!Pool.parallel_init} and a content-addressed artifact
       store (in-memory LRU spilling through {!Checkpoint}), so shared
       generate/freeze/sketch prefixes compute once and warm reruns are
       byte-identical to cold ones. *)

@@ -198,8 +198,7 @@ let min_cut_robust rng cfg ~fault shards =
      edges are disjoint, so a cut's estimate is the sum of the shards'
      estimates. Lost fine shards are compensated by rescaling with the
      advertised shard weights (the tiny control-plane message every server
-     sends up front), and the error bound is widened by the lost weight
-     fraction. With nothing lost the scale is exactly 1.0. *)
+     sends up front). With nothing lost the scale is exactly 1.0. *)
   let total_weight = Array.fold_left (fun acc s -> acc +. Ugraph.total_weight s) 0.0 shards in
   let surviving_weight =
     Array.fold_left
@@ -273,12 +272,10 @@ let min_cut_robust rng cfg ~fault shards =
   in
   let lost arr = sum (fun (_, h) -> if Option.is_none h then 1 else 0) arr in
   let coarse_lost = lost coarse and fine_lost = lost fine in
-  let lost_weight = total_weight -. surviving_weight in
   let eps_effective =
-    if fine_lost = 0 then cfg.eps
-    else if total_weight > 0.0 then
-      Float.min 1.0 (cfg.eps +. (lost_weight /. total_weight))
-    else 1.0
+    if coarse_lost > 0 then infinity
+    else if fine_lost > 0 then Float.max 1.0 ((scale *. (1.0 +. cfg.eps)) -. 1.0)
+    else cfg.eps
   in
   let report =
     {

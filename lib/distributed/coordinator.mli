@@ -17,7 +17,7 @@
     4 times per sketch, and past that budget it degrades gracefully —
     candidates come from the surviving coarse sketches, scores are
     rescaled by the advertised weight of surviving fine shards, and the
-    error bound is widened accordingly. {!min_cut} is
+    error bound is widened to one that holds. {!min_cut} is
     exactly the zero-fault instance: same estimates, same metered bits.
 
     Stragglers: the policy's timeout rate models a shard sketch arriving
@@ -79,8 +79,12 @@ type fault_report = {
   retransmit_bits : int;          (** full frames re-sent (payload + CRC) *)
   control_bits : int;             (** per-shard weight advertisements *)
   backoff_units : int;            (** Σ 2^attempt simulated backoff waits *)
-  eps_effective : float;          (** [eps], widened by the lost fine-shard
-                                      weight fraction when degraded *)
+  eps_effective : float;
+      (** Bound on |estimate − exact| / exact: [eps] with nothing lost;
+          max(1, scale·(1 + [eps]) − 1), scale = total / surviving shard
+          weight, when only fine sketches are lost (a lost shard may hold
+          the whole cut); [infinity] when a coarse sketch is lost (the
+          minimum cut may be missing from the candidates). *)
   degraded : bool;                (** any sketch lost past the retry budget *)
 }
 

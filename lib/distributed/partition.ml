@@ -4,7 +4,9 @@ module Prng = Dcs_util.Prng
 let split ~servers g assign =
   if servers < 1 then invalid_arg "Partition: servers >= 1";
   let shards = Array.init servers (fun _ -> Ugraph.create (Ugraph.n g)) in
-  Ugraph.iter_edges g (fun u v w -> Ugraph.add_edge shards.(assign u v) u v w);
+  Array.iter
+    (fun (u, v, w) -> Ugraph.add_edge shards.(assign u v) u v w)
+    (Ugraph.edges g);
   shards
 
 let random rng ~servers g = split ~servers g (fun _ _ -> Prng.int rng servers)

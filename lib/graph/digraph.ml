@@ -101,9 +101,25 @@ let fold_edges f g init =
   iter_edges g (fun u v w -> acc := f u v w !acc);
   !acc
 
-let edges g = fold_edges (fun u v w acc -> (u, v, w) :: acc) g []
+(* The in-adjacency already groups arcs by head, so one pass over the
+   heads in ascending order fills every tail's bucket sorted. *)
+let edges g =
+  let n = g.nv in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Hashtbl.length g.out_adj.(u)
+  done;
+  let es = Array.make off.(n) (0, 0, 0.0) in
+  for v = 0 to n - 1 do
+    Hashtbl.iter
+      (fun u w ->
+        es.(off.(u)) <- (u, v, w);
+        off.(u) <- off.(u) + 1)
+      g.in_adj.(v)
+  done;
+  es
 
-let total_weight g = fold_edges (fun _ _ w acc -> acc +. w) g 0.0
+let total_weight g = Array.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 (edges g)
 
 let of_edges nv es =
   let g = create nv in

@@ -60,12 +60,17 @@ val out_weight : t -> int -> float
 val in_weight : t -> int -> float
 
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
-(** Iterate every directed edge once. *)
+(** Every directed edge once, in table order: sources ascending, targets
+    in table order (insertion-dependent). [Csr.of_digraph]'s counting
+    passes rely on the ascending sources; {!fold_edges} folds in the same
+    order. *)
 
 val fold_edges : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 
-val edges : t -> (int * int * float) list
-(** All edges; order unspecified. *)
+val edges : t -> (int * int * float) array
+(** Every arc in ascending (u, v) order, by one counting pass over the
+    in-adjacency: the canonical order. Any result that depends on edge
+    order (a draw per arc, a float sum such as {!total_weight}) reads it. *)
 
 val total_weight : t -> float
 

@@ -58,4 +58,7 @@ val random_regular : Dcs_util.Prng.t -> n:int -> degree:int -> Ugraph.t
 val random_multigraph_weights :
   Dcs_util.Prng.t -> Ugraph.t -> max_weight:int -> Ugraph.t
 (** Re-weight each edge with an integer uniform in 1..max_weight (models
-    integer multiplicities for the Nagamochi–Ibaraki machinery). *)
+    integer multiplicities for the Nagamochi–Ibaraki machinery). Draws
+    follow [g]'s table order, not {!Ugraph.edges}: every caller passes a
+    graph another generator just built, and the order keeps every
+    generated instance byte-identical. *)

@@ -68,9 +68,30 @@ let fold_edges f g init =
   iter_edges g (fun u v w -> acc := f u v w !acc);
   !acc
 
-let edges g = fold_edges (fun u v w acc -> (u, v, w) :: acc) g []
+(* Counting passes, no comparison sort: bucket every edge by u, and fill
+   the buckets while walking v in ascending order, so each bucket fills
+   sorted by v. *)
+let edges g =
+  let n = g.nv in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let later = ref 0 in
+    Hashtbl.iter (fun v _ -> if u < v then incr later) g.adj.(u);
+    off.(u + 1) <- off.(u) + !later
+  done;
+  let es = Array.make off.(n) (0, 0, 0.0) in
+  for v = 0 to n - 1 do
+    Hashtbl.iter
+      (fun u w ->
+        if u < v then begin
+          es.(off.(u)) <- (u, v, w);
+          off.(u) <- off.(u) + 1
+        end)
+      g.adj.(v)
+  done;
+  es
 
-let total_weight g = fold_edges (fun _ _ w acc -> acc +. w) g 0.0
+let total_weight g = Array.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 (edges g)
 
 let of_edges nv es =
   let g = create nv in

@@ -29,10 +29,18 @@ val degree : t -> int -> int
 val weighted_degree : t -> int -> float
 
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
-(** Each undirected edge visited once, with u < v. *)
+(** Each undirected edge visited once, with u < v, in table order (u
+    ascending, neighbours as the hashtable holds them, which depends on
+    insertion history); {!fold_edges} folds in the same order. For work
+    that ignores order: counts, copies, maxima. *)
 
 val fold_edges : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
-val edges : t -> (int * int * float) list
+val edges : t -> (int * int * float) array
+(** Every edge (u < v) in ascending (u, v) order, by counting passes in
+    O(n + m): the canonical order. Any result that depends on edge order
+    (a draw per edge, a float sum such as {!total_weight}) reads it, so
+    equal graphs give equal results whatever their insertion history. *)
+
 val total_weight : t -> float
 val of_edges : int -> (int * int * float) list -> t
 val copy : t -> t

@@ -227,9 +227,11 @@ let edge_connectivity g =
   if n < 2 then invalid_arg "Dinic.edge_connectivity: need >= 2 vertices";
   let net = of_ugraph g in
   let wdeg = Array.make n 0.0 in
-  Ugraph.iter_edges g (fun u v w ->
+  Array.iter
+    (fun (u, v, w) ->
       wdeg.(u) <- wdeg.(u) +. w;
-      wdeg.(v) <- wdeg.(v) +. w);
+      wdeg.(v) <- wdeg.(v) +. w)
+    (Ugraph.edges g);
   let best = ref wdeg.(0) in
   for v = 1 to n - 1 do
     best := Float.min !best wdeg.(v)

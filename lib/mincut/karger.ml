@@ -30,14 +30,13 @@ let make_scratch ~edges:m ~vertices:n =
    with probability proportional to its weight among live edges, so this is
    exactly weighted Karger contraction, in O(m log m) per run.
 
-   The RNG stream is a function of [Ugraph.edges g] order — [eu]/[ev]/[ew]
-   are that edge list flattened, and clocks are drawn in slot order — so
-   the clock assignment is unchanged from the pre-arena implementation;
-   only the final cut evaluation goes through the frozen CSR view ([csr],
-   shared read-only across repetitions and domains). *)
-let run_once_scratch rng ~eu ~ev ~ew ~n csr s =
+   Clocks are drawn in the canonical order of [edges] ([Ugraph.edges g]),
+   so a run is a pure function of (stream, graph content), never of
+   insertion history. The final cut evaluation goes through the frozen
+   CSR view ([csr], shared read-only across repetitions and domains). *)
+let run_once_scratch rng ~edges ~n csr s =
   if n < 2 then invalid_arg "Karger.run_once: need >= 2 vertices";
-  let m = Array.length eu in
+  let m = Array.length edges in
   if m = 0 then invalid_arg "Karger.run_once: graph disconnected (no edges)";
   for e = 0 to m - 1 do
     let u01 =
@@ -47,7 +46,8 @@ let run_once_scratch rng ~eu ~ev ~ew ~n csr s =
       in
       nonzero ()
     in
-    s.times.(e) <- -.log u01 /. ew.(e);
+    let _, _, w = edges.(e) in
+    s.times.(e) <- -.log u01 /. w;
     s.order.(e) <- e
   done;
   Array.sort (fun a b -> compare s.times.(a) s.times.(b)) s.order;
@@ -79,9 +79,9 @@ let run_once_scratch rng ~eu ~ev ~ew ~n csr s =
   in
   let i = ref 0 in
   while !classes > 2 && !i < m do
-    let e = s.order.(!i) in
+    let u, v, _ = edges.(s.order.(!i)) in
     incr i;
-    union eu.(e) ev.(e)
+    union u v
   done;
   if !classes > 2 then
     invalid_arg "Karger.run_once: graph disconnected (ran out of edges)";
@@ -89,18 +89,11 @@ let run_once_scratch rng ~eu ~ev ~ew ~n csr s =
   let cut = Cut.of_mem ~n (fun v -> find v = rep) in
   (Csr.cut_value csr cut, cut)
 
-let flatten_edges g =
-  let edges = Array.of_list (Ugraph.edges g) in
-  let eu = Array.map (fun (u, _, _) -> u) edges in
-  let ev = Array.map (fun (_, v, _) -> v) edges in
-  let ew = Array.map (fun (_, _, w) -> w) edges in
-  (eu, ev, ew)
-
 let run_once rng g =
   let n = Ugraph.n g in
-  let eu, ev, ew = flatten_edges g in
-  let s = make_scratch ~edges:(Array.length eu) ~vertices:n in
-  run_once_scratch rng ~eu ~ev ~ew ~n (Csr.of_ugraph g) s
+  let edges = Ugraph.edges g in
+  let s = make_scratch ~edges:(Array.length edges) ~vertices:n in
+  run_once_scratch rng ~edges ~n (Csr.of_ugraph g) s
 
 (* Contraction runs are independent, so they fan out over domains through
    the pool: run [t] draws from the pure child stream
@@ -112,12 +105,12 @@ let parallel_runs ?domains rng ~trials g =
   let master = Prng.fork rng in
   let csr = Csr.of_ugraph g in
   let n = Ugraph.n g in
-  let eu, ev, ew = flatten_edges g in
-  let m = Array.length eu in
+  let edges = Ugraph.edges g in
+  let m = Array.length edges in
   Dcs_util.Pool.run_batched ?domains
     ~arena:(fun () -> make_scratch ~edges:m ~vertices:n)
     ~n:trials
-    (fun s t -> run_once_scratch (Prng.split master t) ~eu ~ev ~ew ~n csr s)
+    (fun s t -> run_once_scratch (Prng.split master t) ~edges ~n csr s)
 
 let mincut ?domains rng ~trials g =
   if trials < 1 then invalid_arg "Karger.mincut: trials >= 1";

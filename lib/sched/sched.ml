@@ -387,11 +387,9 @@ let run ?domains dag =
          | [] -> ()
          | _ ->
            let arr = Array.of_list pooled in
-           let results, _pool_report =
-             Pool.run_supervised ?domains ~rng:(Prng.create 0x5ced)
-               ~n:(Array.length arr)
-               (fun ctx ->
-                 let b, _ = arr.(ctx.Pool.index) in
+           let results =
+             Pool.parallel_init ?domains ~n:(Array.length arr) (fun p ->
+                 let b, _ = arr.(p) in
                  Trace.with_span ("sched.stage:" ^ b.b_name) b.b_run)
            in
            Array.iteri

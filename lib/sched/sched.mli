@@ -5,7 +5,7 @@
     edges; {!run} executes the DAG level by level (declaration order is a
     topological order by construction — a stage can only depend on nodes
     that already exist), fanning each level's independent stages across
-    domains through {!Dcs_util.Pool.run_supervised}, and memoizes
+    domains through {!Dcs_util.Pool.parallel_init}, and memoizes
     every stage output in a content-addressed {!Store}.
 
     A stage's cache key is a digest over (stage name, code digest, input
@@ -21,13 +21,12 @@
 
     Determinism contract: a stage function must be a pure function of its
     declared dependencies (plus its own PRNG, rebuilt from a seed inside
-    the thunk so re-execution after a crash replays the same stream), must
-    never print to stdout (reports render from {!value} after {!run}; a
-    cached warm run is then byte-identical to a cold one), and must not
-    read undeclared stage outputs. Under that contract artifacts, values
-    and the resulting report bytes are bit-identical for every
-    [DCS_DOMAINS] setting and every cache state (cold, warm, spilled,
-    damaged-and-recomputed).
+    the thunk), must never print to stdout (reports render from {!value}
+    after {!run}; a cached warm run is then byte-identical to a cold
+    one), and must not read undeclared stage outputs. Under that contract
+    artifacts, values and the resulting report bytes are bit-identical
+    for every [DCS_DOMAINS] setting and every cache state (cold, warm,
+    spilled, damaged-and-recomputed).
 
     Everything is metered into {!Dcs_obs_core.Metrics}: the scheduler
     maintains [sched.stages_offered = sched.stage_runs + sched.cache_hits]
@@ -180,8 +179,11 @@ val run : ?domains:int -> t -> report
 (** Executes the DAG: stages are grouped into levels by longest path from
     a source; each level first probes the store for every member's key,
     then runs the missing [Pooled] members across [domains] (default
-    [Pool.domain_count ()], i.e. [DCS_DOMAINS]) under the supervised
-    batched pool (crash isolation + deterministic re-execution), then the
-    missing [Serial] members one by one in the calling domain. Completed
-    outputs are {!Store.put} before the next level's keys are derived.
-    Runs at most once per DAG ([Invalid_argument] on a second call). *)
+    [Pool.domain_count ()], i.e. [DCS_DOMAINS]) on
+    {!Dcs_util.Pool.parallel_init}, then the missing [Serial] members one
+    by one in the calling domain. Completed outputs are {!Store.put}
+    before the next level's keys are derived. Runs at most once per DAG
+    ([Invalid_argument] on a second call). A stage is a pure function of
+    its key's inputs, so a restart could only repeat a crash: a raising
+    pooled stage runs once and surfaces as {!Dcs_util.Pool.Task_failed}
+    after its level's other pooled stages have run. *)

@@ -313,7 +313,7 @@ let check_params ~cap flow_budget =
 let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
   check_params ~cap flow_budget;
   let n = Ugraph.n g in
-  let edges = Importance.sorted_edges_ugraph g in
+  let edges = Ugraph.edges g in
   let m = Array.length edges in
   let strengths =
     match strengths with
@@ -349,7 +349,7 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
   if beta < 1.0 then invalid_arg "Connectivity.estimate_digraph: beta >= 1";
   check_params ~cap flow_budget;
   let n = Digraph.n g in
-  let edges = Importance.sorted_edges_digraph g in
+  let edges = Digraph.edges g in
   let csr =
     match csr with
     | None -> Csr.of_digraph g

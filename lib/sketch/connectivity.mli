@@ -93,9 +93,9 @@ val estimate_digraph :
     counts agree (endpoints only, as for {!estimate_ugraph}). *)
 
 val edges : t -> (int * int * float) array
-(** The estimated edges with their original weights, in canonical
-    ascending (u, v) order — the order {!Importance} samplers consume
-    their streams in. Callers must not mutate. *)
+(** The estimated edges with their original weights, in the canonical
+    ascending (u, v) order of {!Dcs_graph.Ugraph.edges} /
+    {!Dcs_graph.Digraph.edges}. Callers must not mutate. *)
 
 val lambda_at : t -> int -> float
 (** Estimate for {!edges}[(i)]; in [(0, cap]]. *)

@@ -11,12 +11,5 @@ let sparsify ?c rng ~eps g =
   Dcs_obs_core.Trace.with_span "sketch.foreach.sparsify" @@ fun () ->
   Importance.sample_ugraph rng ~prob:(probability ?c ~eps g) g
 
-let sketch ?c rng ~eps g =
-  let h = sparsify ?c rng ~eps g in
-  Sketch.of_digraph
-    ~name:(Printf.sprintf "foreach-sampler(eps=%g)" eps)
-    ~size_bits:(Sketch.ugraph_encoding_bits h)
-    (Ugraph.to_digraph h)
-
 let expected_edges ~eps g =
   Importance.expected_edges_ugraph ~prob:(probability ~eps g) g

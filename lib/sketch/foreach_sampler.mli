@@ -16,8 +16,5 @@
 val sparsify :
   ?c:float -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Dcs_graph.Ugraph.t
 
-val sketch :
-  ?c:float -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Ugraph.t -> Sketch.t
-
 val expected_edges : eps:float -> Dcs_graph.Ugraph.t -> float
 (** Predicted sample size at the default [c] (3.0). *)

@@ -15,7 +15,7 @@ let exact_decomposition g c =
   let proj = Ugraph.of_digraph g in
   (Ugraph.cut_value proj c +. delta (imbalances g) c) /. 2.0
 
-let of_imbalances ?c rng ~eps ~beta ~imb proj =
+let build ?c rng ~eps ~beta ~imb proj =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Imbalance_sketch: eps in (0,1)";
   if beta < 1.0 then invalid_arg "Imbalance_sketch: beta >= 1";
   let n = Ugraph.n proj in
@@ -37,5 +37,7 @@ let of_imbalances ?c rng ~eps ~beta ~imb proj =
     graph = None;
   }
 
+let of_imbalances rng ~eps ~beta ~imb proj = build rng ~eps ~beta ~imb proj
+
 let create ?c rng ~eps ~beta g =
-  of_imbalances ?c rng ~eps ~beta ~imb:(imbalances g) (Ugraph.of_digraph g)
+  build ?c rng ~eps ~beta ~imb:(imbalances g) (Ugraph.of_digraph g)

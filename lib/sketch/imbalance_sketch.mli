@@ -27,20 +27,20 @@ val create :
     64·n bits for the imbalances + the projection sample. *)
 
 val of_imbalances :
-  ?c:float ->
   Dcs_util.Prng.t ->
   eps:float ->
   beta:float ->
   imb:float array ->
   Dcs_graph.Ugraph.t ->
   Sketch.t
-(** {!create} from already-maintained parts: the per-vertex imbalance
-    array and the undirected projection. This is the constructor the
-    streaming layer uses — it keeps both pieces incrementally under
-    insert/delete streams and never materializes the digraph. Since the
-    projection is sampled in canonical (sorted-edge) order, the sketch is
-    a pure function of (seed, imbalances, projection content): streamed
-    and batch construction of the same graph agree bit for bit. *)
+(** {!create} at {!Foreach_sampler.sparsify}'s default [c] (3.0), from
+    already-maintained parts: the per-vertex imbalance array and the
+    undirected projection. This is the constructor the streaming layer
+    uses — it keeps both pieces incrementally under insert/delete streams
+    and never materializes the digraph. Since the projection is sampled
+    in the canonical order of {!Dcs_graph.Ugraph.edges}, the sketch is a
+    pure function of (seed, imbalances, projection content): streamed and
+    batch construction of the same graph agree bit for bit. *)
 
 val imbalances : Dcs_graph.Digraph.t -> float array
 (** out-weight minus in-weight per vertex (Δ of a singleton). *)

@@ -5,67 +5,27 @@ module Digraph = Dcs_graph.Digraph
 let clamp p = Float.max 0.0 (Float.min 1.0 p)
 
 (* Sampling consumes the PRNG once per kept-or-rejected edge, so the edge
-   *iteration order* decides which draw lands on which edge. Hashtable
-   order depends on insertion history, which would make two equal graphs
-   built by different routes (batch vs. streamed-and-compacted) sample
-   different subgraphs from the same seed. Listing the edges in ascending
-   (u, v) order makes the sample a pure function of (seed, graph content).
-   Counting passes lay that order down without a comparison sort: bucket
-   every edge by u, and fill the buckets while walking v in ascending
-   order, so each bucket fills sorted by v. *)
-let sorted_edges_ugraph g =
-  let n = Ugraph.n g in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    let later = ref 0 in
-    Ugraph.iter_neighbors g u (fun v _ -> if u < v then incr later);
-    off.(u + 1) <- off.(u) + !later
-  done;
-  let edges = Array.make off.(n) (0, 0, 0.0) in
-  for v = 0 to n - 1 do
-    Ugraph.iter_neighbors g v (fun u w ->
-        if u < v then begin
-          edges.(off.(u)) <- (u, v, w);
-          off.(u) <- off.(u) + 1
-        end)
-  done;
-  edges
-
-(* The in-adjacency already groups arcs by head, so one pass over the
-   heads in ascending order fills every tail's bucket sorted. *)
-let sorted_edges_digraph g =
-  let n = Digraph.n g in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + Digraph.out_degree g u
-  done;
-  let edges = Array.make off.(n) (0, 0, 0.0) in
-  for v = 0 to n - 1 do
-    Digraph.iter_in g v (fun u w ->
-        edges.(off.(u)) <- (u, v, w);
-        off.(u) <- off.(u) + 1)
-  done;
-  edges
-
-let sample_ugraph rng ~prob g =
-  let h = Ugraph.create (Ugraph.n g) in
+   order decides which draw lands on which edge. The samplers and the
+   expected-size sums walk the canonical order of [Ugraph.edges] /
+   [Digraph.edges], so a sample is a pure function of (seed, graph
+   content): two equal graphs built by different routes (batch vs.
+   streamed-and-compacted) sample the same subgraph from the same seed. *)
+let sample rng ~prob ~add edges =
   Array.iter
     (fun (u, v, w) ->
       let p = clamp (prob u v w) in
-      if p >= 1.0 then Ugraph.add_edge h u v w
-      else if p > 0.0 && Prng.bernoulli rng p then Ugraph.add_edge h u v (w /. p))
-    (sorted_edges_ugraph g);
+      if p >= 1.0 then add u v w
+      else if p > 0.0 && Prng.bernoulli rng p then add u v (w /. p))
+    edges
+
+let sample_ugraph rng ~prob g =
+  let h = Ugraph.create (Ugraph.n g) in
+  sample rng ~prob ~add:(Ugraph.add_edge h) (Ugraph.edges g);
   h
 
 let sample_digraph rng ~prob g =
   let h = Digraph.create (Digraph.n g) in
-  Array.iter
-    (fun (u, v, w) ->
-      let p = clamp (prob u v w) in
-      if p >= 1.0 then Digraph.add_edge h u v w
-      else if p > 0.0 && Prng.bernoulli rng p then
-        Digraph.add_edge h u v (w /. p))
-    (sorted_edges_digraph g);
+  sample rng ~prob ~add:(Digraph.add_edge h) (Digraph.edges g);
   h
 
 (* Binomial weight resampling: an integer weight w is w parallel unit
@@ -96,8 +56,9 @@ let keep_probability ~p ~w =
   else if binomial_split_ok w then 1.0 -. ((1.0 -. p) ** Float.round w)
   else p
 
-let expected_edges_ugraph ~prob g =
-  Ugraph.fold_edges (fun u v w acc -> acc +. clamp (prob u v w)) g 0.0
+let expected_edges ~prob edges =
+  Array.fold_left (fun acc (u, v, w) -> acc +. clamp (prob u v w)) 0.0 edges
 
-let expected_edges_digraph ~prob g =
-  Digraph.fold_edges (fun u v w acc -> acc +. clamp (prob u v w)) g 0.0
+let expected_edges_ugraph ~prob g = expected_edges ~prob (Ugraph.edges g)
+
+let expected_edges_digraph ~prob g = expected_edges ~prob (Digraph.edges g)

@@ -1,5 +1,7 @@
 (** Generic importance sampling of edges: keep edge e with probability p_e,
-    reweight kept edges by w_e / p_e (unbiased for every cut). *)
+    reweight kept edges by w_e / p_e (unbiased for every cut). Draws and
+    sums walk {!Dcs_graph.Ugraph.edges} / {!Dcs_graph.Digraph.edges}, so
+    results are a pure function of (seed, graph content). *)
 
 val sample_ugraph :
   Dcs_util.Prng.t ->
@@ -18,13 +20,6 @@ val expected_edges_ugraph :
 
 val expected_edges_digraph :
   prob:(int -> int -> float -> float) -> Dcs_graph.Digraph.t -> float
-
-val sorted_edges_ugraph : Dcs_graph.Ugraph.t -> (int * int * float) array
-(** Edges (u < v) in ascending (u, v) order — the canonical iteration
-    order every sampler here consumes its PRNG stream in, exposed so other
-    samplers can pin the same order. *)
-
-val sorted_edges_digraph : Dcs_graph.Digraph.t -> (int * int * float) array
 
 val binomial_keep :
   Dcs_util.Prng.t -> p:float -> w:float -> float option

@@ -1,7 +1,7 @@
 (* Nagamochi–Ibaraki forest decomposition over the canonical edge order.
 
-   Every per-edge array is indexed by an edge's position in the ascending
-   (u, v) order of [Importance.sorted_edges_ugraph] (u < v): the greedy
+   Every per-edge array is indexed by an edge's position in the canonical
+   ascending (u, v) order of [Ugraph.edges] (u < v): the greedy
    forests, the indices, [fold] and the certificate all walk positions in
    that order, so every result is a pure function of graph content, never
    of hashtable history — required for streamed-and-compacted graphs to
@@ -29,7 +29,7 @@ let rec find parent x =
 let compute ?(max_rounds = 512) g =
   if max_rounds < 1 then invalid_arg "Strength.compute: max_rounds";
   let n = Ugraph.n g in
-  let edges = Importance.sorted_edges_ugraph g in
+  let edges = Ugraph.edges g in
   let m = Array.length edges in
   let eu = Array.map (fun (u, _, _) -> u) edges in
   let ev = Array.map (fun (_, v, _) -> v) edges in

@@ -6,11 +6,13 @@ type t = { size : int; mat : float array array }
 let of_ugraph g =
   let n = Ugraph.n g in
   let mat = Array.make_matrix n n 0.0 in
-  Ugraph.iter_edges g (fun u v w ->
+  Array.iter
+    (fun (u, v, w) ->
       mat.(u).(v) <- mat.(u).(v) -. w;
       mat.(v).(u) <- mat.(v).(u) -. w;
       mat.(u).(u) <- mat.(u).(u) +. w;
-      mat.(v).(v) <- mat.(v).(v) +. w);
+      mat.(v).(v) <- mat.(v).(v) +. w)
+    (Ugraph.edges g);
   { size = n; mat }
 
 let n t = t.size

@@ -29,6 +29,6 @@ let all_edges g =
 
 let foster_sum g =
   let rs = all_edges g in
-  Ugraph.fold_edges
-    (fun u v w acc -> acc +. (w *. Hashtbl.find rs (min u v, max u v)))
-    g 0.0
+  Array.fold_left
+    (fun acc (u, v, w) -> acc +. (w *. Hashtbl.find rs (u, v)))
+    0.0 (Ugraph.edges g)

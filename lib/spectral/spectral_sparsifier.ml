@@ -1,5 +1,4 @@
 module Ugraph = Dcs_graph.Ugraph
-module Prng = Dcs_util.Prng
 
 let probability ?(c = 4.0) ~eps g =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Spectral_sparsifier: eps in (0,1)";
@@ -10,14 +9,7 @@ let probability ?(c = 4.0) ~eps g =
     c *. w *. r *. log n /. (eps *. eps)
 
 let sparsify ?c rng ~eps g =
-  let prob = probability ?c ~eps g in
-  let h = Ugraph.create (Ugraph.n g) in
-  Ugraph.iter_edges g (fun u v w ->
-      let p = Float.min 1.0 (prob u v w) in
-      if p >= 1.0 then Ugraph.add_edge h u v w
-      else if p > 0.0 && Prng.bernoulli rng p then Ugraph.add_edge h u v (w /. p));
-  h
+  Dcs_sketch.Importance.sample_ugraph rng ~prob:(probability ?c ~eps g) g
 
 let expected_edges ?c ~eps g =
-  let prob = probability ?c ~eps g in
-  Ugraph.fold_edges (fun u v w acc -> acc +. Float.min 1.0 (prob u v w)) g 0.0
+  Dcs_sketch.Importance.expected_edges_ugraph ~prob:(probability ?c ~eps g) g

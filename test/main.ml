@@ -7,6 +7,7 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("linalg", Test_linalg.suite);
       ("graph", Test_graph.suite);
+      ("edge-order", Test_edge_order.suite);
       ("mincut", Test_mincut.suite);
       ("mincut-agreement", Test_mincut_agreement.suite);
       ("comm", Test_comm.suite);

@@ -199,6 +199,34 @@ let test_serial_mode () =
   Alcotest.(check int) "pooled ran" 1 rep.Sched.pooled_ran;
   Alcotest.(check int) "value" 15 (Sched.value dag s)
 
+(* A stage is a pure function of its cache key's inputs, so a restart
+   could only repeat its crash: a raising pooled stage runs once, its
+   level's other stages still run, and then its exception surfaces as
+   [Pool.Task_failed]. *)
+let test_raising_stage_runs_once () =
+  List.iter
+    (fun domains ->
+      let dag = Sched.create () in
+      let runs = Array.init 3 (fun _ -> Atomic.make 0) in
+      let stage i name f =
+        ignore
+          (Sched.stage dag ~name ~codec:int_codec ~deps:[] (fun () ->
+               Atomic.incr runs.(i);
+               f ()))
+      in
+      stage 0 "boom" (fun () -> failwith "boom");
+      stage 1 "left" (fun () -> 1);
+      stage 2 "right" (fun () -> 2);
+      let tag = Printf.sprintf "domains=%d" domains in
+      (match Sched.run ~domains dag with
+       | _ -> Alcotest.failf "%s: a raising stage must fail the run" tag
+       | exception Pool.Task_failed { index; exn = Failure msg; _ } ->
+           Alcotest.(check (pair int string)) (tag ^ ": failure") (0, "boom")
+             (index, msg));
+      Alcotest.(check (array int)) (tag ^ ": each stage ran once") [| 1; 1; 1 |]
+        (Array.map Atomic.get runs))
+    [ 1; 2 ]
+
 let test_lru_eviction_recomputes () =
   (* A 1-byte memory tier with no disk: every artifact overflows it, so
      only the most recently touched entry survives and a warm DAG can hit
@@ -295,6 +323,8 @@ let suite =
       test_domain_determinism;
     Alcotest.test_case "serial stages run in the scheduling domain" `Quick
       test_serial_mode;
+    Alcotest.test_case "a raising pooled stage runs once" `Quick
+      test_raising_stage_runs_once;
     Alcotest.test_case "LRU eviction forces honest recompute" `Quick
       test_lru_eviction_recomputes;
     Alcotest.test_case "disk write-through rehydrates a fresh store" `Quick

@@ -175,8 +175,9 @@ let test_robust_recovers_under_drops () =
 let test_robust_degrades_past_budget () =
   (* Loss heavy enough to outlast the 4 re-requests: some sketches are
      abandoned and the coordinator degrades instead of failing, widening
-     its error bound. *)
+     its error bound to one the estimate meets. *)
   let g = planted 38 in
+  let exact = Stoer_wagner.mincut_value g in
   let rng = Prng.create 39 in
   let shards = Partition.random rng ~servers:4 g in
   let cfg = Coordinator.default_config ~eps:0.3 in
@@ -191,8 +192,36 @@ let test_robust_degrades_past_budget () =
   if rep.Coordinator.fine_lost > 0 then
     Alcotest.(check bool) "error bound widened" true
       (rep.Coordinator.eps_effective > cfg.Coordinator.eps);
-  Alcotest.(check bool) "still produced an estimate" true
-    (r.Coordinator.base.Coordinator.estimate > 0.0)
+  Alcotest.(check bool) "estimate within eps_effective" true
+    (Float.abs (r.Coordinator.base.Coordinator.estimate -. exact)
+     <= rep.Coordinator.eps_effective *. exact)
+
+(* eps_effective must bound the error of every degraded run that returns:
+   150 seeds of the loss above, each driving the partition, the injector
+   and the pipeline from one stream. A lost coarse sketch can drop the
+   minimum cut from the candidates and a lost fine shard can hold the
+   whole cut, so a degraded estimate can land far above the minimum cut
+   or at 0. *)
+let test_robust_eps_effective_bounds_error () =
+  let g = planted 38 in
+  let exact = Stoer_wagner.mincut_value g in
+  let cfg = Coordinator.default_config ~eps:0.3 in
+  let misses = ref [] in
+  for s = 1000 to 1149 do
+    let rng = Prng.create s in
+    let shards = Partition.random rng ~servers:4 g in
+    let fault = Fault.create (Fault.policy ~drop:0.85 ()) rng in
+    match Coordinator.min_cut_robust rng cfg ~fault shards with
+    | r ->
+        let est = r.Coordinator.base.Coordinator.estimate in
+        if
+          not
+            (Float.abs (est -. exact)
+             <= (r.Coordinator.report.Coordinator.eps_effective *. exact) +. 1e-9)
+        then misses := s :: !misses
+    | exception Failure _ -> ()
+  done;
+  Alcotest.(check (list int)) "seeds outside eps_effective" [] (List.rev !misses)
 
 let test_robust_stragglers_never_lose_data () =
   (* Timeout-only faults: every straggling sketch triggers a speculative
@@ -305,6 +334,8 @@ let suite =
     Alcotest.test_case "robust: disabled = min_cut" `Quick test_robust_disabled_matches_min_cut;
     Alcotest.test_case "robust: recovers under drops" `Quick test_robust_recovers_under_drops;
     Alcotest.test_case "robust: degrades past budget" `Quick test_robust_degrades_past_budget;
+    Alcotest.test_case "robust: eps_effective bounds the error" `Quick
+      test_robust_eps_effective_bounds_error;
     Alcotest.test_case "robust: stragglers never lose data" `Quick test_robust_stragglers_never_lose_data;
     Alcotest.test_case "robust: all-straggler late-copy fallback" `Quick test_robust_all_stragglers_fall_back_to_late_copy;
     Alcotest.test_case "robust: drop-only leaves straggler meters zero" `Quick test_robust_drop_only_reports_no_stragglers;

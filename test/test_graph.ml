@@ -277,7 +277,7 @@ let prop_csr_rows_sorted =
       let rng = Prng.create seed in
       let n = Prng.int rng 14 in
       let g = random_int_digraph rng ~n ~p:0.4 ~max_weight:8 in
-      List.iter
+      Array.iter
         (fun (u, v, _) -> if Prng.int rng 4 = 0 then Digraph.set_edge g u v 0.0)
         (Digraph.edges g);
       let row iter u =

@@ -135,7 +135,7 @@ let test_dinic_golden () =
   let rng = Prng.create 5151 in
   let g0 = Generators.erdos_renyi_connected rng ~n:18 ~p:0.3 in
   let ug = Generators.random_multigraph_weights rng g0 ~max_weight:4 in
-  List.iter
+  Array.iter
     (fun (u, v, w) ->
       if (u + (2 * v)) mod 3 = 0 then
         Ugraph.set_edge ug u v ((w *. 0.6) +. 0.05))
@@ -198,7 +198,7 @@ let test_dinic_maxflow_allocation () =
   let g = Generators.random_multigraph_weights rng g0 ~max_weight:6 in
   let cert = Strength.certificate (Strength.compute ~max_rounds:8 g) g in
   let net = Dinic.of_csr (Csr.of_ugraph cert) in
-  let pairs = Importance.sorted_edges_ugraph g in
+  let pairs = Ugraph.edges g in
   let flows = 32 in
   let before = Gc.minor_words () in
   for k = 0 to flows - 1 do

@@ -204,7 +204,7 @@ let test_strength_golden () =
   let rng = Prng.create 2024 in
   let g0 = Generators.erdos_renyi_connected rng ~n:24 ~p:0.35 in
   let g = Generators.random_multigraph_weights rng g0 ~max_weight:5 in
-  List.iter
+  Array.iter
     (fun (u, v, w) ->
       if (u + v) mod 3 = 0 then Ugraph.set_edge g u v ((w *. 0.5) +. 0.25))
     (Ugraph.edges g);
@@ -315,7 +315,7 @@ let test_connectivity_golden () =
   let rng = Prng.create 4242 in
   let g0 = Generators.planted_mincut rng ~block:14 ~k:3 ~p_inner:0.45 in
   let g = Generators.random_multigraph_weights rng g0 ~max_weight:3 in
-  List.iter
+  Array.iter
     (fun (u, v, w) -> Ugraph.set_edge g u v ((w *. 0.7) +. 0.15))
     (Ugraph.edges g);
   let a = Connectivity.estimate_ugraph ~flow_budget:12 ~cap:7.0 g in
@@ -476,10 +476,10 @@ let test_binomial_keep_deterministic () =
 
 (* --- Importance sampling --- *)
 
-(* The canonical order laid down by counting passes equals a comparison
-   sort of the graph's edge list, on graphs from n = 0 up with some edges
-   deleted again through set_edge ... 0.0. *)
-let prop_sorted_edges =
+(* The canonical order [Ugraph.edges]/[Digraph.edges] lay down by counting
+   passes equals a comparison sort of the table-order edge list, on graphs
+   from n = 0 up with some edges deleted again through set_edge ... 0.0. *)
+let prop_canonical_edges =
   QCheck.Test.make ~name:"sorted edges equal a comparison sort" ~count:60
     QCheck.(pair (int_bound 100000) (int_bound 14))
     (fun (seed, n) ->
@@ -494,17 +494,18 @@ let prop_sorted_edges =
             Digraph.add_edge dg u v w
           end
         done;
-      List.iter
+      Array.iter
         (fun (u, v, _) -> if Prng.bool rng then Ugraph.set_edge ug u v 0.0)
         (Ugraph.edges ug);
-      List.iter
+      Array.iter
         (fun (u, v, _) -> if Prng.bool rng then Digraph.set_edge dg u v 0.0)
         (Digraph.edges dg);
+      let cons u v w acc = (u, v, w) :: acc in
       let by_uv (a, b, _) (c, d, _) = compare (a, b) (c, d) in
-      Array.to_list (Importance.sorted_edges_ugraph ug)
-      = List.sort by_uv (Ugraph.edges ug)
-      && Array.to_list (Importance.sorted_edges_digraph dg)
-         = List.sort by_uv (Digraph.edges dg))
+      Array.to_list (Ugraph.edges ug)
+      = List.sort by_uv (Ugraph.fold_edges cons ug [])
+      && Array.to_list (Digraph.edges dg)
+         = List.sort by_uv (Digraph.fold_edges cons dg []))
 
 let test_importance_keep_all () =
   let rng = Prng.create 5 in
@@ -709,7 +710,11 @@ let test_median_boost_improves_success () =
   let single_ok = ref 0 and boosted_ok = ref 0 in
   let trials = 60 in
   for _ = 1 to trials do
-    let mk () = Foreach_sampler.sketch ~c:1.0 rng ~eps u in
+    let mk () =
+      let h = Foreach_sampler.sparsify ~c:1.0 rng ~eps u in
+      Sketch.of_digraph ~name:"foreach-sampler"
+        ~size_bits:(Sketch.ugraph_encoding_bits h) (Ugraph.to_digraph h)
+    in
     let single = mk () in
     if Float.abs (single.Sketch.query c -. truth) <= eps *. truth then incr single_ok;
     let boosted = Sketch.median_boost [ mk (); mk (); mk (); mk (); mk () ] in
@@ -779,7 +784,7 @@ let suite =
     Alcotest.test_case "binomial keep: identity" `Quick test_binomial_keep_identity;
     Alcotest.test_case "binomial keep: expectation" `Quick test_binomial_keep_expectation;
     Alcotest.test_case "binomial keep: determinism" `Quick test_binomial_keep_deterministic;
-    QCheck_alcotest.to_alcotest prop_sorted_edges;
+    QCheck_alcotest.to_alcotest prop_canonical_edges;
     Alcotest.test_case "importance: keep all" `Quick test_importance_keep_all;
     Alcotest.test_case "importance: drop all" `Quick test_importance_drop_all;
     Alcotest.test_case "importance: unbiased" `Quick test_importance_unbiased_cut;
