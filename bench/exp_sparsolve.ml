@@ -16,11 +16,12 @@
      strictly smaller worst error over the same 30 random cuts. Enforced
      in the report closure, so warm (cached) runs re-verify it.
 
-   - speed: end-to-end sparsify-then-solve (NI strengths -> tier-chain
-     estimates -> binomial resampling -> Karger on the sparsifier ->
-     certify against the frozen CSR) vs the dense solver at the same
-     trial count, both timed at one domain, on a planted two-block
-     instance (n = 1000, ~150k weighted edges, two cross edges).
+   - speed: end-to-end sparsify-then-solve (tier-chain estimates, whose
+     maximum-adjacency tier certifies the in-block edges -> binomial
+     resampling -> Karger on the sparsifier -> certify against the frozen
+     CSR) vs the dense solver at the same trial count, both timed at one
+     domain, on a planted two-block instance (n = 1000, ~150k weighted
+     edges, two cross edges).
      Floor: >= 3x wall-clock, enforced
      inside the stage on every cold run — an anti-regression floor sized
      for 1-core hosts (measured ~4x; the speedup is algorithmic, edges
@@ -143,8 +144,9 @@ let quality_stage pl beta =
 (* The instance is two dense blocks (n = 1000, ~150k weighted edges)
    joined by [s_k] light cross edges — the heterogeneous-connectivity
    regime connectivity sampling targets. In-block edges have local
-   connectivity in the thousands (the triangle tier saturates at the
-   cap), so they are downsampled ~6x; the planted cut's edges have
+   connectivity in the thousands (weighted degrees ~900-1200 >= the cap, so
+   the maximum-adjacency tier runs and certifies them at the cap in three
+   linear passes), so they are downsampled ~6x; the planted cut's edges have
    λ̂ <= s_k·max_weight < ρ, so p = 1 and the minimum cut survives in H
    with its weight *exact* — certification then passes by construction
    rather than by seed luck. (On a homogeneous ER instance every cut is
@@ -156,42 +158,62 @@ let s_trials = 144
 let s_eps = 0.4
 let s_rho = 14.0
 let s_cap = 300.0
-let s_rounds = 8
 let s_flow_budget = 32
 let s_block = 500
 let s_k = 2
 
-(* The whole sparse pipeline, end to end — NI rounds, tier-chain
-   estimation, binomial resampling, Karger on the sparsifier, certify
-   against the frozen view — everything the dense side does not pay.
-   Returns the result and the wall time of each phase (strength,
-   connectivity, partial min-cut), so the floor can name the layer that
-   grew. *)
-let sparse_pipeline ?domains rng g =
-  let strengths, t_strength =
-    Common.time (fun () -> Strength.compute ~max_rounds:s_rounds g)
+(* Wall seconds inside [name] spans while [f] runs: span aggregation is
+   switched on for the call (and left as it was found), and the span's
+   total is read before and after. *)
+let span_seconds name f =
+  let total () =
+    List.fold_left
+      (fun acc (st : Obs.Trace.stat) ->
+        if st.name = name then acc +. st.total_s else acc)
+      0.0 (Obs.Trace.stats ())
   in
-  let conn, t_conn =
+  let was_tracing = Obs.Trace.enabled () in
+  Obs.Trace.enable ();
+  let before = total () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> if not was_tracing then Obs.Trace.disable ())
+      f
+  in
+  (r, total () -. before)
+
+(* The whole sparse pipeline, end to end — tier-chain estimation (its
+   maximum-adjacency tier certifies the in-block edges, so no NI rounds
+   run), binomial resampling, Karger on the sparsifier, certify against
+   the frozen view — everything the dense side does not pay. Returns the
+   result and the wall time of each phase (the maximum-adjacency
+   contraction inside the estimator, the rest of the estimator, partial
+   min-cut), so the floor can name the layer that grew. *)
+let sparse_pipeline ?domains rng g =
+  let (conn, t_ma), t_conn =
     Common.time (fun () ->
-        Connectivity.estimate_ugraph ?domains ~strengths
-          ~flow_budget:s_flow_budget ~cap:s_cap g)
+        span_seconds "conn.adjacency" (fun () ->
+            Connectivity.estimate_ugraph ?domains ~flow_budget:s_flow_budget
+              ~cap:s_cap g))
   in
   let r, t_solve =
     Common.time (fun () ->
         Partial_mincut.mincut ?domains ~rho:s_rho ~connectivity:conn rng
           ~eps:s_eps ~solver:(Partial_mincut.Karger { trials = s_trials }) g)
   in
-  (r, (t_strength, t_conn, t_solve))
+  (r, (t_ma, t_conn -. t_ma, t_solve))
 
-let enforce_speed_floor ~dense_s ~sparse_s ~phases:(t_str, t_conn, t_solve)
-    ~m ~m' =
+let enforce_speed_floor ~dense_s ~sparse_s ~phases:(t_ma, t_rest, t_solve)
+    ~conn ~m ~m' =
   let sp = dense_s /. Float.max sparse_s 1e-9 in
   Printf.eprintf
-    "  [E24 speed n=1000: dense %.3fs, sparse %.3fs end-to-end (strength \
-     %.3fs, connectivity %.3fs, partial min-cut %.3fs), %.2fx, edges %d -> \
-     %d, %d cores]\n\
+    "  [E24 speed n=1000: dense %.3fs, sparse %.3fs end-to-end \
+     (max-adjacency %d passes, %d edges at cap, %.3fs; rest of \
+     connectivity %.3fs; partial min-cut %.3fs), %.2fx, edges %d -> %d, \
+     %d cores]\n\
      %!"
-    dense_s sparse_s t_str t_conn t_solve sp m m' Common.cores;
+    dense_s sparse_s conn.Connectivity.passes conn.Connectivity.by_adjacency
+    t_ma t_rest t_solve sp m m' Common.cores;
   if sp < 3.0 then
     failwith
       (Printf.sprintf
@@ -227,7 +249,8 @@ let speed_stage pl =
         Common.time (fun () ->
             sparse_pipeline ~domains:1 (Prng.copy sparse_seed) g)
       in
-      enforce_speed_floor ~dense_s ~sparse_s ~phases ~m:(Ugraph.m g)
+      enforce_speed_floor ~dense_s ~sparse_s ~phases
+        ~conn:r.Partial_mincut.stats.Partial_mincut.conn ~m:(Ugraph.m g)
         ~m':r.Partial_mincut.stats.Partial_mincut.m_sparse;
       (* Scheduling must leak into nothing: the same pipeline at explicit
          domain counts returns the identical cut. *)
@@ -442,9 +465,9 @@ let plan pl =
       ];
     Table.print t;
     Common.note
-      "floor: sparse pipeline (NI rounds + tier-chain estimates + binomial";
+      "floor: sparse pipeline (tier-chain estimates + binomial resampling +";
     Common.note
-      "resampling + Karger + certify) >= 3x faster end-to-end than the dense";
+      "Karger + certify) >= 3x faster end-to-end than the dense";
     Common.note
       "solver at the same trial count — enforced on every cold run; the";
     Common.note
@@ -454,9 +477,10 @@ let plan pl =
     Common.note
       "planted cut's lambda-hat sits below rho, so sampling keeps it exactly";
     Common.note
-      "(p=1) and certification passes by construction; in-block edges saturate";
+      "(p=1) and certification passes by construction; maximum-adjacency";
     Common.note
-      "the triangle tier at the cap and carry the ~6.6x edge reduction.";
+      "contraction certifies the in-block edges at the cap (no NI rounds run),";
+    Common.note "and they carry the ~6.6x edge reduction.";
     Common.note "Wall-clock figures on stderr only.";
     print_newline ();
     let um, exact, rows, dm, dense_st, st_row = P.value pl drivers in

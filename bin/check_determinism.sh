@@ -66,9 +66,12 @@
 # the whole sparse pipeline at explicit domain counts 1/2/4 inside the
 # experiment — its tables (and the >= 3x floor it enforces on every cold
 # run) must be byte-identical at every ambient DCS_DOMAINS value. Wall
-# clock goes to stderr. It also joins the --sched-cache cycle below: its
-# quality floors are re-verified in the report closure, so a warm run must
-# still pass them from cached artifacts alone.
+# clock goes to stderr. Its three runs also write DCS_METRICS snapshots,
+# diffed like E21's: the conn.* tier counts (the maximum-adjacency passes
+# and certified edges included) and the flows the pool runs must not
+# depend on the domain count. It also joins the --sched-cache cycle below:
+# its quality floors are re-verified in the report closure, so a warm run
+# must still pass them from cached artifacts alone.
 #
 # --sched-cache is the bench's resume path, so the gate also resumes that
 # cycle from partial caches: at DCS_DOMAINS=1, 2 and 4 it copies the cold
@@ -116,11 +119,12 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
 # metrics_for EXP D: point DCS_METRICS at EXP's snapshot for domain
-# count D when EXP's metrics are diffed (E21, E23), else leave it unset.
+# count D when EXP's metrics are diffed (E21, E23, E24), else leave it
+# unset.
 metrics_for () {
     unset DCS_METRICS
     case "$1" in
-        E21 | E23) export DCS_METRICS="$tmpdir/$1_metrics_d$2.json" ;;
+        E21 | E23 | E24) export DCS_METRICS="$tmpdir/$1_metrics_d$2.json" ;;
     esac
 }
 

@@ -19,7 +19,8 @@
       {!Traversal} — graphs and cuts ({!Csr} is the frozen flat-array view
       the hot paths query).
     - {!Stoer_wagner}, {!Karger}, {!Dinic}, {!Brute} — exact and randomized
-      minimum cuts.
+      minimum cuts; {!Max_adjacency} — maximum-adjacency orders and the
+      Nagamochi–Ibaraki contraction of pairs they certify.
     - {!Bitstring}, {!Channel}, {!Index_game}, {!Gap_hamming}, {!Two_sum} —
       the communication problems behind each lower bound.
 
@@ -30,8 +31,10 @@
     - {!Strength}, {!Importance}, {!Benczur_karger}, {!Foreach_sampler},
       {!Directed_sparsifier} — sampling-based sketches.
     - {!Connectivity} — batched local edge-connectivity estimation
-      (tiered lower bounds: weight, NI strength, common-neighbour,
-      capped Dinic flows on a reusable residual network) and the one
+      (tiered lower bounds: maximum-adjacency contraction where the
+      input has two vertices of weighted degree at the cap, weight, NI
+      strength, common-neighbour, capped Dinic flows on a reusable
+      residual network) and the one
       connectivity sampler, {!Connectivity.sample} (CCPS21: p =
       min(1, ρ/λ̂)), feeding {!Partial_mincut} — sparsify-then-solve
       minimum cuts with certify/repair against the original graph.
@@ -119,6 +122,7 @@ module Karger_stein = Dcs_mincut.Karger_stein
 module Gomory_hu = Dcs_mincut.Gomory_hu
 module Dinic = Dcs_mincut.Dinic
 module Brute = Dcs_mincut.Brute
+module Max_adjacency = Dcs_mincut.Max_adjacency
 
 module Bitstring = Dcs_comm.Bitstring
 module Channel = Dcs_comm.Channel

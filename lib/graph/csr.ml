@@ -139,6 +139,11 @@ let in_degree t v =
   check_vertex t v "in_degree";
   t.in_off.(v + 1) - t.in_off.(v)
 
+type rows = { off : int array; dst : int array; w : float array }
+
+let out_rows t = { off = t.out_off; dst = t.out_dst; w = t.out_w }
+let in_rows t = { off = t.in_off; dst = t.in_src; w = t.in_w }
+
 let iter_out t u f =
   check_vertex t u "iter_out";
   for i = t.out_off.(u) to t.out_off.(u + 1) - 1 do

@@ -58,6 +58,20 @@ val is_view : t -> n:int -> symmetric:bool -> (int * int * float) array -> bool
     with [symmetric] as the undirected graph (u < v, both arc directions).
     One linear merge per direction. *)
 
+type rows = { off : int array; dst : int array; w : float array }
+(** One direction's flat arrays: the arcs of vertex [u] sit at slots
+    [off.(u)] .. [off.(u + 1) - 1], endpoint-sorted, with endpoint
+    [dst.(i)] and weight [w.(i)]. *)
+
+val out_rows : t -> rows
+(** The out-direction arrays themselves, not a copy (O(1)) — for kernels
+    that walk rows without a closure per arc. Callers must not mutate
+    them. For an {!of_ugraph} view they are also the in-direction. *)
+
+val in_rows : t -> rows
+(** The in-direction arrays ([dst] holds sources); same contract as
+    {!out_rows}. *)
+
 val iter_out : t -> int -> (int -> float -> unit) -> unit
 (** Out-neighbors in increasing vertex order. *)
 

@@ -103,10 +103,12 @@ let copy g =
   iter_edges g (fun u v w -> set_edge h u v w);
   h
 
+(* Over [edges], as [total_weight]: on fractional weights the sum's bits
+   then depend on graph content, not hashtable history. *)
 let cut_weight g mem =
-  let acc = ref 0.0 in
-  iter_edges g (fun u v w -> if mem u <> mem v then acc := !acc +. w);
-  !acc
+  Array.fold_left
+    (fun acc (u, v, w) -> if mem u <> mem v then acc +. w else acc)
+    0.0 (edges g)
 
 let cut_value g c =
   if n g <> Cut.n c then invalid_arg "Ugraph.cut_value: size mismatch";

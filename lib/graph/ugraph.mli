@@ -46,7 +46,9 @@ val of_edges : int -> (int * int * float) list -> t
 val copy : t -> t
 
 val cut_weight : t -> (int -> bool) -> float
-(** Total weight of edges with exactly one endpoint in S. *)
+(** Total weight of edges with exactly one endpoint in S, summed in the
+    canonical ascending (u, v) order of {!edges}: equal graphs give the
+    same bits whatever their insertion history. *)
 
 val cut_value : t -> Cut.t -> float
 

@@ -3,32 +3,65 @@ module Csr = Dcs_graph.Csr
 module Cut = Dcs_graph.Cut
 module Prng = Dcs_util.Prng
 
-(* Per-domain scratch for one contraction run: edge clocks, the index
-   permutation that sorts them, and union-find state. Sized once per
-   worker domain and reused across every run that domain executes, so a
-   run allocates only its result cut — per-run allocation is what made
-   multi-domain fan-out collapse on the minor-GC rendezvous (BENCH_005's
-   E10), so the hot loop stays out of the allocator entirely. *)
+(* Per-domain scratch for one contraction run: a binary min-heap of
+   (clock, edge index) keys held inline in two flat arrays, and
+   union-find state. Sized once per worker domain and reused across every
+   run that domain executes, so a run allocates only its result cut —
+   per-run allocation is what made multi-domain fan-out collapse on the
+   minor-GC rendezvous (BENCH_005's E10), so the hot loop stays out of
+   the allocator entirely. *)
 type scratch = {
-  times : float array;
-  order : int array;
+  clock : float array;
+  edge : int array;
   parent : int array;
   rank : int array;
 }
 
 let make_scratch ~edges:m ~vertices:n =
   {
-    times = Array.make (max 1 m) 0.0;
-    order = Array.make (max 1 m) 0;
+    clock = Array.make (max 1 m) 0.0;
+    edge = Array.make (max 1 m) 0;
     parent = Array.make (max 1 n) 0;
     rank = Array.make (max 1 n) 0;
   }
+
+(* Slot [i] of a heap of [size] keys sinks below every child that precedes
+   it in (clock, edge index) order — a total order, so the pops are the
+   sorted order with exact clock ties broken by edge index. *)
+let sift_down s size i =
+  let clock = s.clock and edge = s.edge in
+  let c0 = clock.(i) and e0 = edge.(i) in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= size then sinking := false
+    else begin
+      let c =
+        if l + 1 < size then begin
+          let cl = clock.(l) and cr = clock.(l + 1) in
+          if cr < cl || (cr = cl && edge.(l + 1) < edge.(l)) then l + 1 else l
+        end
+        else l
+      in
+      let cc = clock.(c) in
+      if cc < c0 || (cc = c0 && edge.(c) < e0) then begin
+        clock.(!i) <- cc;
+        edge.(!i) <- edge.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  clock.(!i) <- c0;
+  edge.(!i) <- e0
 
 (* Weighted contraction via exponential clocks: give edge e an arrival time
    Exp(w_e) = -ln(U)/w_e and contract edges in arrival order until two
    super-vertices remain. The first-arrival process picks each next edge
    with probability proportional to its weight among live edges, so this is
-   exactly weighted Karger contraction, in O(m log m) per run.
+   exactly weighted Karger contraction. The clocks are heapified in O(m)
+   and popped only until two super-vertices remain — a small fraction of
+   m on dense graphs — so a run costs O(m + pops · log m).
 
    Clocks are drawn in the canonical order of [edges] ([Ugraph.edges g]),
    so a run is a pure function of (stream, graph content), never of
@@ -47,10 +80,12 @@ let run_once_scratch rng ~edges ~n csr s =
       nonzero ()
     in
     let _, _, w = edges.(e) in
-    s.times.(e) <- -.log u01 /. w;
-    s.order.(e) <- e
+    s.clock.(e) <- -.log u01 /. w;
+    s.edge.(e) <- e
   done;
-  Array.sort (fun a b -> compare s.times.(a) s.times.(b)) s.order;
+  for i = (m / 2) - 1 downto 0 do
+    sift_down s m i
+  done;
   for v = 0 to n - 1 do
     s.parent.(v) <- v;
     s.rank.(v) <- 0
@@ -77,10 +112,13 @@ let run_once_scratch rng ~edges ~n csr s =
       end
     end
   in
-  let i = ref 0 in
-  while !classes > 2 && !i < m do
-    let u, v, _ = edges.(s.order.(!i)) in
-    incr i;
+  let size = ref m in
+  while !classes > 2 && !size > 0 do
+    let u, v, _ = edges.(s.edge.(0)) in
+    decr size;
+    s.clock.(0) <- s.clock.(!size);
+    s.edge.(0) <- s.edge.(!size);
+    sift_down s !size 0;
     union u v
   done;
   if !classes > 2 then

@@ -8,7 +8,9 @@
 
 val run_once : Dcs_util.Prng.t -> Dcs_graph.Ugraph.t -> float * Dcs_graph.Cut.t
 (** One contraction run: contract weighted-random edges until two
-    super-vertices remain; returns that cut. Always an upper bound on the
+    super-vertices remain; returns that cut. The m exponential clocks are
+    heapified in O(m) and popped in (clock, edge index) order only until
+    two super-vertices remain. Always an upper bound on the
     minimum cut. Requires n >= 2 and a connected graph. *)
 
 val mincut :
@@ -20,8 +22,8 @@ val mincut :
 (** Best cut over [trials] independent runs. Runs execute on the pool
     ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
     [Pool.domain_count ()], i.e. [DCS_DOMAINS]), with one reusable
-    scratch arena (edge clocks, sort permutation, union-find state) per
-    domain; per-run [Prng.split] streams and an in-order reduction make
+    scratch arena (a heap of (clock, edge index) keys, union-find
+    state) per domain; per-run [Prng.split] streams and an in-order reduction make
     the result bit-identical for every domain count. *)
 
 val candidate_cuts :

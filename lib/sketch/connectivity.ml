@@ -4,6 +4,7 @@ module Csr = Dcs_graph.Csr
 module Pool = Dcs_util.Pool
 module Prng = Dcs_util.Prng
 module Dinic = Dcs_mincut.Dinic
+module Max_adjacency = Dcs_mincut.Max_adjacency
 module Metrics = Dcs_obs_core.Metrics
 
 (* Batched local edge-connectivity estimation: a lower bound
@@ -15,14 +16,24 @@ module Metrics = Dcs_obs_core.Metrics
    always-sound lower bounds and stops at the first one that reaches
    [cap]:
 
+   0. (undirected, when at least two vertices have weighted degree >=
+      [cap] — λ(u,v) <= min(d(u), d(v)), so otherwise no edge can reach
+      the cap) maximum-adjacency contraction ({!Max_adjacency}): repeated
+      MA passes merge every pair whose attachment q(e) reaches [cap];
+      an edge inside a class resolves to [cap]. A minimum x–y cut either
+      separates a merged pair, so it weighs at least [cap], or it is a
+      cut of the quotient G/S, so min(cap, λ_G) = min(cap, λ_{G/S}) and
+      the tiers below run on what is left, their flows on G/S;
    1. the edge's own weight (an edge is a cut-crossing witness of itself);
    2. the Nagamochi–Ibaraki strength index — an O(cap) forest rounds
       prefilter, divided by (1+β) on digraphs (undirected local
       connectivity exceeds directed λ by at most that factor on
-      β-balanced graphs). The decomposition must be of the graph being
-      estimated (of its undirected projection, for digraphs); one of
-      another graph is rejected with [Invalid_argument] naming the
-      estimator. The check compares endpoints only;
+      β-balanced graphs) — or, when tier 0 merged something, the larger
+      of q(e) and the index of a caller's decomposition (none is
+      computed). A decomposition must be of the graph being estimated
+      (of its undirected projection, for digraphs); one of another graph
+      is rejected with [Invalid_argument] naming the estimator. The check
+      compares endpoints only;
    3. a common-neighbour bound: w(u,v) + Σ_z min(w(u,z), w(z,v)) — the
       direct edge plus one edge-disjoint two-hop path per shared
       neighbour: a scatter of u's row and a gather over v's, O(deg v)
@@ -35,13 +46,17 @@ module Metrics = Dcs_obs_core.Metrics
    Exact flows run only where the cheap tiers are uninformative (their
    bound is below [cap]), on the [flow_budget] weakest bounds — a
    partial selection by bounded heap, not a sort of every unresolved
-   edge — and, for undirected graphs, on the NI sparse certificate
-   ({!Strength.certificate}, O(cap·n) edges) instead of the full graph.
-   Results are a pure function of graph content: edges are visited in
-   canonical sorted order and each flow task is a pure function of its
-   edge, so estimates are byte-identical for every domain count. *)
+   edge — and, for undirected graphs, on G/S when tier 0 merged
+   something and on the NI sparse certificate ({!Strength.certificate},
+   O(cap·n) edges) otherwise, never on the full graph. Results are a
+   pure function of graph content: edges are visited in canonical sorted
+   order, the MA passes are sequential and canonical, and each flow task
+   is a pure function of its edge, so estimates are byte-identical for
+   every domain count. *)
 
 let m_edges = Metrics.counter "conn.edges"
+let m_by_adjacency = Metrics.counter "conn.by_adjacency"
+let m_passes = Metrics.counter "conn.adjacency_passes"
 let m_by_weight = Metrics.counter "conn.by_weight"
 let m_by_strength = Metrics.counter "conn.by_strength"
 let m_by_triangle = Metrics.counter "conn.by_triangle"
@@ -50,11 +65,13 @@ let m_budgeted = Metrics.counter "conn.budgeted"
 
 type stats = {
   edges : int;
+  by_adjacency : int;
   by_weight : int;
   by_strength : int;
   by_triangle : int;
   flows : int;
   budgeted : int;
+  passes : int;
 }
 
 type t = {
@@ -103,35 +120,6 @@ let expected_kept t ~rho =
       acc := !acc +. Importance.keep_probability ~p:(keep_p ~rho lam) ~w);
   !acc
 
-(* Out- or in-rows of a frozen view as flat offset/endpoint/weight
-   arrays, endpoint-sorted, for the common-neighbour gathers. *)
-type rows = { off : int array; dst : int array; w : float array }
-
-let flat_rows n iter deg =
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg u
-  done;
-  let dst = Array.make off.(n) 0 and w = Array.make off.(n) 0.0 in
-  for u = 0 to n - 1 do
-    let i = ref off.(u) in
-    iter u (fun v x ->
-        dst.(!i) <- v;
-        w.(!i) <- x;
-        incr i)
-  done;
-  { off; dst; w }
-
-(* Out- and in-rows of the graph the common-neighbour bound reads; an
-   undirected (symmetric) view shares one copy for both sides. *)
-let rows_of_csr ~symmetric csr =
-  let n = Csr.n csr in
-  let out = flat_rows n (Csr.iter_out csr) (Csr.out_degree csr) in
-  let inn =
-    if symmetric then out else flat_rows n (Csr.iter_in csr) (Csr.in_degree csr)
-  in
-  (out, inn)
-
 (* Tier 3, w_direct + Σ_z min(w(u,z), w(z,v)): the direct edge plus one
    two-hop path per common neighbour, pairwise edge-disjoint, so every
    u→v cut severs at least this much weight. The returned function is
@@ -144,7 +132,7 @@ let rows_of_csr ~symmetric csr =
    and the edge resolves to [cap] either way. The min is a plain
    comparison: [Float.min] is an out-of-line call that boxes, and agrees
    with it on finite positive weights. *)
-let common_neighbour_bound ~n ~cap (out, inn) =
+let common_neighbour_bound ~n ~cap ((out : Csr.rows), (inn : Csr.rows)) =
   let stamp = Array.make n (-1) and wu = Array.make n 0.0 in
   let tail = ref (-1) in
   fun u v w ->
@@ -210,23 +198,36 @@ let default_rounds ~cap ~scale =
   if Float.is_finite cap then max 1 (int_of_float (ceil (cap *. scale)))
   else 512
 
-(* The shared tier chain. [ni.(i)] is edge i's strength bound, already
-   including any balance correction; the common-neighbour bound reads
-   [tri_rows] (the source graph: sharpest) while the flows run on
-   [flow_csr] (any weighted subgraph of the source is sound — undirected
-   estimation passes the NI certificate so flow cost is independent of the
-   source density). *)
-let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
-    ~tri_rows ~flow_csr () =
+(* The shared tier chain. [ni.(i)] is edge i's tier-2 bound, already
+   including any balance correction (and q(e), when [ma] merged
+   something); the common-neighbour bound reads [tri_rows] (the source
+   graph) while the flows run on [flow_csr]: G/S when [ma] is given
+   (between the endpoints' classes), else a weighted subgraph of the
+   source — undirected estimation passes the NI certificate, so flow cost
+   is independent of the source density. [passes] is tier 0's scan
+   count, for the stats. *)
+let estimate_core ?domains ?(flow_budget = max_int) ?ma ~passes ~cap ~n ~edges
+    ~ni ~tri_rows ~flow_csr () =
   let m = Array.length edges in
   let lambda = Array.make m 0.0 in
-  let by_weight = ref 0 and by_strength = ref 0 and by_triangle = ref 0 in
+  let by_adjacency = ref 0 and by_weight = ref 0 in
+  let by_strength = ref 0 and by_triangle = ref 0 in
+  let ends =
+    match ma with
+    | Some c -> fun u v -> (Max_adjacency.label c u, Max_adjacency.label c v)
+    | None -> fun u v -> (u, v)
+  in
   let tri = common_neighbour_bound ~n ~cap tri_rows in
   let unresolved = Array.make m 0 and nu = ref 0 in
   for i = 0 to m - 1 do
     let u, v, w = edges.(i) in
     let b = Float.max w ni.(i) in
-    if w >= cap then begin
+    let s, t = ends u v in
+    if s = t then begin
+      lambda.(i) <- cap;
+      incr by_adjacency
+    end
+    else if w >= cap then begin
       lambda.(i) <- cap;
       incr by_weight
     end
@@ -271,7 +272,8 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
         ~n:nflows
         (fun net k ->
           let u, v, _ = edges.(chosen.(k)) in
-          Dinic.maxflow ~limit:cap net ~s:u ~t:v)
+          let s, t = ends u v in
+          Dinic.maxflow ~limit:cap net ~s ~t)
     in
     for k = 0 to nflows - 1 do
       let i = chosen.(k) in
@@ -280,22 +282,26 @@ let estimate_core ?domains ?(flow_budget = max_int) ~cap ~n ~edges ~ni
   end;
   let budgeted = nu - nflows in
   Metrics.inc ~by:m m_edges;
+  Metrics.inc ~by:!by_adjacency m_by_adjacency;
   Metrics.inc ~by:!by_weight m_by_weight;
   Metrics.inc ~by:!by_strength m_by_strength;
   Metrics.inc ~by:!by_triangle m_by_triangle;
   Metrics.inc ~by:nflows m_flows;
   Metrics.inc ~by:budgeted m_budgeted;
+  Metrics.inc ~by:passes m_passes;
   {
     edges;
     lambda;
     stats =
       {
         edges = m;
+        by_adjacency = !by_adjacency;
         by_weight = !by_weight;
         by_strength = !by_strength;
         by_triangle = !by_triangle;
         flows = nflows;
         budgeted;
+        passes;
       };
   }
 
@@ -310,19 +316,11 @@ let check_params ~cap flow_budget =
   if Option.value flow_budget ~default:0 < 0 then
     invalid_arg "Connectivity: flow_budget >= 0"
 
-let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
-  check_params ~cap flow_budget;
-  let n = Ugraph.n g in
-  let edges = Ugraph.edges g in
+(* [Strength] keeps its edges in the same canonical order, so tier 2
+   reads the indices by position; matching the endpoints at every
+   position rejects a decomposition of another graph. *)
+let strength_bounds strengths edges =
   let m = Array.length edges in
-  let strengths =
-    match strengths with
-    | Some s -> s
-    | None -> Strength.compute ~max_rounds:(default_rounds ~cap ~scale:1.0) g
-  in
-  (* [Strength] keeps its edges in the same canonical order, so tier 2
-     reads the indices by position; matching the endpoints at every
-     position rejects a decomposition of another graph. *)
   let ni = Array.make m 0.0 in
   let seen =
     Strength.fold
@@ -335,14 +333,82 @@ let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
       strengths 0
   in
   if seen <> m then mismatch "estimate_ugraph";
-  (* The common-neighbour bound reads the full graph (sharpest sound
-     bound); flows run on the NI sparse certificate — a weighted subgraph
-     with O(rounds·n) edges preserving min(λ, rounds) — so per-query flow
-     cost is independent of the source density. *)
-  let tri_rows = rows_of_csr ~symmetric:true (Csr.of_ugraph g) in
-  let flow_csr = Csr.of_ugraph (Strength.certificate strengths g) in
-  estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni ~tri_rows
-    ~flow_csr ()
+  ni
+
+(* Tier 0 runs only where it can certify something: an edge reaches
+   [cap] only if both endpoints' weighted degrees do. *)
+let heavy_vertices ~cap (rows : Csr.rows) =
+  let heavy = ref 0 in
+  for u = 0 to Array.length rows.off - 2 do
+    let d = ref 0.0 in
+    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+      d := !d +. rows.w.(i)
+    done;
+    if !d >= cap then incr heavy
+  done;
+  !heavy
+
+(* [Ugraph.edges g] read off the frozen rows of [g]: the arcs u -> v with
+   u < v, in row order, are the canonical ascending (u, v) list with the
+   same weights — without two more walks over the hashtables. *)
+let canonical_edges (rows : Csr.rows) =
+  let es = Array.make (Array.length rows.dst / 2) (0, 0, 0.0) in
+  let k = ref 0 in
+  for u = 0 to Array.length rows.off - 2 do
+    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+      if rows.dst.(i) > u then begin
+        es.(!k) <- (u, rows.dst.(i), rows.w.(i));
+        incr k
+      end
+    done
+  done;
+  es
+
+let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
+  check_params ~cap flow_budget;
+  let n = Ugraph.n g in
+  let csr = Csr.of_ugraph g in
+  let rows = Csr.out_rows csr in
+  let edges = canonical_edges rows in
+  let ma =
+    if heavy_vertices ~cap rows < 2 then None
+    else
+      Some
+        (Dcs_obs_core.Trace.with_span "conn.adjacency" (fun () ->
+             Max_adjacency.contract ~cap rows))
+  in
+  let passes = match ma with Some c -> Max_adjacency.passes c | None -> 0 in
+  let tri_rows = (rows, rows) in
+  match ma with
+  | Some c when Max_adjacency.classes c < n ->
+      (* Tier 0 merged something: tier 2 is q(e), raised by a caller's
+         NI index, and the flows run on G/S — no strength rounds. *)
+      let ni =
+        match strengths with
+        | Some s -> strength_bounds s edges
+        | None -> Array.make (Array.length edges) 0.0
+      in
+      Array.iteri
+        (fun i (u, v, _) ->
+          let a = Max_adjacency.label c u and b = Max_adjacency.label c v in
+          if a <> b then ni.(i) <- Float.max ni.(i) (Max_adjacency.attachment c a b))
+        edges;
+      estimate_core ?domains ?flow_budget ~ma:c ~passes ~cap ~n ~edges ~ni
+        ~tri_rows ~flow_csr:(Max_adjacency.quotient c) ()
+  | _ ->
+      (* Nothing merged: the chain runs as it always has. Flows run on
+         the NI sparse certificate — a weighted subgraph with
+         O(rounds·n) edges preserving min(λ, rounds) — so per-query flow
+         cost is independent of the source density. *)
+      let strengths =
+        match strengths with
+        | Some s -> s
+        | None -> Strength.compute ~max_rounds:(default_rounds ~cap ~scale:1.0) g
+      in
+      let ni = strength_bounds strengths edges in
+      let flow_csr = Csr.of_ugraph (Strength.certificate strengths g) in
+      estimate_core ?domains ?flow_budget ~passes ~cap ~n ~edges ~ni ~tri_rows
+        ~flow_csr ()
 
 let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
     ~cap g =
@@ -388,6 +454,6 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
   in
   if pairs <> Strength.fold (fun _ _ _ c -> c + 1) strengths 0 then
     mismatch "estimate_digraph";
-  estimate_core ?domains ?flow_budget ~cap ~n ~edges ~ni
-    ~tri_rows:(rows_of_csr ~symmetric:false csr)
+  estimate_core ?domains ?flow_budget ~passes:0 ~cap ~n ~edges ~ni
+    ~tri_rows:(Csr.out_rows csr, Csr.in_rows csr)
     ~flow_csr:csr ()

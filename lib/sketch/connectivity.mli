@@ -8,9 +8,17 @@
     expensive, always-sound lower bounds that stops at the first one
     reaching [cap]:
 
+    + on undirected graphs with at least two vertices of weighted degree
+      >= [cap] (the input alone decides: λ(u,v) <= min(d(u), d(v))),
+      maximum-adjacency contraction ({!Dcs_mincut.Max_adjacency}):
+      repeated linear MA passes merge every pair whose attachment q(e)
+      reaches [cap], and an edge inside a class resolves to [cap]; when
+      it merged something, the tiers below run only on the other edges
+      and compute no strength rounds of their own;
     + the edge's own weight;
     + the Nagamochi–Ibaraki {!Strength} index (divided by (1+β) on
-      β-balanced digraphs);
+      β-balanced digraphs) — or, after a contraction, the larger of
+      q(e) and the index of a caller's decomposition;
     + a common-neighbour bound (direct edge + one edge-disjoint two-hop
       path per shared neighbour), gathered over v's row against a
       scatter of u's and stopped once it reaches [cap];
@@ -19,7 +27,9 @@
       worker domain (built once, reset between queries), run on the
       [flow_budget] weakest bounds (ties broken by edge index; a partial
       selection, not a full sort), and, for undirected graphs, run on the
-      {!Strength.certificate} (O(cap·n) edges) instead of the full
+      contracted graph G/S between the endpoints' classes after a
+      contraction (min(cap, λ) is the same there), else on the
+      {!Strength.certificate} (O(cap·n) edges) — never on the full
       graph.
 
     {!sample} turns the estimates into CCPS21's sample, p = min(1, ρ/λ̂).
@@ -34,17 +44,21 @@
     on graphs with sub-unit fractional weights tiers 2–4 can overshoot
     the (un-rounded) connectivity by the rounding; with weights >= 1 in
     integer units — every generator in this repo — all tiers are exact
-    lower bounds. Metered as [conn.edges], [conn.by_weight],
-    [conn.by_strength], [conn.by_triangle], [conn.flows],
-    [conn.budgeted]. *)
+    lower bounds. Metered as [conn.edges], [conn.by_adjacency],
+    [conn.by_weight], [conn.by_strength], [conn.by_triangle],
+    [conn.flows], [conn.budgeted] and [conn.adjacency_passes]; the
+    contraction runs inside a [conn.adjacency] {!Dcs_obs_core.Trace}
+    span. *)
 
 type stats = {
   edges : int;  (** edges estimated *)
+  by_adjacency : int;  (** inside a class of the maximum-adjacency tier *)
   by_weight : int;  (** resolved by the weight tier (w >= cap) *)
   by_strength : int;  (** resolved by the NI strength tier *)
   by_triangle : int;  (** resolved by the common-neighbour tier *)
   flows : int;  (** exact capped max-flows run *)
   budgeted : int;  (** flow budget exhausted; kept the cheap bound *)
+  passes : int;  (** maximum-adjacency passes run (0: tier off) *)
 }
 
 type t
@@ -57,9 +71,11 @@ val estimate_ugraph :
   Dcs_graph.Ugraph.t ->
   t
 (** λ̂ for every undirected edge (u < v). [strengths] reuses a
-    precomputed NI decomposition (its {!Strength.certificate} is the flow
-    graph, so estimates are sharp at [cap] when it ran for at least [cap]
-    rounds — the default computes exactly that many); [flow_budget]
+    precomputed NI decomposition: when the maximum-adjacency tier merged
+    nothing, its {!Strength.certificate} is the flow graph, so estimates
+    are sharp at [cap] when it ran for at least [cap] rounds — the
+    default computes exactly that many; after a contraction its index
+    only raises tier 2, and flows on G/S are sharp at [cap]. [flow_budget]
     (default unlimited) caps the exact tier. [cap] must be positive
     (NaN is rejected before any work); pass [infinity] for uncapped
     exact local connectivities (the cheap tiers then never fire). Raises

@@ -259,6 +259,176 @@ let test_karger_candidates_distinct () =
   let sorted = List.sort_uniq compare keys in
   Alcotest.(check int) "no duplicate cuts" (List.length keys) (List.length sorted)
 
+(* --- Karger: the heap pops in sorted clock order --- *)
+
+(* Test-only copy of the sort-based contraction the heap replaced: the m
+   clocks drawn in canonical order from the same stream, sorted by
+   (clock, edge index), and unions in that order until two classes
+   remain. *)
+let sorted_run_once rng g =
+  let n = Ugraph.n g in
+  if n < 2 then invalid_arg "Karger.run_once: need >= 2 vertices";
+  let edges = Ugraph.edges g in
+  let m = Array.length edges in
+  if m = 0 then invalid_arg "Karger.run_once: graph disconnected (no edges)";
+  let clock = Array.make m 0.0 in
+  for e = 0 to m - 1 do
+    let rec nonzero () =
+      let x = Prng.float rng 1.0 in
+      if x = 0.0 then nonzero () else x
+    in
+    let u01 = nonzero () in
+    let _, _, w = edges.(e) in
+    clock.(e) <- -.log u01 /. w
+  done;
+  let order = Array.init m Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare clock.(a) clock.(b) with 0 -> Int.compare a b | c -> c)
+    order;
+  let parent = Array.init n Fun.id in
+  let rec find x = if parent.(x) = x then x else find parent.(x) in
+  let classes = ref n and i = ref 0 in
+  while !classes > 2 && !i < m do
+    let u, v, _ = edges.(order.(!i)) in
+    incr i;
+    let a = find u and b = find v in
+    if a <> b then begin
+      parent.(a) <- b;
+      decr classes
+    end
+  done;
+  if !classes > 2 then
+    invalid_arg "Karger.run_once: graph disconnected (ran out of edges)";
+  let rep = find 0 in
+  let cut = Cut.of_mem ~n (fun v -> find v = rep) in
+  (Csr.cut_value (Csr.of_ugraph g) cut, cut)
+
+(* G(n, p) with fractional weights in [0.1, 5.0): often disconnected at
+   small p. *)
+let fractional_gnp rng ~n ~p =
+  let g0 = Generators.erdos_renyi rng ~n ~p in
+  let g = Ugraph.create n in
+  Array.iter
+    (fun (u, v, _) -> Ugraph.set_edge g u v (0.1 +. Prng.float rng 4.9))
+    (Ugraph.edges g0);
+  g
+
+let prop_karger_sorted_order =
+  QCheck.Test.make ~name:"karger run_once = sorted-clock contraction"
+    ~count:150
+    QCheck.(pair (int_bound 100000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let g = fractional_gnp rng ~n ~p:(0.02 +. Prng.float rng 0.4) in
+      let outcome run =
+        match run (Prng.create (seed + 1)) g with
+        | v, c -> Ok (Int64.bits_of_float v, Cut.to_list c)
+        | exception Invalid_argument msg -> Error msg
+      in
+      outcome Karger.run_once = outcome sorted_run_once)
+
+(* [mincut] and [candidate_cuts] over the sorted-clock runs: run t draws
+   from [Prng.split (Prng.fork rng) t], the first strictly smaller value
+   wins, and a cut (up to complement) keeps its first run's value. *)
+let prop_karger_pool_sorted_order =
+  QCheck.Test.make
+    ~name:"karger mincut/candidates = sorted-clock runs at domains 1/2/4"
+    ~count:15
+    QCheck.(pair (int_bound 100000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let g0 = Generators.erdos_renyi_connected rng ~n ~p:0.25 in
+      let g = Ugraph.create n in
+      Array.iter
+        (fun (u, v, _) -> Ugraph.set_edge g u v (0.1 +. Prng.float rng 4.9))
+        (Ugraph.edges g0);
+      let trials = 12 and factor = 2.0 in
+      let runs =
+        let master = Prng.fork (Prng.create (seed + 1)) in
+        Array.init trials (fun t -> sorted_run_once (Prng.split master t) g)
+      in
+      let best =
+        Array.fold_left (fun b r -> if fst r < fst b then r else b) runs.(0) runs
+      in
+      let key c = Cut.to_list (if Cut.mem c 0 then c else Cut.complement c) in
+      let normal cands =
+        List.sort compare
+          (List.map (fun (v, c) -> (Int64.bits_of_float v, key c)) cands)
+      in
+      let expected =
+        let seen = Hashtbl.create 16 in
+        Array.iter
+          (fun (v, c) ->
+            if not (Hashtbl.mem seen (key c)) then Hashtbl.add seen (key c) (v, c))
+          runs;
+        normal
+          (Hashtbl.fold
+             (fun _ (v, c) acc ->
+               if v <= (factor *. fst best) +. 1e-9 then (v, c) :: acc else acc)
+             seen [])
+      in
+      List.for_all
+        (fun domains ->
+          let v, c = Karger.mincut ~domains (Prng.create (seed + 1)) ~trials g in
+          Int64.bits_of_float v = Int64.bits_of_float (fst best)
+          && Cut.to_list c = Cut.to_list (snd best)
+          && normal
+               (Karger.candidate_cuts ~domains (Prng.create (seed + 1)) ~trials
+                  ~factor g)
+             = expected)
+        [ 1; 2; 4 ])
+
+(* --- Maximum adjacency --- *)
+
+(* Every scanned edge's attachment bounds its endpoints' local
+   connectivity, and the last vertex of an MA order of a connected graph
+   is separated from the one before it by its own weighted degree (the
+   cut of the phase). *)
+let prop_ma_scan =
+  QCheck.Test.make ~name:"max-adjacency: q(e) <= lambda, last pair's cut"
+    ~count:40
+    QCheck.(pair (int_bound 100000) (int_range 2 24))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let g0 = Generators.erdos_renyi_connected rng ~n ~p:0.3 in
+      let g = Generators.random_multigraph_weights rng g0 ~max_weight:5 in
+      let csr = Csr.of_ugraph g in
+      let rows = Csr.out_rows csr in
+      let order, q = Max_adjacency.scan rows in
+      let net = Dinic.of_ugraph g in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+          let v = rows.dst.(i) in
+          if q.(i) > Dinic.maxflow net ~s:u ~t:v +. 1e-9 then ok := false
+        done
+      done;
+      let s = order.(n - 2) and t = order.(n - 1) in
+      let degree = ref 0.0 in
+      Csr.iter_out csr t (fun _ w -> degree := !degree +. w);
+      !ok && Float.abs (Dinic.maxflow net ~s ~t -. !degree) < 1e-9)
+
+(* Two classes are left on a planted two-block graph whose blocks are
+   far above the cap and whose cross cut is below it, and G/S carries the
+   cross cut exactly. *)
+let test_ma_contract_planted () =
+  let rng = Prng.create 31 in
+  let g0 = Generators.planted_mincut rng ~block:20 ~k:2 ~p_inner:0.9 in
+  let g = Generators.random_multigraph_weights rng g0 ~max_weight:3 in
+  let ma = Max_adjacency.contract ~cap:8.0 (Csr.out_rows (Csr.of_ugraph g)) in
+  Alcotest.(check int) "classes" 2 (Max_adjacency.classes ma);
+  let a = Max_adjacency.label ma 0 and b = Max_adjacency.label ma 39 in
+  Alcotest.(check bool) "blocks apart" true (a <> b);
+  for v = 0 to 19 do
+    Alcotest.(check int) "block 0" a (Max_adjacency.label ma v);
+    Alcotest.(check int) "block 1" b (Max_adjacency.label ma (v + 20))
+  done;
+  let cross = Stoer_wagner.mincut_value g in
+  check_float "quotient edge" cross
+    (Csr.weight (Max_adjacency.quotient ma) a b);
+  check_float "attachment" cross (Max_adjacency.attachment ma a b)
+
 (* --- Karger–Stein --- *)
 
 let test_karger_stein_matches_sw () =
@@ -448,6 +618,11 @@ let suite =
     Alcotest.test_case "karger: finds planted" `Quick test_karger_finds_planted;
     Alcotest.test_case "karger: candidates bounded/sorted" `Quick test_karger_candidates_sorted_and_bounded;
     Alcotest.test_case "karger: candidates distinct" `Quick test_karger_candidates_distinct;
+    QCheck_alcotest.to_alcotest prop_karger_sorted_order;
+    QCheck_alcotest.to_alcotest prop_karger_pool_sorted_order;
+    QCheck_alcotest.to_alcotest prop_ma_scan;
+    Alcotest.test_case "max-adjacency: planted contraction" `Quick
+      test_ma_contract_planted;
     Alcotest.test_case "karger-stein: matches sw" `Quick test_karger_stein_matches_sw;
     Alcotest.test_case "karger-stein: weighted" `Quick test_karger_stein_weighted;
     Alcotest.test_case "karger-stein: upper bound" `Quick test_karger_stein_run_once_upper_bound;

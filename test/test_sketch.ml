@@ -271,6 +271,31 @@ let prop_connectivity_estimates_sound =
             ok := false);
       !ok)
 
+(* Planted dense blocks whose weighted degrees pass the cap: the
+   maximum-adjacency tier contracts, and every estimate — inside a class,
+   or from the chain and the flows on G/S — stays below the
+   Dinic-certified min(λ, cap), on integer and on fractional weights. *)
+let prop_adjacency_tier_sound =
+  QCheck.Test.make ~name:"maximum-adjacency tier: estimates <= min(lambda, cap)"
+    ~count:20
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g0 = Generators.planted_mincut rng ~block:10 ~k:3 ~p_inner:0.9 in
+      let g = Generators.random_multigraph_weights rng g0 ~max_weight:4 in
+      if seed mod 2 = 1 then
+        Array.iter
+          (fun (u, v, w) -> Ugraph.set_edge g u v ((w *. 0.7) +. 0.15))
+          (Ugraph.edges g);
+      let cap = 4.0 +. float_of_int (seed mod 5) in
+      let conn = Connectivity.estimate_ugraph ~flow_budget:(seed mod 5) ~cap g in
+      let net = Dinic.of_ugraph g in
+      let ok = ref ((Connectivity.stats conn).Connectivity.by_adjacency > 0) in
+      Connectivity.iter conn (fun u v _ lam ->
+          if lam > Float.min (Dinic.maxflow net ~s:u ~t:v) cap +. 1e-6 then
+            ok := false);
+      !ok)
+
 let test_connectivity_exact_when_uncapped () =
   (* With an unreachable cap and unlimited flows, the exact tier runs
      everywhere: estimates equal true local connectivities. *)
@@ -295,10 +320,12 @@ let connectivity_digest conn =
   !h
 
 let check_stats name
-    (edges, by_weight, by_strength, by_triangle, flows, budgeted) conn =
+    (edges, by_adjacency, by_weight, by_strength, by_triangle, flows, budgeted)
+    conn =
   let s = Connectivity.stats conn in
   let field f want got = Alcotest.(check int) (name ^ ": " ^ f) want got in
   field "edges" edges s.Connectivity.edges;
+  field "by_adjacency" by_adjacency s.by_adjacency;
   field "by_weight" by_weight s.by_weight;
   field "by_strength" by_strength s.by_strength;
   field "by_triangle" by_triangle s.by_triangle;
@@ -306,11 +333,12 @@ let check_stats name
   field "budgeted" budgeted s.budgeted
 
 (* Golden pins for the tier chain: (a) a planted two-block ugraph with
-   fractional weights (the common-neighbour sums are order-sensitive)
-   whose flow budget is below its unresolved count, with the budget's
-   cut-off inside a run of edges tied on λ̂, so the edge-index tie-break
-   decides which edges get flows; (b) the same graph with unlimited flows
-   and no cap; (c) a β-balanced digraph, every tier firing. *)
+   fractional weights whose weighted degrees pass the cap, so the
+   maximum-adjacency tier contracts (5 passes certify 80 edges) and the
+   flows run on G/S, and whose flow budget is below its unresolved
+   count; (b) the same graph with unlimited flows and no cap (the
+   maximum-adjacency tier off); (c) a β-balanced digraph, every other
+   tier firing. *)
 let test_connectivity_golden () =
   let rng = Prng.create 4242 in
   let g0 = Generators.planted_mincut rng ~block:14 ~k:3 ~p_inner:0.45 in
@@ -319,13 +347,14 @@ let test_connectivity_golden () =
     (fun (u, v, w) -> Ugraph.set_edge g u v ((w *. 0.7) +. 0.15))
     (Ugraph.edges g);
   let a = Connectivity.estimate_ugraph ~flow_budget:12 ~cap:7.0 g in
-  Alcotest.(check int64) "(a) digest" 3407639834417262837L
+  Alcotest.(check int64) "(a) digest" (-5752155611118262521L)
     (connectivity_digest a);
-  check_stats "(a)" (102, 0, 23, 20, 12, 47) a;
+  check_stats "(a)" (102, 80, 0, 0, 0, 12, 10) a;
+  Alcotest.(check int) "(a) passes" 5 (Connectivity.stats a).passes;
   let b = Connectivity.estimate_ugraph ~cap:infinity g in
   Alcotest.(check int64) "(b) digest" 1865203440959793756L
     (connectivity_digest b);
-  check_stats "(b)" (102, 0, 0, 0, 102, 0) b;
+  check_stats "(b)" (102, 0, 0, 0, 0, 102, 0) b;
   let d =
     Generators.balanced_digraph (Prng.create 77) ~n:16 ~p:0.3 ~beta:2.0
       ~max_weight:5.0
@@ -333,17 +362,20 @@ let test_connectivity_golden () =
   let c = Connectivity.estimate_digraph ~beta:2.0 ~cap:6.0 d in
   Alcotest.(check int64) "(c) digest" (-5901374879931250206L)
     (connectivity_digest c);
-  check_stats "(c)" (148, 4, 67, 68, 9, 0) c
+  check_stats "(c)" (148, 0, 4, 67, 68, 9, 0) c
 
 (* Budgets {0, 1, 5, unlimited} against caps {1, 6, ∞}: every edge is
    resolved by exactly one tier or kept its cheap bound for lack of
    budget, flows run up to the budget, and the conn.* registry moves by
-   exactly the returned stats. *)
+   exactly the returned stats, maximum-adjacency passes included. *)
 let prop_connectivity_stats_add_up =
   let counters =
     List.map
       (fun name -> Obs.Metrics.counter ("conn." ^ name))
-      [ "edges"; "by_weight"; "by_strength"; "by_triangle"; "flows"; "budgeted" ]
+      [
+        "edges"; "by_adjacency"; "by_weight"; "by_strength"; "by_triangle";
+        "flows"; "budgeted"; "adjacency_passes";
+      ]
   in
   let probe () = List.map Obs.Metrics.counter_value counters in
   QCheck.Test.make ~name:"connectivity stats add up" ~count:10
@@ -360,11 +392,12 @@ let prop_connectivity_stats_add_up =
         let s = Connectivity.stats (estimate ()) in
         let delta = List.map2 ( - ) (probe ()) before in
         s.Connectivity.edges
-        = s.by_weight + s.by_strength + s.by_triangle + s.flows + s.budgeted
+        = s.by_adjacency + s.by_weight + s.by_strength + s.by_triangle
+          + s.flows + s.budgeted
         && s.flows = min budget (s.flows + s.budgeted)
         && delta
-           = [ s.edges; s.by_weight; s.by_strength; s.by_triangle; s.flows;
-               s.budgeted ]
+           = [ s.edges; s.by_adjacency; s.by_weight; s.by_strength;
+               s.by_triangle; s.flows; s.budgeted; s.passes ]
       in
       List.for_all
         (fun flow_budget ->
@@ -776,6 +809,7 @@ let suite =
     Alcotest.test_case "strength: golden fold and certificate" `Quick test_strength_golden;
     QCheck_alcotest.to_alcotest prop_strength_below_connectivity;
     QCheck_alcotest.to_alcotest prop_connectivity_estimates_sound;
+    QCheck_alcotest.to_alcotest prop_adjacency_tier_sound;
     Alcotest.test_case "connectivity: exact when uncapped" `Quick test_connectivity_exact_when_uncapped;
     Alcotest.test_case "connectivity: golden estimates" `Quick test_connectivity_golden;
     QCheck_alcotest.to_alcotest prop_connectivity_stats_add_up;
