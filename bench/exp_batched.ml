@@ -301,5 +301,5 @@ let plan ~floors pl =
         "identical";
       ];
     Table.print t;
-    Common.note "per-domain scratch: edge clocks, sort permutation, union-find";
+    Common.note "per-domain scratch: (clock, edge index) heap keys, union-find";
     Common.note "arrays — a contraction run allocates only its result cut."

@@ -290,8 +290,7 @@ let d_flow_budget = 64
    plus the dense Stoer–Wagner reference value. *)
 let drivers_stage pl =
   (* Small on purpose: this stage checks routing and the certify/repair
-     contract, not scale — and Karger–Stein's dense quotient recursion
-     prices each run at seconds already at n = 300. *)
+     contract, not scale (E24's speed stage prices the solvers). *)
   let graph =
     P.weighted_graph pl ~tag:"sparsolve.drivers" ~n:150 ~p:0.16 ~max_weight:6
   in

@@ -131,17 +131,31 @@ let mincut_cmd =
       & info [ "algo" ] ~doc:"Algorithm: stoer-wagner | karger | both.")
   in
   let trials = Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Karger trials.") in
+  (* A graph with fewer than two vertices has no cut: a usage error. A
+     disconnected one is answered here, exactly: 0, with vertex 0's
+     component as the side — Karger declares connected inputs only. *)
   let run metrics seed algo trials input =
     let g = with_input input read_ugraph in
+    let n = Ugraph.n g in
+    if n < 2 then begin
+      Printf.eprintf "dcut: mincut needs at least 2 vertices, the graph has %d\n" n;
+      exit Cmd.Exit.cli_error
+    end;
     let rng = Prng.create seed in
+    let solve =
+      if Traversal.is_connected g then fun solver -> solver ()
+      else
+        let comp = Traversal.connected_components g in
+        fun _ -> (0.0, Cut.of_mem ~n (fun v -> comp.(v) = comp.(0)))
+    in
     (match algo with
     | `Sw | `Both ->
-        let v, c = Stoer_wagner.mincut g in
+        let v, c = solve (fun () -> Stoer_wagner.mincut g) in
         Printf.printf "stoer-wagner: %.6g  (side %d vertices)\n" v (Cut.cardinal c)
     | `Karger -> ());
     (match algo with
     | `Karger | `Both ->
-        let v, c = Karger.mincut rng ~trials g in
+        let v, c = solve (fun () -> Karger.mincut rng ~trials g) in
         Printf.printf "karger(%d):   %.6g  (side %d vertices)\n" trials v
           (Cut.cardinal c)
     | `Sw -> ());

@@ -18,9 +18,12 @@
     - {!Digraph}, {!Ugraph}, {!Csr}, {!Cut}, {!Balance}, {!Generators},
       {!Traversal} — graphs and cuts ({!Csr} is the frozen flat-array view
       the hot paths query).
-    - {!Stoer_wagner}, {!Karger}, {!Dinic}, {!Brute} — exact and randomized
-      minimum cuts; {!Max_adjacency} — maximum-adjacency orders and the
-      Nagamochi–Ibaraki contraction of pairs they certify.
+    - {!Stoer_wagner}, {!Karger}, {!Karger_stein}, {!Dinic}, {!Brute} —
+      exact and randomized minimum cuts, in O(n + m) memory: the exact
+      solver is Nagamochi–Ibaraki contraction on the frozen rows, and
+      Karger–Stein recurses on quotient rows; {!Max_adjacency} — the
+      exact solver's kernel: maximum-adjacency orders and the merge step
+      it shares with the connectivity estimator's contraction tier.
     - {!Bitstring}, {!Channel}, {!Index_game}, {!Gap_hamming}, {!Two_sum} —
       the communication problems behind each lower bound.
 

@@ -347,3 +347,96 @@ let is_view t ~n ~symmetric edges =
   && t.arcs = (if symmetric then 2 else 1) * Array.length edges
   && rows_are t
   && ((not symmetric) || rows_are (reverse t))
+
+(* --- symmetric rows --- *)
+
+(* The arcs u -> v with u < v, in row order, are the canonical ascending
+   (u, v) edge list with the same weights ([Ugraph.edges] of the graph
+   frozen into [rows]) — read off the flat arrays, without a walk over
+   any hashtable. *)
+let canonical_edges (rows : rows) =
+  let es = Array.make (Array.length rows.dst / 2) (0, 0, 0.0) in
+  let k = ref 0 in
+  for u = 0 to Array.length rows.off - 2 do
+    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+      if rows.dst.(i) > u then begin
+        es.(!k) <- (u, rows.dst.(i), rows.w.(i));
+        incr k
+      end
+    done
+  done;
+  es
+
+(* G/S under the class map [f] (onto [0, k)): one pair per pair of
+   adjacent classes, its weight the sum of the arcs from the smaller
+   class's members in ascending (member, endpoint) order — computed once,
+   so both directions carry the same bits. Pairs come out by ascending
+   (smaller, larger) class, which fills every row in ascending order. *)
+let quotient_rows (g : rows) f k =
+  let n = Array.length g.off - 1 in
+  let start = Array.make (k + 1) 0 in
+  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) f;
+  for c = 0 to k - 1 do
+    start.(c + 1) <- start.(c + 1) + start.(c)
+  done;
+  let members = Array.make n 0 and fill = Array.sub start 0 k in
+  for x = 0 to n - 1 do
+    members.(fill.(f.(x))) <- x;
+    fill.(f.(x)) <- fill.(f.(x)) + 1
+  done;
+  let most = Array.length g.dst / 2 in
+  let first = Array.make (k + 1) 0 in
+  let pb = Array.make most 0 and pw = Array.make most 0.0 in
+  let stamp = Array.make k (-1) and acc = Array.make k 0.0 in
+  let np = ref 0 in
+  for c = 0 to k - 1 do
+    first.(c) <- !np;
+    for j = start.(c) to start.(c + 1) - 1 do
+      let x = members.(j) in
+      for i = g.off.(x) to g.off.(x + 1) - 1 do
+        let d = f.(g.dst.(i)) in
+        if d > c then
+          if stamp.(d) <> c then begin
+            stamp.(d) <- c;
+            acc.(d) <- g.w.(i);
+            pb.(!np) <- d;
+            incr np
+          end
+          else acc.(d) <- acc.(d) +. g.w.(i)
+      done
+    done;
+    let len = !np - first.(c) in
+    if len > 1 then begin
+      let ds = Array.sub pb first.(c) len in
+      Array.sort Int.compare ds;
+      Array.blit ds 0 pb first.(c) len
+    end;
+    for j = first.(c) to !np - 1 do
+      pw.(j) <- acc.(pb.(j))
+    done
+  done;
+  first.(k) <- !np;
+  let off = Array.make (k + 1) 0 in
+  for c = 0 to k - 1 do
+    for j = first.(c) to first.(c + 1) - 1 do
+      off.(c + 1) <- off.(c + 1) + 1;
+      off.(pb.(j) + 1) <- off.(pb.(j) + 1) + 1
+    done
+  done;
+  for c = 0 to k - 1 do
+    off.(c + 1) <- off.(c + 1) + off.(c)
+  done;
+  let dst = Array.make off.(k) 0 and w = Array.make off.(k) 0.0 in
+  let fill = Array.sub off 0 k in
+  let push a b x =
+    dst.(fill.(a)) <- b;
+    w.(fill.(a)) <- x;
+    fill.(a) <- fill.(a) + 1
+  in
+  for c = 0 to k - 1 do
+    for j = first.(c) to first.(c + 1) - 1 do
+      push c pb.(j) pw.(j);
+      push pb.(j) c pw.(j)
+    done
+  done;
+  { off; dst; w }

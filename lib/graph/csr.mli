@@ -145,3 +145,19 @@ val to_digraph : t -> Digraph.t
     downstream consumer sensitive to construction order sees the same
     digraph whatever history produced [t]. A symmetric {!of_ugraph} view
     thaws to both opposite arcs. *)
+
+(** {2 Symmetric rows} — of an undirected view ({!out_rows} of {!of_ugraph}). *)
+
+val canonical_edges : rows -> (int * int * float) array
+(** The undirected edges of symmetric [rows]: the arcs u -> v with
+    u < v, in row order — the canonical ascending (u, v) list of
+    {!Ugraph.edges}, with the same weights. O(n + m). *)
+
+val quotient_rows : rows -> int array -> int -> rows
+(** [quotient_rows rows f k] is G/S for the class map [f] (vertex ->
+    class in [\[0, k)], onto): symmetric rows over the classes with one
+    arc pair per pair of adjacent classes, its weight the sum of the
+    member arcs between them — each sum taken once, in ascending
+    (member, endpoint) order of the smaller class, so both directions
+    carry the same bits. Arcs inside a class vanish. O(n + m) plus a sort
+    of each class's neighbour list. *)

@@ -55,22 +55,31 @@ let sift_down s size i =
   clock.(!i) <- c0;
   edge.(!i) <- e0
 
+(* Union-find over the scratch: path compression, union by rank. *)
+let rec find s x =
+  let p = s.parent.(x) in
+  if p = x then x
+  else begin
+    let r = find s p in
+    s.parent.(x) <- r;
+    r
+  end
+
 (* Weighted contraction via exponential clocks: give edge e an arrival time
-   Exp(w_e) = -ln(U)/w_e and contract edges in arrival order until two
-   super-vertices remain. The first-arrival process picks each next edge
-   with probability proportional to its weight among live edges, so this is
-   exactly weighted Karger contraction. The clocks are heapified in O(m)
-   and popped only until two super-vertices remain — a small fraction of
-   m on dense graphs — so a run costs O(m + pops · log m).
+   Exp(w_e) = -ln(U)/w_e and contract edges in arrival order until
+   [target] super-vertices remain. The first-arrival process picks each
+   next edge with probability proportional to its weight among live edges,
+   so this is exactly weighted Karger contraction. The clocks are
+   heapified in O(m) and popped only until [target] super-vertices remain
+   — a small fraction of m on dense graphs — so a run costs
+   O(m + pops · log m). Returns the classes left: more than [target] when
+   the clocks ran out first (a disconnected graph).
 
    Clocks are drawn in the canonical order of [edges] ([Ugraph.edges g]),
    so a run is a pure function of (stream, graph content), never of
-   insertion history. The final cut evaluation goes through the frozen
-   CSR view ([csr], shared read-only across repetitions and domains). *)
-let run_once_scratch rng ~edges ~n csr s =
-  if n < 2 then invalid_arg "Karger.run_once: need >= 2 vertices";
+   insertion history. *)
+let contract_scratch rng ~edges ~n s ~target =
   let m = Array.length edges in
-  if m = 0 then invalid_arg "Karger.run_once: graph disconnected (no edges)";
   for e = 0 to m - 1 do
     let u01 =
       let rec nonzero () =
@@ -91,17 +100,8 @@ let run_once_scratch rng ~edges ~n csr s =
     s.rank.(v) <- 0
   done;
   let classes = ref n in
-  let rec find x =
-    let p = s.parent.(x) in
-    if p = x then x
-    else begin
-      let r = find p in
-      s.parent.(x) <- r;
-      r
-    end
-  in
   let union a b =
-    let ra = find a and rb = find b in
+    let ra = find s a and rb = find s b in
     if ra <> rb then begin
       decr classes;
       if s.rank.(ra) < s.rank.(rb) then s.parent.(ra) <- rb
@@ -113,7 +113,7 @@ let run_once_scratch rng ~edges ~n csr s =
     end
   in
   let size = ref m in
-  while !classes > 2 && !size > 0 do
+  while !classes > target && !size > 0 do
     let u, v, _ = edges.(s.edge.(0)) in
     decr size;
     s.clock.(0) <- s.clock.(!size);
@@ -121,10 +121,34 @@ let run_once_scratch rng ~edges ~n csr s =
     sift_down s !size 0;
     union u v
   done;
-  if !classes > 2 then
+  !classes
+
+let contract rng s ~edges ~n ~classes =
+  if contract_scratch rng ~edges ~n s ~target:classes > classes then None
+  else begin
+    let id = Array.make n (-1) and f = Array.make n 0 and k = ref 0 in
+    for v = 0 to n - 1 do
+      let r = find s v in
+      if id.(r) < 0 then begin
+        id.(r) <- !k;
+        incr k
+      end;
+      f.(v) <- id.(r)
+    done;
+    Some f
+  end
+
+(* One run contracts to two classes; the cut evaluation goes through the
+   frozen CSR view ([csr], shared read-only across repetitions and
+   domains). *)
+let run_once_scratch rng ~edges ~n csr s =
+  if n < 2 then invalid_arg "Karger.run_once: need >= 2 vertices";
+  if Array.length edges = 0 then
+    invalid_arg "Karger.run_once: graph disconnected (no edges)";
+  if contract_scratch rng ~edges ~n s ~target:2 > 2 then
     invalid_arg "Karger.run_once: graph disconnected (ran out of edges)";
-  let rep = find 0 in
-  let cut = Cut.of_mem ~n (fun v -> find v = rep) in
+  let rep = find s 0 in
+  let cut = Cut.of_mem ~n (fun v -> find s v = rep) in
   (Csr.cut_value csr cut, cut)
 
 let run_once rng g =

@@ -37,3 +37,24 @@ val candidate_cuts :
     [factor] times the best value seen, sorted by value (cuts and their
     complements are identified). Same parallel execution and determinism
     guarantee as {!mincut}. *)
+
+(** {2 Contraction to a class count} *)
+
+type scratch
+(** The clock heap and union-find state of one contraction, reusable by
+    every run on a graph of at most the sizes it was made for. *)
+
+val make_scratch : edges:int -> vertices:int -> scratch
+
+val contract :
+  Dcs_util.Prng.t ->
+  scratch ->
+  edges:(int * int * float) array ->
+  n:int ->
+  classes:int ->
+  int array option
+(** {!run_once}'s contraction — the same clocks, the same pops — of the
+    graph on [n] vertices with canonical edge list [edges], until
+    [classes] super-vertices remain: [Some f] maps each vertex to its
+    class in [\[0, classes)], numbered by smallest member; [None] when
+    the edges ran out first. The loop of {!Karger_stein}'s levels. *)

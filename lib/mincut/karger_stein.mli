@@ -1,10 +1,15 @@
-(** Karger–Stein recursive contraction.
+(** Karger–Stein recursive contraction on frozen rows.
 
-    One recursive run succeeds with probability Ω(1/log n) (versus Ω(1/n²)
-    for plain contraction), so a handful of runs reliably finds the global
-    minimum cut. Used by the distributed coordinator when candidate
-    enumeration needs to be cheap on large merged sparsifiers, and as an
-    independent randomized check against Stoer–Wagner in the tests. *)
+    A level of r classes contracts twice, independently, to ⌈r/√2⌉ + 1
+    classes by Karger's weighted contraction ({!Karger.contract}); each
+    result is frozen as the next level's quotient rows
+    ({!Dcs_graph.Csr.quotient_rows}), and six or fewer classes go to the
+    exact solver ({!Stoer_wagner.mincut_rows}). One recursive run
+    succeeds with probability Ω(1/log n) (versus Ω(1/n²) for plain
+    contraction), so a handful of runs reliably finds the global minimum
+    cut. O(m) memory per level, no n×n matrix. Used as the contraction
+    solver of sparsify-then-solve and as an independent randomized check
+    against the exact solver in the tests. *)
 
 val run_once : Dcs_util.Prng.t -> Dcs_graph.Ugraph.t -> float * Dcs_graph.Cut.t
 (** One recursive contraction; an upper bound on the minimum cut. Requires
@@ -18,7 +23,7 @@ val mincut :
   float * Dcs_graph.Cut.t
 (** Best of [runs] independent runs (default: ceil(log2 n)² + 1), executed
     on the pool ({!Dcs_util.Pool.run_batched}) over [domains] domains
-    (default [Pool.domain_count ()]); each worker domain builds the dense
-    base quotient once and recurses off it for every run it executes.
-    Per-run [Prng.split] streams keep the result bit-identical for every
-    domain count. *)
+    (default [Pool.domain_count ()]); each worker domain contracts every
+    run it executes on one {!Karger.scratch}. Per-run [Prng.split]
+    streams keep the result bit-identical for every domain count; a run
+    is a pure function of (its stream, the graph's content). *)

@@ -96,85 +96,56 @@ type t = {
   passes : int;
 }
 
-(* G/S under the class map [f] (onto [0, k)): one pair per pair of
-   adjacent classes, its weight the sum of the arcs from the smaller
-   class's members in ascending (member, endpoint) order — computed once,
-   so both directions carry the same bits. Pairs come out by ascending
-   (smaller, larger) class, which fills every row in ascending order. *)
-let quotient_rows (g : Csr.rows) f k =
-  let n = Array.length g.off - 1 in
-  let start = Array.make (k + 1) 0 in
-  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) f;
-  for c = 0 to k - 1 do
-    start.(c + 1) <- start.(c + 1) + start.(c)
-  done;
-  let members = Array.make n 0 and fill = Array.sub start 0 k in
-  for x = 0 to n - 1 do
-    members.(fill.(f.(x))) <- x;
-    fill.(f.(x)) <- fill.(f.(x)) + 1
-  done;
-  let most = Array.length g.dst / 2 in
-  let first = Array.make (k + 1) 0 in
-  let pb = Array.make most 0 and pw = Array.make most 0.0 in
-  let stamp = Array.make k (-1) and acc = Array.make k 0.0 in
-  let np = ref 0 in
-  for c = 0 to k - 1 do
-    first.(c) <- !np;
-    for j = start.(c) to start.(c + 1) - 1 do
-      let x = members.(j) in
-      for i = g.off.(x) to g.off.(x + 1) - 1 do
-        let d = f.(g.dst.(i)) in
-        if d > c then
-          if stamp.(d) <> c then begin
-            stamp.(d) <- c;
-            acc.(d) <- g.w.(i);
-            pb.(!np) <- d;
-            incr np
-          end
-          else acc.(d) <- acc.(d) +. g.w.(i)
-      done
-    done;
-    let len = !np - first.(c) in
-    if len > 1 then begin
-      let ds = Array.sub pb first.(c) len in
-      Array.sort Int.compare ds;
-      Array.blit ds 0 pb first.(c) len
-    end;
-    for j = first.(c) to !np - 1 do
-      pw.(j) <- acc.(pb.(j))
-    done
-  done;
-  first.(k) <- !np;
-  let off = Array.make (k + 1) 0 in
-  for c = 0 to k - 1 do
-    for j = first.(c) to first.(c + 1) - 1 do
-      off.(c + 1) <- off.(c + 1) + 1;
-      off.(pb.(j) + 1) <- off.(pb.(j) + 1) + 1
-    done
-  done;
-  for c = 0 to k - 1 do
-    off.(c + 1) <- off.(c + 1) + off.(c)
-  done;
-  let dst = Array.make off.(k) 0 and w = Array.make off.(k) 0.0 in
-  let fill = Array.sub off 0 k in
-  let push a b x =
-    dst.(fill.(a)) <- b;
-    w.(fill.(a)) <- x;
-    fill.(a) <- fill.(a) + 1
+(* The contraction step every solver on this kernel shares: merge every
+   pair whose attachment reaches [cap] — and, with [last], the order's
+   last two vertices (Stoer–Wagner's step) — relabel the classes by their
+   smallest member (so labels are canonical), map [label] through the
+   relabelling and freeze the quotient. [None] when nothing merged. *)
+let merge ~cap ~last label (rows : Csr.rows) (order, q) =
+  let k = Array.length rows.off - 1 in
+  let parent = Array.init k Fun.id in
+  let rec find x =
+    let p = parent.(x) in
+    if p = x then x
+    else begin
+      let r = find p in
+      parent.(x) <- r;
+      r
+    end
   in
-  for c = 0 to k - 1 do
-    for j = first.(c) to first.(c + 1) - 1 do
-      push c pb.(j) pw.(j);
-      push pb.(j) c pw.(j)
+  let merged = ref false in
+  let union x y =
+    let a = find x and b = find y in
+    if a <> b then begin
+      parent.(max a b) <- min a b;
+      merged := true
+    end
+  in
+  for x = 0 to k - 1 do
+    for i = rows.off.(x) to rows.off.(x + 1) - 1 do
+      if q.(i) >= cap then union x rows.dst.(i)
     done
   done;
-  { Csr.off; dst; w }
+  if last then union order.(k - 2) order.(k - 1);
+  if not !merged then None
+  else begin
+    let id = Array.make k (-1) and f = Array.make k 0 and k' = ref 0 in
+    for x = 0 to k - 1 do
+      let c = find x in
+      if id.(c) < 0 then begin
+        id.(c) <- !k';
+        incr k'
+      end;
+      f.(x) <- id.(c)
+    done;
+    Array.iteri (fun v c -> label.(v) <- f.(c)) label;
+    Some (Csr.quotient_rows rows f !k')
+  end
 
-(* Repeated passes: scan, merge every pair with q >= cap, relabel the
-   classes by their smallest member (so labels are canonical), and scan
-   the quotient again — until a pass merges nothing or one class is left.
-   Merging a pair whose λ reaches [cap] keeps min(cap, λ) of every other
-   pair, so each pass's attachments, capped, bound the input's. *)
+(* Repeated passes at a fixed cap — scan, {!merge}, scan the quotient
+   again — until a pass merges nothing or one class is left. Merging a
+   pair whose λ reaches [cap] keeps min(cap, λ) of every other pair, so
+   each pass's attachments, capped, bound the input's. *)
 let contract ~cap (g : Csr.rows) =
   if not (cap > 0.0) then invalid_arg "Max_adjacency.contract: cap must be positive";
   let n = Array.length g.off - 1 in
@@ -185,46 +156,11 @@ let contract ~cap (g : Csr.rows) =
     { label; rows; pos; q; passes }
   in
   let rec pass (rows : Csr.rows) passes =
-    let k = Array.length rows.off - 1 in
     let order, q = scan rows in
-    let parent = Array.init k Fun.id in
-    let rec find x =
-      let p = parent.(x) in
-      if p = x then x
-      else begin
-        let r = find p in
-        parent.(x) <- r;
-        r
-      end
-    in
-    let merged = ref false in
-    for x = 0 to k - 1 do
-      for i = rows.off.(x) to rows.off.(x + 1) - 1 do
-        if q.(i) >= cap then begin
-          let a = find x and b = find rows.dst.(i) in
-          if a <> b then begin
-            parent.(max a b) <- min a b;
-            merged := true
-          end
-        end
-      done
-    done;
-    if not !merged then finish rows order q (passes + 1)
-    else begin
-      let id = Array.make k (-1) and f = Array.make k 0 and k' = ref 0 in
-      for x = 0 to k - 1 do
-        let c = find x in
-        if id.(c) < 0 then begin
-          id.(c) <- !k';
-          incr k'
-        end;
-        f.(x) <- id.(c)
-      done;
-      Array.iteri (fun v c -> label.(v) <- f.(c)) label;
-      let rows = quotient_rows rows f !k' in
-      if !k' = 1 then finish rows [| 0 |] [||] (passes + 1)
-      else pass rows (passes + 1)
-    end
+    match merge ~cap ~last:false label rows (order, q) with
+    | None -> finish rows order q (passes + 1)
+    | Some rows when Array.length rows.off = 2 -> finish rows [| 0 |] [||] (passes + 1)
+    | Some rows -> pass rows (passes + 1)
   in
   if n = 0 then finish g [||] [||] 0 else pass g 0
 

@@ -1,16 +1,18 @@
 (** Maximum-adjacency (MA) orders and Nagamochi–Ibaraki contraction over
-    frozen symmetric rows.
+    frozen symmetric rows: the kernel of the exact minimum-cut solver
+    ({!Stoer_wagner}) and the first tier of
+    [Connectivity.estimate_ugraph].
 
     An MA order (Nagamochi–Ibaraki's scan-first search) visits, at every
     step, the unvisited vertex most heavily attached to the visited set.
     The attachment q(e) of an edge e = (x, y), with x scanned first, is
     y's attachment right after e was added, and λ(x, y) >= q(e): one
-    O(m log n) pass lower-bounds every edge's local connectivity.
-    {!contract} repeats passes, merging every pair certified at a cap, so
-    that min(cap, λ) of every pair of the input is min(cap, λ) of its
-    classes in the quotient G/S. It is the first tier of
-    [Connectivity.estimate_ugraph]; an MA order is also the phase of
-    Stoer–Wagner. *)
+    O(m log n) pass lower-bounds every edge's local connectivity, and the
+    order's last vertex is separated from the one before it by exactly
+    its weighted degree (Stoer–Wagner's phase lemma). {!merge} contracts
+    the pairs a pass certifies; {!contract} repeats passes at a fixed
+    cap, so that min(cap, λ) of every pair of the input is min(cap, λ)
+    of its classes in the quotient G/S. *)
 
 val scan : Dcs_graph.Csr.rows -> int array * float array
 (** [scan rows] is one MA order of the symmetric rows [rows] (an
@@ -19,6 +21,20 @@ val scan : Dcs_graph.Csr.rows -> int array * float array
     an exhausted component handing over to the smallest unvisited vertex
     — and, per arc slot of [rows], q(e) on the slot of the endpoint
     scanned first and 0 on the other. A pure function of the rows. *)
+
+val merge :
+  cap:float ->
+  last:bool ->
+  int array ->
+  Dcs_graph.Csr.rows ->
+  int array * float array ->
+  Dcs_graph.Csr.rows option
+(** [merge ~cap ~last label rows (scan rows)] merges every pair with
+    q(e) >= [cap] and, when [last], the order's last two vertices;
+    numbers the classes by smallest member, maps [label] (input vertex
+    -> vertex of [rows]) through that numbering in place and returns
+    G/S ({!Dcs_graph.Csr.quotient_rows}). [None], [label] untouched,
+    when nothing merged. *)
 
 type t
 

@@ -78,11 +78,13 @@ type t = {
   edges : (int * int * float) array;
   lambda : float array;
   stats : stats;
+  view : Csr.t;  (* the frozen graph the estimates describe *)
 }
 
 let edges t = t.edges
 let lambda_at t i = t.lambda.(i)
 let stats t = t.stats
+let view t = t.view
 
 let iter t f =
   Array.iteri (fun i (u, v, w) -> f u v w t.lambda.(i)) t.edges
@@ -205,10 +207,11 @@ let default_rounds ~cap ~scale =
    (between the endpoints' classes), else a weighted subgraph of the
    source — undirected estimation passes the NI certificate, so flow cost
    is independent of the source density. [passes] is tier 0's scan
-   count, for the stats. *)
-let estimate_core ?domains ?(flow_budget = max_int) ?ma ~passes ~cap ~n ~edges
-    ~ni ~tri_rows ~flow_csr () =
-  let m = Array.length edges in
+   count, for the stats; [view] is the frozen source, kept in the
+   result. *)
+let estimate_core ?domains ?(flow_budget = max_int) ?ma ~passes ~cap ~view
+    ~edges ~ni ~tri_rows ~flow_csr () =
+  let n = Csr.n view and m = Array.length edges in
   let lambda = Array.make m 0.0 in
   let by_adjacency = ref 0 and by_weight = ref 0 in
   let by_strength = ref 0 and by_triangle = ref 0 in
@@ -303,6 +306,7 @@ let estimate_core ?domains ?(flow_budget = max_int) ?ma ~passes ~cap ~n ~edges
         budgeted;
         passes;
       };
+    view;
   }
 
 let mismatch fn =
@@ -348,28 +352,12 @@ let heavy_vertices ~cap (rows : Csr.rows) =
   done;
   !heavy
 
-(* [Ugraph.edges g] read off the frozen rows of [g]: the arcs u -> v with
-   u < v, in row order, are the canonical ascending (u, v) list with the
-   same weights — without two more walks over the hashtables. *)
-let canonical_edges (rows : Csr.rows) =
-  let es = Array.make (Array.length rows.dst / 2) (0, 0, 0.0) in
-  let k = ref 0 in
-  for u = 0 to Array.length rows.off - 2 do
-    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
-      if rows.dst.(i) > u then begin
-        es.(!k) <- (u, rows.dst.(i), rows.w.(i));
-        incr k
-      end
-    done
-  done;
-  es
-
 let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
   check_params ~cap flow_budget;
   let n = Ugraph.n g in
   let csr = Csr.of_ugraph g in
   let rows = Csr.out_rows csr in
-  let edges = canonical_edges rows in
+  let edges = Csr.canonical_edges rows in
   let ma =
     if heavy_vertices ~cap rows < 2 then None
     else
@@ -393,8 +381,8 @@ let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
           let a = Max_adjacency.label c u and b = Max_adjacency.label c v in
           if a <> b then ni.(i) <- Float.max ni.(i) (Max_adjacency.attachment c a b))
         edges;
-      estimate_core ?domains ?flow_budget ~ma:c ~passes ~cap ~n ~edges ~ni
-        ~tri_rows ~flow_csr:(Max_adjacency.quotient c) ()
+      estimate_core ?domains ?flow_budget ~ma:c ~passes ~cap ~view:csr ~edges
+        ~ni ~tri_rows ~flow_csr:(Max_adjacency.quotient c) ()
   | _ ->
       (* Nothing merged: the chain runs as it always has. Flows run on
          the NI sparse certificate — a weighted subgraph with
@@ -407,8 +395,8 @@ let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
       in
       let ni = strength_bounds strengths edges in
       let flow_csr = Csr.of_ugraph (Strength.certificate strengths g) in
-      estimate_core ?domains ?flow_budget ~passes ~cap ~n ~edges ~ni ~tri_rows
-        ~flow_csr ()
+      estimate_core ?domains ?flow_budget ~passes ~cap ~view:csr ~edges ~ni
+        ~tri_rows ~flow_csr ()
 
 let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
     ~cap g =
@@ -454,6 +442,6 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
   in
   if pairs <> Strength.fold (fun _ _ _ c -> c + 1) strengths 0 then
     mismatch "estimate_digraph";
-  estimate_core ?domains ?flow_budget ~passes:0 ~cap ~n ~edges ~ni
+  estimate_core ?domains ?flow_budget ~passes:0 ~cap ~view:csr ~edges ~ni
     ~tri_rows:(Csr.out_rows csr, Csr.in_rows csr)
     ~flow_csr:csr ()

@@ -41,10 +41,13 @@
     Estimates are a pure function of graph content (canonical edge order,
     pure per-index flow tasks): byte-identical for every domain count.
     Strength/certificate tiers count rounded integer multiplicities, so
-    on graphs with sub-unit fractional weights tiers 2–4 can overshoot
-    the (un-rounded) connectivity by the rounding; with weights >= 1 in
-    integer units — every generator in this repo — all tiers are exact
-    lower bounds. Metered as [conn.edges], [conn.by_adjacency],
+    on graphs with any non-integer weight — 1.55 counts as 2, not only
+    sub-unit weights — tiers 2–4 can overshoot the (un-rounded)
+    connectivity by the rounding wherever an NI decomposition enters
+    them: always when the maximum-adjacency tier is off or merged
+    nothing, and after a contraction through a caller's [strengths]
+    (q(e) sums the weights themselves). With integer weights — every
+    generator in this repo — all tiers are exact lower bounds. Metered as [conn.edges], [conn.by_adjacency],
     [conn.by_weight], [conn.by_strength], [conn.by_triangle],
     [conn.flows], [conn.budgeted] and [conn.adjacency_passes]; the
     contraction runs inside a [conn.adjacency] {!Dcs_obs_core.Trace}
@@ -120,6 +123,13 @@ val iter : t -> (int -> int -> float -> float -> unit) -> unit
 (** [iter t f] calls [f u v w lambda] in canonical edge order. *)
 
 val stats : t -> stats
+
+val view : t -> Dcs_graph.Csr.t
+(** The frozen view the estimator ran on — the symmetric view of the
+    estimated graph for {!estimate_ugraph}, the (caller's or its own)
+    directed view for {!estimate_digraph} — so a consumer that evaluates
+    cuts of that graph needs no second freeze. Callers must not
+    mutate. *)
 
 val sample :
   t -> rho:float -> Dcs_util.Prng.t -> (int -> int -> float -> unit) -> unit

@@ -62,11 +62,19 @@ let default_cap ~rho cap = Option.value cap ~default:(16.0 *. rho)
 let foreign what =
   invalid_arg (Printf.sprintf "Partial_mincut: %s does not describe the graph" what)
 
+(* Matching edges make the estimates' view [g]'s own freeze as long as
+   it is symmetric and has [g]'s vertex count: directed estimates of the
+   same arcs hold one arc per edge. *)
 let check_connectivity g conn =
   let n = Ugraph.n g and edges = Connectivity.edges conn in
   let own (u, v, w) = u < v && v < n && Ugraph.weight g u v = w in
-  if Array.length edges <> Ugraph.m g || not (Array.for_all own edges) then
-    foreign "connectivity"
+  let view = Connectivity.view conn in
+  if
+    Array.length edges <> Ugraph.m g
+    || Csr.n view <> n
+    || Csr.m view <> 2 * Array.length edges
+    || not (Array.for_all own edges)
+  then foreign "connectivity"
 
 let sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
   check_rho rho;
@@ -125,11 +133,12 @@ let mincut ?domains ?cap ?flow_budget ?connectivity ?csr ~rho rng ~eps
   Option.iter (check_connectivity g) connectivity;
   let h, conn = sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
   (* [conn] is the caller's checked estimates or the ones just computed:
-     either way it carries [g]'s canonical edge list, so one linear merge
-     checks a caller's view. *)
+     either way it carries [g]'s canonical edge list and [g]'s frozen
+     view — certification reads that view, and one linear merge checks a
+     caller's. *)
   let csr =
     match csr with
-    | None -> Csr.of_ugraph g
+    | None -> Connectivity.view conn
     | Some c ->
         if not (Csr.is_view c ~n:(Ugraph.n g) ~symmetric:true (Connectivity.edges conn))
         then foreign "csr";

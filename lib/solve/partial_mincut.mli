@@ -49,9 +49,9 @@ val sparsify :
     sampled from. [cap] is the estimation ceiling (default 16·ρ — it must
     exceed ρ for anything to be dropped, since estimates saturate there
     and p = ρ/λ̂); [connectivity] reuses estimates of this graph ([cap]
-    is then ignored; estimates of other edges or weights raise
-    [Invalid_argument "Partial_mincut: connectivity does not describe the
-    graph"] before any work). [rho] and [cap] must be positive:
+    is then ignored; estimates of other edges, weights or vertex count,
+    or of a digraph, raise [Invalid_argument "Partial_mincut:
+    connectivity does not describe the graph"] before any work). [rho] and [cap] must be positive:
     anything else, NaN included, raises [Invalid_argument] before
     estimation runs. *)
 
@@ -68,18 +68,18 @@ val mincut :
   Dcs_graph.Ugraph.t ->
   result
 (** Global minimum cut through {!sparsify} + [solver] + certify/repair.
-    [eps] is the certification tolerance, in (0, 1). [csr] reuses an
-    existing frozen view of the input graph for certification; omitted,
-    one is frozen here. [connectivity] is checked as in {!sparsify}. A
+    [eps] is the certification tolerance, in (0, 1). [csr] is a frozen
+    view of the input graph for certification; omitted, certification
+    reads the view the estimates carry ({!Dcs_sketch.Connectivity.view}:
+    the estimator's own freeze of the input, or that of a caller's
+    checked estimates), so the input is frozen once. [connectivity] is
+    checked as in {!sparsify}. A
     view of other arcs or weights raises [Invalid_argument
     "Partial_mincut: csr does not describe the graph"] after estimation
     and before solving: it is merged against the estimates' edge list,
     the caller's or the ones just computed. A sparsifier the solver
     rejects as disconnected — directly, or from a pooled trial as
-    {!Dcs_util.Pool.Task_failed} — falls back to the dense solve. Note
-    Stoer–Wagner's O(n³) does not shrink with the edge count — pair it
-    with [mincut] for certification value, not speed; the contraction
-    solvers (Karger, Karger–Stein) are the fast path. *)
+    {!Dcs_util.Pool.Task_failed} — falls back to the dense solve. *)
 
 val st_mincut :
   ?cap:float ->

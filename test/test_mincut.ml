@@ -52,6 +52,26 @@ let test_sw_matches_brute () =
     check_float "witness = value" sw (Ugraph.cut_value g swc)
   done
 
+(* A graph too large for an n×n matrix (10⁸ words at n = 10⁴) is solved
+   on the frozen rows: every word the call allocates, minor or major, is
+   O(n + m) — pinned at 64 words per vertex and edge, ~3x the 0.58 M a
+   run takes. *)
+let test_sw_large_sparse () =
+  let g = Generators.grid ~rows:100 ~cols:100 in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let v, c = Stoer_wagner.mincut g in
+  let used = words () -. before in
+  check_float "grid min cut" 2.0 v;
+  check_float "witness" 2.0 (Ugraph.cut_value g c);
+  let bound = 64.0 *. float_of_int (Ugraph.n g + Ugraph.m g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f words <= %.0f" used bound)
+    true (used <= bound)
+
 (* --- Dinic --- *)
 
 let test_dinic_simple_st () =
@@ -600,6 +620,8 @@ let suite =
     Alcotest.test_case "sw: disconnected" `Quick test_sw_disconnected;
     Alcotest.test_case "sw: planted weighted" `Quick test_sw_weighted_planted;
     Alcotest.test_case "sw: matches brute" `Quick test_sw_matches_brute;
+    Alcotest.test_case "sw: 100x100 grid in O(n + m) words" `Quick
+      test_sw_large_sparse;
     Alcotest.test_case "dinic: simple s-t" `Quick test_dinic_simple_st;
     Alcotest.test_case "dinic: bottleneck" `Quick test_dinic_bottleneck;
     Alcotest.test_case "dinic: no path" `Quick test_dinic_no_path;
