@@ -44,7 +44,10 @@
 # E22 is in the default set because it is the streaming chaos battery:
 # WAL recovery digests, adversarial replay accounting, the streamed-vs-
 # batch E3/E4 decode reruns and the live-mutation serving table must all
-# come out byte-identical at every domain count.
+# come out byte-identical at every domain count. Its three runs also write
+# DCS_METRICS snapshots, diffed like E21's: the stream.* counts (inserts,
+# deletes, rejects, compactions, recoveries) and the csr.* freezes and
+# cut evaluations must not depend on the domain count either.
 #
 # E23 is in the default set because it is the scheduler's own contract: it
 # replays the merged E3/E4/E19/E20 stage DAG cold and warm against one
@@ -119,12 +122,12 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== experiment-by-experiment diff at DCS_DOMAINS=$domain_counts =="
 # metrics_for EXP D: point DCS_METRICS at EXP's snapshot for domain
-# count D when EXP's metrics are diffed (E21, E23, E24), else leave it
-# unset.
+# count D when EXP's metrics are diffed (E21, E22, E23, E24), else leave
+# it unset.
 metrics_for () {
     unset DCS_METRICS
     case "$1" in
-        E21 | E23 | E24) export DCS_METRICS="$tmpdir/$1_metrics_d$2.json" ;;
+        E21 | E22 | E23 | E24) export DCS_METRICS="$tmpdir/$1_metrics_d$2.json" ;;
     esac
 }
 

@@ -40,14 +40,17 @@ let with_output path f =
       let oc = open_out p in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
-(* A malformed graph file is a usage error, reported like a bad flag: one
-   "dcut: <reason>" line on stderr and exit 124, before any output. *)
-let read parse ic =
-  match parse ic with
-  | Ok g -> g
-  | Error e ->
-      prerr_endline ("dcut: input " ^ e);
-      exit Cmd.Exit.cli_error
+(* A malformed graph file, or an instance the command cannot answer, is a
+   usage error, reported like a bad flag: one "dcut: <reason>" line on
+   stderr and exit 124, before any output. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun reason ->
+      prerr_endline ("dcut: " ^ reason);
+      exit Cmd.Exit.cli_error)
+    fmt
+
+let read parse ic = match parse ic with Ok g -> g | Error e -> refuse "input %s" e
 
 let read_digraph = read Dcs_graph.Serialize.input_digraph
 let read_ugraph = read Dcs_graph.Serialize.input_ugraph
@@ -137,10 +140,7 @@ let mincut_cmd =
   let run metrics seed algo trials input =
     let g = with_input input read_ugraph in
     let n = Ugraph.n g in
-    if n < 2 then begin
-      Printf.eprintf "dcut: mincut needs at least 2 vertices, the graph has %d\n" n;
-      exit Cmd.Exit.cli_error
-    end;
+    if n < 2 then refuse "mincut needs at least 2 vertices, the graph has %d" n;
     let rng = Prng.create seed in
     let solve =
       if Traversal.is_connected g then fun solver -> solver ()
@@ -322,9 +322,19 @@ let decode_cmd =
 
 (* --- allpairs (Gomory–Hu) --- *)
 
+(* Gomory–Hu trees and effective resistances are defined on connected
+   graphs only: anything else is refused before any work. *)
+let require_connected cmd g =
+  if not (Traversal.is_connected g) then
+    refuse "%s needs a connected graph, the graph has %d components" cmd
+      (Traversal.component_count g)
+
 let allpairs_cmd =
   let run metrics input =
     let g = with_input input read_ugraph in
+    let n = Ugraph.n g in
+    if n < 2 then refuse "allpairs needs at least 2 vertices, the graph has %d" n;
+    require_connected "allpairs" g;
     let t = Gomory_hu.build g in
     Printf.printf "gomory-hu tree (child -- parent : min-cut value):\n";
     List.iter
@@ -349,13 +359,22 @@ let resistance_cmd =
   in
   let run metrics input pair =
     let g = with_input input read_ugraph in
+    let n = Ugraph.n g in
+    (match pair with
+    | Some (u, v) when u < 0 || u >= n || v < 0 || v >= n ->
+        refuse "resistance --pair %d,%d: vertices must lie in 0..%d" u v (n - 1)
+    | Some (u, v) when u = v ->
+        refuse "resistance --pair %d,%d: the two vertices must differ" u v
+    | _ -> ());
+    require_connected "resistance" g;
     (match pair with
     | Some (u, v) -> Printf.printf "R(%d,%d) = %.6g\n" u v (Resistance.pair g u v)
     | None ->
         let rs = Resistance.all_edges g in
-        Ugraph.iter_edges g (fun u v w ->
-            Printf.printf "%d -- %d  w=%.6g  R=%.6g\n" u v w
-              (Hashtbl.find rs (min u v, max u v)));
+        Array.iter
+          (fun (u, v, w) ->
+            Printf.printf "%d -- %d  w=%.6g  R=%.6g\n" u v w (Hashtbl.find rs (u, v)))
+          (Ugraph.edges g);
         Printf.printf "foster sum (= n-1 when connected): %.6g\n"
           (Resistance.foster_sum g));
     finish metrics 0

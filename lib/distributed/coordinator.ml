@@ -182,13 +182,23 @@ let min_cut_robust rng cfg ~fault shards =
   if Array.length surviving_coarse = 0 then
     failwith "Coordinator.min_cut_robust: every coarse sketch lost past the retry budget";
   let merged = Partition.union n surviving_coarse in
-  if Fault.active fault && not (Dcs_graph.Traversal.is_connected merged) then
+  let connected = Dcs_graph.Traversal.is_connected merged in
+  if Fault.active fault && not connected then
     failwith
       "Coordinator.min_cut_robust: merged coarse sparsifier disconnected (shards lost past the retry budget)";
   let candidates =
     Trace.with_span "coord.candidates" @@ fun () ->
-    Dcs_mincut.Karger.candidate_cuts rng ~trials:cfg.karger_trials
-      ~factor:candidate_factor merged
+    if connected then
+      Dcs_mincut.Karger.candidate_cuts rng ~trials:cfg.karger_trials
+        ~factor:candidate_factor merged
+    else
+      (* Sampling dropped every coarse edge across some cut (a sub-unit
+         bridge, say): each component of the merge is a cut of sketch
+         value 0, and the fine sketches score them as usual. *)
+      let comp = Dcs_graph.Traversal.connected_components merged in
+      List.init
+        (Array.fold_left max 0 comp + 1)
+        (fun c -> (0.0, Cut.of_mem ~n (fun v -> comp.(v) = c)))
   in
   Metrics.observe m_candidates (List.length candidates);
   let coarse_estimate =

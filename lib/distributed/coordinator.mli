@@ -101,5 +101,8 @@ val min_cut_robust :
     {!min_cut}'s — the payload metering ([forall_bits] etc.) never
     includes the robustness overhead, which is reported separately in the
     {!fault_report}. Raises [Failure] when every
-    coarse sketch is lost (or the surviving merge is disconnected): with
-    no usable for-all information there is nothing to degrade to. *)
+    coarse sketch is lost (or, under an active fault policy, the surviving
+    merge is disconnected): with no usable for-all information there is
+    nothing to degrade to. With nothing lost, a merged coarse sketch that
+    sampling disconnected offers its components as the candidate cuts,
+    each at sketch value 0, for the fine sketches to score. *)

@@ -15,12 +15,12 @@ let exact_decomposition g c =
   let proj = Ugraph.of_digraph g in
   (Ugraph.cut_value proj c +. delta (imbalances g) c) /. 2.0
 
-let build ?c rng ~eps ~beta ~imb proj =
+let create ?c rng ~eps ~beta g =
   if eps <= 0.0 || eps >= 1.0 then invalid_arg "Imbalance_sketch: eps in (0,1)";
   if beta < 1.0 then invalid_arg "Imbalance_sketch: beta >= 1";
-  let n = Ugraph.n proj in
-  if Array.length imb <> n then
-    invalid_arg "Imbalance_sketch: imbalance array size mismatch";
+  let n = Digraph.n g in
+  let imb = imbalances g in
+  let proj = Ugraph.of_digraph g in
   (* u(S) <= (1+β)·w(S,V\S) on β-balanced graphs, so an ε/(1+β)-accurate
      undirected estimate gives ε-accurate directed values. *)
   let eps_u = eps /. (1.0 +. beta) in
@@ -36,8 +36,3 @@ let build ?c rng ~eps ~beta ~imb proj =
     query = (fun s -> (Csr.cut_value scsr s +. delta imb s) /. 2.0);
     graph = None;
   }
-
-let of_imbalances rng ~eps ~beta ~imb proj = build rng ~eps ~beta ~imb proj
-
-let create ?c rng ~eps ~beta g =
-  build ?c rng ~eps ~beta ~imb:(imbalances g) (Ugraph.of_digraph g)

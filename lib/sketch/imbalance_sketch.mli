@@ -24,23 +24,9 @@ val create :
   ?c:float -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_graph.Digraph.t -> Sketch.t
 (** (1 ± ε) for-each sketch of a β-balanced digraph: exact imbalances plus
     a strength-sampled projection sketch at accuracy ε/(1+β). Size =
-    64·n bits for the imbalances + the projection sample. *)
-
-val of_imbalances :
-  Dcs_util.Prng.t ->
-  eps:float ->
-  beta:float ->
-  imb:float array ->
-  Dcs_graph.Ugraph.t ->
-  Sketch.t
-(** {!create} at {!Foreach_sampler.sparsify}'s default [c] (3.0), from
-    already-maintained parts: the per-vertex imbalance array and the
-    undirected projection. This is the constructor the streaming layer
-    uses — it keeps both pieces incrementally under insert/delete streams
-    and never materializes the digraph. Since the projection is sampled
-    in the canonical order of {!Dcs_graph.Ugraph.edges}, the sketch is a
-    pure function of (seed, imbalances, projection content): streamed and
-    batch construction of the same graph agree bit for bit. *)
+    64·n bits for the imbalances + the projection sample. The projection
+    is sampled in the canonical order of {!Dcs_graph.Ugraph.edges}, so
+    the sketch is a pure function of (seed, graph content). *)
 
 val imbalances : Dcs_graph.Digraph.t -> float array
 (** out-weight minus in-weight per vertex (Δ of a singleton). *)

@@ -1,13 +1,16 @@
-(** Graph Laplacians (dense) and their quadratic forms.
+(** Graph Laplacians and their quadratic forms.
 
     Cut values are a special case of Laplacian quadratic forms
     (x = indicator of S gives xᵀLx = undirected cut value), which is how
     spectral sparsification generalizes cut sparsification — the stronger
     notion the paper's related work (ST11, SS11, ACK+16) studies. This
-    module provides the dense Laplacian, its quadratic form, a conjugate-
+    module provides the Laplacian, its quadratic form, a conjugate-
     gradient pseudoinverse solve restricted to the space orthogonal to the
-    all-ones vector, and matrix–vector application. Dense representation:
-    intended for the n <= a-few-thousand experiment scale. *)
+    all-ones vector, and matrix–vector application. Sparse representation
+    in O(n + m) words: the graph's frozen symmetric {!Dcs_graph.Csr} rows
+    (the off-diagonal entries) plus the diagonal. Each product sums row i
+    in ascending column order with the diagonal term at column i, the
+    order — and so the bits — of the dense row product. *)
 
 type t
 
@@ -30,3 +33,5 @@ val solve : t -> float array -> float array
     iterations; requires a connected graph for convergence. *)
 
 val entry : t -> int -> int -> float
+(** L_ij: the weighted degree on the diagonal, −w_ij off it (0 for a
+    non-edge); O(log degree). *)

@@ -21,19 +21,7 @@ type hashes = {
   a : int array;  (* per-level hash multipliers *)
   b : int array;  (* per-level hash offsets *)
   q : int;        (* fingerprint base *)
-  nonneg : bool;  (* multiplicities are promised nonnegative *)
 }
-
-exception Below_zero of { index : int; count : int }
-
-let () =
-  Printexc.register_printer (function
-    | Below_zero { index; count } ->
-        Some
-          (Printf.sprintf
-             "L0_sampler.Below_zero (coordinate %d at multiplicity %d)" index
-             count)
-    | _ -> None)
 
 type t = {
   h : hashes;
@@ -42,7 +30,7 @@ type t = {
   fingerprint : int array;  (* per level: Σ c_i · q^i mod p *)
 }
 
-let make_hashes ~nonnegative rng ~universe =
+let make_hashes rng ~universe =
   if universe <= 0 then invalid_arg "L0_sampler: universe must be positive";
   let levels = 2 + int_of_float (Dcs_util.Stats.log2 (float_of_int universe)) in
   {
@@ -51,7 +39,6 @@ let make_hashes ~nonnegative rng ~universe =
     a = Array.init levels (fun _ -> 1 + Prng.int rng (p - 1));
     b = Array.init levels (fun _ -> Prng.int rng p);
     q = 2 + Prng.int rng (p - 3);
-    nonneg = nonnegative;
   }
 
 let of_hashes h =
@@ -64,25 +51,16 @@ let of_hashes h =
 
 let create_family rng ~universe ~count =
   if count < 1 then invalid_arg "L0_sampler.create_family: count";
-  let h = make_hashes ~nonnegative:false rng ~universe in
+  let h = make_hashes rng ~universe in
   Array.init count (fun _ -> of_hashes h)
 
-let create ?(nonnegative = false) rng ~universe =
-  of_hashes (make_hashes ~nonnegative rng ~universe)
-
-let nonnegative s = s.h.nonneg
+let create rng ~universe = of_hashes (make_hashes rng ~universe)
 
 (* Level j keeps index i with probability 2^-j. *)
 let kept h j i = j = 0 || ((h.a.(j) * i) + h.b.(j)) mod p land ((1 lsl j) - 1) = 0
 
 let update s i delta =
   if i < 0 || i >= s.h.universe then invalid_arg "L0_sampler.update: index";
-  (* Level 0 keeps every index, so count.(0) is the exact sum of all
-     multiplicities: driving it negative proves some coordinate went below
-     zero. Checked before any level mutates, so a rejected deletion leaves
-     the sampler state untouched instead of poisoned. *)
-  if s.h.nonneg && delta < 0 && s.count.(0) + delta < 0 then
-    raise (Below_zero { index = i; count = s.count.(0) + delta });
   if delta <> 0 then begin
     let fp_term =
       let d = ((delta mod p) + p) mod p in
@@ -102,8 +80,6 @@ let same_family a b = a.h == b.h
 let merge_into ~dst src =
   if not (same_family dst src) then
     invalid_arg "L0_sampler.merge_into: sketches from different families";
-  if dst.h.nonneg && dst.count.(0) + src.count.(0) < 0 then
-    raise (Below_zero { index = -1; count = dst.count.(0) + src.count.(0) });
   for j = 0 to dst.h.levels - 1 do
     dst.count.(j) <- dst.count.(j) + src.count.(j);
     dst.index_sum.(j) <- dst.index_sum.(j) + src.index_sum.(j);
@@ -135,17 +111,9 @@ let singleton_at s j =
   end
 
 let query s =
-  (* Prefer the sparsest (highest) level that verifies. A verified
-     singleton carries an exact multiplicity, so in nonnegative mode a
-     negative one is proof (to fingerprint confidence) that a deletion
-     slipped past the level-0 total check — surface it rather than skip. *)
-  let rec go j = if j < 0 then None
-    else
-      match singleton_at s j with
-      | Some (i, c) when s.h.nonneg && c < 0 ->
-          raise (Below_zero { index = i; count = c })
-      | Some r -> Some r
-      | None -> go (j - 1)
+  (* Prefer the sparsest (highest) level that verifies. *)
+  let rec go j =
+    if j < 0 then None else match singleton_at s j with None -> go (j - 1) | r -> r
   in
   go (s.h.levels - 1)
 
@@ -154,17 +122,3 @@ let is_zero s =
   && Array.for_all (fun f -> f = 0) s.fingerprint
 
 let size_bits s = 3 * 64 * s.h.levels
-
-(* Content digest of the mutable state, chained through the same SplitMix64
-   finalizer as Csr.fingerprint. The hash family is excluded on purpose:
-   two samplers rebuilt from the same seed share hashes by construction,
-   and recovery equality ("replay reproduced this exact state") is a claim
-   about the counters, not the (immutable) hashes. *)
-let digest s =
-  let mix = Prng.mix64 in
-  let h = ref (mix (Int64.of_int s.h.levels)) in
-  let fold v = h := mix (Int64.logxor !h (Int64.of_int v)) in
-  Array.iter fold s.count;
-  Array.iter fold s.index_sum;
-  Array.iter fold s.fingerprint;
-  !h

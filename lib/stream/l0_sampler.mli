@@ -15,56 +15,31 @@
 
 type t
 
-exception Below_zero of { index : int; count : int }
-(** A deletion (or merge) drove a multiplicity below zero in a sketch
-    created with [~nonnegative:true]. [index] is the coordinate implicated
-    ([-1] for a merge, where no single coordinate is to blame) and [count]
-    the offending negative total/multiplicity. Raised {e before} the
-    sketch mutates, so the state is left unpoisoned. *)
-
-val create : ?nonnegative:bool -> Dcs_util.Prng.t -> universe:int -> t
+val create : Dcs_util.Prng.t -> universe:int -> t
 (** Sketch over vectors indexed by 0..universe-1. The given PRNG seeds the
     hash functions; two sketches can only be merged if they were created
     from the same seed stream position (use [create_family]).
-
-    With [~nonnegative:true] (default [false]) the sketch promises its
-    multiplicities never go negative — the mode for support-indicator
-    vectors such as edge-presence streams — and deletions that would break
-    the promise raise {!Below_zero} instead of silently poisoning the
-    linear state. Detection is two-layered: exact at update time whenever
-    the level-0 total (which keeps every index) would go negative, and at
-    query time when a verified singleton surfaces a negative multiplicity
-    that the aggregate total masked. *)
+    Multiplicities may go negative: the sketch is linear over all
+    integer vectors. *)
 
 val create_family :
   Dcs_util.Prng.t -> universe:int -> count:int -> t array
 (** [count] sketches sharing hash functions (mergeable with one another),
     each with independent level hashes... see [merge]. All sketches in the
-    family use the same hashes, so family members are pairwise mergeable.
-    Family members make no nonnegative promise. *)
-
-val nonnegative : t -> bool
-(** Whether the sketch was created with the nonnegative promise. *)
+    family use the same hashes, so family members are pairwise mergeable. *)
 
 val update : t -> int -> int -> unit
-(** [update s i delta] adds [delta] to coordinate [i]. Raises
-    {!Below_zero} (before mutating) when a nonnegative sketch's exact
-    level-0 total would go negative. *)
+(** [update s i delta] adds [delta] to coordinate [i]. *)
 
 val merge_into : dst:t -> t -> unit
-(** Pointwise addition; sketches must come from the same family. On
-    nonnegative sketches, raises {!Below_zero} (before mutating [dst])
-    when the merged level-0 total would go negative. *)
+(** Pointwise addition; sketches must come from the same family. *)
 
 val copy : t -> t
 
 val query : t -> (int * int) option
 (** [Some (i, c)] with high constant probability when the vector is
     nonzero: a support coordinate and its value. [None] when the vector
-    appears to be zero or no level is currently 1-sparse. On nonnegative
-    sketches, a verified singleton with negative multiplicity raises
-    {!Below_zero} — proof a deletion slipped past the update-time total
-    check — instead of being returned or skipped. *)
+    appears to be zero or no level is currently 1-sparse. *)
 
 val is_zero : t -> bool
 (** True iff every level is empty (exact for the zero vector; a nonzero
@@ -73,10 +48,3 @@ val is_zero : t -> bool
 
 val size_bits : t -> int
 (** Honest serialized size: 3 machine words per level. *)
-
-val digest : t -> int64
-(** Content digest of the mutable counters (count / index-sum /
-    fingerprint per level), chained through {!Dcs_util.Prng.mix64}. Two
-    samplers built from the same hash family hold equal state iff their
-    digests agree — the recovery check the streaming layer's
-    kill-at-any-boundary battery rests on. *)

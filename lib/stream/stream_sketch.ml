@@ -2,7 +2,6 @@ module Prng = Dcs_util.Prng
 module Checkpoint = Dcs_util.Checkpoint
 module Metrics = Dcs_obs_core.Metrics
 module Digraph = Dcs_graph.Digraph
-module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
 module Exact_sketch = Dcs_sketch.Exact_sketch
 module Imbalance_sketch = Dcs_sketch.Imbalance_sketch
@@ -35,7 +34,7 @@ let pp_reject = function
       Printf.sprintf "deleting %h from arc (%d, %d) holding only %h" requested
         u v have
 
-(* One live graph, one sampler. [live] takes every mutation in place;
+(* One live graph. [live] takes every mutation in place;
    [frozen] is [Csr.of_digraph live] as of the last compaction, and [stale]
    maps each arc whose live weight has drifted from [frozen] to its frozen
    weight, so an arc that returns to that weight leaves the set. *)
@@ -46,8 +45,6 @@ type t = {
   live : Digraph.t;
   mutable frozen : Csr.t;
   stale : (int, float) Hashtbl.t;  (* key u*n+v -> weight in [frozen] *)
-  imb : float array;  (* out-weight minus in-weight, per vertex *)
-  support : L0_sampler.t;  (* ±1 on arc-presence toggles *)
   mutable applied_seq : int;  (* WAL slots folded in (applied or consumed) *)
 }
 
@@ -57,9 +54,6 @@ let create ?(refreeze = Rebuild) ~n ~seed () =
   | Delta_buffer { compact_threshold } when compact_threshold < 1 ->
       invalid_arg "Stream_sketch.create: compact_threshold must be positive"
   | _ -> ());
-  (* The sampler's hashes are a pure function of (seed, n), so a recovered
-     state rebuilt from the same pair is sampler-compatible with — and,
-     being linear, byte-equal in state to — the lost one. *)
   let live = Digraph.create n in
   {
     n;
@@ -68,16 +62,13 @@ let create ?(refreeze = Rebuild) ~n ~seed () =
     live;
     frozen = Csr.of_digraph live;
     stale = Hashtbl.create 64;
-    imb = Array.make n 0.0;
-    support =
-      L0_sampler.create ~nonnegative:true (Prng.create seed) ~universe:(n * n);
     applied_seq = 0;
   }
 
 let applied_seq t = t.applied_seq
 let arcs t = Digraph.m t.live
 let delta_pairs t = Hashtbl.length t.stale
-let imbalances t = Array.copy t.imb
+let imbalances t = Imbalance_sketch.imbalances t.live
 
 let compact_now t =
   Metrics.inc m_compactions;
@@ -105,26 +96,15 @@ let check t ~op ~u ~v ~w =
         if have < w then Some (Below_zero { u; v; have; requested = w })
         else None
 
-(* The one mutation point, for checked ops only. Presence toggles drive the
-   support sampler: +1 when an arc's weight leaves zero, -1 when it returns
-   exactly to zero. With weights whose sums are exact in floating point
-   (integers, dyadic rationals — the convention all enforced batteries
-   use), the toggle decisions are exact and the sampler state is a linear
-   function of the net arc multiset, which is what makes snapshot-restore
-   + replay reproduce it byte for byte. *)
+(* The one mutation point, for checked ops only. *)
 let mutate t ~op ~u ~v ~w =
   let before = Digraph.weight t.live u v in
-  let signed = match op with Wal.Insert -> w | Wal.Delete -> -.w in
-  let after = before +. signed in
+  let after = match op with Wal.Insert -> before +. w | Wal.Delete -> before -. w in
   Digraph.set_edge t.live u v after;
   let key = (u * t.n) + v in
-  (match Hashtbl.find_opt t.stale key with
+  match Hashtbl.find_opt t.stale key with
   | None -> Hashtbl.replace t.stale key before
-  | Some fw -> if after = fw then Hashtbl.remove t.stale key);
-  t.imb.(u) <- t.imb.(u) +. signed;
-  t.imb.(v) <- t.imb.(v) -. signed;
-  if before = 0.0 && after > 0.0 then L0_sampler.update t.support key 1
-  else if before > 0.0 && after = 0.0 then L0_sampler.update t.support key (-1)
+  | Some fw -> if after = fw then Hashtbl.remove t.stale key
 
 (* A rejection is metered and mutates nothing. *)
 let validate t ~op ~u ~v ~w =
@@ -146,9 +126,6 @@ let commit t ~op ~u ~v ~w =
 let apply t ~op ~u ~v ~w =
   Result.map (fun () -> commit t ~op ~u ~v ~w) (validate t ~op ~u ~v ~w)
 
-let sample_arc t =
-  Option.map (fun (idx, _) -> (idx / t.n, idx mod t.n)) (L0_sampler.query t.support)
-
 (* --- derived sketches: always from the canonical frozen view, so a
    streamed state and a batch build of the same graph hand the identical
    content (and construction history) to the samplers. --- *)
@@ -156,9 +133,7 @@ let sample_arc t =
 let to_digraph t = Csr.to_digraph (frozen t)
 let exact_sketch t = Exact_sketch.create (to_digraph t)
 
-let imbalance_sketch t rng ~eps ~beta =
-  Imbalance_sketch.of_imbalances rng ~eps ~beta ~imb:(Array.copy t.imb)
-    (Ugraph.of_digraph (to_digraph t))
+let imbalance_sketch t rng ~eps ~beta = Imbalance_sketch.create rng ~eps ~beta (to_digraph t)
 
 (* --- state digest --- *)
 
@@ -170,8 +145,6 @@ let digest t =
   fold
     (Csr.fingerprint
        (if Hashtbl.length t.stale = 0 then t.frozen else Csr.of_digraph t.live));
-  Array.iter (fun x -> fold (Int64.bits_of_float x)) t.imb;
-  fold (L0_sampler.digest t.support);
   fold (Int64.of_int (arcs t));
   !h
 

@@ -1,25 +1,21 @@
 (** Crash-consistent streaming sketch state over insert/delete edge
     streams.
 
-    A [Stream_sketch.t] maintains, incrementally, everything the static
-    pipeline would build from scratch:
-
-    - the graph itself: a live {!Dcs_graph.Digraph} that every mutation
-      updates in place, plus a memoized canonical {!Dcs_graph.Csr} freeze
-      of it, refreshed under a configurable {!refreeze} policy ([Rebuild]
-      after every mutation, or [Delta_buffer] once more than a threshold
-      of arcs differ from the last freeze);
-    - the per-vertex imbalance array of {!Dcs_sketch.Imbalance_sketch},
-      updated in O(1) per mutation;
-    - one nonnegative {!L0_sampler} over arc-presence indicators (±1 on
-      presence toggles), the seed-edge source for for-each sketching of
-      the live graph.
+    A [Stream_sketch.t] is its graph: a live {!Dcs_graph.Digraph} that
+    every mutation updates in place, a memoized canonical
+    {!Dcs_graph.Csr} freeze of it, refreshed under a configurable
+    {!refreeze} policy ([Rebuild] after every mutation, or [Delta_buffer]
+    once more than a threshold of arcs differ from the last freeze), the
+    set of arcs that differ from that freeze, and the highest WAL slot
+    applied. Imbalances and sketches are computed from the graph when
+    asked for.
 
     Everything observable is canonical — cut values, fingerprints and
-    derived sketches are pure functions of (seed, graph content), never of
-    the mutation history that produced it — so a streamed state and a
-    batch build of the final graph agree bit for bit (with the repo's
-    integer/dyadic weight convention making every float sum exact).
+    derived sketches are pure functions of the graph content (and of the
+    PRNG a sampled sketch is given), never of the mutation history that
+    produced it — so a streamed state and a batch build of the final
+    graph agree bit for bit (with the repo's integer/dyadic weight
+    convention making every float sum exact).
 
     Durability composes {!Wal} (one flushed record per mutation) with
     {!Dcs_util.Checkpoint}-compacted snapshots: {!recover} restores the
@@ -35,8 +31,7 @@ type refreeze =
       (** re-freeze once more than [compact_threshold] arcs differ from
           the last freeze *)
 
-(** Typed rejection reasons: the streaming analogue of the sampler's
-    below-zero guard. Checked {e before} any state mutates. *)
+(** Typed rejection reasons, checked {e before} any state mutates. *)
 type reject =
   | Out_of_range of { u : int; v : int; n : int }
   | Self_loop of int
@@ -48,10 +43,10 @@ val pp_reject : reject -> string
 type t
 
 val create : ?refreeze:refreeze -> n:int -> seed:int -> unit -> t
-(** Empty state on [n] vertices, with one ℓ₀ support sampler. [seed]
-    determines the sampler's hashes (a pure function of [(seed, n)], so
-    recovery rebuilds a compatible sampler). Default policy is
-    [Rebuild]. *)
+(** Empty state on [n] vertices. [seed] names the state in its snapshot
+    signature ([stream-sketch v1 n=… seed=…]), so a snapshot restores only
+    into a state created with the same [n] and [seed]; it changes no
+    content. Default policy is [Rebuild]. *)
 
 val arcs : t -> int
 (** Live arcs. *)
@@ -74,7 +69,8 @@ val apply : t -> op:Wal.op -> u:int -> v:int -> w:float -> (unit, string) result
     reason, bumps [stream.rejects] and mutates nothing. *)
 
 val imbalances : t -> float array
-(** Copy of the per-vertex imbalance array (out-weight − in-weight). *)
+(** Per-vertex imbalances (out-weight − in-weight) of the live graph, via
+    {!Dcs_sketch.Imbalance_sketch.imbalances}. *)
 
 val cut_value : t -> Dcs_graph.Cut.t -> float
 (** Directed cut value of the live graph, read off {!frozen} (so a stale
@@ -89,13 +85,6 @@ val fingerprint : t -> int64
 (** {!Dcs_graph.Csr.fingerprint} of {!frozen} — the serving layer's cache
     key for the live graph. *)
 
-val sample_arc : t -> (int * int) option
-(** An arc from the live support, via the ℓ₀ sampler's query: a pure
-    function of [(seed, n)] and the support. [None] when the graph is
-    empty, and also when no sampler level is 1-sparse, which happens
-    with constant probability on a nonempty support: 356 of 2000 seeded
-    streams of 1–60 random unit inserts on 24 vertices. *)
-
 val exact_sketch : t -> Dcs_sketch.Sketch.t
 (** Exact graph-valued sketch of the live graph — identical (same
     decisions, same size) to batch-building it on the final graph, which
@@ -103,14 +92,13 @@ val exact_sketch : t -> Dcs_sketch.Sketch.t
 
 val imbalance_sketch :
   t -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_sketch.Sketch.t
-(** For-each sketch via {!Dcs_sketch.Imbalance_sketch.of_imbalances},
-    fed by the incrementally-maintained imbalances and the canonical
-    projection — bit-identical to a batch build from the same PRNG. *)
+(** {!Dcs_sketch.Imbalance_sketch.create} on the canonical thaw of
+    {!frozen} — bit-identical to a batch build from the same PRNG. *)
 
 val digest : t -> int64
-(** One-word digest of the whole sketch state: canonical graph
-    fingerprint, imbalances, sampler counters, arc count and applied
-    sequence, chained through {!Dcs_util.Prng.mix64}. Recovery is correct
+(** One-word digest of the whole state: applied sequence, canonical
+    graph fingerprint and arc count, chained through
+    {!Dcs_util.Prng.mix64}. Recovery is correct
     iff the digest equals the uninterrupted run's — the check E22
     enforces at every record-boundary kill. Does not mutate the state
     and moves no [stream.*] counter. *)

@@ -166,22 +166,6 @@ let test_apply_reports_rejects () =
   | Ok () -> Alcotest.fail "deleting from empty must fail");
   Alcotest.(check int) "nothing applied" 0 (Stream_sketch.arcs t)
 
-(* --- support sampling --- *)
-
-let test_sample_arc_live () =
-  let ops = ops_of_spec demo_spec in
-  let t = feed ops in
-  let g = final_digraph ops in
-  (match Stream_sketch.sample_arc t with
-  | Some (u, v) ->
-      Alcotest.(check bool) "sampled arc is live" true (Digraph.mem_edge g u v)
-  | None -> Alcotest.fail "nonempty support must sample");
-  (* Delete everything: the samplers must collapse back to zero. *)
-  Digraph.iter_edges g (fun u v w -> push t Wal.Delete ~u ~v ~w);
-  Alcotest.(check int) "no arcs" 0 (Stream_sketch.arcs t);
-  Alcotest.(check (option (pair int int))) "empty support" None
-    (Stream_sketch.sample_arc t)
-
 (* --- durability --- *)
 
 let with_temp_dir f =
@@ -353,10 +337,9 @@ let test_journal_rejects_before_logging () =
 
    A seeded 400-op stream of dyadic weights on 24 vertices under each
    re-freeze policy, pinned before the live-graph refactor: the per-op
-   [delta_pairs] trace, compaction and freeze counts, the sampled arc
-   every 50 ops, the final content (8 cuts, fingerprint, imbalances, arcs,
-   sampled arc) and the same after a journal's snapshot + replay
-   recovery. [digest] is left out: it folds the sampler's layout. *)
+   [delta_pairs] trace, compaction and freeze counts, the final content
+   (8 cuts, fingerprint, imbalances, arcs) and the same after a journal's
+   snapshot + replay recovery. [digest] is left out. *)
 
 let golden_ops =
   let rng = Prng.create 1822 in
@@ -376,17 +359,15 @@ let golden_ops =
       (op, u, v, w))
 
 let mix_in h x = Prng.mix64 (Int64.logxor h x)
-let pp_sample = function None -> "-" | Some (u, v) -> Printf.sprintf "%d>%d" u v
 
 (* Cuts first, while the state may still hold stale arcs. *)
 let golden_content t =
   let cut i = Stream_sketch.cut_value t (Cut.random (Prng.create (1823 + i)) ~n:24) in
   let cuts = List.init 8 (fun i -> Printf.sprintf "%h" (cut i)) in
   let fp = Stream_sketch.fingerprint t in
-  Printf.sprintf "fp=%016Lx imb=%016Lx arcs=%d sample=%s cuts=%s" fp
+  Printf.sprintf "fp=%016Lx imb=%016Lx arcs=%d cuts=%s" fp
     (Array.fold_left (fun h x -> mix_in h (Int64.bits_of_float x)) 0L (Stream_sketch.imbalances t))
     (Stream_sketch.arcs t)
-    (pp_sample (Stream_sketch.sample_arc t))
     (String.concat "," cuts)
 
 let golden_run (name, refreeze) =
@@ -398,17 +379,14 @@ let golden_run (name, refreeze) =
   in
   let start = now () in
   let t = Stream_sketch.create ~refreeze ~n:24 ~seed:99 () in
-  let trace = ref 0L and samples = ref [] in
-  List.iteri
-    (fun i (op, u, v, w) ->
+  let trace = ref 0L in
+  List.iter
+    (fun (op, u, v, w) ->
       push t op ~u ~v ~w;
-      trace := mix_in !trace (Int64.of_int (Stream_sketch.delta_pairs t));
-      if (i + 1) mod 50 = 0 then samples := pp_sample (Stream_sketch.sample_arc t) :: !samples)
+      trace := mix_in !trace (Int64.of_int (Stream_sketch.delta_pairs t)))
     golden_ops;
   let moved = since start in
-  let stream =
-    Printf.sprintf "trace=%016Lx %s samples=%s" !trace moved (String.concat " " (List.rev !samples))
-  in
+  let stream = Printf.sprintf "trace=%016Lx %s" !trace moved in
   let live = golden_content t in
   let recovered =
     with_temp_dir (fun dir ->
@@ -430,18 +408,18 @@ let golden_run (name, refreeze) =
 (* Any change to these values is a behaviour change of the ingest engine. *)
 let golden_expected =
   [
-    "rebuild trace=0000000000000000 compactions=400 builds=401 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
-    "rebuild fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "rebuild floor=384 replayed=16 compactions=17 builds=18 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-1 trace=e37f3e952abfb6a1 compactions=200 builds=201 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
-    "delta-1 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-1 floor=384 replayed=16 compactions=9 builds=10 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-4 trace=663d1cc5a8d8a89d compactions=80 builds=81 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
-    "delta-4 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-4 floor=384 replayed=16 compactions=4 builds=5 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-64 trace=2f1a6ebc53cb650f compactions=5 builds=6 samples=- - 18>15 7>12 7>12 7>12 17>5 17>5";
-    "delta-64 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
-    "delta-64 floor=384 replayed=16 compactions=1 builds=2 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 sample=17>5 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "rebuild trace=0000000000000000 compactions=400 builds=401";
+    "rebuild fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "rebuild floor=384 replayed=16 compactions=17 builds=18 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-1 trace=e37f3e952abfb6a1 compactions=200 builds=201";
+    "delta-1 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-1 floor=384 replayed=16 compactions=9 builds=10 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-4 trace=663d1cc5a8d8a89d compactions=80 builds=81";
+    "delta-4 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-4 floor=384 replayed=16 compactions=4 builds=5 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-64 trace=2f1a6ebc53cb650f compactions=5 builds=6";
+    "delta-64 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-64 floor=384 replayed=16 compactions=1 builds=2 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
   ]
 
 let test_golden_ingest () =
@@ -510,8 +488,6 @@ let suite =
     Alcotest.test_case "rejections leave the state untouched" `Quick
       test_rejects_leave_state_untouched;
     Alcotest.test_case "apply reports rejects" `Quick test_apply_reports_rejects;
-    Alcotest.test_case "support sampling follows the live graph" `Quick
-      test_sample_arc_live;
     Alcotest.test_case "checkpoint restore is byte-identical" `Quick
       test_checkpoint_restore;
     Alcotest.test_case "kill at every record boundary" `Quick

@@ -308,7 +308,12 @@ let test_corpus_exact () =
    runs) may miss one shape each, a failure rate their per-run success
    bounds allow on graphs this small. Partial_mincut's sparse answer is
    certified within ε (here 0.25) and otherwise repaired by the exact
-   solver, so it never leaves (1+ε)/(1−ε) of the minimum. *)
+   solver, so it never leaves (1+ε)/(1−ε) of the minimum. The zero-fault
+   Coordinator, over three random shards, estimates from its for-each
+   sketches: it must answer with a proper cut everywhere, and within
+   (1 ± ε) on integer weights — its samplers round a weight to an integer
+   multiplicity (strength.mli), so a sub-unit bridge is kept only with
+   probability below 1. *)
 let test_corpus_randomized () =
   let shapes = List.filter (fun s -> Traversal.is_connected s.g) (corpus ()) in
   let total = List.length shapes in
@@ -338,12 +343,27 @@ let test_corpus_randomized () =
           ("karger", Partial_mincut.Karger { trials = 200 });
           ("karger-stein", Partial_mincut.Karger_stein { runs = None });
           ("stoer-wagner", Partial_mincut.Stoer_wagner);
-        ])
+        ];
+      let shards = Partition.random (rng 5) ~servers:3 s.g in
+      let r = Coordinator.min_cut (rng 4) (Coordinator.default_config ~eps) shards in
+      let ctx = s.name ^ ": coordinator" in
+      let v = r.Coordinator.estimate in
+      Alcotest.(check bool) (ctx ^ ": cut is proper") true (Cut.is_proper r.Coordinator.cut);
+      if s.integral then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: estimate %g within (1 ± %g) of %g" ctx v eps truth)
+          true
+          (Float.abs (v -. truth) <= eps *. truth);
+      let h = Option.value (Hashtbl.find_opt hits "coordinator") ~default:0 in
+      Hashtbl.replace hits "coordinator" (if same s truth v then h + 1 else h))
     shapes;
   let count name = Option.value (Hashtbl.find_opt hits name) ~default:0 in
   List.iter
     (fun name -> Printf.printf "corpus hits: %-22s %d/%d\n" name (count name) total)
-    [ "karger"; "karger-stein"; "partial/karger"; "partial/karger-stein"; "partial/stoer-wagner" ];
+    [
+      "karger"; "karger-stein"; "partial/karger"; "partial/karger-stein";
+      "partial/stoer-wagner"; "coordinator";
+    ];
   Alcotest.(check bool)
     (Printf.sprintf "karger hits %d/%d" (count "karger") total)
     true

@@ -97,6 +97,18 @@ let test_all_edges_consistent_with_pair () =
         (Resistance.pair g u v)
         (Hashtbl.find all (min u v, max u v)))
 
+(* CG on a disconnected Laplacian returns garbage (R(0,2) = 4 and a
+   Foster sum of -9e15 on this graph), so every entry point refuses it. *)
+let test_resistance_refuses_disconnected () =
+  let g = Ugraph.of_edges 3 [ (0, 1, 1.0) ] in
+  let refuses name f =
+    Alcotest.check_raises name (Invalid_argument (name ^ ": graph must be connected"))
+      (fun () -> ignore (f g))
+  in
+  refuses "Resistance.pair" (fun g -> Resistance.pair g 0 2);
+  refuses "Resistance.all_edges" Resistance.all_edges;
+  refuses "Resistance.foster_sum" Resistance.foster_sum
+
 (* --- Spectral sparsifier --- *)
 
 let test_spectral_sparsifier_preserves_cuts () =
@@ -168,6 +180,8 @@ let suite =
     Alcotest.test_case "resistance: series" `Quick test_resistance_path_series;
     Alcotest.test_case "resistance: parallel" `Quick test_resistance_parallel;
     Alcotest.test_case "resistance: cycle" `Quick test_resistance_cycle;
+    Alcotest.test_case "resistance: refuses a disconnected graph" `Quick
+      test_resistance_refuses_disconnected;
     Alcotest.test_case "resistance: Foster's theorem" `Quick test_foster_theorem;
     Alcotest.test_case "resistance: all edges" `Quick test_all_edges_consistent_with_pair;
     Alcotest.test_case "spectral: preserves cuts" `Quick test_spectral_sparsifier_preserves_cuts;

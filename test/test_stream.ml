@@ -48,77 +48,6 @@ let test_l0_negative_values () =
   L0_sampler.update s 7 (-3);
   Alcotest.(check (option (pair int int))) "negative" (Some (7, -3)) (L0_sampler.query s)
 
-let test_l0_nonnegative_guard () =
-  let rng = Prng.create 50 in
-  let s = L0_sampler.create ~nonnegative:true rng ~universe:50 in
-  Alcotest.(check bool) "mode recorded" true (L0_sampler.nonnegative s);
-  L0_sampler.update s 7 2;
-  L0_sampler.update s 7 (-1);
-  (* Driving the exact level-0 total below zero raises *before* any level
-     mutates: the sketch is left unpoisoned and still usable. *)
-  let before = L0_sampler.digest s in
-  (match L0_sampler.update s 7 (-2) with
-  | exception L0_sampler.Below_zero { index; count } ->
-      Alcotest.(check int) "offending coordinate" 7 index;
-      Alcotest.(check int) "offending total" (-1) count
-  | () -> Alcotest.fail "below-zero deletion must raise");
-  Alcotest.(check bool) "state unpoisoned" true
-    (Int64.equal before (L0_sampler.digest s));
-  L0_sampler.update s 7 (-1);
-  Alcotest.(check bool) "legal deletions still work" true (L0_sampler.is_zero s)
-
-let test_l0_nonnegative_query_guard () =
-  (* A deletion the aggregate total masks: e5 - e3 has level-0 total 0, so
-     the update-time check passes. Whenever a level then isolates the
-     poisoned coordinate, query must raise — never return (or silently
-     skip) a negative multiplicity. *)
-  let raised = ref 0 in
-  for seed = 1 to 40 do
-    let s =
-      L0_sampler.create ~nonnegative:true (Prng.create (seed * 31)) ~universe:32
-    in
-    L0_sampler.update s 5 1;
-    L0_sampler.update s 3 (-1);
-    match L0_sampler.query s with
-    | exception L0_sampler.Below_zero { index; count } ->
-        Alcotest.(check int) "poisoned coordinate" 3 index;
-        Alcotest.(check int) "its multiplicity" (-1) count;
-        incr raised
-    | Some (i, c) ->
-        Alcotest.(check bool) "never a negative multiplicity" true (c > 0);
-        Alcotest.(check int) "only the live coordinate" 5 i
-    | None -> ()
-  done;
-  Alcotest.(check bool) "the query guard fires across seeds" true (!raised > 0)
-
-let prop_l0_nonnegative_guard =
-  QCheck.Test.make ~count:80 ~name:"l0: nonnegative guard is exact at level 0"
-    QCheck.(
-      pair (int_bound 10_000)
-        (list_of_size (Gen.int_range 1 40) (pair small_nat (int_range (-2) 3))))
-    (fun (seed, steps) ->
-      let u = 16 in
-      let s = L0_sampler.create ~nonnegative:true (Prng.create seed) ~universe:u in
-      let counts = Array.make u 0 in
-      let total () = Array.fold_left ( + ) 0 counts in
-      List.for_all
-        (fun (i0, d) ->
-          let i = i0 mod u in
-          if d >= 0 || total () + d >= 0 then begin
-            (* Within the aggregate promise: must not raise. *)
-            L0_sampler.update s i d;
-            counts.(i) <- counts.(i) + d;
-            true
-          end
-          else
-            (* Beyond it: must raise, mutating nothing. *)
-            let before = L0_sampler.digest s in
-            match L0_sampler.update s i d with
-            | exception L0_sampler.Below_zero _ ->
-                Int64.equal before (L0_sampler.digest s)
-            | () -> false)
-        steps)
-
 let test_l0_merge_linear () =
   let rng = Prng.create 6 in
   let fam = L0_sampler.create_family rng ~universe:100 ~count:2 in
@@ -269,10 +198,6 @@ let suite =
     Alcotest.test_case "l0: insert/delete" `Quick test_l0_insert_delete_cancels;
     Alcotest.test_case "l0: support recovery" `Quick test_l0_query_returns_support;
     Alcotest.test_case "l0: negative values" `Quick test_l0_negative_values;
-    Alcotest.test_case "l0: nonnegative update guard" `Quick
-      test_l0_nonnegative_guard;
-    Alcotest.test_case "l0: nonnegative query guard" `Quick
-      test_l0_nonnegative_query_guard;
     Alcotest.test_case "l0: merge linearity" `Quick test_l0_merge_linear;
     Alcotest.test_case "l0: family check" `Quick test_l0_merge_family_check;
     Alcotest.test_case "l0: size" `Quick test_l0_size_bits;
@@ -284,5 +209,4 @@ let suite =
     Alcotest.test_case "agm: matches bfs" `Quick test_agm_matches_bfs_connectivity;
     Alcotest.test_case "agm: size scaling" `Quick test_agm_size_scaling;
     QCheck_alcotest.to_alcotest prop_l0_linearity;
-    QCheck_alcotest.to_alcotest prop_l0_nonnegative_guard;
   ]
