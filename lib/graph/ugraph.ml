@@ -103,12 +103,31 @@ let copy g =
   iter_edges g (fun u v w -> set_edge h u v w);
   h
 
-(* Over [edges], as [total_weight]: on fractional weights the sum's bits
-   then depend on graph content, not hashtable history. *)
+(* Summed in the canonical order of [edges], as [total_weight]: on
+   fractional weights the sum's bits then depend on graph content, not
+   hashtable history. The same counting passes as [edges], keeping only
+   the crossing weights: no tuple per edge. *)
 let cut_weight g mem =
-  Array.fold_left
-    (fun acc (u, v, w) -> if mem u <> mem v then acc +. w else acc)
-    0.0 (edges g)
+  let n = g.nv in
+  let side = Array.init n mem in
+  let crosses u v = u < v && side.(u) <> side.(v) in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let later = ref 0 in
+    Hashtbl.iter (fun v _ -> if crosses u v then incr later) g.adj.(u);
+    off.(u + 1) <- off.(u) + !later
+  done;
+  let ws = Array.make off.(n) 0.0 in
+  for v = 0 to n - 1 do
+    Hashtbl.iter
+      (fun u w ->
+        if crosses u v then begin
+          ws.(off.(u)) <- w;
+          off.(u) <- off.(u) + 1
+        end)
+      g.adj.(v)
+  done;
+  Array.fold_left ( +. ) 0.0 ws
 
 let cut_value g c =
   if n g <> Cut.n c then invalid_arg "Ugraph.cut_value: size mismatch";

@@ -30,7 +30,9 @@ let op_char = function Insert -> 'I' | Delete -> 'D'
 let body r =
   Printf.sprintf "%d %c %d %d %h" r.seq (op_char r.op) r.u r.v r.w
 
-let encode r = Printf.sprintf "%s %08x %s\n" magic (Checksum.crc32 (body r)) (body r)
+let encode r =
+  let b = body r in
+  Printf.sprintf "%s %08x %s\n" magic (Checksum.crc32 b) b
 
 let decode line =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -47,9 +49,9 @@ let decode line =
             (* Canonical-rendering comparison, as in Checksum.unframe: hex
                parsing is case-insensitive, so a bit flip in the CRC field
                itself must not slip through. *)
-            if Printf.sprintf "%08x" (Checksum.crc32 b) <> crc then
-              fail "record: crc mismatch (expected %s, actual %08x)" crc
-                (Checksum.crc32 b)
+            let actual = Checksum.crc32 b in
+            if Printf.sprintf "%08x" actual <> crc then
+              fail "record: crc mismatch (expected %s, actual %08x)" crc actual
             else
               (match String.split_on_char ' ' b with
               | [ seq; opf; u; v; w ] -> (
@@ -68,7 +70,10 @@ let decode line =
                         fail "record: negative vertex"
                       else if not (Float.is_finite w) || w <= 0.0 then
                         fail "record: weight must be positive and finite"
-                      else if encode r <> line ^ "\n" then
+                      (* Canonicity: the checksummed body equals its
+                         re-rendering. The magic and CRC fields already
+                         match theirs, so this is [encode r = line ^ "\n"]. *)
+                      else if body r <> b then
                         fail "record: non-canonical rendering"
                       else Ok r
                   | _ -> fail "record: unparsable fields")

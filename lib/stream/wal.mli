@@ -45,8 +45,10 @@ val decode : string -> (record, string) result
 (** Parse one line (without its newline). Rejects, with a diagnostic
     carrying the expected-vs-actual evidence: bad magic, field-count or
     integer/float parse failures, CRC mismatch, and any non-canonical
-    rendering (a record that re-encodes differently than it arrived),
-    so [decode] accepts exactly the image of {!encode}. *)
+    rendering: the checksummed body must equal the parsed record's
+    re-rendering (the magic and CRC fields are compared as rendered), so
+    [decode] accepts exactly the image of {!encode}. One CRC and one
+    render per line. *)
 
 (** {2 Scanning a log} *)
 

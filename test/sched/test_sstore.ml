@@ -46,6 +46,21 @@ let test_content_hash_sensitivity () =
         ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
     (h "anything at all")
 
+(* Keys name artifacts on disk, so their bytes are pinned. *)
+let test_content_hash_pins () =
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "hash of %d bytes" (String.length s))
+        expected (Store.content_hash s))
+    [
+      ("", "48218226ff3cd4bf00000000");
+      ("payload", "676050379f1673d4422c6a15");
+      ("abcdefgh", "5962df58cdbe5b25aeef2a50");
+      ("abcdefghijklmnopq", "9a82c588265aa8639c925619");
+      (String.init 256 Char.chr, "14885de3f34f2af029058c73");
+    ]
+
 let test_action_key_sensitivity () =
   let base =
     Store.action_key ~name:"stage" ~code:"c1" ~fingerprint:1L
@@ -180,6 +195,7 @@ let suite =
   [
     Alcotest.test_case "content_hash sensitivity" `Quick
       test_content_hash_sensitivity;
+    Alcotest.test_case "content_hash pinned bytes" `Quick test_content_hash_pins;
     Alcotest.test_case "action_key sensitivity" `Quick
       test_action_key_sensitivity;
     Alcotest.test_case "memory-tier roundtrip" `Quick test_roundtrip_and_miss;

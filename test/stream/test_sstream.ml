@@ -339,7 +339,8 @@ let test_journal_rejects_before_logging () =
    re-freeze policy, pinned before the live-graph refactor: the per-op
    [delta_pairs] trace, compaction and freeze counts, the final content
    (8 cuts, fingerprint, imbalances, arcs) and the same after a journal's
-   snapshot + replay recovery. [digest] is left out. *)
+   snapshot + replay recovery, plus the MD5 of the WAL and snapshot files
+   that journal leaves on disk. [digest] is left out. *)
 
 let golden_ops =
   let rng = Prng.create 1822 in
@@ -388,10 +389,15 @@ let golden_run (name, refreeze) =
   let moved = since start in
   let stream = Printf.sprintf "trace=%016Lx %s" !trace moved in
   let live = golden_content t in
-  let recovered =
+  let files, recovered =
     with_temp_dir (fun dir ->
         Stream_sketch.close_journal
           (journal_with ~refreeze ~checkpoint_every:128 ~n:24 ~seed:99 dir golden_ops);
+        let md5 f = Digest.to_hex (Digest.file (Filename.concat dir f)) in
+        let files =
+          Printf.sprintf "wal.log=%s snapshot.ckpt=%s" (md5 "wal.log")
+            (md5 "snapshot.ckpt")
+        in
         let start = now () in
         let { Stream_sketch.state; report; snapshot_seq } =
           ok
@@ -400,10 +406,11 @@ let golden_run (name, refreeze) =
                ~wal:(Filename.concat dir "wal.log") ())
         in
         let moved = since start in
-        Printf.sprintf "floor=%d replayed=%d %s %s" snapshot_seq report.Wal.applied moved
-          (golden_content state))
+        ( files,
+          Printf.sprintf "floor=%d replayed=%d %s %s" snapshot_seq report.Wal.applied
+            moved (golden_content state) ))
   in
-  List.map (fun s -> name ^ " " ^ s) [ stream; live; recovered ]
+  List.map (fun s -> name ^ " " ^ s) [ stream; live; recovered; files ]
 
 (* Any change to these values is a behaviour change of the ingest engine. *)
 let golden_expected =
@@ -411,15 +418,19 @@ let golden_expected =
     "rebuild trace=0000000000000000 compactions=400 builds=401";
     "rebuild fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
     "rebuild floor=384 replayed=16 compactions=17 builds=18 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "rebuild wal.log=beb0ef647354250342f7dfb0c731d5e6 snapshot.ckpt=e1b71c31a4f1ac33bf1179cabec1dce2";
     "delta-1 trace=e37f3e952abfb6a1 compactions=200 builds=201";
     "delta-1 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
     "delta-1 floor=384 replayed=16 compactions=9 builds=10 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-1 wal.log=beb0ef647354250342f7dfb0c731d5e6 snapshot.ckpt=e1b71c31a4f1ac33bf1179cabec1dce2";
     "delta-4 trace=663d1cc5a8d8a89d compactions=80 builds=81";
     "delta-4 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
     "delta-4 floor=384 replayed=16 compactions=4 builds=5 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-4 wal.log=beb0ef647354250342f7dfb0c731d5e6 snapshot.ckpt=e1b71c31a4f1ac33bf1179cabec1dce2";
     "delta-64 trace=2f1a6ebc53cb650f compactions=5 builds=6";
     "delta-64 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
     "delta-64 floor=384 replayed=16 compactions=1 builds=2 fp=2848daa50d9be6aa imb=7fe4c293d7c15092 arcs=268 cuts=0x1.42p+7,0x1.4ep+7,0x1.32p+7,0x1.35p+7,0x1.29p+7,0x1.32p+7,0x1.32p+7,0x1.22p+7";
+    "delta-64 wal.log=beb0ef647354250342f7dfb0c731d5e6 snapshot.ckpt=e1b71c31a4f1ac33bf1179cabec1dce2";
   ]
 
 let test_golden_ingest () =

@@ -81,7 +81,20 @@ let test_decode_rejects_bad_fields () =
   bad "field count" "1 I 0 1";
   (* Same record, non-canonical rendering: decimal weight, padded seq. *)
   bad "non-canonical weight" "1 I 0 1 1.0";
-  bad "non-canonical seq" "01 I 0 1 0x1p+0"
+  bad "non-canonical seq" "01 I 0 1 0x1p+0";
+  (* One per field: each parses to the record "1 I 0 1 0x1p+0" renders,
+     so only the canonical-rendering check can reject it. *)
+  let non_canonical name body =
+    Alcotest.(check (result reject string))
+      name (Error "record: non-canonical rendering")
+      (Result.map ignore (Wal.decode (framed body)))
+  in
+  non_canonical "padded vertex" "1 I 00 1 0x1p+0";
+  non_canonical "signed seq" "+1 I 0 1 0x1p+0";
+  non_canonical "negative-zero vertex" "1 I -0 1 0x1p+0";
+  List.iter
+    (fun w -> non_canonical ("weight " ^ w) ("1 I 0 1 " ^ w))
+    [ "0x1.0p+0"; "0X1P+0"; "0x1p0"; "0x2p-1"; "1" ]
 
 let test_every_bit_flip_detected () =
   let r = record 42 Wal.Insert 3 5 2.0 in

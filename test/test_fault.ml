@@ -8,6 +8,40 @@ let test_crc32_check_value () =
   Alcotest.(check int) "empty" 0 (Checksum.crc32 "");
   Alcotest.(check int) "32 bits" 32 Checksum.bits
 
+(* The bitwise reflected CRC-32 loop, one shift per bit: a test-only
+   reference every [Checksum.crc32] value must match. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 1 to 8 do
+        if !crc land 1 = 1 then crc := (!crc lsr 1) lxor 0xEDB88320
+        else crc := !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 equals the bitwise reference loop" ~count:500
+    QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
+    (fun s -> Checksum.crc32 s = crc32_bitwise s)
+
+(* Frame bytes pinned on fixed payloads: frames travel between processes
+   and live on disk, so a header that moves is a format change. *)
+let test_frame_pins () =
+  let header payload expected =
+    Alcotest.(check string)
+      (Printf.sprintf "frame of %d bytes" (String.length payload))
+      (expected ^ payload) (Checksum.frame payload)
+  in
+  header "" "DCS1 0 00000000\n";
+  header "a" "DCS1 1 e8b7be43\n";
+  header "123456789" "DCS1 9 cbf43926\n";
+  header "hello, lossy world\nwith a second line" "DCS1 37 90a1ceed\n";
+  header (String.init 256 Char.chr) "DCS1 256 29058c73\n";
+  header (String.make 1000 'x') "DCS1 1000 3b41c9e6\n"
+
 let test_frame_roundtrip () =
   let payload = "hello, lossy world\nwith a second line" in
   match Serialize.unframe (Serialize.frame payload) with
@@ -467,4 +501,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_retry_within_budget;
     QCheck_alcotest.to_alcotest prop_jittered_backoff_within_budgets;
     QCheck_alcotest.to_alcotest prop_transmit_reliable_bounded;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+    Alcotest.test_case "frame: pinned bytes" `Quick test_frame_pins;
   ]
