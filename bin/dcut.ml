@@ -55,6 +55,11 @@ let read parse ic = match parse ic with Ok g -> g | Error e -> refuse "input %s"
 let read_digraph = read Dcs_graph.Serialize.input_digraph
 let read_ugraph = read Dcs_graph.Serialize.input_ugraph
 
+(* A graph with fewer than two vertices has no cut: every command that
+   asks for one refuses it before any work. *)
+let require_vertices cmd n =
+  if n < 2 then refuse "%s needs at least 2 vertices, the graph has %d" cmd n
+
 (* --- common args --- *)
 
 let seed_arg =
@@ -134,13 +139,12 @@ let mincut_cmd =
       & info [ "algo" ] ~doc:"Algorithm: stoer-wagner | karger | both.")
   in
   let trials = Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Karger trials.") in
-  (* A graph with fewer than two vertices has no cut: a usage error. A
-     disconnected one is answered here, exactly: 0, with vertex 0's
+  (* A disconnected graph is answered here, exactly: 0, with vertex 0's
      component as the side — Karger declares connected inputs only. *)
   let run metrics seed algo trials input =
     let g = with_input input read_ugraph in
     let n = Ugraph.n g in
-    if n < 2 then refuse "mincut needs at least 2 vertices, the graph has %d" n;
+    require_vertices "mincut" n;
     let rng = Prng.create seed in
     let solve =
       if Traversal.is_connected g then fun solver -> solver ()
@@ -333,7 +337,7 @@ let allpairs_cmd =
   let run metrics input =
     let g = with_input input read_ugraph in
     let n = Ugraph.n g in
-    if n < 2 then refuse "allpairs needs at least 2 vertices, the graph has %d" n;
+    require_vertices "allpairs" n;
     require_connected "allpairs" g;
     let t = Gomory_hu.build g in
     Printf.printf "gomory-hu tree (child -- parent : min-cut value):\n";
@@ -397,6 +401,7 @@ let localquery_cmd =
   in
   let run metrics seed eps mode input =
     let g = with_input input read_ugraph in
+    require_vertices "localquery" (Ugraph.n g);
     let rng = Prng.create seed in
     let o = Oracle.create ~memoize:true g in
     let r = Estimator.estimate ~c0:1.0 rng o ~eps ~mode in
@@ -463,6 +468,7 @@ let distributed_cmd =
   let servers = Arg.(value & opt int 4 & info [ "servers" ] ~doc:"Server count.") in
   let run metrics seed eps servers input =
     let g = with_input input read_ugraph in
+    require_vertices "distributed" (Ugraph.n g);
     let rng = Prng.create seed in
     let shards = Partition.random rng ~servers g in
     let r = Coordinator.min_cut rng (Coordinator.default_config ~eps) shards in

@@ -2,7 +2,7 @@
 # Paired perfbench runs of an earlier revision against the working tree.
 #
 # Usage: bin/perf_pairs.sh [REV] WORKLOAD [--pairs N] [--seconds S] [--seed K]
-#                          [--trace]
+#                          [--trace] [--aa]
 #        (REV defaults to HEAD~1, N to 10, S to run_seconds in
 #        BENCHMARK.json, K to 71.)
 #
@@ -14,6 +14,11 @@
 # line: REV, commit, workload, seed, pairs, seconds, host (nproc, OCaml,
 # DCS_DOMAINS), per metric both sides' median/q1/q3 and the change's
 # wins, and failed operations per side.
+#
+# With --aa both sides of every pair run the REV export (an A/A set): the
+# same table and summary, and the ledger line carries "aa": true. The
+# spread and the win count of an A/A set are the noise floor that a
+# verdict on the same workload and seed has to clear.
 #
 # With --trace the same pairs run `perfbench/run.py --trace 1` (spans
 # on). It prints every run's per-layer self times, then per layer both
@@ -31,7 +36,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 here=$(pwd)
-usage="usage: bin/perf_pairs.sh [REV] WORKLOAD [--pairs N] [--seconds S] [--seed K] [--trace]"
+usage="usage: bin/perf_pairs.sh [REV] WORKLOAD [--pairs N] [--seconds S] [--seed K] [--trace] [--aa]"
 
 rev=HEAD~1
 case "${1:-}" in
@@ -45,9 +50,11 @@ pairs=10
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 seed=71
 trace=0
+aa=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --trace) trace=1; shift; continue ;;
+        --aa) aa=1; shift; continue ;;
         --pairs) pairs="${2-}" ;;
         --seconds) seconds="${2-}" ;;
         --seed) seed="${2-}" ;;
@@ -68,6 +75,13 @@ if ! git archive -o "$tmpdir/parent.tar" "$rev" 2> "$tmpdir/git.err"; then
 fi
 tar -xf "$tmpdir/parent.tar" -C "$tmpdir/parent"
 commit=$(git rev-parse --verify "$rev^{commit}")
+# The side the summary calls "change": the working tree, or REV again.
+change_tree="$here"
+against="working tree"
+if [ "$aa" -eq 1 ]; then
+    change_tree="$tmpdir/parent"
+    against="$rev (A/A)"
+fi
 
 # run_side SIDE TREE PAIR: one perfbench run; its JSON result line is kept.
 run_side () {
@@ -82,23 +96,23 @@ run_side () {
 
 traced=
 [ "$trace" -eq 0 ] || traced=", traced"
-echo "== perfbench $workload, seed $seed, ${seconds}s$traced: $rev vs working tree, $pairs pairs =="
+echo "== perfbench $workload, seed $seed, ${seconds}s$traced: $rev vs $against, $pairs pairs =="
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then
         run_side parent "$tmpdir/parent" "$i"
-        run_side change "$here" "$i"
+        run_side change "$change_tree" "$i"
     else
-        run_side change "$here" "$i"
+        run_side change "$change_tree" "$i"
         run_side parent "$tmpdir/parent" "$i"
     fi
     i=$((i + 1))
 done
 
-python3 - "$tmpdir" "$pairs" "$rev" "$commit" "$workload" "$seed" "$seconds" "$trace" <<'EOF'
+python3 - "$tmpdir" "$pairs" "$rev" "$commit" "$workload" "$seed" "$seconds" "$trace" "$aa" <<'EOF'
 import json, os, statistics, subprocess, sys
 
-tmpdir, pairs, rev, commit, workload, seed, seconds, trace = sys.argv[1:]
+tmpdir, pairs, rev, commit, workload, seed, seconds, trace, aa = sys.argv[1:]
 pairs = int(pairs)
 bench = json.load(open("BENCHMARK.json"))
 runs = {side: [json.load(open(f"{tmpdir}/{side}.{i}.json")) for i in range(1, pairs + 1)]
@@ -150,9 +164,12 @@ if trace == "1":
 else:
     ocaml = subprocess.run(["ocaml", "-vnum"], capture_output=True, text=True).stdout.strip()
     host = {"nproc": len(os.sched_getaffinity(0)), "ocaml": ocaml, "DCS_DOMAINS": os.environ.get("DCS_DOMAINS")}
-    print(json.dumps({"rev": rev, "commit": commit, "workload": workload, "seed": int(seed), "pairs": pairs,
-                      "seconds": float(seconds), "host": host, "metrics": ledger,
-                      "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}))
+    line = {"rev": rev, "commit": commit, "workload": workload, "seed": int(seed), "pairs": pairs,
+            "seconds": float(seconds), "host": host, "metrics": ledger,
+            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+    if aa == "1":
+        line["aa"] = True
+    print(json.dumps(line))
 if any(r["failed"] > 0 or not r["correct"] for side in runs.values() for r in side):
     sys.exit("FAIL: a run reported failed operations")
 EOF

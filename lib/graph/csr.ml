@@ -208,9 +208,22 @@ let cut_weight_into t mem =
   done;
   !acc
 
+(* [cut_weight]'s loop on the cut's own bitmap: no closure call per
+   vertex or per arc, the same additions in the same order. *)
 let cut_value t c =
   if Cut.n c <> t.n then invalid_arg "Csr.cut_value: size mismatch";
-  cut_weight t (Cut.mem c)
+  Metrics.inc m_cut_full;
+  let side = Cut.unsafe_side c in
+  let off = t.out_off and dst = t.out_dst and w = t.out_w in
+  let acc = ref 0.0 in
+  for u = 0 to t.n - 1 do
+    if Array.unsafe_get side u then
+      for i = off.(u) to off.(u + 1) - 1 do
+        if not (Array.unsafe_get side (Array.unsafe_get dst i)) then
+          acc := !acc +. Array.unsafe_get w i
+      done
+  done;
+  !acc
 
 let cut_delta t side x =
   if x < 0 || x >= t.n || Array.length side <> t.n then
@@ -271,6 +284,21 @@ let cut_many ?into t sides =
   end;
   out
 
+(* Whether an arc of [x] has an endpoint in [lo, hi]. *)
+let reaches t x ~lo ~hi =
+  let inside a = a >= lo && a <= hi in
+  let rec any dst i stop = i < stop && (inside dst.(i) || any dst (i + 1) stop) in
+  any t.out_dst t.out_off.(x) t.out_off.(x + 1)
+  || any t.in_src t.in_off.(x) t.in_off.(x + 1)
+
+(* A flipped vertex is cold when none of its arcs reaches the batch's flip
+   range [lo, hi] (its own id lies there, so a self-loop would make it
+   hot). No neighbour of a cold vertex flips during the call, so its row
+   sum d(x) — the out-arcs to the far side minus the in-arcs from the near
+   side — comes out of the per-flip loop with the same bits at each of its
+   flips: it is summed once, at the first flip, and reused. A hot vertex
+   is summed at every flip. [state] per range slot: 0 unseen, 1 cold
+   ([memo] holds d), 2 hot. *)
 let flip_sweep ?len t ~side ~init ~flips ~vals =
   let len = Option.value len ~default:(Array.length flips) in
   if len < 0 || len > Array.length flips then
@@ -278,27 +306,46 @@ let flip_sweep ?len t ~side ~init ~flips ~vals =
   if Array.length vals < len then invalid_arg "Csr.flip_sweep: vals too short";
   if Array.length side <> t.n then
     invalid_arg "Csr.flip_sweep: side length mismatch";
+  let lo = ref max_int and hi = ref min_int in
   for j = 0 to len - 1 do
     let x = flips.(j) in
-    if x < 0 || x >= t.n then invalid_arg "Csr.flip_sweep: vertex out of range"
+    if x < 0 || x >= t.n then invalid_arg "Csr.flip_sweep: vertex out of range";
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
   done;
   Metrics.inc ~by:len m_cut_delta;
   Metrics.inc m_flip_sweep;
+  let lo = !lo and hi = !hi in
+  let slots = if len = 0 then 0 else hi - lo + 1 in
+  let state = Bytes.make slots '\000' and memo = Array.make slots 0.0 in
   let out_off = t.out_off and out_dst = t.out_dst and out_w = t.out_w in
   let in_off = t.in_off and in_src = t.in_src and in_w = t.in_w in
   let cur = ref init in
   for j = 0 to len - 1 do
     let x = Array.unsafe_get flips j in
-    let d = ref 0.0 in
-    for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1 do
-      if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then
-        d := !d +. Array.unsafe_get out_w i
-    done;
-    for i = Array.unsafe_get in_off x to Array.unsafe_get in_off (x + 1) - 1 do
-      if Array.unsafe_get side (Array.unsafe_get in_src i) then
-        d := !d -. Array.unsafe_get in_w i
-    done;
-    let delta = if Array.unsafe_get side x then -. !d else !d in
+    let slot = x - lo in
+    let d =
+      match Bytes.unsafe_get state slot with
+      | '\001' -> Array.unsafe_get memo slot
+      | seen ->
+          let d = ref 0.0 in
+          for i = Array.unsafe_get out_off x to Array.unsafe_get out_off (x + 1) - 1 do
+            if not (Array.unsafe_get side (Array.unsafe_get out_dst i)) then
+              d := !d +. Array.unsafe_get out_w i
+          done;
+          for i = Array.unsafe_get in_off x to Array.unsafe_get in_off (x + 1) - 1 do
+            if Array.unsafe_get side (Array.unsafe_get in_src i) then
+              d := !d -. Array.unsafe_get in_w i
+          done;
+          if seen = '\000' then
+            if reaches t x ~lo ~hi then Bytes.unsafe_set state slot '\002'
+            else begin
+              Bytes.unsafe_set state slot '\001';
+              Array.unsafe_set memo slot !d
+            end;
+          !d
+    in
+    let delta = if Array.unsafe_get side x then -. d else d in
     cur := !cur +. delta;
     Array.unsafe_set side x (not (Array.unsafe_get side x));
     Array.unsafe_set vals j !cur

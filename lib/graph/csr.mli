@@ -89,7 +89,10 @@ val cut_weight_into : t -> (int -> bool) -> float
 (** w(V\S, S): total weight entering S. *)
 
 val cut_value : t -> Cut.t -> float
-(** {!cut_weight} of a {!Cut.t} side; checks the size. *)
+(** {!cut_weight} of a {!Cut.t} side; checks the size. Reads the cut's
+    bitmap ({!Cut.unsafe_side}) instead of calling [Cut.mem] once per
+    vertex and once per arc, and adds in {!cut_weight}'s order (u
+    ascending, then row order), so the value has the same bits. *)
 
 val cut_delta : t -> bool array -> int -> float
 (** [cut_delta t side x] is the change to [cut_weight t (fun v -> side.(v))]
@@ -135,7 +138,19 @@ val flip_sweep :
     returned. Equivalent to — and bit-identical with — a loop of
     {!cut_delta} + manual flip + accumulate; [side] is mutated in place.
     A vertex may appear many times (each occurrence toggles it again).
-    Counts [len] [csr.cut_delta]s and one [csr.flip_sweep_calls]. *)
+    Counts [len] [csr.cut_delta]s and one [csr.flip_sweep_calls].
+
+    Cost. Call a flipped vertex {e cold} when none of its out- or in-arcs
+    has an endpoint in the call's flip range \[lo, hi\] (the least and
+    greatest flipped ids), and {e hot} otherwise. No neighbour of a cold
+    vertex flips during the call, so its row sum is the same at each of
+    its flips: the call scans a cold vertex's row once, at its first
+    flip, and reuses the sum's bits, O(1) per later flip. A hot vertex
+    costs O(degree) at every flip, plus one pass over its endpoints at
+    its first. The reuse cache takes O(hi − lo) words for the call. A
+    batch drawn from a block that no arc joins to itself — the Lemma 4.4
+    walk over one chain's left vertices — is all cold: one row scan per
+    distinct vertex, then O(1) per flip. *)
 
 (** {2 Canonical thaw} *)
 

@@ -21,6 +21,7 @@ let singleton ~n v = of_indices ~n [ v ]
 
 let n t = Array.length t.side
 let mem t v = t.side.(v)
+let unsafe_side t = t.side
 let cardinal t = t.card
 
 let complement t = { side = Array.map not t.side; card = n t - t.card }

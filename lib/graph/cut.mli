@@ -15,6 +15,13 @@ val singleton : n:int -> int -> t
 
 val n : t -> int
 val mem : t -> int -> bool
+
+val unsafe_side : t -> bool array
+(** The membership bitmap itself, not a copy (O(1)): [(unsafe_side c).(v)]
+    is [mem c v]. Read-only — a cut is immutable, and writing to the array
+    corrupts it and its {!cardinal}. For kernels that walk a cut's side
+    without a closure call per vertex ({!Csr.cut_value}). *)
+
 val cardinal : t -> int
 val complement : t -> t
 val to_list : t -> int list

@@ -192,8 +192,9 @@ let decode_enumerate_query p lay ~query a ~t =
   if best_q.(a.i) then Delta_low else Delta_high
 
 (* Guard for the incremental (graph-backed) enumeration: C(28,14) ≈ 40M
-   subsets at O(degree) per step. Subsets are also carried as int
-   bitmasks over left offsets, so the guard must stay < Sys.int_size. *)
+   subsets at O(1) per step once [Csr.flip_sweep] has summed each left
+   vertex's row for the block. Subsets are also carried as int bitmasks
+   over left offsets, so the guard must stay < Sys.int_size. *)
 let enumerate_guard = 28
 
 (* Guard for the generic one-query-per-subset path. *)

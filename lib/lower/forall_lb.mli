@@ -120,7 +120,10 @@ val decode_enumerate_frozen :
     toggles and visited subsets into [scratch] blocks and flushing them
     through the batched {!Dcs_graph.Csr.flip_sweep} kernel — the same
     float operations in the same order as a per-flip [cut_delta] loop,
-    so decisions are byte-identical to it. Guarded to k <=
+    so decisions are byte-identical to it. No arc joins two left
+    vertices of one chain, so every flip of the walk is cold in the
+    kernel's sense: each left vertex's row is summed once per flushed
+    block, and a flip costs O(1) after that. Guarded to k <=
     {!enumerate_guard}. [scratch] (default: fresh) must come from
     {!decode_scratch} on the same [params]. *)
 
@@ -137,7 +140,8 @@ val decode_enumerate :
     as exposed by graph-valued sketches ([query] must equal its exact cut
     value) — the graph is frozen into a {!Dcs_graph.Csr} and decoding is
     {!decode_enumerate_frozen}, raising the guard to
-    k <= {!enumerate_guard} (k = 24 runs in seconds; k = 26 in minutes).
+    k <= {!enumerate_guard} (on a 2-vCPU host, one decode takes ~0.25 s
+    at k = 24 and ~3 s at k = 28).
     Both paths visit subsets in the same order with the same strict->
     tie-break, and agree bit for bit whenever cut sums are exact in
     floating point (the encoder's weights for β a power of two). *)

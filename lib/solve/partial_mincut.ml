@@ -174,5 +174,5 @@ let st_mincut ?cap ?flow_budget ~rho rng ~eps ~beta ~s ~t:sink g =
   Connectivity.sample conn ~rho rng (Digraph.add_edge h);
   let sparse_value, side = Dinic.mincut_side (Dinic.of_digraph h) ~s ~t:sink in
   certify ~eps ~m_full:(Digraph.m g) ~m_sparse:(Digraph.m h) conn
-    (Some (sparse_value, side, Csr.cut_weight csr (Cut.mem side)))
+    (Some (sparse_value, side, Csr.cut_value csr side))
     ~dense:(fun () -> Dinic.mincut_side (Dinic.of_csr csr) ~s ~t:sink)
