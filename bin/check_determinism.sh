@@ -98,6 +98,10 @@
 # trace files are timing by definition, so neither joins the diff — only
 # the metrics snapshot does.
 #
+# First of all it runs bin/check_exports.sh, the compiler-derived export
+# guard: every value a lib/*/*.mli declares must have a reader in another
+# compilation unit.
+#
 # Last, each of the six test executables runs at DCS_DOMAINS=1 and 4.
 # @batched holds the CSR kernels vs their scalar paths, run_batched's
 # arena reuse and lowest-index failure contract, run_supervised under
@@ -112,6 +116,9 @@ cd "$(dirname "$0")/.."
 experiments="${*:-E3 E4 E16 E17 E19 E20 E21 E22 E23 E24}"
 domain_counts="1 2 4"
 bench=_build/default/bench/main.exe
+
+echo "== export guard (bin/check_exports.sh) =="
+bin/check_exports.sh
 
 echo "== building (bench, tests, @batched, @serve, @stream, @sched, @sparsolve suites) =="
 dune build bench/main.exe test/main.exe @batched @serve @stream @sched @sparsolve

@@ -60,6 +60,44 @@ let read_ugraph = read Dcs_graph.Serialize.input_ugraph
 let require_vertices cmd n =
   if n < 2 then refuse "%s needs at least 2 vertices, the graph has %d" cmd n
 
+(* --- flag ranges ---
+
+   One converter per range: a value outside it is refused where the flag
+   is parsed, as a usage error (exit 124, a "dcut: option '--eps': …"
+   line), before any work, and each flag's --help states its range. *)
+
+let ranged conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = ranged Arg.int ~expected:"an integer >= 1" (fun k -> k >= 1)
+
+let open_unit =
+  ranged Arg.float ~expected:"a number in (0, 1)" (fun e -> e > 0.0 && e < 1.0)
+
+let half_open_unit =
+  ranged Arg.float ~expected:"a number in (0, 1]" (fun e -> e > 0.0 && e <= 1.0)
+
+let at_least_one = ranged Arg.float ~expected:"a number >= 1" (fun b -> b >= 1.0)
+
+let power_of_two =
+  ranged Arg.int ~expected:"a power of two >= 2" (fun k -> k >= 2 && k land (k - 1) = 0)
+
+let perfect_square =
+  ranged Arg.int ~expected:"a perfect square >= 1" (fun b ->
+      let r = int_of_float (Float.round (sqrt (float_of_int b))) in
+      b >= 1 && r * r = b)
+
+let vertex_count =
+  ranged Arg.int
+    ~expected:(Printf.sprintf "an integer in 1..%d" Dcs_graph.Serialize.max_vertices)
+    (fun n -> n >= 1 && n <= Dcs_graph.Serialize.max_vertices)
+
 (* --- common args --- *)
 
 let seed_arg =
@@ -103,9 +141,17 @@ let gen_cmd =
   in
   let n_arg = Arg.(value & opt int 64 & info [ "n" ] ~doc:"Vertex count.") in
   let p_arg = Arg.(value & opt float 0.2 & info [ "p" ] ~doc:"Edge probability.") in
-  let beta_arg = Arg.(value & opt float 2.0 & info [ "beta" ] ~doc:"Balance β.") in
+  let beta_arg =
+    Arg.(value & opt at_least_one 2.0 & info [ "beta" ] ~doc:"Balance β, at least 1.")
+  in
   let k_arg = Arg.(value & opt int 5 & info [ "k" ] ~doc:"Planted min-cut size.") in
   let run metrics seed family n p beta k out =
+    (* Two n/2-vertex blocks have (n/2)² cross pairs to plant k edges in. *)
+    (if family = `Planted then
+       let block = n / 2 in
+       if k > block * block then
+         refuse "gen --family planted: -k %d exceeds the %d cross pairs of two %d-vertex blocks"
+           k (block * block) block);
     let rng = Prng.create seed in
     with_output out (fun oc ->
         match family with
@@ -138,7 +184,9 @@ let mincut_cmd =
       & opt (enum [ ("stoer-wagner", `Sw); ("karger", `Karger); ("both", `Both) ]) `Both
       & info [ "algo" ] ~doc:"Algorithm: stoer-wagner | karger | both.")
   in
-  let trials = Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Karger trials.") in
+  let trials =
+    Arg.(value & opt positive_int 100 & info [ "trials" ] ~doc:"Karger trials, at least 1.")
+  in
   (* A disconnected graph is answered here, exactly: 0, with vertex 0's
      component as the side — Karger declares connected inputs only. *)
   let run metrics seed algo trials input =
@@ -190,11 +238,12 @@ let balance_cmd =
 (* --- sparsify --- *)
 
 let sparsify_cmd =
-  let eps = Arg.(value & opt float 0.3 & info [ "eps" ] ~doc:"Accuracy ε.") in
+  let eps = Arg.(value & opt open_unit 0.3 & info [ "eps" ] ~doc:"Accuracy ε, in (0, 1).") in
   let beta =
     Arg.(
-      value & opt (some float) None
-      & info [ "beta" ] ~doc:"Treat input as a β-balanced digraph (directed mode).")
+      value & opt (some at_least_one) None
+      & info [ "beta" ]
+          ~doc:"Treat input as a β-balanced digraph (directed mode), β at least 1.")
   in
   let mode =
     Arg.(
@@ -244,10 +293,10 @@ let msg_arg =
     & info [ "message" ] ~docv:"TEXT" ~doc:"Message to encode / expected length.")
 
 let inv_eps_arg =
-  Arg.(value & opt int 8 & info [ "inv-eps" ] ~doc:"1/ε (a power of two).")
+  Arg.(value & opt power_of_two 8 & info [ "inv-eps" ] ~doc:"1/ε, a power of two >= 2.")
 
 let beta_int_arg =
-  Arg.(value & opt int 1 & info [ "beta" ] ~doc:"β (a perfect square).")
+  Arg.(value & opt perfect_square 1 & info [ "beta" ] ~doc:"β, a perfect square >= 1.")
 
 let n_for_message ~beta ~inv_eps bits =
   (* Smallest valid n whose capacity covers the payload. *)
@@ -327,7 +376,8 @@ let decode_cmd =
 (* --- allpairs (Gomory–Hu) --- *)
 
 (* Gomory–Hu trees and effective resistances are defined on connected
-   graphs only: anything else is refused before any work. *)
+   graphs only, and the distributed pipeline takes connected inputs:
+   anything else is refused before any work. *)
 let require_connected cmd g =
   if not (Traversal.is_connected g) then
     refuse "%s needs a connected graph, the graph has %d components" cmd
@@ -391,7 +441,9 @@ let resistance_cmd =
 (* --- localquery --- *)
 
 let localquery_cmd =
-  let eps = Arg.(value & opt float 0.5 & info [ "eps" ] ~doc:"Accuracy ε.") in
+  let eps =
+    Arg.(value & opt half_open_unit 0.5 & info [ "eps" ] ~doc:"Accuracy ε, in (0, 1].")
+  in
   let mode =
     Arg.(
       value
@@ -419,30 +471,61 @@ let localquery_cmd =
 
 (* --- connectivity (AGM turnstile stream) --- *)
 
+(* The sketch allocates every vertex's samplers up front: a size above
+   2^31 bits (256 MiB) is refused before [Agm_sketch.create] runs. *)
+let sketch_budget_bits = 1 lsl 31
+
+(* One op per line, "+ u v" inserts and "- u v" deletes; blank lines are
+   skipped. A bad line is refused like a bad graph line, naming it. *)
+let parse_op ~n lno line =
+  let bad fmt = Printf.ksprintf (fun m -> refuse "input line %d: %s" lno m) fmt in
+  match List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line)) with
+  | [] -> None
+  | [ (("+" | "-") as op); u; v ] -> (
+      match (int_of_string_opt u, int_of_string_opt v) with
+      | Some u, Some v ->
+          if u < 0 || u >= n || v < 0 || v >= n then
+            bad "edge (%d, %d) out of range for n=%d" u v n
+          else if u = v then bad "self-loop on vertex %d" u
+          else Some (op = "+", u, v)
+      | _ -> bad "expected integer endpoints, got %S" line)
+  | _ -> bad "expected \"+ <u> <v>\" or \"- <u> <v>\", got %S" line
+
 let connectivity_cmd =
   let n_arg =
     Arg.(
-      required & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Vertex count (the stream's universe).")
+      required & opt (some vertex_count) None
+      & info [ "n" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Vertex count (the stream's universe), at most %d."
+               Dcs_graph.Serialize.max_vertices))
   in
-  let copies = Arg.(value & opt int 6 & info [ "copies" ] ~doc:"Sampler redundancy.") in
+  let copies =
+    Arg.(
+      value & opt positive_int 6
+      & info [ "copies" ]
+          ~doc:
+            "Sampler redundancy, at least 1. With $(b,-n), the sketch must fit \
+             in 2^31 bits (256 MiB).")
+  in
   let run metrics seed n copies input =
-    (* Stream format: one op per line, "+ u v" inserts, "- u v" deletes. *)
+    let per_copy = Agm_sketch.bits_per_copy ~n in
+    if copies > sketch_budget_bits / per_copy then
+      refuse "connectivity: %d copies of %d bits each (-n %d) exceed the sketch budget of 2^31 bits"
+        copies per_copy n;
     let rng = Prng.create seed in
     let sk = Agm_sketch.create ~copies rng ~n in
-    let ops = ref 0 in
+    let ops = ref 0 and lno = ref 0 in
     with_input input (fun ic ->
         try
           while true do
-            match String.split_on_char ' ' (String.trim (input_line ic)) with
-            | [ "+"; u; v ] ->
-                Agm_sketch.add_edge sk (int_of_string u) (int_of_string v);
+            let line = input_line ic in
+            incr lno;
+            match parse_op ~n !lno line with
+            | Some (insert, u, v) ->
+                (if insert then Agm_sketch.add_edge else Agm_sketch.remove_edge) sk u v;
                 incr ops
-            | [ "-"; u; v ] ->
-                Agm_sketch.remove_edge sk (int_of_string u) (int_of_string v);
-                incr ops
-            | [] | [ "" ] -> ()
-            | _ -> failwith "expected '+ u v' or '- u v'"
+            | None -> ()
           done
         with End_of_file -> ());
     Printf.printf "processed %d stream operations into %d sketch bits\n" !ops
@@ -464,11 +547,17 @@ let connectivity_cmd =
 (* --- distributed --- *)
 
 let distributed_cmd =
-  let eps = Arg.(value & opt float 0.25 & info [ "eps" ] ~doc:"Accuracy ε.") in
-  let servers = Arg.(value & opt int 4 & info [ "servers" ] ~doc:"Server count.") in
+  let eps = Arg.(value & opt open_unit 0.25 & info [ "eps" ] ~doc:"Accuracy ε, in (0, 1).") in
+  let servers =
+    Arg.(value & opt positive_int 4 & info [ "servers" ] ~doc:"Server count, at least 1.")
+  in
   let run metrics seed eps servers input =
     let g = with_input input read_ugraph in
     require_vertices "distributed" (Ugraph.n g);
+    (* The coordinator scores each component of its coarse merge as a
+       candidate cut with an n-entry side: a sparse 2^20-vertex graph
+       would need terabytes. A disconnected graph is refused instead. *)
+    require_connected "distributed" g;
     let rng = Prng.create seed in
     let shards = Partition.random rng ~servers g in
     let r = Coordinator.min_cut rng (Coordinator.default_config ~eps) shards in

@@ -36,8 +36,3 @@ let ones s =
   !out
 
 let concat = Array.concat
-
-let bits = length
-
-let pp ppf s =
-  Array.iter (fun b -> Format.pp_print_char ppf (if b then '1' else '0')) s

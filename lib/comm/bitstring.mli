@@ -25,8 +25,3 @@ val ones : t -> int list
 (** Indices of the 1-entries, increasing. *)
 
 val concat : t list -> t
-
-val bits : t -> int
-(** Size in bits when transmitted raw = length. *)
-
-val pp : Format.formatter -> t -> unit

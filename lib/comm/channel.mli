@@ -24,7 +24,7 @@ val rounds : t -> int
     transmission may be dropped (the receiver sees nothing) or silently
     corrupted (one bit of the payload is flipped — the receiver only finds
     out if the payload carries its own checksum, cf.
-    {!Dcs_graph.Serialize.unframe}). Fault decisions come from a
+    {!Dcs_util.Checksum.unframe}). Fault decisions come from a
     {!Dcs_util.Fault.t}, so runs are reproducible; with
     {!Dcs_util.Fault.disabled} every transmission is delivered verbatim and
     the metering is identical to a plain channel.

@@ -61,9 +61,9 @@
     - {!Wal}, {!Stream_sketch} — crash-consistent insert/delete edge
       streams: CRC-framed write-ahead logging with typed quarantine of
       damaged records, checkpoint-compacted recovery that reproduces the
-      pre-kill sketch state bit for bit, and incremental maintenance of
-      the for-each machinery on a live {!Digraph} with a memoized
-      canonical {!Csr} freeze.
+      pre-kill sketch state bit for bit, and a live {!Digraph} with a
+      memoized canonical {!Csr} freeze that cut values and sketches are
+      read from.
 
     {1 Serving}
 

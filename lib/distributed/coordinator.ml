@@ -197,7 +197,7 @@ let min_cut_robust rng cfg ~fault shards =
          value 0, and the fine sketches score them as usual. *)
       let comp = Dcs_graph.Traversal.connected_components merged in
       List.init
-        (Array.fold_left max 0 comp + 1)
+        (Array.fold_left (fun acc (c : int) -> if c > acc then c else acc) 0 comp + 1)
         (fun c -> (0.0, Cut.of_mem ~n (fun v -> comp.(v) = c)))
   in
   Metrics.observe m_candidates (List.length candidates);

@@ -22,6 +22,3 @@ val edgewise_upper_bound : Digraph.t -> float
 val sampled_lower_bound : Dcs_util.Prng.t -> trials:int -> Digraph.t -> float
 (** Max of [of_cut] over random cuts and all singleton cuts — a lower bound
     witness for the true balance. *)
-
-val is_balanced : Digraph.t -> beta:float -> cuts:Cut.t list -> bool
-(** Checks the balance inequality on the given cuts. *)

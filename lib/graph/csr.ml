@@ -131,14 +131,6 @@ let reverse t =
     in_w = t.out_w;
   }
 
-let out_degree t u =
-  check_vertex t u "out_degree";
-  t.out_off.(u + 1) - t.out_off.(u)
-
-let in_degree t v =
-  check_vertex t v "in_degree";
-  t.in_off.(v + 1) - t.in_off.(v)
-
 type rows = { off : int array; dst : int array; w : float array }
 
 let out_rows t = { off = t.out_off; dst = t.out_dst; w = t.out_w }
@@ -148,12 +140,6 @@ let iter_out t u f =
   check_vertex t u "iter_out";
   for i = t.out_off.(u) to t.out_off.(u + 1) - 1 do
     f t.out_dst.(i) t.out_w.(i)
-  done
-
-let iter_in t v f =
-  check_vertex t v "iter_in";
-  for i = t.in_off.(v) to t.in_off.(v + 1) - 1 do
-    f t.in_src.(i) t.in_w.(i)
   done
 
 let weight t u v =
@@ -173,15 +159,6 @@ let weight t u v =
   done;
   !found
 
-let mem_edge t u v = weight t u v > 0.0
-
-let total_weight t =
-  let acc = ref 0.0 in
-  for i = 0 to t.arcs - 1 do
-    acc := !acc +. t.out_w.(i)
-  done;
-  !acc
-
 let cut_weight t mem =
   Metrics.inc m_cut_full;
   let off = t.out_off and dst = t.out_dst and w = t.out_w in
@@ -190,19 +167,6 @@ let cut_weight t mem =
     if mem u then
       for i = off.(u) to off.(u + 1) - 1 do
         if not (mem (Array.unsafe_get dst i)) then
-          acc := !acc +. Array.unsafe_get w i
-      done
-  done;
-  !acc
-
-let cut_weight_into t mem =
-  Metrics.inc m_cut_full;
-  let off = t.in_off and src = t.in_src and w = t.in_w in
-  let acc = ref 0.0 in
-  for v = 0 to t.n - 1 do
-    if mem v then
-      for i = off.(v) to off.(v + 1) - 1 do
-        if not (mem (Array.unsafe_get src i)) then
           acc := !acc +. Array.unsafe_get w i
       done
   done;

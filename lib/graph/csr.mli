@@ -47,11 +47,6 @@ val fingerprint : t -> int64
 val weight : t -> int -> int -> float
 (** Weight of arc (u, v), 0 if absent. Binary search: O(log degree). *)
 
-val mem_edge : t -> int -> int -> bool
-
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-
 val is_view : t -> n:int -> symmetric:bool -> (int * int * float) array -> bool
 (** Whether [t] freezes the graph on [n] vertices whose edges, in
     canonical ascending (u, v) order, are [edges] — weights included, and
@@ -75,18 +70,9 @@ val in_rows : t -> rows
 val iter_out : t -> int -> (int -> float -> unit) -> unit
 (** Out-neighbors in increasing vertex order. *)
 
-val iter_in : t -> int -> (int -> float -> unit) -> unit
-(** In-neighbors (sources) in increasing vertex order. *)
-
-val total_weight : t -> float
-(** Sum of all stored arc weights. *)
-
 val cut_weight : t -> (int -> bool) -> float
 (** [cut_weight t mem] is w(S, V\S) for S = \{v | mem v\}, summed in row
     order. *)
-
-val cut_weight_into : t -> (int -> bool) -> float
-(** w(V\S, S): total weight entering S. *)
 
 val cut_value : t -> Cut.t -> float
 (** {!cut_weight} of a {!Cut.t} side; checks the size. Reads the cut's

@@ -33,10 +33,6 @@ let to_list t =
   done;
   !out
 
-let union a b =
-  if n a <> n b then invalid_arg "Cut.union: size mismatch";
-  of_array (Array.mapi (fun i x -> x || mem b i) a.side)
-
 let is_proper t = t.card > 0 && t.card < n t
 
 let value g t =
@@ -61,10 +57,3 @@ let random_of_size rng ~n:nv ~k =
   if k <= 0 || k >= nv then invalid_arg "Cut.random_of_size";
   let picks = Dcs_util.Prng.sample_without_replacement rng ~k ~n:nv in
   of_indices ~n:nv (Array.to_list picks)
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (to_list t)

@@ -25,7 +25,6 @@ val unsafe_side : t -> bool array
 val cardinal : t -> int
 val complement : t -> t
 val to_list : t -> int list
-val union : t -> t -> t
 val is_proper : t -> bool
 (** Neither empty nor the full vertex set. *)
 
@@ -43,5 +42,3 @@ val random : Dcs_util.Prng.t -> n:int -> t
 
 val random_of_size : Dcs_util.Prng.t -> n:int -> k:int -> t
 (** Uniformly random side of exactly [k] vertices, 0 < k < n. *)
-
-val pp : Format.formatter -> t -> unit

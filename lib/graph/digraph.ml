@@ -63,15 +63,10 @@ let add_edge g u v w =
   if w > 0.0 then set_edge g u v (weight g u v +. w)
 
 let unsafe_iter_out g u f = Hashtbl.iter f g.out_adj.(u)
-let unsafe_iter_in g v f = Hashtbl.iter f g.in_adj.(v)
 
 let iter_out g u f =
   check_vertex g u "iter_out";
   unsafe_iter_out g u f
-
-let iter_in g v f =
-  check_vertex g v "iter_in";
-  unsafe_iter_in g v f
 
 let fold_out g u f init =
   check_vertex g u "fold_out";
@@ -136,17 +131,10 @@ let reverse g =
   iter_edges g (fun u v w -> set_edge h v u w);
   h
 
-let map_weights g f =
-  let h = create g.nv in
-  iter_edges g (fun u v w ->
-      let w' = f u v w in
-      if w' > 0.0 then set_edge h u v w');
-  h
-
 let cut_weight g mem =
   let acc = ref 0.0 in
   for u = 0 to g.nv - 1 do
-    if mem u then
+    if mem u && Hashtbl.length g.out_adj.(u) > 0 then
       Hashtbl.iter (fun v w -> if not (mem v) then acc := !acc +. w) g.out_adj.(u)
   done;
   !acc
@@ -154,24 +142,12 @@ let cut_weight g mem =
 let cut_weight_into g mem =
   let acc = ref 0.0 in
   for v = 0 to g.nv - 1 do
-    if mem v then
+    if mem v && Hashtbl.length g.in_adj.(v) > 0 then
       Hashtbl.iter (fun u w -> if not (mem u) then acc := !acc +. w) g.in_adj.(v)
   done;
   !acc
-
-let symmetrize g =
-  let h = create g.nv in
-  iter_edges g (fun u v w ->
-      add_edge h u v w;
-      add_edge h v u w);
-  h
 
 let equal a b =
   n a = n b
   && m a = m b
   && fold_edges (fun u v w acc -> acc && weight b u v = w) a true
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph n=%d m=%d@," (n g) (m g);
-  iter_edges g (fun u v w -> Format.fprintf ppf "  %d -> %d  %g@," u v w);
-  Format.fprintf ppf "@]"

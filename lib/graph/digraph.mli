@@ -35,21 +35,11 @@ val mem_edge : t -> int -> int -> bool
 val iter_out : t -> int -> (int -> float -> unit) -> unit
 (** Iterate over out-neighbors of a vertex with edge weights. *)
 
-val iter_in : t -> int -> (int -> float -> unit) -> unit
-
 val unsafe_weight : t -> int -> int -> float
 (** {!weight} without the two bounds checks. For hot loops whose vertex ids
     are validated once at entry (decoders probing k·(1/ε²) pairs per
     decode); out-of-range ids raise [Invalid_argument] from the array
     access at best. *)
-
-val unsafe_iter_out : t -> int -> (int -> float -> unit) -> unit
-(** {!iter_out} without the bounds check. *)
-
-val unsafe_iter_in : t -> int -> (int -> float -> unit) -> unit
-(** {!iter_in} without the bounds check. *)
-
-val fold_out : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
@@ -81,9 +71,6 @@ val copy : t -> t
 val reverse : t -> t
 (** Graph with every edge direction flipped. *)
 
-val map_weights : t -> (int -> int -> float -> float) -> t
-(** Fresh graph with re-mapped weights; mapping to 0 drops the edge. *)
-
 val cut_weight : t -> (int -> bool) -> float
 (** [cut_weight g mem] is w(S, V\S) for S = \{v | mem v\}: total weight of
     edges from S to its complement. O(sum of out-degrees of S). *)
@@ -91,11 +78,5 @@ val cut_weight : t -> (int -> bool) -> float
 val cut_weight_into : t -> (int -> bool) -> float
 (** w(V\S, S): total weight entering S. *)
 
-val symmetrize : t -> t
-(** Undirected projection as a digraph: weight of (u,v) and (v,u) both become
-    w(u,v) + w(v,u). *)
-
 val equal : t -> t -> bool
 (** Same vertex count and identical edge weights (exact float equality). *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@
 val is_circulation : Digraph.t -> bool
 (** Per-vertex in-weight = out-weight, within 1e-9. *)
 
-val imbalance : Digraph.t -> float array
-(** out-weight minus in-weight per vertex. *)
-
 val random_circulation :
   Dcs_util.Prng.t -> n:int -> cycles:int -> max_weight:float -> Digraph.t
 (** Sum of [cycles] random weighted directed cycles (each a uniform

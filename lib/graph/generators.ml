@@ -81,6 +81,8 @@ let complete_bipartite_digraph ~left ~right ~fwd ~bwd =
   g
 
 let planted_mincut rng ~block ~k ~p_inner =
+  (* Only block² cross pairs exist: more cross edges would never place. *)
+  if k > block * block then invalid_arg "Generators.planted_mincut: k > block²";
   let n = 2 * block in
   let g = Ugraph.create n in
   let fill offset =

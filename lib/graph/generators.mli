@@ -34,7 +34,8 @@ val planted_mincut :
   Dcs_util.Prng.t -> block:int -> k:int -> p_inner:float -> Ugraph.t
 (** Two G(block, p_inner) blocks (each made connected) joined by exactly [k]
     cross edges: the min cut is [k] whenever p_inner is large enough that
-    each block is internally >k-connected. Unit weights. *)
+    each block is internally >k-connected. Unit weights. Raises
+    [Invalid_argument] when [k > block²], the number of cross pairs. *)
 
 val cycle : n:int -> Ugraph.t
 val path : n:int -> Ugraph.t

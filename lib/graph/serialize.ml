@@ -77,16 +77,8 @@ let read_all ic =
 let input_ugraph ic = ugraph_of_string (read_all ic)
 let input_digraph ic = digraph_of_string (read_all ic)
 
-(* --- checksummed frames ---
+(* --- checksummed frames: Dcs_util.Checksum's, shared with Checkpoint
+   snapshots --- *)
 
-   The frame format lives in Dcs_util.Checksum so that util-level code
-   (Checkpoint snapshots) shares the exact framing the lossy channels use;
-   these aliases keep the historical entry points. *)
-
-let frame = Dcs_util.Checksum.frame
-let unframe = Dcs_util.Checksum.unframe
-
-let ugraph_to_frame g = frame (ugraph_to_string g)
-let ugraph_of_frame s = Result.bind (unframe s) ugraph_of_string
-let digraph_to_frame g = frame (digraph_to_string g)
-let digraph_of_frame s = Result.bind (unframe s) digraph_of_string
+let ugraph_to_frame g = Dcs_util.Checksum.frame (ugraph_to_string g)
+let ugraph_of_frame s = Result.bind (Dcs_util.Checksum.unframe s) ugraph_of_string

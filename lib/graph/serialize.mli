@@ -33,24 +33,16 @@ val input_digraph : in_channel -> (Digraph.t, string) result
 
 (** {2 Checksummed frames}
 
-    Self-checking envelope for messages sent over lossy channels
-    ({!Dcs_comm.Channel.transmit}): a header line
+    A graph sent over a lossy channel ({!Dcs_comm.Channel.transmit}) goes
+    in a {!Dcs_util.Checksum.frame}: a header line
     [DCS1 <payload-length> <crc32-hex>] followed by the payload. CRC-32
     detects every single-bit flip anywhere in the frame (header included:
     a damaged header fails to parse or disagrees with the payload), so a
     receiver can always distinguish a corrupted delivery from a clean one
     and ask for a retransmission. *)
 
-val frame : string -> string
-
-val unframe : string -> (string, string) result
-(** Payload if the frame is intact, otherwise a diagnostic ([Error]). *)
-
 val ugraph_to_frame : Ugraph.t -> string
-(** [frame] of [ugraph_to_string]. *)
+(** [Checksum.frame] of [ugraph_to_string]. *)
 
 val ugraph_of_frame : string -> (Ugraph.t, string) result
 (** Verifies the checksum, then parses. *)
-
-val digraph_to_frame : Digraph.t -> string
-val digraph_of_frame : string -> (Digraph.t, string) result

@@ -1,29 +1,19 @@
-let bfs_generic ~n ~iter_next src =
-  let dist = Array.make n (-1) in
-  if n > 0 then begin
-    let queue = Queue.create () in
-    dist.(src) <- 0;
-    Queue.add src queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      iter_next u (fun v ->
-          if dist.(v) < 0 then begin
-            dist.(v) <- dist.(u) + 1;
-            Queue.add v queue
-          end)
-    done
-  end;
-  dist
-
-let bfs_digraph g src =
-  bfs_generic ~n:(Digraph.n g)
-    ~iter_next:(fun u k -> Digraph.iter_out g u (fun v _ -> k v))
-    src
-
-let bfs_ugraph g src =
-  bfs_generic ~n:(Ugraph.n g)
-    ~iter_next:(fun u k -> Ugraph.iter_neighbors g u (fun v _ -> k v))
-    src
+(* Whether a BFS from vertex 0 along out-arcs reaches every vertex. *)
+let reaches_all g =
+  let n = Digraph.n g in
+  let seen = Array.make n false and reached = ref 1 in
+  let queue = Queue.create () in
+  seen.(0) <- true;
+  Queue.add 0 queue;
+  while not (Queue.is_empty queue) do
+    Digraph.iter_out g (Queue.pop queue) (fun v _ ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          incr reached;
+          Queue.add v queue
+        end)
+  done;
+  !reached = n
 
 let connected_components g =
   let n = Ugraph.n g in
@@ -50,38 +40,9 @@ let connected_components g =
 
 let component_count g =
   let comp = connected_components g in
-  Array.fold_left max (-1) comp + 1
+  Array.fold_left (fun acc (c : int) -> if c > acc then c else acc) (-1) comp + 1
 
 let is_connected g = Ugraph.n g <= 1 || component_count g = 1
 
 let is_strongly_connected g =
-  let n = Digraph.n g in
-  n <= 1
-  ||
-  let fwd = bfs_digraph g 0 in
-  Array.for_all (fun d -> d >= 0) fwd
-  &&
-  let bwd = bfs_digraph (Digraph.reverse g) 0 in
-  Array.for_all (fun d -> d >= 0) bwd
-
-let spanning_forest g =
-  let n = Ugraph.n g in
-  let seen = Array.make n false in
-  let out = ref [] in
-  for s = 0 to n - 1 do
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      let queue = Queue.create () in
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Ugraph.iter_neighbors g u (fun v _ ->
-            if not seen.(v) then begin
-              seen.(v) <- true;
-              out := (u, v) :: !out;
-              Queue.add v queue
-            end)
-      done
-    end
-  done;
-  !out
+  Digraph.n g <= 1 || (reaches_all g && reaches_all (Digraph.reverse g))

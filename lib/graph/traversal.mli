@@ -1,10 +1,5 @@
 (** Reachability and connectivity. *)
 
-val bfs_digraph : Digraph.t -> int -> int array
-(** Unweighted BFS distances along edge directions; -1 for unreachable. *)
-
-val bfs_ugraph : Ugraph.t -> int -> int array
-
 val is_connected : Ugraph.t -> bool
 (** True on the empty and 1-vertex graphs. *)
 
@@ -15,6 +10,3 @@ val component_count : Ugraph.t -> int
 
 val is_strongly_connected : Digraph.t -> bool
 (** Forward and backward reachability from vertex 0 (n <= 1 is true). *)
-
-val spanning_forest : Ugraph.t -> (int * int) list
-(** Edges (u, v) of a BFS spanning forest, one tree per component. *)

@@ -54,10 +54,6 @@ let degree g u =
   check_vertex g u "degree";
   Hashtbl.length g.adj.(u)
 
-let weighted_degree g u =
-  check_vertex g u "weighted_degree";
-  Hashtbl.fold (fun _ w acc -> acc +. w) g.adj.(u) 0.0
-
 let iter_edges g f =
   for u = 0 to g.nv - 1 do
     Hashtbl.iter (fun v w -> if u < v then f u v w) g.adj.(u)
@@ -156,8 +152,3 @@ let equal a b =
   n a = n b
   && m a = m b
   && fold_edges (fun u v w acc -> acc && weight b u v = w) a true
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>ugraph n=%d m=%d@," (n g) (m g);
-  iter_edges g (fun u v w -> Format.fprintf ppf "  %d -- %d  %g@," u v w);
-  Format.fprintf ppf "@]"

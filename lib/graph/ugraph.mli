@@ -26,8 +26,6 @@ val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 val degree : t -> int -> int
 (** Number of distinct neighbors. *)
 
-val weighted_degree : t -> int -> float
-
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Each undirected edge visited once, with u < v, in table order (u
     ascending, neighbours as the hashtable holds them, which depends on
@@ -64,4 +62,3 @@ val neighbor_array : t -> int -> int array
     query oracle to expose a stable "i-th neighbor" numbering. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -5,7 +5,6 @@ let create k =
   { k; q = 1 lsl k }
 
 let order t = t.q
-let log_order t = t.k
 
 let popcount_parity x =
   (* Parity of the number of set bits, folded down to one bit. *)

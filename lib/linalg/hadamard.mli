@@ -16,8 +16,6 @@ val create : int -> t
 val order : t -> int
 (** Number of rows/columns, 2^k. *)
 
-val log_order : t -> int
-
 val entry : t -> int -> int -> int
 (** [entry h i j] in {-1, +1}; O(1), no materialization. *)
 

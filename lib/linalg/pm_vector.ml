@@ -4,8 +4,6 @@ let of_array a =
   Array.iter (fun x -> if x <> 1 && x <> -1 then invalid_arg "Pm_vector.of_array") a;
   a
 
-let random rng n = Array.init n (fun _ -> Dcs_util.Prng.sign rng)
-
 let dot u v =
   if Array.length u <> Array.length v then invalid_arg "Pm_vector.dot: length";
   let acc = ref 0 in

@@ -11,8 +11,6 @@ type t = int array
 val of_array : int array -> t
 (** Validates entries. *)
 
-val random : Dcs_util.Prng.t -> int -> t
-
 val dot : t -> t -> int
 
 val sum : t -> int

@@ -28,7 +28,9 @@ let estimate ?(c0 = 2.0) rng oracle ~eps ~mode =
   Metrics.inc m_runs;
   Oracle.reset oracle;
   let degrees = Array.init (Oracle.n oracle) (Oracle.degree oracle) in
-  let min_degree = Array.fold_left min max_int degrees in
+  let min_degree =
+    Array.fold_left (fun acc (d : int) -> if d < acc then d else acc) max_int degrees
+  in
   (* k <= min degree: the singleton cut. Start the halving there. *)
   let search_eps = match mode with Original -> eps | Modified -> beta0 in
   let search_calls = ref 0 in

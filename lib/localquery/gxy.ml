@@ -45,10 +45,6 @@ let build ~x ~y =
   done;
   g
 
-let of_two_sum inst =
-  let x, y = Dcs_comm.Two_sum.concat_pair inst in
-  build ~x ~y
-
 let witness_cut ~side:l =
   Cut.of_mem ~n:(4 * l) (fun v -> v < 2 * l)
 

@@ -17,10 +17,6 @@ type vertex_class = A | A' | B | B'
 val build : x:Dcs_comm.Bitstring.t -> y:Dcs_comm.Bitstring.t -> Dcs_graph.Ugraph.t
 (** Requires equal lengths that are perfect squares. *)
 
-val of_two_sum : Dcs_comm.Two_sum.instance -> Dcs_graph.Ugraph.t
-(** [build] on the concatenated pair (Lemma 5.6 step 2). The concatenated
-    length t·L must be a perfect square. *)
-
 val side : n:int -> int
 (** ℓ = √N given the bit-string length. *)
 

@@ -64,11 +64,10 @@ type instance = {
   target : address;   (** where Bob's planted string lives *)
 }
 
-val encode : params -> Dcs_comm.Gap_hamming.instance -> instance
-(** Deterministic given the Gap-Hamming instance; the instance must have
-    [total_strings] strings of length [inv_eps_sq]. *)
-
 val random_instance : Dcs_util.Prng.t -> params -> instance
+(** A random Gap-Hamming instance of [total_strings] strings of length
+    [inv_eps_sq], and its encoding, which is deterministic given the
+    strings. *)
 
 type decision = Delta_high | Delta_low
 

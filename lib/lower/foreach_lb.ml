@@ -49,7 +49,6 @@ let eps p = 1.0 /. float_of_int p.inv_eps
 let ln_inv_eps p = log (float_of_int p.inv_eps)
 
 let bits_per_cluster p = (p.inv_eps - 1) * (p.inv_eps - 1)
-let cluster_pairs_per_pair p = p.beta
 let bits_per_pair p = p.beta * bits_per_cluster p
 let bits_capacity p = bits_per_pair p * ((layout p).Layout.chains - 1)
 

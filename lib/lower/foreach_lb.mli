@@ -33,8 +33,6 @@ val bits_capacity : params -> int
     stores, hence the paper's Ω̃(n√β/ε) once constants are unwound. *)
 
 val bits_per_pair : params -> int
-val cluster_pairs_per_pair : params -> int
-(** β. *)
 
 val weight_low : params -> float
 (** Minimum forward edge weight c₁·ln(1/ε) (when the encode succeeded). *)

@@ -12,7 +12,10 @@
     Section 3 survives down to ~ ε/ln(1/ε).
 
     The chain layout matches {!Foreach_lb} (blocks of k = √β/ε vertices) so
-    the two schemes are compared on identically-shaped graphs. *)
+    the two schemes are compared on identically-shaped graphs. Each decode
+    is one cut query, de-biased by the fixed backward mass it crosses
+    ((k-1)² + boundary terms)/β and thresholded at 1.5: perfect with an
+    exact oracle, drowned once ε' ≳ ε². *)
 
 type params = {
   n : int;
@@ -21,41 +24,15 @@ type params = {
 }
 
 val make_params : beta:int -> inv_eps:int -> int -> params
-val block_size : params -> int
-val layout : params -> Layout.t
-
-val bits_capacity : params -> int
-(** One bit per forward edge: (ℓ-1)·k² — note this is *more* raw bits than
-    the Section 3 construction stores; the lower bound is about what can be
-    *recovered through a (1±ε) sketch*, which is where this scheme fails. *)
 
 type instance = {
   params : params;
   s : bool array;
+      (** one bit per forward edge, (ℓ-1)·k² of them: more raw bits than
+          the Section 3 construction stores — the lower bound is about
+          what a (1±ε) sketch lets Bob recover *)
   graph : Dcs_graph.Digraph.t;
 }
-
-val encode : params -> s:bool array -> instance
-val random_instance : Dcs_util.Prng.t -> params -> instance
-
-type address = { pair : int; u : int; v : int }
-(** Bit of the forward edge from the [u]-th node of V_pair to the [v]-th
-    node of V_{pair+1}. *)
-
-val address_of_index : params -> int -> address
-val index_of_address : params -> address -> int
-
-val decode_bit : params -> query:(Dcs_graph.Cut.t -> float) -> int -> bool
-(** One cut query; thresholds the de-biased estimate at 1.5. *)
-
-val query_cut : params -> address -> Dcs_graph.Cut.t
-
-val fixed_crossing_weight : params -> address -> float
-(** Everything crossing [query_cut] except the queried edge itself — all of
-    it backward mass of weight 1/β, instance-independent and Θ(1/ε²):
-    ((k-1)² + boundary terms)/β. With an exact oracle the decode is
-    perfect; with a (1±ε') oracle the error ε'/ε² drowns the ±1/2 signal
-    once ε' ≳ ε². *)
 
 type trial_stats = {
   trials : int;

@@ -35,8 +35,6 @@ let build g =
   done;
   { size = n; parent; flow }
 
-let n t = t.size
-
 let tree_edges t =
   let out = ref [] in
   for i = 1 to t.size - 1 do

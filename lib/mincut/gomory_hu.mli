@@ -13,8 +13,6 @@ type t
 val build : Dcs_graph.Ugraph.t -> t
 (** Requires a connected graph with n >= 2. *)
 
-val n : t -> int
-
 val tree_edges : t -> (int * int * float) list
 (** The n-1 tree edges (child, parent, flow value). *)
 

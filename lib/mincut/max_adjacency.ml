@@ -117,7 +117,7 @@ let merge ~cap ~last label (rows : Csr.rows) (order, q) =
   let union x y =
     let a = find x and b = find y in
     if a <> b then begin
-      parent.(max a b) <- min a b;
+      if a < b then parent.(b) <- a else parent.(a) <- b;
       merged := true
     end
   in

@@ -55,9 +55,6 @@ type histogram_value = {
 
 val histogram_value : histogram -> histogram_value
 
-val bucket_lo : int -> int
-(** Inclusive left edge of bucket [b] ([0] for the zero bucket). *)
-
 val bucket_label : buckets:int -> int -> string
 (** Human label for bucket [b], e.g. ["0"], ["4-7"], ["4194304+"]. *)
 

@@ -9,11 +9,6 @@
     so it is byte-identical across [DCS_DOMAINS] whenever the instrumented
     run is deterministic — [bin/check_determinism.sh] relies on this. *)
 
-val env_var : string
-(** ["DCS_METRICS"]. [1] (or [stderr]) prints the text report to stderr at
-    the end of a bench/dcut run; any other non-empty value is a path the
-    JSON snapshot is written to. *)
-
 val render : unit -> string
 (** Text tables: one for counters, one for histogram buckets
     (bars rendered with {!Dcs_util.Stats.bucket_bars}). *)
@@ -30,5 +25,7 @@ val snapshot_json : unit -> string
     [{"name":{"type":"counter","value":n}, ...}]. *)
 
 val dump_env : unit -> unit
-(** Honor [DCS_METRICS] (see {!env_var}); no-op when unset. Called by the
-    bench harness and [dcut] at the end of a run. *)
+(** Honor [DCS_METRICS]: [1] (or [stderr]) prints the text report to
+    stderr, any other non-empty value is a path the JSON snapshot is
+    written to; no-op when unset. Called by the bench harness and [dcut]
+    at the end of a run. *)

@@ -6,19 +6,15 @@
     span records its wall-clock duration into a per-domain aggregation
     table (merged by {!stats}: count, total, and self time = total minus
     time spent in child spans), and, when the [DCS_TRACE] environment
-    variable names a file, a complete Chrome trace event. Load the file at
-    [chrome://tracing] or [https://ui.perfetto.dev].
+    variable names a file, a complete Chrome trace event, written there at
+    exit. Load the file at [chrome://tracing] or [https://ui.perfetto.dev].
 
     Tracing is wall-clock by nature, so nothing here feeds
     {!Metrics.snapshot}: determinism gates diff metrics, never traces.
 
     Aggregation happens per domain with no locking on the hot path; call
-    {!stats}/{!write_chrome} only at quiescent points (after pool joins),
-    as the benches do. *)
-
-val env_var : string
-(** ["DCS_TRACE"]. Setting it to a path enables tracing for the whole
-    process and writes the Chrome trace there at exit. *)
+    {!stats} only at quiescent points (after pool joins), as the benches
+    do. *)
 
 val enabled : unit -> bool
 
@@ -46,13 +42,6 @@ val stats : unit -> stat list
 
 val reset : unit -> unit
 (** Drop all aggregated stats and buffered events. *)
-
-val export_path : string option
-(** The [DCS_TRACE] value at startup, if any. *)
-
-val write_chrome : out_channel -> unit
-(** Dump buffered events as Chrome trace JSON (only buffered when
-    [DCS_TRACE] is set). *)
 
 val json_escape : string -> string
 (** JSON string-body escaping (shared with {!Report}'s emitters). *)

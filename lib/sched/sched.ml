@@ -162,7 +162,6 @@ module Store = struct
 
   let entries t = Hashtbl.length t.tbl
   let mem_bytes t = t.bytes_in_mem
-  let dir t = t.dir
 end
 
 type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
@@ -174,8 +173,6 @@ let marshal_codec () =
         match Marshal.from_string s 0 with
         | v -> Some v
         | exception _ -> None) }
-
-let string_codec = { encode = (fun s -> s); decode = (fun s -> Some s) }
 
 type mode = Pooled | Serial
 
@@ -223,8 +220,6 @@ let create ?store () =
   { dag_id = !dag_counter; dag_store; nodes_rev = []; n_nodes = 0;
     identities = Hashtbl.create 64; dag_ran = false }
 
-let store dag = dag.dag_store
-let size dag = dag.n_nodes
 let dep node = { p_dag = node.nd_dag; p_id = node.nd_boxed.b_id }
 
 let stage dag ~name ?(fingerprint = 0L) ?(mode = Pooled) ~codec ~deps thunk =

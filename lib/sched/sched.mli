@@ -81,7 +81,6 @@ module Store : sig
 
   val entries : t -> int
   val mem_bytes : t -> int
-  val dir : t -> string option
 
   val artifact_path : t -> string -> string
   (** Where a key's artifact lives on disk ([Invalid_argument] without a
@@ -103,9 +102,6 @@ val marshal_codec : unit -> 'a codec
     before bytes ever reach [decode]; the [decode] side additionally maps
     any [Marshal] failure to [None] as defense in depth. *)
 
-val string_codec : string codec
-(** Identity codec for stages whose natural artifact is already bytes. *)
-
 type t
 (** A DAG under construction (then executed at most once by {!run}). *)
 
@@ -125,9 +121,6 @@ type mode =
 
 val create : ?store:Store.t -> unit -> t
 (** Fresh DAG. Without [store], a private in-memory store is created. *)
-
-val store : t -> Store.t
-val size : t -> int
 
 val dep : 'a node -> packed
 

@@ -14,13 +14,5 @@ let sparsify ?c rng ~eps g =
   Dcs_obs_core.Trace.with_span "sketch.bk.sparsify" @@ fun () ->
   Importance.sample_ugraph rng ~prob:(probability ?c ~eps g) g
 
-let sketch rng ~eps g =
-  let h = sparsify rng ~eps g in
-  let d = Ugraph.to_digraph h in
-  Sketch.of_digraph
-    ~name:(Printf.sprintf "benczur-karger(eps=%g)" eps)
-    ~size_bits:(Sketch.ugraph_encoding_bits h)
-    d
-
 let expected_edges ~eps g =
   Importance.expected_edges_ugraph ~prob:(probability ~eps g) g

@@ -40,9 +40,6 @@ let ugraph_encoding_bits g =
   Bits.total c
 
 let checksum_bits = Dcs_util.Checksum.bits
-let digraph_frame_bits g = digraph_encoding_bits g + checksum_bits
-let ugraph_frame_bits g = ugraph_encoding_bits g + checksum_bits
-
 let of_digraph ~name ~size_bits g =
   Metrics.inc m_built;
   Metrics.inc ~by:size_bits m_size_bits;
@@ -74,6 +71,3 @@ let relative_error sk g s =
   let est = sk.query s in
   if truth = 0.0 then if est = 0.0 then 0.0 else infinity
   else Float.abs (est -. truth) /. Float.abs truth
-
-let max_error_on sk g cuts =
-  List.fold_left (fun acc s -> Float.max acc (relative_error sk g s)) 0.0 cuts

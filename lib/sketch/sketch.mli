@@ -29,8 +29,6 @@ val relative_error : t -> Dcs_graph.Digraph.t -> Dcs_graph.Cut.t -> float
     estimate of a zero cut has unbounded relative error). A zero estimate
     of a nonzero cut is the ordinary case with value 1. *)
 
-val max_error_on : t -> Dcs_graph.Digraph.t -> Dcs_graph.Cut.t list -> float
-
 val digraph_encoding_bits : Dcs_graph.Digraph.t -> int
 (** Canonical size of sending a weighted digraph: per edge, two
     ceil(log2 n)-bit endpoints and a 64-bit weight, plus a small header.
@@ -44,12 +42,6 @@ val checksum_bits : int
     field, {!Dcs_util.Checksum}): 32 bits per message. Metered separately
     from the payload so fault-tolerant pipelines report the same first-send
     payload bits as their idealized counterparts. *)
-
-val digraph_frame_bits : Dcs_graph.Digraph.t -> int
-(** [digraph_encoding_bits] + [checksum_bits]: the canonical size of one
-    checksummed sketch message on a lossy channel. *)
-
-val ugraph_frame_bits : Dcs_graph.Ugraph.t -> int
 
 val median_boost : t list -> t
 (** The paper's footnote-2 amplification: run O(1) independent sketches and

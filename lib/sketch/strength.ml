@@ -35,13 +35,17 @@ let compute ?(max_rounds = 512) g =
   let ev = Array.map (fun (_, v, _) -> v) edges in
   (* Remaining multiplicity per edge; 0 once exhausted. *)
   let mult =
-    Array.map (fun (_, _, w) -> max 1 (int_of_float (Float.round w))) edges
+    Array.map
+      (fun (_, _, w) ->
+        let k = int_of_float (Float.round w) in
+        if k > 1 then k else 1)
+      edges
   in
   let idx = Array.make m 0 and cons = Array.make m 0 in
   (* One union-find and one used-edge buffer serve every round: a
      spanning forest has at most n - 1 edges. *)
   let parent = Array.make n 0 in
-  let used = Array.make (max 0 (n - 1)) 0 in
+  let used = Array.make (if n > 1 then n - 1 else 0) 0 in
   let live = ref m and round = ref 0 in
   while !live > 0 && !round < max_rounds do
     incr round;
@@ -77,7 +81,7 @@ let compute ?(max_rounds = 512) g =
   { n; rounds = !round; eu; ev; idx; cons }
 
 let index t u v =
-  let a = min u v and b = max u v in
+  let a = if u < v then u else v and b = if u < v then v else u in
   let rec search lo hi =
     if lo > hi then
       invalid_arg (Printf.sprintf "Strength.index: (%d, %d) is not an edge" u v);
@@ -121,6 +125,3 @@ let certificate t g =
     end
   done;
   h
-
-let min_index t = fold (fun _ _ i acc -> min i acc) t max_int
-let max_index t = fold (fun _ _ i acc -> max i acc) t 0

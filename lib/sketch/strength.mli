@@ -42,6 +42,3 @@ val certificate : t -> Dcs_graph.Ugraph.t -> Dcs_graph.Ugraph.t
     in rounded-multiplicity units; max-flow connectivity queries capped at
     [rounds_used t] can therefore run on the certificate instead of [g].
     Raises [Invalid_argument] if vertex counts disagree. *)
-
-val min_index : t -> int
-val max_index : t -> int

@@ -76,23 +76,6 @@ let check_connectivity g conn =
     || not (Array.for_all own edges)
   then foreign "connectivity"
 
-let sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
-  check_rho rho;
-  let conn =
-    match connectivity with
-    | Some conn -> conn
-    | None ->
-        Connectivity.estimate_ugraph ?domains ?flow_budget
-          ~cap:(default_cap ~rho cap) g
-  in
-  let h = Ugraph.create (Ugraph.n g) in
-  Connectivity.sample conn ~rho rng (Ugraph.add_edge h);
-  (h, conn)
-
-let sparsify ?cap ?domains ?flow_budget ?connectivity ~rho rng g =
-  Option.iter (check_connectivity g) connectivity;
-  sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g
-
 let solve_dense ?domains rng ~solver g =
   match solver with
   | Karger { trials } -> Karger.mincut ?domains rng ~trials g
@@ -131,7 +114,16 @@ let mincut ?domains ?cap ?flow_budget ?connectivity ?csr ~rho rng ~eps
   Metrics.inc m_solves;
   check_eps eps;
   Option.iter (check_connectivity g) connectivity;
-  let h, conn = sparse_of ?cap ?domains ?flow_budget ?connectivity ~rho rng g in
+  check_rho rho;
+  let conn =
+    match connectivity with
+    | Some conn -> conn
+    | None ->
+        Connectivity.estimate_ugraph ?domains ?flow_budget
+          ~cap:(default_cap ~rho cap) g
+  in
+  let h = Ugraph.create (Ugraph.n g) in
+  Connectivity.sample conn ~rho rng (Ugraph.add_edge h);
   (* [conn] is the caller's checked estimates or the ones just computed:
      either way it carries [g]'s canonical edge list and [g]'s frozen
      view — certification reads that view, and one linear merge checks a

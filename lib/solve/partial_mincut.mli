@@ -33,28 +33,6 @@ type result = { value : float; cut : Dcs_graph.Cut.t; stats : stats }
 (** [value] is always an exact cut weight of the {e original} graph for
     [cut] — repaired on the sparse path, native on the dense path. *)
 
-val sparsify :
-  ?cap:float ->
-  ?domains:int ->
-  ?flow_budget:int ->
-  ?connectivity:Dcs_sketch.Connectivity.t ->
-  rho:float ->
-  Dcs_util.Prng.t ->
-  Dcs_graph.Ugraph.t ->
-  Dcs_graph.Ugraph.t * Dcs_sketch.Connectivity.t
-(** Connectivity-sampled undirected sparsifier:
-    {!Dcs_sketch.Connectivity.sample} at rate [rho] over
-    {!Dcs_sketch.Connectivity.estimate_ugraph}'s λ̂ (byte-identical for
-    every domain count). Returns the sparsifier and the estimates it
-    sampled from. [cap] is the estimation ceiling (default 16·ρ — it must
-    exceed ρ for anything to be dropped, since estimates saturate there
-    and p = ρ/λ̂); [connectivity] reuses estimates of this graph ([cap]
-    is then ignored; estimates of other edges, weights or vertex count,
-    or of a digraph, raise [Invalid_argument "Partial_mincut:
-    connectivity does not describe the graph"] before any work). [rho] and [cap] must be positive:
-    anything else, NaN included, raises [Invalid_argument] before
-    estimation runs. *)
-
 val mincut :
   ?domains:int ->
   ?cap:float ->
@@ -67,14 +45,23 @@ val mincut :
   solver:solver ->
   Dcs_graph.Ugraph.t ->
   result
-(** Global minimum cut through {!sparsify} + [solver] + certify/repair.
-    [eps] is the certification tolerance, in (0, 1). [csr] is a frozen
-    view of the input graph for certification; omitted, certification
-    reads the view the estimates carry ({!Dcs_sketch.Connectivity.view}:
-    the estimator's own freeze of the input, or that of a caller's
-    checked estimates), so the input is frozen once. [connectivity] is
-    checked as in {!sparsify}. A
-    view of other arcs or weights raises [Invalid_argument
+(** Global minimum cut: [solver] on a connectivity-sampled undirected
+    sparsifier, then certify/repair. The sparsifier is
+    {!Dcs_sketch.Connectivity.sample} at rate [rho] over
+    {!Dcs_sketch.Connectivity.estimate_ugraph}'s λ̂ (byte-identical for
+    every domain count). [cap] is the estimation ceiling (default 16·ρ —
+    it must exceed ρ for anything to be dropped, since estimates saturate
+    there and p = ρ/λ̂); [connectivity] reuses estimates of this graph
+    ([cap] is then ignored; estimates of other edges, weights or vertex
+    count, or of a digraph, raise [Invalid_argument "Partial_mincut:
+    connectivity does not describe the graph"] before any work). [rho]
+    and [cap] must be positive: anything else, NaN included, raises
+    [Invalid_argument] before estimation runs. [eps] is the certification
+    tolerance, in (0, 1). [csr] is a frozen view of the input graph for
+    certification; omitted, certification reads the view the estimates
+    carry ({!Dcs_sketch.Connectivity.view}: the estimator's own freeze of
+    the input, or that of a caller's checked estimates), so the input is
+    frozen once. A view of other arcs or weights raises [Invalid_argument
     "Partial_mincut: csr does not describe the graph"] after estimation
     and before solving: it is merged against the estimates' edge list,
     the caller's or the ones just computed. A sparsifier the solver

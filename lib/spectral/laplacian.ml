@@ -1,6 +1,5 @@
 module Ugraph = Dcs_graph.Ugraph
 module Csr = Dcs_graph.Csr
-module Cut = Dcs_graph.Cut
 
 (* The frozen symmetric rows hold the off-diagonal entries (−w at each
    neighbour, neighbours ascending); [diag] holds the weighted degrees,
@@ -47,10 +46,6 @@ let quadratic_form t x =
   let acc = ref 0.0 in
   Array.iteri (fun i v -> acc := !acc +. (x.(i) *. v)) lx;
   !acc
-
-let cut_value t c =
-  if Cut.n c <> n t then invalid_arg "Laplacian.cut_value: size";
-  quadratic_form t (Array.init (n t) (fun v -> if Cut.mem c v then 1.0 else 0.0))
 
 let dot a b =
   let acc = ref 0.0 in

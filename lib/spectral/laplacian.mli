@@ -15,16 +15,12 @@
 type t
 
 val of_ugraph : Dcs_graph.Ugraph.t -> t
-val n : t -> int
 
 val apply : t -> float array -> float array
 (** L·x. *)
 
 val quadratic_form : t -> float array -> float
 (** xᵀLx = Σ_{(u,v)∈E} w_uv (x_u - x_v)². *)
-
-val cut_value : t -> Dcs_graph.Cut.t -> float
-(** Quadratic form of the indicator vector: the undirected cut value. *)
 
 val solve : t -> float array -> float array
 (** [solve l b] returns the minimum-norm x with L·x = b, for b orthogonal

@@ -11,14 +11,16 @@ type t = {
 
 let edge_index ~n u v =
   if u = v || u < 0 || v < 0 || u >= n || v >= n then invalid_arg "Agm_sketch: edge";
-  let a = min u v and b = max u v in
+  let a = if u < v then u else v and b = if u < v then v else u in
   (a * n) + b
+
+let rounds_for n =
+  2 + int_of_float (Float.ceil (Dcs_util.Stats.log2 (float_of_int (if n > 2 then n else 2))))
 
 let create ?(copies = 3) rng ~n =
   if n < 1 then invalid_arg "Agm_sketch.create: n";
-  let rounds =
-    2 + int_of_float (Float.ceil (Dcs_util.Stats.log2 (float_of_int (max 2 n))))
-  in
+  if copies < 1 then invalid_arg "Agm_sketch.create: copies";
+  let rounds = rounds_for n in
   let universe = n * n in
   {
     size = n;
@@ -30,13 +32,11 @@ let create ?(copies = 3) rng ~n =
               L0_sampler.create_family rng ~universe ~count:n));
   }
 
-let n t = t.size
-
 let update t u v delta =
   let idx = edge_index ~n:t.size u v in
   (* +1 on the smaller endpoint's vector, -1 on the larger's: summing the
      two cancels, which is exactly what makes internal edges vanish. *)
-  let lo = min u v and hi = max u v in
+  let lo = if u < v then u else v and hi = if u < v then v else u in
   for r = 0 to t.rounds - 1 do
     for c = 0 to t.copies - 1 do
       L0_sampler.update t.samplers.(r).(c).(lo) idx delta;
@@ -129,12 +129,6 @@ let components_after_forest t forest =
 
 let connected t = List.length (spanning_forest t) = t.size - 1
 
-let size_bits t =
-  let acc = ref 0 in
-  Array.iter
-    (fun per_round ->
-      Array.iter
-        (fun family -> Array.iter (fun s -> acc := !acc + L0_sampler.size_bits s) family)
-        per_round)
-    t.samplers;
-  !acc
+(* Every sampler of a sketch ranges over the same n² edge slots. *)
+let bits_per_copy ~n = rounds_for n * n * L0_sampler.bits_for ~universe:(n * n)
+let size_bits t = t.copies * bits_per_copy ~n:t.size

@@ -17,10 +17,8 @@ type t
 
 val create : ?copies:int -> Dcs_util.Prng.t -> n:int -> t
 (** Sketch for an n-vertex graph, with ceil(log2 n) + 2 Boruvka rounds.
-    [copies] is the per-round redundancy (default 3), trading size for
-    decode success. *)
-
-val n : t -> int
+    [copies] is the per-round redundancy (default 3, at least 1), trading
+    size for decode success. *)
 
 val add_edge : t -> int -> int -> unit
 val remove_edge : t -> int -> int -> unit
@@ -40,7 +38,12 @@ val connected : t -> bool
 (** [spanning_forest] has n-1 edges. *)
 
 val size_bits : t -> int
-(** Total sketch size. *)
+(** Total sketch size: [copies] times {!bits_per_copy}. *)
+
+val bits_per_copy : n:int -> int
+(** The bits one unit of [copies] costs on [n] vertices (its ℓ₀-samplers
+    over every round), computed without allocating — so a caller can
+    refuse a size before {!create} allocates it. *)
 
 val edge_index : n:int -> int -> int -> int
 (** The universe index used for edge (u,v); exposed for tests. *)

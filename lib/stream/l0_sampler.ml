@@ -30,9 +30,11 @@ type t = {
   fingerprint : int array;  (* per level: Σ c_i · q^i mod p *)
 }
 
+let levels_for universe = 2 + int_of_float (Dcs_util.Stats.log2 (float_of_int universe))
+
 let make_hashes rng ~universe =
   if universe <= 0 then invalid_arg "L0_sampler: universe must be positive";
-  let levels = 2 + int_of_float (Dcs_util.Stats.log2 (float_of_int universe)) in
+  let levels = levels_for universe in
   {
     universe;
     levels;
@@ -117,8 +119,5 @@ let query s =
   in
   go (s.h.levels - 1)
 
-let is_zero s =
-  Array.for_all (fun c -> c = 0) s.count
-  && Array.for_all (fun f -> f = 0) s.fingerprint
-
+let bits_for ~universe = 3 * 64 * levels_for universe
 let size_bits s = 3 * 64 * s.h.levels

@@ -41,10 +41,9 @@ val query : t -> (int * int) option
     nonzero: a support coordinate and its value. [None] when the vector
     appears to be zero or no level is currently 1-sparse. *)
 
-val is_zero : t -> bool
-(** True iff every level is empty (exact for the zero vector; a nonzero
-    vector is declared zero only on hash collisions that cancel, which the
-    fingerprints make vanishingly unlikely). *)
-
 val size_bits : t -> int
 (** Honest serialized size: 3 machine words per level. *)
+
+val bits_for : universe:int -> int
+(** [size_bits] of a sampler over [universe], computed without building
+    one. *)

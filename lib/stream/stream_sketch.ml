@@ -4,7 +4,6 @@ module Metrics = Dcs_obs_core.Metrics
 module Digraph = Dcs_graph.Digraph
 module Csr = Dcs_graph.Csr
 module Exact_sketch = Dcs_sketch.Exact_sketch
-module Imbalance_sketch = Dcs_sketch.Imbalance_sketch
 
 (* stream.* registry funnel. Everything here is a pure count of logical
    events on the (single-threaded) ingest path, so snapshots are
@@ -13,7 +12,6 @@ let m_inserts = Metrics.counter "stream.inserts"
 let m_deletes = Metrics.counter "stream.deletes"
 let m_rejects = Metrics.counter "stream.rejects"
 let m_compactions = Metrics.counter "stream.compactions"
-let m_cut_queries = Metrics.counter "stream.cut_queries"
 let m_checkpoint_saves = Metrics.counter "stream.checkpoint_saves"
 let m_recoveries = Metrics.counter "stream.recoveries"
 
@@ -68,7 +66,6 @@ let create ?(refreeze = Rebuild) ~n ~seed () =
 let applied_seq t = t.applied_seq
 let arcs t = Digraph.m t.live
 let delta_pairs t = Hashtbl.length t.stale
-let imbalances t = Imbalance_sketch.imbalances t.live
 
 let compact_now t =
   Metrics.inc m_compactions;
@@ -78,10 +75,6 @@ let compact_now t =
 
 let frozen t = if Hashtbl.length t.stale = 0 then t.frozen else compact_now t
 let fingerprint t = Csr.fingerprint (frozen t)
-
-let cut_value t c =
-  Metrics.inc m_cut_queries;
-  Csr.cut_value (frozen t) c
 
 let check t ~op ~u ~v ~w =
   if u < 0 || u >= t.n || v < 0 || v >= t.n then
@@ -126,14 +119,10 @@ let commit t ~op ~u ~v ~w =
 let apply t ~op ~u ~v ~w =
   Result.map (fun () -> commit t ~op ~u ~v ~w) (validate t ~op ~u ~v ~w)
 
-(* --- derived sketches: always from the canonical frozen view, so a
-   streamed state and a batch build of the same graph hand the identical
-   content (and construction history) to the samplers. --- *)
-
-let to_digraph t = Csr.to_digraph (frozen t)
-let exact_sketch t = Exact_sketch.create (to_digraph t)
-
-let imbalance_sketch t rng ~eps ~beta = Imbalance_sketch.create rng ~eps ~beta (to_digraph t)
+(* The derived sketch reads the canonical frozen view, so a streamed state
+   and a batch build of the same graph hand it identical content (and
+   construction history). *)
+let exact_sketch t = Exact_sketch.create (Csr.to_digraph (frozen t))
 
 (* --- state digest --- *)
 

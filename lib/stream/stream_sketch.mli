@@ -7,8 +7,8 @@
     {!refreeze} policy ([Rebuild] after every mutation, or [Delta_buffer]
     once more than a threshold of arcs differ from the last freeze), the
     set of arcs that differ from that freeze, and the highest WAL slot
-    applied. Imbalances and sketches are computed from the graph when
-    asked for.
+    applied. Cut values and sketches are read off {!frozen} when asked
+    for.
 
     Everything observable is canonical — cut values, fingerprints and
     derived sketches are pure functions of the graph content (and of the
@@ -30,15 +30,6 @@ type refreeze =
   | Delta_buffer of { compact_threshold : int }
       (** re-freeze once more than [compact_threshold] arcs differ from
           the last freeze *)
-
-(** Typed rejection reasons, checked {e before} any state mutates. *)
-type reject =
-  | Out_of_range of { u : int; v : int; n : int }
-  | Self_loop of int
-  | Bad_weight of float
-  | Below_zero of { u : int; v : int; have : float; requested : float }
-
-val pp_reject : reject -> string
 
 type t
 
@@ -65,17 +56,8 @@ val apply : t -> op:Wal.op -> u:int -> v:int -> w:float -> (unit, string) result
     one mutation path, in the shape {!Wal.replay} wants. The op is
     checked before anything mutates: an out-of-range arc, a self-loop, a
     weight that is not positive and finite, or a deletion below zero
-    returns [Error] with the {!pp_reject} rendering of its {!reject}
-    reason, bumps [stream.rejects] and mutates nothing. *)
-
-val imbalances : t -> float array
-(** Per-vertex imbalances (out-weight − in-weight) of the live graph, via
-    {!Dcs_sketch.Imbalance_sketch.imbalances}. *)
-
-val cut_value : t -> Dcs_graph.Cut.t -> float
-(** Directed cut value of the live graph, read off {!frozen} (so a stale
-    state re-freezes first); metered as [stream.cut_queries]. Raises
-    [Invalid_argument] on a size mismatch. *)
+    returns [Error] naming the reason, bumps [stream.rejects] and mutates
+    nothing. *)
 
 val frozen : t -> Dcs_graph.Csr.t
 (** The canonical frozen view of the current content: the memoized
@@ -89,11 +71,6 @@ val exact_sketch : t -> Dcs_sketch.Sketch.t
 (** Exact graph-valued sketch of the live graph — identical (same
     decisions, same size) to batch-building it on the final graph, which
     is what the E3/E4 streamed-vs-batch reruns enforce. *)
-
-val imbalance_sketch :
-  t -> Dcs_util.Prng.t -> eps:float -> beta:float -> Dcs_sketch.Sketch.t
-(** {!Dcs_sketch.Imbalance_sketch.create} on the canonical thaw of
-    {!frozen} — bit-identical to a batch build from the same PRNG. *)
 
 val digest : t -> int64
 (** One-word digest of the whole state: applied sequence, canonical

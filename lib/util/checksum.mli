@@ -19,7 +19,7 @@ val bits : int
 
     The canonical framing used everywhere a byte string must survive an
     unreliable medium — sketch deliveries over lossy channels
-    ({!Dcs_graph.Serialize} re-exports these under the same names) and
+    ({!Dcs_graph.Serialize.ugraph_to_frame} frames a graph) and
     {!Checkpoint} snapshots on disk. The header carries the payload
     length and CRC-32, so the receiver rejects truncation (length
     mismatch) and every single-bit flip anywhere in the frame (header

@@ -35,9 +35,6 @@
     {!Dcs_obs_core.Metrics.in_attempt}, so a crashed-and-retried task's own
     increments commit exactly once. *)
 
-val env_var : string
-(** ["DCS_DOMAINS"]. *)
-
 val domain_count : unit -> int
 (** The effective default domain count: [DCS_DOMAINS] if set and
     non-empty (must parse as a positive integer, else
@@ -108,7 +105,7 @@ val parallel_init : ?domains:int -> n:int -> (int -> 'a) -> 'a array
     advanced; pass a frozen master (e.g. from [Prng.fork]).
 
     Deadlines are {e cooperative}: a task observes its deadline through
-    {!guard}/{!cancelled} and is treated as hung when it raises
+    {!guard} and is treated as hung when it raises
     {!Cancelled}. OCaml domains cannot be preempted, so a task that never
     polls and never returns cannot be recovered; a completed attempt's
     value is always accepted, late or not (anything else would let wall
@@ -127,12 +124,10 @@ exception Cancelled of { index : int; attempt : int }
 (** Raised by {!guard} when the attempt has outlived its deadline; the
     supervisor records the attempt as hung and schedules a re-execution. *)
 
-val cancelled : ctx -> bool
-(** Whether this attempt is past its deadline ([false] when none is set). *)
-
 val guard : ctx -> unit
-(** Cancellation point: raises {!Cancelled} iff [cancelled ctx]. Long
-    tasks should call it inside their hot loops. *)
+(** Cancellation point: raises {!Cancelled} iff the attempt is past its
+    deadline (never when none is set). Long tasks should call it inside
+    their hot loops. *)
 
 type failure = {
   failed_index : int;
@@ -146,9 +141,6 @@ type failure = {
   backtrace : string;     (** captured at the failure site; [""] unless
                               [Printexc.record_backtrace] is on *)
 }
-
-val describe_failure : failure -> string
-(** One-line human rendering: task, attempt, stream fingerprint, cause. *)
 
 type report = {
   tasks : int;            (** tasks submitted *)

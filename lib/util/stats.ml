@@ -11,8 +11,6 @@ let variance xs =
     acc /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty array";
@@ -29,8 +27,6 @@ let quantile xs q =
     (s.(lo) *. (1.0 -. frac)) +. (s.(hi) *. frac)
   end
 
-let median xs = quantile xs 0.5
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
   Array.fold_left
@@ -45,9 +41,6 @@ let success_rate bs =
     let c = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bs in
     float_of_int c /. float_of_int n
   end
-
-let binomial_confidence_99 ~trials =
-  if trials <= 0 then 1.0 else 2.576 *. sqrt (0.25 /. float_of_int trials)
 
 let log2 x = log x /. log 2.0
 

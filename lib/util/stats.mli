@@ -6,25 +6,16 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 when n < 2. *)
 
-val stddev : float array -> float
-
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], linear interpolation on the sorted
     copy. On a singleton array every quantile is the lone element. Raises
     [Invalid_argument] on an empty array and on [q] outside [0,1]
     (including NaN) — a silent clamp would hide caller bugs. *)
 
-val median : float array -> float
-
 val min_max : float array -> float * float
 
 val success_rate : bool array -> float
 (** Fraction of [true] entries. *)
-
-val binomial_confidence_99 : trials:int -> float
-(** Half-width of a 99% normal-approximation confidence interval for a
-    success-rate estimate over [trials] Bernoulli trials (worst case p=1/2):
-    2.576 * sqrt(0.25/trials). *)
 
 val log2 : float -> float
 

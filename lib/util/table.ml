@@ -123,6 +123,4 @@ let ffloat ?(digits = 3) x = Printf.sprintf "%.*f" digits x
 
 let fpct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
-let fsci x = Printf.sprintf "%.2e" x
-
 let fbool b = if b then "yes" else "no"

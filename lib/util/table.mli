@@ -45,8 +45,5 @@ val ffloat : ?digits:int -> float -> string
 val fpct : float -> string
 (** Percentage with one decimal, e.g. [fpct 0.953 = "95.3%"]. *)
 
-val fsci : float -> string
-(** Scientific-ish compact float, e.g. "1.23e+06". *)
-
 val fbool : bool -> string
 (** "yes" / "no". *)

@@ -10,13 +10,19 @@ let ugraph seed ~n ~p ~max_weight =
   let g0 = Generators.erdos_renyi_connected rng ~n ~p in
   Generators.random_multigraph_weights rng g0 ~max_weight
 
+(* The sparsifier [Partial_mincut.mincut] solves: [Connectivity.sample]
+   at rate [rho] over the estimates [conn] of [g]. *)
+let sample conn ~rho rng g =
+  let h = Ugraph.create (Ugraph.n g) in
+  Connectivity.sample conn ~rho rng (Ugraph.add_edge h);
+  h
+
 (* cap <= rho pins p = rho/lambda-hat >= 1 everywhere: the sparsifier is
    the identity (binomial_keep at p = 1 keeps the exact weight). *)
 let test_identity_when_cap_leq_rho () =
   let g = ugraph 7 ~n:40 ~p:0.3 ~max_weight:5 in
-  let h, conn =
-    Partial_mincut.sparsify ~rho:10.0 ~cap:10.0 (Prng.create 1) g
-  in
+  let conn = Connectivity.estimate_ugraph ~cap:10.0 g in
+  let h = sample conn ~rho:10.0 (Prng.create 1) g in
   Alcotest.(check bool) "identity" true (Ugraph.equal g h);
   Array.iteri
     (fun i _ ->
@@ -27,8 +33,10 @@ let test_identity_when_cap_leq_rho () =
 
 let test_sparsify_deterministic () =
   let g = ugraph 11 ~n:60 ~p:0.4 ~max_weight:6 in
-  let h1, _ = Partial_mincut.sparsify ~rho:6.0 (Prng.create 42) g in
-  let h2, _ = Partial_mincut.sparsify ~rho:6.0 (Prng.create 42) g in
+  let sparsify () =
+    sample (Connectivity.estimate_ugraph ~cap:96.0 g) ~rho:6.0 (Prng.create 42) g
+  in
+  let h1 = sparsify () and h2 = sparsify () in
   Alcotest.(check bool) "same sparsifier" true (Ugraph.equal h1 h2);
   Alcotest.(check bool) "strictly sparser" true (Ugraph.m h1 < Ugraph.m g)
 
@@ -52,9 +60,7 @@ let test_domain_count_identity () =
     let conn =
       Connectivity.estimate_ugraph ~domains ~flow_budget:16 ~cap:64.0 g
     in
-    fst
-      (Partial_mincut.sparsify ~rho:6.0 ~connectivity:conn (Prng.create 5)
-         g)
+    sample conn ~rho:6.0 (Prng.create 5) g
   in
   Alcotest.(check bool) "H across domains" true (Ugraph.equal (sparse 1) (sparse 2))
 
@@ -64,10 +70,8 @@ let test_domain_count_identity () =
 let test_planted_cut_kept_exactly () =
   let block = 30 and k = 3 in
   let g = Generators.planted_mincut (Prng.create 3) ~block ~k ~p_inner:0.5 in
-  let h, conn =
-    Partial_mincut.sparsify ~rho:8.0 ~cap:128.0 ~flow_budget:64
-      (Prng.create 9) g
-  in
+  let conn = Connectivity.estimate_ugraph ~flow_budget:64 ~cap:128.0 g in
+  let h = sample conn ~rho:8.0 (Prng.create 9) g in
   let planted u = u < block in
   Alcotest.(check (float 1e-9))
     "planted cut exact in H" (float_of_int k) (Ugraph.cut_weight h planted);
@@ -96,11 +100,8 @@ let graph_digest edges =
 let test_sampler_golden () =
   let g = ugraph 19 ~n:50 ~p:0.4 ~max_weight:6 in
   let sparse g =
-    let h, _ =
-      Partial_mincut.sparsify ~rho:5.0 ~cap:60.0 ~flow_budget:40
-        (Prng.create 3) g
-    in
-    Ugraph.edges h
+    let conn = Connectivity.estimate_ugraph ~flow_budget:40 ~cap:60.0 g in
+    Ugraph.edges (sample conn ~rho:5.0 (Prng.create 3) g)
   in
   let a = sparse g in
   Alcotest.(check int) "(a) kept" 215 (Array.length a);
@@ -167,15 +168,13 @@ let test_rho_validation () =
       (Partial_mincut.st_mincut ?cap ~rho (Prng.create 1) ~eps ~beta:2.0 ~s:0
          ~t:9 d)
   in
-  let solve ~rho ~eps () =
+  let solve ?cap ~rho ~eps () =
     ignore
-      (Partial_mincut.mincut ~rho (Prng.create 1) ~eps
+      (Partial_mincut.mincut ?cap ~rho (Prng.create 1) ~eps
          ~solver:Partial_mincut.Stoer_wagner g)
   in
   List.iter
     (fun rho ->
-      Alcotest.check_raises "sparsify rho" rho_error (fun () ->
-          ignore (Partial_mincut.sparsify ~rho (Prng.create 1) g));
       Alcotest.check_raises "mincut rho" rho_error (solve ~rho ~eps:0.5);
       Alcotest.check_raises "st_mincut rho" rho_error (st ~rho ~eps:0.5);
       Alcotest.check_raises "sample rho"
@@ -184,8 +183,7 @@ let test_rho_validation () =
     [ 0.0; -1.0; nan ];
   List.iter
     (fun cap ->
-      Alcotest.check_raises "sparsify cap" cap_error (fun () ->
-          ignore (Partial_mincut.sparsify ~rho:1.0 ~cap (Prng.create 1) g));
+      Alcotest.check_raises "mincut cap" cap_error (solve ~cap ~rho:1.0 ~eps:0.5);
       Alcotest.check_raises "st_mincut cap" cap_error
         (st ~cap ~rho:1.0 ~eps:0.5);
       Alcotest.check_raises "estimate_ugraph cap" cap_error (fun () ->

@@ -136,11 +136,7 @@ let test_foreign_connectivity_rejected () =
   let other = Connectivity.estimate_ugraph ~cap:300.0 (weighted_planted 6) in
   Alcotest.check_raises "foreign connectivity"
     (Invalid_argument "Partial_mincut: connectivity does not describe the graph")
-    (fun () -> ignore (solve ~connectivity:other g));
-  Alcotest.check_raises "sparsify checks it too"
-    (Invalid_argument "Partial_mincut: connectivity does not describe the graph")
-    (fun () ->
-      ignore (Partial_mincut.sparsify ~rho:14.0 ~connectivity:other (Prng.create 0) g))
+    (fun () -> ignore (solve ~connectivity:other g))
 
 (* The graph's own view and estimates pass, and change nothing. *)
 let test_own_view_and_estimates_accepted () =

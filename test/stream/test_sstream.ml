@@ -75,7 +75,7 @@ let test_streamed_equals_batch_graph () =
     (fun cut ->
       Alcotest.(check (float 0.0)) "cut values agree bit for bit"
         (Csr.cut_value batch cut)
-        (Stream_sketch.cut_value t cut))
+        (Csr.cut_value (Stream_sketch.frozen t) cut))
     (cuts_of 77 24)
 
 let test_streamed_equals_batch_sketches () =
@@ -86,7 +86,10 @@ let test_streamed_equals_batch_sketches () =
   let batch = Exact_sketch.create (Csr.to_digraph (Csr.of_digraph g)) in
   Alcotest.(check int) "exact sketch sizes agree" batch.Sketch.size_bits
     streamed.Sketch.size_bits;
-  let s_imb = Stream_sketch.imbalance_sketch t (Prng.create 9) ~eps:0.2 ~beta:2.0 in
+  let s_imb =
+    Imbalance_sketch.create (Prng.create 9) ~eps:0.2 ~beta:2.0
+      (Csr.to_digraph (Stream_sketch.frozen t))
+  in
   let b_imb = Imbalance_sketch.create (Prng.create 9) ~eps:0.2 ~beta:2.0 g in
   Alcotest.(check int) "imbalance sketch sizes agree" b_imb.Sketch.size_bits
     s_imb.Sketch.size_bits;
@@ -103,7 +106,7 @@ let test_imbalances_maintained () =
   let t = feed ops in
   let expected = Imbalance_sketch.imbalances (final_digraph ops) in
   Alcotest.(check bool) "incremental imbalances exact" true
-    (Stream_sketch.imbalances t = expected)
+    (Imbalance_sketch.imbalances (Csr.to_digraph (Stream_sketch.frozen t)) = expected)
 
 (* --- re-freeze policy: a performance knob, never a content knob --- *)
 
@@ -363,11 +366,16 @@ let mix_in h x = Prng.mix64 (Int64.logxor h x)
 
 (* Cuts first, while the state may still hold stale arcs. *)
 let golden_content t =
-  let cut i = Stream_sketch.cut_value t (Cut.random (Prng.create (1823 + i)) ~n:24) in
+  let cut i =
+    Csr.cut_value (Stream_sketch.frozen t) (Cut.random (Prng.create (1823 + i)) ~n:24)
+  in
   let cuts = List.init 8 (fun i -> Printf.sprintf "%h" (cut i)) in
   let fp = Stream_sketch.fingerprint t in
   Printf.sprintf "fp=%016Lx imb=%016Lx arcs=%d cuts=%s" fp
-    (Array.fold_left (fun h x -> mix_in h (Int64.bits_of_float x)) 0L (Stream_sketch.imbalances t))
+    (Array.fold_left
+       (fun h x -> mix_in h (Int64.bits_of_float x))
+       0L
+       (Imbalance_sketch.imbalances (Csr.to_digraph (Stream_sketch.frozen t))))
     (Stream_sketch.arcs t)
     (String.concat "," cuts)
 
@@ -452,7 +460,7 @@ let qcheck_streamed_equals_batch =
       let batch = Csr.of_digraph (final_digraph ops) in
       Int64.equal (Stream_sketch.fingerprint t) (Csr.fingerprint batch)
       && List.for_all
-           (fun cut -> Csr.cut_value batch cut = Stream_sketch.cut_value t cut)
+           (fun cut -> Csr.cut_value batch cut = Csr.cut_value (Stream_sketch.frozen t) cut)
            (cuts_of 101 8))
 
 let qcheck_policy_is_content_invisible =

@@ -44,13 +44,13 @@ let test_frame_pins () =
 
 let test_frame_roundtrip () =
   let payload = "hello, lossy world\nwith a second line" in
-  match Serialize.unframe (Serialize.frame payload) with
+  match Checksum.unframe (Checksum.frame payload) with
   | Ok p -> Alcotest.(check string) "payload back" payload p
   | Error e -> Alcotest.failf "unframe rejected a clean frame: %s" e
 
 let test_frame_rejects_garbage () =
   let bad s =
-    match Serialize.unframe s with
+    match Checksum.unframe s with
     | Ok _ -> Alcotest.failf "accepted %S" s
     | Error _ -> ()
   in
@@ -403,9 +403,9 @@ let prop_frame_detects_every_single_bit_flip =
           | Ok g' -> Ugraph.equal g g'
           | Error _ -> false)
       && check_frame
-           (Serialize.digraph_to_frame dg)
+           (Checksum.frame (Serialize.digraph_to_string dg))
            (fun s ->
-             match Serialize.digraph_of_frame s with
+             match Result.bind (Checksum.unframe s) Serialize.digraph_of_string with
              | Ok d' -> Digraph.equal dg d'
              | Error _ -> false))
 

@@ -144,8 +144,9 @@ let prop_unframe =
 let prop_graph_frames =
   QCheck.Test.make ~name:"serialize: *_of_frame never raises on framed bytes"
     ~count:3000 (arb graph_text) (fun s ->
-      let f = Serialize.frame s in
-      total Serialize.ugraph_of_frame f && total Serialize.digraph_of_frame f)
+      let f = Checksum.frame s in
+      total Serialize.ugraph_of_frame f
+      && total (fun f -> Result.bind (Checksum.unframe f) Serialize.digraph_of_string) f)
 
 (* The header is bounded before any graph is allocated. *)
 let test_vertex_bound () =
