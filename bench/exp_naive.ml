@@ -21,8 +21,8 @@ let run () =
       let eps = 1.0 /. float_of_int inv_eps in
       let eps_sq = eps *. eps in
       let eps_star = eps /. log (float_of_int inv_eps) in
+      let p = Foreach_lb.make_params ~beta:1 ~inv_eps n in
       (* naive rows *)
-      let np = Naive_foreach.make_params ~beta:1 ~inv_eps n in
       let naive_run noise =
         let sketch_of r (inst : Naive_foreach.instance) =
           if noise = 0.0 then Exact_sketch.create inst.Naive_foreach.graph
@@ -30,7 +30,7 @@ let run () =
             Noisy_oracle.create ~mode:Noisy_oracle.Random r ~eps:noise
               inst.Naive_foreach.graph
         in
-        (Naive_foreach.run_trials rng np ~sketch_of ~trials:3 ~bits_per_trial:80)
+        (Naive_foreach.run_trials rng p ~sketch_of ~trials:3 ~bits_per_trial:80)
           .Naive_foreach.success_rate
       in
       Table.add_row t
@@ -43,7 +43,6 @@ let run () =
           Table.ffloat ~digits:2 (naive_run eps_star);
         ];
       (* Hadamard rows *)
-      let hp = Foreach_lb.make_params ~beta:1 ~inv_eps n in
       let hadamard_run noise =
         let sketch_of r (inst : Foreach_lb.instance) =
           if noise = 0.0 then Exact_sketch.create inst.Foreach_lb.graph
@@ -51,7 +50,7 @@ let run () =
             Noisy_oracle.create ~mode:Noisy_oracle.Random r ~eps:noise
               inst.Foreach_lb.graph
         in
-        (Foreach_lb.run_trials rng hp ~sketch_of ~trials:3 ~bits_per_trial:80)
+        (Foreach_lb.run_trials rng p ~sketch_of ~trials:3 ~bits_per_trial:80)
           .Foreach_lb.success_rate
       in
       Table.add_row t

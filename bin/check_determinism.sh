@@ -100,7 +100,9 @@
 #
 # First of all it runs bin/check_exports.sh, the compiler-derived export
 # guard: every value a lib/*/*.mli declares must have a reader in another
-# compilation unit.
+# compilation unit, and every optional parameter of a value some program
+# (lib, bench, bin, perfbench) calls must be passed by one of those
+# calls.
 #
 # Last, each of the six test executables runs at DCS_DOMAINS=1 and 4.
 # @batched holds the CSR kernels vs their scalar paths, run_batched's

@@ -43,15 +43,12 @@ let () =
         predicted actual
   | None -> print_endline "instance outside the Lemma 5.5 regime (√N < 3·INT)");
 
-  (* Estimating its min cut through the oracle = solving 2-SUM: meter the
-     communication of the Lemma 5.6 simulation. *)
-  let o = Oracle.create ~memoize:true gxy in
-  let r = Estimator.estimate ~c0:1.0 rng o ~eps:0.5 ~mode:Estimator.Modified in
+  (* Estimating its min cut through the oracle = solving 2-SUM: the
+     Lemma 5.6 reduction meters the communication of the simulation. *)
+  let r = Reduction.solve_two_sum ~c0:1.0 rng inst ~eps:0.5 in
   Printf.printf
     "estimator on G_{x,y}: estimate=%.1f, %d queries = %d bits of Alice/Bob \
      communication (Lemma 5.6 accounting)\n"
-    r.Estimator.estimate r.Estimator.total_queries r.Estimator.comm_bits;
-  Printf.printf "recovered Σ DISJ = %g (true %d)\n"
-    (float_of_int inst.Two_sum.t
-    -. (r.Estimator.estimate /. (2.0 *. float_of_int inst.Two_sum.alpha)))
-    (Two_sum.disj_sum inst)
+    r.Reduction.mincut_estimate r.Reduction.queries r.Reduction.comm_bits;
+  Printf.printf "recovered Σ DISJ = %g (true %d)\n" r.Reduction.answer
+    r.Reduction.truth

@@ -6,8 +6,5 @@ val random :
   Dcs_util.Prng.t -> servers:int -> Dcs_graph.Ugraph.t -> Dcs_graph.Ugraph.t array
 (** Each edge assigned to a uniformly random server. *)
 
-val by_hash : servers:int -> Dcs_graph.Ugraph.t -> Dcs_graph.Ugraph.t array
-(** Deterministic assignment by endpoint hash (stable across runs). *)
-
 val union : int -> Dcs_graph.Ugraph.t array -> Dcs_graph.Ugraph.t
 (** Re-merge shards (weights add). *)

@@ -17,8 +17,6 @@ let of_indices ~n idx =
     idx;
   of_array a
 
-let singleton ~n v = of_indices ~n [ v ]
-
 let n t = Array.length t.side
 let mem t v = t.side.(v)
 let unsafe_side t = t.side

@@ -11,7 +11,6 @@ val of_mem : n:int -> (int -> bool) -> t
 
 val of_indices : n:int -> int list -> t
 val of_array : bool array -> t
-val singleton : n:int -> int -> t
 
 val n : t -> int
 val mem : t -> int -> bool

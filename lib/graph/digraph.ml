@@ -3,7 +3,12 @@
    graphs edge by edge with O(1) merge of parallel edges. Read-heavy code
    (decoders, min-cut solvers, sketch queries) should freeze the finished
    graph into a [Csr.t] and query that instead; the hashtables stay the
-   mutable build-side representation. *)
+   mutable build-side representation. A vertex gets its own table at its
+   first arc in that direction; until then it points to [no_arcs], which
+   nothing ever writes, so a sparse graph pays no table per vertex. A
+   graph read back through [Marshal] (a Sched artifact) shares one copy
+   of [no_arcs] among its empty vertices, so it must stay read-only, as
+   every artifact does. *)
 
 type t = {
   nv : int;
@@ -12,14 +17,28 @@ type t = {
   mutable edge_count : int;
 }
 
+let no_arcs : (int, float) Hashtbl.t = Hashtbl.create 1
+
 let create nv =
   if nv < 0 then invalid_arg "Digraph.create: negative size";
   {
     nv;
-    out_adj = Array.init nv (fun _ -> Hashtbl.create 4);
-    in_adj = Array.init nv (fun _ -> Hashtbl.create 4);
+    out_adj = Array.make nv no_arcs;
+    in_adj = Array.make nv no_arcs;
     edge_count = 0;
   }
+
+(* The vertex's own table. It starts at 16 buckets ([Hashtbl.create 4]):
+   table-order iteration, which generated instances follow, depends on
+   the bucket count. *)
+let own adj u =
+  let t = adj.(u) in
+  if t != no_arcs then t
+  else begin
+    let t = Hashtbl.create 4 in
+    adj.(u) <- t;
+    t
+  end
 
 let n g = g.nv
 let m g = g.edge_count
@@ -52,8 +71,8 @@ let set_edge g u v w =
     end
   end
   else begin
-    Hashtbl.replace g.out_adj.(u) v w;
-    Hashtbl.replace g.in_adj.(v) u w;
+    Hashtbl.replace (own g.out_adj u) v w;
+    Hashtbl.replace (own g.in_adj v) u w;
     if not existed then g.edge_count <- g.edge_count + 1
   end
 

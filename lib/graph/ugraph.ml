@@ -4,9 +4,28 @@ type t = {
   mutable edge_count : int;
 }
 
+(* A vertex gets its own table at its first edge; until then it points to
+   [no_edges], which nothing ever writes, so a sparse graph pays no table
+   per vertex. A graph read back through [Marshal] (a Sched artifact)
+   shares one copy of [no_edges] among its empty vertices, so it must
+   stay read-only, as every artifact does. *)
+let no_edges : (int, float) Hashtbl.t = Hashtbl.create 1
+
 let create nv =
   if nv < 0 then invalid_arg "Ugraph.create: negative size";
-  { nv; adj = Array.init nv (fun _ -> Hashtbl.create 4); edge_count = 0 }
+  { nv; adj = Array.make nv no_edges; edge_count = 0 }
+
+(* The vertex's own table. It starts at 16 buckets ([Hashtbl.create 4]):
+   table-order iteration, which generated instances follow, depends on
+   the bucket count. *)
+let own g u =
+  let t = g.adj.(u) in
+  if t != no_edges then t
+  else begin
+    let t = Hashtbl.create 4 in
+    g.adj.(u) <- t;
+    t
+  end
 
 let n g = g.nv
 let m g = g.edge_count
@@ -36,8 +55,8 @@ let set_edge g u v w =
     end
   end
   else begin
-    Hashtbl.replace g.adj.(u) v w;
-    Hashtbl.replace g.adj.(v) u w;
+    Hashtbl.replace (own g u) v w;
+    Hashtbl.replace (own g v) u w;
     if not existed then g.edge_count <- g.edge_count + 1
   end
 
@@ -128,13 +147,6 @@ let cut_weight g mem =
 let cut_value g c =
   if n g <> Cut.n c then invalid_arg "Ugraph.cut_value: size mismatch";
   cut_weight g (Cut.mem c)
-
-let to_digraph g =
-  let d = Digraph.create g.nv in
-  iter_edges g (fun u v w ->
-      Digraph.set_edge d u v w;
-      Digraph.set_edge d v u w);
-  d
 
 let of_digraph d =
   let g = create (Digraph.n d) in

@@ -50,10 +50,6 @@ val cut_weight : t -> (int -> bool) -> float
 
 val cut_value : t -> Cut.t -> float
 
-val to_digraph : t -> Digraph.t
-(** Symmetric digraph with both orientations at the undirected weight (so
-    directed cut values coincide with undirected ones). *)
-
 val of_digraph : Digraph.t -> t
 (** Undirected projection: weight(u,v) + weight(v,u) per unordered pair. *)
 

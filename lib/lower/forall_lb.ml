@@ -395,7 +395,7 @@ type trial_stats = {
   mean_sketch_bits : float;
 }
 
-let run_trials ?domains rng p ~sketch_of ~decoder ~trials =
+let run_trials rng p ~sketch_of ~decoder ~trials =
   if trials <= 0 then invalid_arg "Forall_lb.run_trials";
   (* Same seed-splitting discipline as [Foreach_lb.run_trials]: trial [t]'s
      randomness is a pure function of (master, t), so any domain count gives
@@ -424,7 +424,7 @@ let run_trials ?domains rng p ~sketch_of ~decoder ~trials =
     (decision = correct_decision inst, float_of_int sk.Sketch.size_bits)
   in
   let per_trial =
-    Dcs_util.Pool.run_batched ?domains
+    Dcs_util.Pool.run_batched
       ~arena:(fun () -> decode_scratch p)
       ~n:trials one_trial
   in

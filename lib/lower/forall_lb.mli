@@ -180,7 +180,6 @@ type trial_stats = {
 }
 
 val run_trials :
-  ?domains:int ->
   Dcs_util.Prng.t ->
   params ->
   sketch_of:(Dcs_util.Prng.t -> instance -> Dcs_sketch.Sketch.t) ->
@@ -189,7 +188,7 @@ val run_trials :
   trial_stats
 (** Fresh instance per trial; decodes the planted pair. [`Topk] requires
     the sketches to be graph-valued. Trials run on the pool
-    ({!Dcs_util.Pool.run_batched}) over [domains] domains (default
-    [Pool.domain_count ()]), one reusable {!decode_scratch} per domain;
+    ({!Dcs_util.Pool.run_batched}) over [Pool.domain_count ()] domains
+    ([DCS_DOMAINS]), one reusable {!decode_scratch} per domain;
     per-trial [Prng.split] streams keep the stats bit-identical for every
     domain count. *)

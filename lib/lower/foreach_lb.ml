@@ -231,7 +231,7 @@ type trial_stats = {
   mean_sketch_bits : float;
 }
 
-let run_trials ?domains rng p ~sketch_of ~trials ~bits_per_trial =
+let run_trials rng p ~sketch_of ~trials ~bits_per_trial =
   if trials <= 0 || bits_per_trial <= 0 then invalid_arg "Foreach_lb.run_trials";
   (* Fork once so successive calls on the same rng see fresh streams, then
      give trial [t] the pure child stream [split master t]: the per-trial
@@ -250,7 +250,7 @@ let run_trials ?domains rng p ~sketch_of ~trials ~bits_per_trial =
     done;
     (!correct, !in_failed, float_of_int sk.Sketch.size_bits)
   in
-  let per_trial = Dcs_util.Pool.parallel_init ?domains ~n:trials one_trial in
+  let per_trial = Dcs_util.Pool.parallel_init ~n:trials one_trial in
   let correct = Array.fold_left (fun acc (c, _, _) -> acc + c) 0 per_trial in
   let in_failed = Array.fold_left (fun acc (_, f, _) -> acc + f) 0 per_trial in
   let sketch_bits = Array.fold_left (fun acc (_, _, b) -> acc +. b) 0.0 per_trial in

@@ -108,7 +108,6 @@ type trial_stats = {
 }
 
 val run_trials :
-  ?domains:int ->
   Dcs_util.Prng.t ->
   params ->
   sketch_of:(Dcs_util.Prng.t -> instance -> Dcs_sketch.Sketch.t) ->
@@ -117,7 +116,7 @@ val run_trials :
   trial_stats
 (** Fresh random instance per trial; [bits_per_trial] uniformly random
     indices decoded against the provided sketch. Trials run in parallel on
-    [domains] domains (default [Pool.domain_count ()], i.e. [DCS_DOMAINS]);
-    each trial draws from its own [Prng.split] stream, so the stats are
-    bit-identical for every domain count. [sketch_of] receives the trial's
-    private rng and must not touch shared mutable state. *)
+    [Pool.domain_count ()] domains ([DCS_DOMAINS]); each trial draws from
+    its own [Prng.split] stream, so the stats are bit-identical for every
+    domain count. [sketch_of] receives the trial's private rng and must
+    not touch shared mutable state. *)

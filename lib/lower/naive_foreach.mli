@@ -11,22 +11,15 @@
     naive scheme needs accuracy ~ ε², whereas the Hadamard superposition of
     Section 3 survives down to ~ ε/ln(1/ε).
 
-    The chain layout matches {!Foreach_lb} (blocks of k = √β/ε vertices) so
-    the two schemes are compared on identically-shaped graphs. Each decode
+    The parameters and the chain layout are {!Foreach_lb}'s (blocks of
+    k = √β/ε vertices, {!Foreach_lb.make_params} checks them) so the two
+    schemes are compared on identically-shaped graphs. Each decode
     is one cut query, de-biased by the fixed backward mass it crosses
     ((k-1)² + boundary terms)/β and thresholded at 1.5: perfect with an
     exact oracle, drowned once ε' ≳ ε². *)
 
-type params = {
-  n : int;
-  beta : int;     (** perfect square *)
-  inv_eps : int;  (** 1/ε, power of two >= 2 *)
-}
-
-val make_params : beta:int -> inv_eps:int -> int -> params
-
 type instance = {
-  params : params;
+  params : Foreach_lb.params;
   s : bool array;
       (** one bit per forward edge, (ℓ-1)·k² of them: more raw bits than
           the Section 3 construction stores — the lower bound is about
@@ -42,9 +35,8 @@ type trial_stats = {
 }
 
 val run_trials :
-  ?domains:int ->
   Dcs_util.Prng.t ->
-  params ->
+  Foreach_lb.params ->
   sketch_of:(Dcs_util.Prng.t -> instance -> Dcs_sketch.Sketch.t) ->
   trials:int ->
   bits_per_trial:int ->

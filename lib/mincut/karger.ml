@@ -190,9 +190,9 @@ let cut_key c =
   let c = if Cut.mem c 0 then c else Cut.complement c in
   String.concat "," (List.map string_of_int (Cut.to_list c))
 
-let candidate_cuts ?domains rng ~trials ~factor g =
+let candidate_cuts rng ~trials ~factor g =
   if factor < 1.0 then invalid_arg "Karger.candidate_cuts: factor >= 1";
-  let runs = parallel_runs ?domains rng ~trials g in
+  let runs = parallel_runs rng ~trials g in
   let seen : (string, float * Cut.t) Hashtbl.t = Hashtbl.create 64 in
   let best = ref infinity in
   Array.iter

@@ -27,7 +27,6 @@ val mincut :
     the result bit-identical for every domain count. *)
 
 val candidate_cuts :
-  ?domains:int ->
   Dcs_util.Prng.t ->
   trials:int ->
   factor:float ->
@@ -36,7 +35,8 @@ val candidate_cuts :
 (** Distinct cuts discovered across [trials] runs whose value is at most
     [factor] times the best value seen, sorted by value (cuts and their
     complements are identified). Same parallel execution and determinism
-    guarantee as {!mincut}. *)
+    guarantee as {!mincut}, over [Pool.domain_count ()] domains
+    ([DCS_DOMAINS]). *)
 
 (** {2 Contraction to a class count} *)
 

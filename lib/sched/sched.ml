@@ -19,18 +19,9 @@ module Store = struct
   let c_mem_hits = Metrics.counter "sched.store_mem_hits"
   let c_disk_hits = Metrics.counter "sched.store_disk_hits"
   let c_misses = Metrics.counter "sched.store_misses"
-  let c_evictions = Metrics.counter "sched.store_evictions"
   let c_corrupt = Metrics.counter "sched.store_corrupt_rejected"
 
-  type entry = { bytes : string; mutable tick : int }
-
-  type t = {
-    tbl : (string, entry) Hashtbl.t;
-    mutable clock : int;
-    mutable bytes_in_mem : int;
-    cap : int;
-    dir : string option;
-  }
+  type t = { tbl : (string, string) Hashtbl.t; dir : string option }
 
   let rec mkdir_p d =
     if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
@@ -40,12 +31,9 @@ module Store = struct
       with Sys_error _ when Sys.file_exists d -> ()
     end
 
-  let create ?(mem_capacity_bytes = 256 * 1024 * 1024) ?dir () =
-    if mem_capacity_bytes < 0 then
-      invalid_arg "Sched.Store.create: negative memory capacity";
+  let create ?dir () =
     Option.iter mkdir_p dir;
-    { tbl = Hashtbl.create 64; clock = 0; bytes_in_mem = 0;
-      cap = mem_capacity_bytes; dir }
+    { tbl = Hashtbl.create 64; dir }
 
   (* Chained SplitMix64 finalizer over the bytes (8 bytes per step, the
      tail and the length folded in last) plus the payload's CRC-32: 96
@@ -81,61 +69,28 @@ module Store = struct
     List.iter field inputs;
     content_hash (Buffer.contents buf)
 
-  let touch t e =
-    t.clock <- t.clock + 1;
-    e.tick <- t.clock
-
-  (* Drop least-recently-used entries until the memory tier fits; the
-     most recent entry always survives, even when it alone exceeds the
-     capacity. *)
-  let evict t =
-    while t.bytes_in_mem > t.cap && Hashtbl.length t.tbl > 1 do
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k e ->
-          match !victim with
-          | Some (_, ve) when ve.tick <= e.tick -> ()
-          | _ -> victim := Some (k, e))
-        t.tbl;
-      match !victim with
-      | None -> ()
-      | Some (k, e) ->
-        Hashtbl.remove t.tbl k;
-        t.bytes_in_mem <- t.bytes_in_mem - String.length e.bytes;
-        Metrics.inc c_evictions
-    done
-
   let artifact_path t key =
     match t.dir with
     | None -> invalid_arg "Sched.Store.artifact_path: store has no disk tier"
     | Some d -> Filename.concat d (key ^ ".art")
 
-  let insert t key bytes =
-    let e = { bytes; tick = 0 } in
-    touch t e;
-    Hashtbl.add t.tbl key e;
-    t.bytes_in_mem <- t.bytes_in_mem + String.length bytes;
-    evict t
-
   let put t key bytes =
     Metrics.inc c_puts;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e -> touch t e
-    | None ->
+    if not (Hashtbl.mem t.tbl key) then begin
       (match t.dir with
        | Some _ ->
          Checkpoint.save ~path:(artifact_path t key) ~signature:key
            [ { Checkpoint.index = 0; payload = bytes } ];
          Metrics.inc c_spills
        | None -> ());
-      insert t key bytes
+      Hashtbl.add t.tbl key bytes
+    end
 
   let find t key =
     match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-      touch t e;
+    | Some bytes ->
       Metrics.inc c_mem_hits;
-      Some e.bytes
+      Some bytes
     | None ->
       (match t.dir with
        | None ->
@@ -151,7 +106,7 @@ module Store = struct
            match Checkpoint.load ~path ~signature:key with
            | Ok [ { Checkpoint.index = 0; payload } ] ->
              Metrics.inc c_disk_hits;
-             insert t key payload;
+             Hashtbl.add t.tbl key payload;
              Some payload
            | Ok _ | Error _ ->
              (* Damaged, truncated, torn or foreign: reject, recompute.
@@ -161,7 +116,6 @@ module Store = struct
          end)
 
   let entries t = Hashtbl.length t.tbl
-  let mem_bytes t = t.bytes_in_mem
 end
 
 type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
@@ -308,7 +262,7 @@ type report = {
    between (a stage's code, an artifact's type or layout). *)
 let code_digest = lazy (Digest.to_hex (Digest.file Sys.executable_name))
 
-let run ?domains dag =
+let run dag =
   if dag.dag_ran then invalid_arg "Sched.run: DAG has already run";
   dag.dag_ran <- true;
   let code = Lazy.force code_digest in
@@ -383,7 +337,7 @@ let run ?domains dag =
          | _ ->
            let arr = Array.of_list pooled in
            let results =
-             Pool.parallel_init ?domains ~n:(Array.length arr) (fun p ->
+             Pool.parallel_init ~n:(Array.length arr) (fun p ->
                  let b, _ = arr.(p) in
                  Trace.with_span ("sched.stage:" ^ b.b_name) b.b_run)
            in

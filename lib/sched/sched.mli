@@ -32,14 +32,14 @@
     maintains [sched.stages_offered = sched.stage_runs + sched.cache_hits]
     as a structural invariant (E23 enforces it against the registry), and
     the store meters its tiers separately ([sched.store_mem_hits],
-    [sched.store_disk_hits], [sched.store_spills], [sched.store_evictions],
+    [sched.store_disk_hits], [sched.store_spills],
     [sched.store_corrupt_rejected], [sched.store_misses]). *)
 
 (** {2 Content-addressed artifact store}
 
-    Two tiers: an in-memory LRU of raw artifact bytes (capacity in bytes,
-    least-recently-used entry evicted first) and an optional write-through
-    disk tier. With [dir] set, every {!put} also persists the artifact
+    Two tiers: an in-memory table of raw artifact bytes, which keeps
+    every artifact of the process, and an optional write-through disk
+    tier. With [dir] set, every {!put} also persists the artifact
     through {!Dcs_util.Checkpoint.save} — an atomic temp-file+rename write
     inside a CRC-32 frame, signature-bound to the artifact key — so a
     cache populated by one process warms the next, torn writes are never
@@ -49,10 +49,10 @@
 module Store : sig
   type t
 
-  val create : ?mem_capacity_bytes:int -> ?dir:string -> unit -> t
-  (** [mem_capacity_bytes] defaults to 256 MiB. [dir] (created if missing)
-      enables the write-through disk tier. The store is used from the
-      scheduling domain only; it is not itself thread-safe. *)
+  val create : ?dir:string -> unit -> t
+  (** [dir] (created if missing) enables the write-through disk tier.
+      The store is used from the scheduling domain only; it is not
+      itself thread-safe. *)
 
   val content_hash : string -> string
   (** Hex digest of artifact bytes (chained {!Dcs_util.Prng.mix64} over
@@ -68,19 +68,17 @@ module Store : sig
       Filename-safe hex. *)
 
   val find : t -> string -> string option
-  (** Memory tier first (refreshes recency), then disk; a disk hit is
-      promoted into memory. A damaged disk artifact (CRC/length/signature
-      failure) counts into [sched.store_corrupt_rejected] and returns
-      [None] — never stale or torn bytes. *)
+  (** Memory tier first, then disk; a disk hit is promoted into memory.
+      A damaged disk artifact (CRC/length/signature failure) counts into
+      [sched.store_corrupt_rejected] and returns [None] — never stale or
+      torn bytes. *)
 
   val put : t -> string -> string -> unit
   (** Insert (idempotent on an existing key). Writes through to disk when
       the store has a [dir] — recomputing a stage over a damaged artifact
-      repairs the file — then evicts least-recently-used entries until the
-      memory tier fits its capacity. *)
+      repairs the file. *)
 
   val entries : t -> int
-  val mem_bytes : t -> int
 
   val artifact_path : t -> string -> string
   (** Where a key's artifact lives on disk ([Invalid_argument] without a
@@ -168,11 +166,11 @@ type report = {
   levels : int;   (** wavefronts executed *)
 }
 
-val run : ?domains:int -> t -> report
+val run : t -> report
 (** Executes the DAG: stages are grouped into levels by longest path from
     a source; each level first probes the store for every member's key,
-    then runs the missing [Pooled] members across [domains] (default
-    [Pool.domain_count ()], i.e. [DCS_DOMAINS]) on
+    then runs the missing [Pooled] members across
+    [Pool.domain_count ()] domains ([DCS_DOMAINS]) on
     {!Dcs_util.Pool.parallel_init}, then the missing [Serial] members one
     by one in the calling domain. Completed outputs are {!Store.put}
     before the next level's keys are derived. Runs at most once per DAG

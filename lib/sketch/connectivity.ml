@@ -398,8 +398,7 @@ let estimate_ugraph ?domains ?flow_budget ?strengths ~cap g =
       estimate_core ?domains ?flow_budget ~passes ~cap ~view:csr ~edges ~ni
         ~tri_rows ~flow_csr ()
 
-let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
-    ~cap g =
+let estimate_digraph ?flow_budget ?csr ?strengths ?(beta = 1.0) ~cap g =
   if beta < 1.0 then invalid_arg "Connectivity.estimate_digraph: beta >= 1";
   check_params ~cap flow_budget;
   let n = Digraph.n g in
@@ -442,6 +441,6 @@ let estimate_digraph ?domains ?flow_budget ?csr ?strengths ?(beta = 1.0)
   in
   if pairs <> Strength.fold (fun _ _ _ c -> c + 1) strengths 0 then
     mismatch "estimate_digraph";
-  estimate_core ?domains ?flow_budget ~passes:0 ~cap ~view:csr ~edges ~ni
+  estimate_core ?flow_budget ~passes:0 ~cap ~view:csr ~edges ~ni
     ~tri_rows:(Csr.out_rows csr, Csr.in_rows csr)
     ~flow_csr:csr ()

@@ -79,7 +79,8 @@ val estimate_ugraph :
     are sharp at [cap] when it ran for at least [cap] rounds — the
     default computes exactly that many; after a contraction its index
     only raises tier 2, and flows on G/S are sharp at [cap]. [flow_budget]
-    (default unlimited) caps the exact tier. [cap] must be positive
+    (default unlimited) caps the exact tier, which runs on [domains]
+    domains (default [Pool.domain_count ()], i.e. [DCS_DOMAINS]). [cap] must be positive
     (NaN is rejected before any work); pass [infinity] for uncapped
     exact local connectivities (the cheap tiers then never fire). Raises
     [Invalid_argument]
@@ -90,7 +91,6 @@ val estimate_ugraph :
     passes. *)
 
 val estimate_digraph :
-  ?domains:int ->
   ?flow_budget:int ->
   ?csr:Dcs_graph.Csr.t ->
   ?strengths:Strength.t ->
@@ -109,7 +109,8 @@ val estimate_digraph :
     {!Directed_sparsifier}. Raises [Invalid_argument]
     ["Connectivity.estimate_digraph: strengths decompose a different graph"]
     unless every arc's endpoint pair is in [strengths] and the pair
-    counts agree (endpoints only, as for {!estimate_ugraph}). *)
+    counts agree (endpoints only, as for {!estimate_ugraph}). The exact
+    tier runs on [Pool.domain_count ()] domains ([DCS_DOMAINS]). *)
 
 val edges : t -> (int * int * float) array
 (** The estimated edges with their original weights, in the canonical

@@ -1,7 +1,7 @@
 module Prng = Dcs_util.Prng
 module Cut = Dcs_graph.Cut
 
-type mode = Random | Adversarial | Deterministic_up | Deterministic_down
+type mode = Random | Adversarial
 
 let create ?(mode = Adversarial) rng ~eps g =
   if eps < 0.0 || eps >= 1.0 then invalid_arg "Noisy_oracle.create: eps in [0,1)";
@@ -11,8 +11,6 @@ let create ?(mode = Adversarial) rng ~eps g =
     match mode with
     | Random -> 1.0 +. (eps *. ((2.0 *. Prng.float rng 1.0) -. 1.0))
     | Adversarial -> 1.0 +. (eps *. float_of_int (Prng.sign rng))
-    | Deterministic_up -> 1.0 +. eps
-    | Deterministic_down -> 1.0 -. eps
   in
   let size_bits = Sketch.digraph_encoding_bits g in
   Dcs_obs_core.Metrics.inc (Dcs_obs_core.Metrics.counter "sketch.built");

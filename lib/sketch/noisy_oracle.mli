@@ -12,11 +12,9 @@
     - [Random]: each query perturbed by an independent uniform factor in
       [1-ε′, 1+ε′] (models an unbiased sketch);
     - [Adversarial]: each query scaled by (1 + ε′·σ) with σ a fresh random
-      sign (worst-case magnitude, the regime the proofs assume);
-    - [Deterministic_up] / [Deterministic_down]: always (1 ± ε′), useful in
-      tests. *)
+      sign (worst-case magnitude, the regime the proofs assume). *)
 
-type mode = Random | Adversarial | Deterministic_up | Deterministic_down
+type mode = Random | Adversarial
 
 val create :
   ?mode:mode -> Dcs_util.Prng.t -> eps:float -> Dcs_graph.Digraph.t -> Sketch.t

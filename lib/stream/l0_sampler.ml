@@ -120,4 +120,3 @@ let query s =
   go (s.h.levels - 1)
 
 let bits_for ~universe = 3 * 64 * levels_for universe
-let size_bits s = 3 * 64 * s.h.levels

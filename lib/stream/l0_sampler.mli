@@ -41,9 +41,6 @@ val query : t -> (int * int) option
     nonzero: a support coordinate and its value. [None] when the vector
     appears to be zero or no level is currently 1-sparse. *)
 
-val size_bits : t -> int
-(** Honest serialized size: 3 machine words per level. *)
-
 val bits_for : universe:int -> int
-(** [size_bits] of a sampler over [universe], computed without building
-    one. *)
+(** Honest serialized size of a sampler over [universe], 3 machine words
+    per level, computed without building one. *)

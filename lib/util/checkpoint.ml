@@ -148,7 +148,7 @@ type sweep_report = {
 }
 
 let sweep ?path ?(signature = "") ?(resume = true) ?(block = 16) ?abort_after
-    ?domains ?restart_budget ?deadline ~encode ~decode ~rng ~n task =
+    ~encode ~decode ~rng ~n task =
   if n < 0 then invalid_arg "Checkpoint.sweep: n must be nonnegative";
   if block < 1 then invalid_arg "Checkpoint.sweep: block must be positive";
   let results = Array.make n None in
@@ -201,8 +201,7 @@ let sweep ?path ?(signature = "") ?(resume = true) ?(block = 16) ?abort_after
   let failures = ref [] in
   let run_indices indices =
     let values, (rep : Pool.report) =
-      Pool.run_supervised ?domains ?restart_budget ?deadline ~indices ~rng ~n
-        task
+      Pool.run_supervised ~indices ~rng ~n task
     in
     Array.iteri (fun pos i -> results.(i) <- Some values.(pos)) indices;
     computed := !computed + Array.length indices;

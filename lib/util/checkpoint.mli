@@ -64,9 +64,6 @@ val sweep :
   ?resume:bool ->
   ?block:int ->
   ?abort_after:int ->
-  ?domains:int ->
-  ?restart_budget:int ->
-  ?deadline:float ->
   encode:('a -> string) ->
   decode:(string -> 'a option) ->
   rng:Prng.t ->
@@ -86,6 +83,10 @@ val sweep :
       newly computed (and checkpointed), {!Interrupted} is raised;
     - without [path], everything runs in one supervised batch and nothing
       touches the filesystem.
+
+    Trials run on [Pool.domain_count ()] domains ([DCS_DOMAINS]) under
+    {!Pool.run_supervised}'s defaults: a restart budget of 2 and no
+    deadline.
 
     [signature] (default [""]) must match the snapshot's. The result is
     bit-identical however the run was split across interruptions. *)

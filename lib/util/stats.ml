@@ -34,14 +34,6 @@ let min_max xs =
     (xs.(0), xs.(0))
     xs
 
-let success_rate bs =
-  let n = Array.length bs in
-  if n = 0 then 0.0
-  else begin
-    let c = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bs in
-    float_of_int c /. float_of_int n
-  end
-
 let log2 x = log x /. log 2.0
 
 let linear_regression pts =
@@ -71,21 +63,6 @@ let loglog_slope pts =
       pts
   in
   fst (linear_regression logged)
-
-let histogram ~bins xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if Array.length xs = 0 then [||]
-  else begin
-  let lo, hi = min_max xs in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = min (bins - 1) (int_of_float ((x -. lo) /. width)) in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
-  end
 
 let bucket_bars counts =
   let most = Array.fold_left max 0 counts in

@@ -14,9 +14,6 @@ val quantile : float array -> float -> float
 
 val min_max : float array -> float * float
 
-val success_rate : bool array -> float
-(** Fraction of [true] entries. *)
-
 val log2 : float -> float
 
 val linear_regression : (float * float) array -> float * float
@@ -27,14 +24,9 @@ val linear_regression : (float * float) array -> float * float
 val loglog_slope : (float * float) array -> float
 (** Slope of log y against log x; all coordinates must be positive. *)
 
-val histogram : bins:int -> float array -> (float * int) array
-(** Equal-width histogram: [(left_edge, count)] per bin. Raises
-    [Invalid_argument] when [bins <= 0]; the empty input yields the empty
-    histogram [[||]] (there is no data range to split into bins). *)
-
 val bucket_bars : int array -> string array
 (** Proportional ['#'] bars for bucket counts, longest bar 24 marks,
-    nonzero counts always at least one mark. Shared by {!histogram}
-    consumers and the {!Dcs_obs.Report} histogram tables so every bucket
-    rendering in the repo looks the same. Raises [Invalid_argument] on a
+    nonzero counts always at least one mark. Shared by the bench tables
+    and the {!Dcs_obs.Report} histogram tables so every bucket rendering
+    in the repo looks the same. Raises [Invalid_argument] on a
     negative count. *)

@@ -275,7 +275,7 @@ let test_cut_value_validation () =
   let c = Csr.of_digraph (Digraph.of_edges 3 [ (0, 1, 1.0) ]) in
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Csr.cut_value: size mismatch") (fun () ->
-      ignore (Csr.cut_value c (Cut.singleton ~n:2 0)))
+      ignore (Csr.cut_value c (Cut.of_indices ~n:2 [ 0 ])))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -66,9 +66,10 @@ let test_decode_scratch_params_check () =
 let test_run_trials_domain_invariant () =
   let p = small_params () in
   let run d =
-    F.run_trials ~domains:d (Prng.create 62) p
-      ~sketch_of:(fun _ inst -> Exact_sketch.create inst.F.graph)
-      ~decoder:`Enumerate ~trials:10
+    Domains_env.with_domains d (fun () ->
+        F.run_trials (Prng.create 62) p
+          ~sketch_of:(fun _ inst -> Exact_sketch.create inst.F.graph)
+          ~decoder:`Enumerate ~trials:10)
   in
   let reference = run 1 in
   List.iter

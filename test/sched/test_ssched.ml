@@ -168,7 +168,7 @@ let test_domain_determinism () =
   let run domains =
     let dag = Sched.create () in
     let sum = fan_dag dag in
-    let rep = Sched.run ~domains dag in
+    let rep = Domains_env.with_domains domains (fun () -> Sched.run dag) in
     Alcotest.(check int) "all ran" 10 rep.Sched.ran;
     (Sched.artifact_bytes dag sum, Sched.value dag sum)
   in
@@ -194,7 +194,7 @@ let test_serial_mode () =
       ~deps:[ Sched.dep p ]
       (fun () -> Sched.value dag p * 3)
   in
-  let rep = Sched.run ~domains:4 dag in
+  let rep = Domains_env.with_domains 4 (fun () -> Sched.run dag) in
   Alcotest.(check int) "serial ran" 1 rep.Sched.serial_ran;
   Alcotest.(check int) "pooled ran" 1 rep.Sched.pooled_ran;
   Alcotest.(check int) "value" 15 (Sched.value dag s)
@@ -218,7 +218,7 @@ let test_raising_stage_runs_once () =
       stage 1 "left" (fun () -> 1);
       stage 2 "right" (fun () -> 2);
       let tag = Printf.sprintf "domains=%d" domains in
-      (match Sched.run ~domains dag with
+      (match Domains_env.with_domains domains (fun () -> Sched.run dag) with
        | _ -> Alcotest.failf "%s: a raising stage must fail the run" tag
        | exception Pool.Task_failed { index; exn = Failure msg; _ } ->
            Alcotest.(check (pair int string)) (tag ^ ": failure") (0, "boom")
@@ -226,32 +226,6 @@ let test_raising_stage_runs_once () =
       Alcotest.(check (array int)) (tag ^ ": each stage ran once") [| 1; 1; 1 |]
         (Array.map Atomic.get runs))
     [ 1; 2 ]
-
-let test_lru_eviction_recomputes () =
-  (* A 1-byte memory tier with no disk: every artifact overflows it, so
-     only the most recently touched entry survives and a warm DAG can hit
-     at most once — the rest are honest misses that recompute. *)
-  let store = Sched.Store.create ~mem_capacity_bytes:1 () in
-  let ev = Obs.Metrics.counter "sched.store_evictions" in
-  let before = Obs.Metrics.counter_value ev in
-  let two_stages dag =
-    let x = Sched.stage dag ~name:"x" ~codec:int_codec ~deps:[] (fun () -> 1) in
-    let y = Sched.stage dag ~name:"y" ~codec:int_codec ~deps:[] (fun () -> 2) in
-    (x, y)
-  in
-  let cold = Sched.create ~store () in
-  ignore (two_stages cold);
-  ignore (Sched.run cold);
-  Alcotest.(check bool) "evictions happened" true
-    (Obs.Metrics.counter_value ev > before);
-  Alcotest.(check int) "one resident entry" 1 (Sched.Store.entries store);
-  let warm = Sched.create ~store () in
-  let x, y = two_stages warm in
-  let rep = Sched.run warm in
-  Alcotest.(check int) "at most one hit" 1 rep.Sched.hits;
-  Alcotest.(check int) "the rest recomputed" 1 rep.Sched.ran;
-  Alcotest.(check int) "x" 1 (Sched.value warm x);
-  Alcotest.(check int) "y" 2 (Sched.value warm y)
 
 let test_disk_write_through () =
   with_tmp_dir (fun dir ->
@@ -325,8 +299,6 @@ let suite =
       test_serial_mode;
     Alcotest.test_case "a raising pooled stage runs once" `Quick
       test_raising_stage_runs_once;
-    Alcotest.test_case "LRU eviction forces honest recompute" `Quick
-      test_lru_eviction_recomputes;
     Alcotest.test_case "disk write-through rehydrates a fresh store" `Quick
       test_disk_write_through;
   ]

@@ -102,8 +102,7 @@ let test_roundtrip_and_miss () =
   Alcotest.(check (option string)) "miss" None (Store.find s "nope");
   Store.put s "k1" "hello";
   Alcotest.(check (option string)) "hit" (Some "hello") (Store.find s "k1");
-  Alcotest.(check int) "entries" 1 (Store.entries s);
-  Alcotest.(check int) "mem bytes" 5 (Store.mem_bytes s)
+  Alcotest.(check int) "entries" 1 (Store.entries s)
 
 (* --- damage properties (satellite: corruption forces recompute) --- *)
 

@@ -365,9 +365,9 @@ let test_sweep_kill_at_every_block_boundary () =
       with_tmp (fun path ->
           let before = supervised_tasks () in
           (match
-             Checkpoint.sweep ~path ~signature:"kill" ~resume:false ~block
-               ~abort_after ~domains:4 ~encode ~decode ~rng:(Prng.create 401)
-               ~n trial
+             Domains_env.with_domains 4 (fun () ->
+                 Checkpoint.sweep ~path ~signature:"kill" ~resume:false ~block
+                   ~abort_after ~encode ~decode ~rng:(Prng.create 401) ~n trial)
            with
           | _ -> Alcotest.fail "abort_after should interrupt"
           | exception Checkpoint.Interrupted { completed_now; _ } ->
@@ -375,8 +375,9 @@ let test_sweep_kill_at_every_block_boundary () =
                 (Printf.sprintf "killed at the %d-trial boundary" abort_after)
                 abort_after completed_now);
           let vals, rep =
-            Checkpoint.sweep ~path ~signature:"kill" ~block ~domains:2 ~encode
-              ~decode ~rng:(Prng.create 401) ~n trial
+            Domains_env.with_domains 2 (fun () ->
+                Checkpoint.sweep ~path ~signature:"kill" ~block ~encode ~decode
+                  ~rng:(Prng.create 401) ~n trial)
           in
           Alcotest.(check int) "checkpointed trials restored" abort_after
             rep.Checkpoint.resumed;
@@ -400,16 +401,17 @@ let test_sweep_crashes_kill_resume_exactly_once () =
   with_tmp (fun path ->
       let before = supervised_tasks () in
       (match
-         Checkpoint.sweep ~path ~signature:"crashy" ~resume:false ~block:4
-           ~abort_after:8 ~domains:3 ~encode ~decode ~rng:(Prng.create 401) ~n
-           crashy
+         Domains_env.with_domains 3 (fun () ->
+             Checkpoint.sweep ~path ~signature:"crashy" ~resume:false ~block:4
+               ~abort_after:8 ~encode ~decode ~rng:(Prng.create 401) ~n crashy)
        with
       | _ -> Alcotest.fail "abort_after should interrupt"
       | exception Checkpoint.Interrupted { completed_now; _ } ->
           Alcotest.(check int) "killed at a block boundary" 8 completed_now);
       let vals, rep =
-        Checkpoint.sweep ~path ~signature:"crashy" ~block:4 ~domains:1 ~encode
-          ~decode ~rng:(Prng.create 401) ~n crashy
+        Domains_env.with_domains 1 (fun () ->
+            Checkpoint.sweep ~path ~signature:"crashy" ~block:4 ~encode ~decode
+              ~rng:(Prng.create 401) ~n crashy)
       in
       Alcotest.(check int) "restored" 8 rep.Checkpoint.resumed;
       Alcotest.(check bool) "crashes recovered in the resume" true

@@ -16,14 +16,6 @@ let test_partition_random_union_roundtrip () =
   let merged = Partition.union (Ugraph.n g) shards in
   Alcotest.(check bool) "union restores graph" true (Ugraph.equal g merged)
 
-let test_partition_hash_deterministic () =
-  let g = planted 3 in
-  let a = Partition.by_hash ~servers:3 g in
-  let b = Partition.by_hash ~servers:3 g in
-  Array.iteri
-    (fun i shard -> Alcotest.(check bool) "same shard" true (Ugraph.equal shard b.(i)))
-    a
-
 let test_partition_edges_disjoint () =
   let rng = Prng.create 4 in
   let g = planted 5 in
@@ -321,7 +313,6 @@ let prop_estimate_lower_bounded =
 let suite =
   [
     Alcotest.test_case "partition: random roundtrip" `Quick test_partition_random_union_roundtrip;
-    Alcotest.test_case "partition: hash deterministic" `Quick test_partition_hash_deterministic;
     Alcotest.test_case "partition: edges disjoint" `Quick test_partition_edges_disjoint;
     Alcotest.test_case "partition: single server" `Quick test_partition_single_server;
     Alcotest.test_case "coordinator: recovers mincut" `Quick test_coordinator_recovers_mincut;

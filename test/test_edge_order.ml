@@ -123,7 +123,8 @@ let prop_results_follow_content =
       let candidates g =
         List.map
           (fun (v, c) -> (v, cut c))
-          (Karger.candidate_cuts ~domains:1 (r ()) ~trials:8 ~factor:3.0 g)
+          (Domains_env.with_domains 1 (fun () ->
+               Karger.candidate_cuts (r ()) ~trials:8 ~factor:3.0 g))
       in
       let karger_stein g =
         let v, c = Karger_stein.mincut ~domains:1 ~runs:2 (r ()) g in

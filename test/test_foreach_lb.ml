@@ -246,6 +246,25 @@ let test_run_trials_exact_high_success () =
   Alcotest.(check bool) "success >= 0.9" true (st.F.success_rate >= 0.9);
   Alcotest.(check int) "bits tested" 100 st.F.bits_tested
 
+(* The naive one-bit-per-edge scheme on Foreach_lb's parameters: an exact
+   oracle decodes every bit, at E11's shapes (β = 1, n = 4/ε, 3 trials of
+   80 bits: its "exact" column) and at β = 4. *)
+let test_naive_exact_decodes_every_bit () =
+  List.iter
+    (fun p ->
+      let st =
+        Naive_foreach.run_trials (Prng.create 16) p
+          ~sketch_of:(fun _ inst -> Exact_sketch.create inst.Naive_foreach.graph)
+          ~trials:3 ~bits_per_trial:80
+      in
+      Alcotest.(check int) "bits tested" 240 st.Naive_foreach.bits_tested;
+      Alcotest.(check int) "every bit decoded" 240 st.Naive_foreach.correct;
+      check_float "success 1.0" 1.0 st.Naive_foreach.success_rate)
+    (small_params ()
+    :: List.map
+         (fun inv_eps -> F.make_params ~beta:1 ~inv_eps (4 * inv_eps))
+         [ 8; 16; 32 ])
+
 let test_encode_failure_rate_low () =
   let rng = Prng.create 15 in
   let p = F.make_params ~beta:1 ~inv_eps:8 64 in
@@ -352,6 +371,8 @@ let suite =
     Alcotest.test_case "codec: size ~ |s|" `Quick test_codec_bits_close_to_capacity;
     Alcotest.test_case "codec: exact answers" `Quick test_codec_sketch_answers_exactly;
     Alcotest.test_case "run_trials: exact sketch" `Quick test_run_trials_exact_high_success;
+    Alcotest.test_case "naive run_trials: exact sketch decodes every bit" `Quick
+      test_naive_exact_decodes_every_bit;
     Alcotest.test_case "encode failures rare" `Quick test_encode_failure_rate_low;
     Alcotest.test_case "index game via codec (Lemma 3.1)" `Quick test_index_game_via_codec;
     Alcotest.test_case "layout: arithmetic" `Quick test_layout_arithmetic;

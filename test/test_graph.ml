@@ -121,7 +121,7 @@ let test_ugraph_cut () =
 
 let test_ugraph_digraph_roundtrip () =
   let g = Ugraph.of_edges 4 [ (0, 1, 1.5); (1, 2, 2.5) ] in
-  let d = Ugraph.to_digraph g in
+  let d = Csr.to_digraph (Csr.of_ugraph g) in
   Alcotest.(check int) "directed edges doubled" 4 (Digraph.m d);
   let back = Ugraph.of_digraph d in
   (* of_digraph adds both directions: weights double *)
@@ -131,7 +131,7 @@ let test_ugraph_cut_matches_digraph_cut () =
   let rng = Prng.create 42 in
   for _ = 1 to 20 do
     let g = Generators.erdos_renyi rng ~n:12 ~p:0.4 in
-    let d = Ugraph.to_digraph g in
+    let d = Csr.to_digraph (Csr.of_ugraph g) in
     let c = Cut.random rng ~n:12 in
     check_float "undirected = directed on symmetric"
       (Ugraph.cut_value g c) (Cut.value d c)
@@ -140,6 +140,23 @@ let test_ugraph_cut_matches_digraph_cut () =
 let test_neighbor_array_sorted () =
   let g = Ugraph.of_edges 5 [ (2, 4, 1.0); (2, 0, 1.0); (2, 3, 1.0) ] in
   Alcotest.(check (array int)) "sorted" [| 0; 3; 4 |] (Ugraph.neighbor_array g 2)
+
+(* A vertex gets its adjacency table at its first arc, so creating a
+   graph allocates one word per vertex per table array (two for a
+   digraph's out- and in-tables), not a 16-bucket table each. *)
+let test_create_words_per_vertex () =
+  let n = 1 lsl 16 in
+  let words_per_vertex create =
+    (* Empty the minor heap first: a collection forced inside [create]
+       skews the allocation counters. *)
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (create n));
+    let bytes = Gc.allocated_bytes () -. before in
+    Float.round (bytes /. float_of_int (Sys.word_size / 8 * n))
+  in
+  check_float "Digraph.create" 2.0 (words_per_vertex Digraph.create);
+  check_float "Ugraph.create" 1.0 (words_per_vertex Ugraph.create)
 
 (* --- Csr (frozen graphs) --- *)
 
@@ -332,7 +349,7 @@ let test_cut_complement () =
 
 let test_cut_directed_values () =
   let g = Digraph.of_edges 3 [ (0, 1, 2.0); (1, 0, 5.0) ] in
-  let c = Cut.singleton ~n:3 0 in
+  let c = Cut.of_indices ~n:3 [ 0 ] in
   check_float "forward" 2.0 (Cut.value g c);
   check_float "backward" 5.0 (Cut.value_rev g c)
 
@@ -353,7 +370,7 @@ let test_cut_random_proper () =
 
 let test_balance_of_cut () =
   let g = Digraph.of_edges 2 [ (0, 1, 6.0); (1, 0, 2.0) ] in
-  let c = Cut.singleton ~n:2 0 in
+  let c = Cut.of_indices ~n:2 [ 0 ] in
   check_float "ratio" 3.0 (Balance.of_cut g c);
   check_float "inverse ratio" (1.0 /. 3.0) (Balance.of_cut g (Cut.complement c))
 
@@ -393,7 +410,7 @@ let cut_loop_lower_bound rng ~trials g =
     let best = ref 0.0 in
     let consider c = best := Float.max !best (Balance.of_cut g c) in
     for v = 0 to nv - 1 do
-      let s = Cut.singleton ~n:nv v in
+      let s = Cut.of_indices ~n:nv [ v ] in
       consider s;
       consider (Cut.complement s)
     done;
@@ -778,6 +795,8 @@ let suite =
     Alcotest.test_case "ugraph: digraph roundtrip" `Quick test_ugraph_digraph_roundtrip;
     Alcotest.test_case "ugraph: cut matches symmetric digraph" `Quick test_ugraph_cut_matches_digraph_cut;
     Alcotest.test_case "ugraph: neighbor array sorted" `Quick test_neighbor_array_sorted;
+    Alcotest.test_case "create: one word per vertex per table array" `Quick
+      test_create_words_per_vertex;
     Alcotest.test_case "csr: basics" `Quick test_csr_basic;
     Alcotest.test_case "csr: rows sorted" `Quick test_csr_iter_sorted;
     Alcotest.test_case "csr: reverse" `Quick test_csr_reverse;

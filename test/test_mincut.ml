@@ -394,8 +394,9 @@ let prop_karger_pool_sorted_order =
           Int64.bits_of_float v = Int64.bits_of_float (fst best)
           && Cut.to_list c = Cut.to_list (snd best)
           && normal
-               (Karger.candidate_cuts ~domains (Prng.create (seed + 1)) ~trials
-                  ~factor g)
+               (Domains_env.with_domains domains (fun () ->
+                    Karger.candidate_cuts (Prng.create (seed + 1)) ~trials
+                      ~factor g))
              = expected)
         [ 1; 2; 4 ])
 

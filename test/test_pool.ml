@@ -54,9 +54,10 @@ let test_parallel_init_edge_sizes () =
 let test_foreach_trials_domain_invariant () =
   let p = Foreach_lb.make_params ~beta:1 ~inv_eps:4 16 in
   let stats d =
-    Foreach_lb.run_trials ~domains:d (Prng.create 42) p
-      ~sketch_of:(fun _ inst -> Exact_sketch.create inst.Foreach_lb.graph)
-      ~trials:6 ~bits_per_trial:10
+    Domains_env.with_domains d (fun () ->
+        Foreach_lb.run_trials (Prng.create 42) p
+          ~sketch_of:(fun _ inst -> Exact_sketch.create inst.Foreach_lb.graph)
+          ~trials:6 ~bits_per_trial:10)
   in
   let reference = stats 1 in
   List.iter
@@ -70,9 +71,10 @@ let test_foreach_trials_domain_invariant () =
 let test_forall_trials_domain_invariant () =
   let p = Forall_lb.make_params ~beta:1 ~inv_eps_sq:8 16 in
   let stats d =
-    Forall_lb.run_trials ~domains:d (Prng.create 43) p
-      ~sketch_of:(fun _ inst -> Exact_sketch.create inst.Forall_lb.graph)
-      ~decoder:`Topk ~trials:8
+    Domains_env.with_domains d (fun () ->
+        Forall_lb.run_trials (Prng.create 43) p
+          ~sketch_of:(fun _ inst -> Exact_sketch.create inst.Forall_lb.graph)
+          ~decoder:`Topk ~trials:8)
   in
   let reference = stats 1 in
   List.iter
@@ -98,7 +100,8 @@ let test_karger_domain_invariant () =
         true (Cut.equal c1 c))
     domain_counts;
   let cands d =
-    Karger.candidate_cuts ~domains:d (Prng.create 46) ~trials:30 ~factor:2.0 g
+    Domains_env.with_domains d (fun () ->
+        Karger.candidate_cuts (Prng.create 46) ~trials:30 ~factor:2.0 g)
     |> List.map (fun (v, c) -> (v, Cut.to_list c))
   in
   let reference = cands 1 in

@@ -36,14 +36,14 @@ let test_relative_error () =
   let sk =
     { Sketch.name = "test"; size_bits = 0; query = (fun _ -> 11.0); graph = None }
   in
-  let c = Cut.singleton ~n:2 0 in
+  let c = Cut.of_indices ~n:2 [ 0 ] in
   check_float "10% error" 0.1 (Sketch.relative_error sk g c)
 
 (* One test per branch of the zero-cut contract in the .mli. *)
 let test_relative_error_zero_branches () =
   (* Graph with only the 1 -> 0 edge: the cut ({0}, {1}) has truth 0. *)
   let g = Digraph.of_edges 2 [ (1, 0, 10.0) ] in
-  let zero_cut = Cut.singleton ~n:2 0 in
+  let zero_cut = Cut.of_indices ~n:2 [ 0 ] in
   let const v =
     { Sketch.name = "const"; size_bits = 0; query = (fun _ -> v); graph = None }
   in
@@ -54,7 +54,7 @@ let test_relative_error_zero_branches () =
   Alcotest.(check bool) "truth 0, tiny estimate" true
     (Sketch.relative_error (const 1e-15) g zero_cut = infinity);
   (* Truth nonzero: estimate 0 is the ordinary branch with error 1. *)
-  let nonzero_cut = Cut.singleton ~n:2 1 in
+  let nonzero_cut = Cut.of_indices ~n:2 [ 1 ] in
   check_float "truth nonzero, estimate 0" 1.0
     (Sketch.relative_error (const 0.0) g nonzero_cut);
   check_float "ordinary branch" 0.2 (Sketch.relative_error (const 8.0) g nonzero_cut)
@@ -76,20 +76,11 @@ let test_noisy_oracle_bounds () =
       done)
     [ Noisy_oracle.Random; Noisy_oracle.Adversarial ]
 
-let test_noisy_oracle_deterministic_modes () =
-  let rng = Prng.create 3 in
-  let g = Digraph.of_edges 2 [ (0, 1, 10.0) ] in
-  let c = Cut.singleton ~n:2 0 in
-  let up = Noisy_oracle.create ~mode:Noisy_oracle.Deterministic_up rng ~eps:0.2 g in
-  check_float "up" 12.0 (up.Sketch.query c);
-  let down = Noisy_oracle.create ~mode:Noisy_oracle.Deterministic_down rng ~eps:0.2 g in
-  check_float "down" 8.0 (down.Sketch.query c)
-
 let test_noisy_oracle_zero_eps_exact () =
   let rng = Prng.create 4 in
   let g = Digraph.of_edges 2 [ (0, 1, 7.0) ] in
   let sk = Noisy_oracle.create rng ~eps:0.0 g in
-  check_float "exact at eps 0" 7.0 (sk.Sketch.query (Cut.singleton ~n:2 0))
+  check_float "exact at eps 0" 7.0 (sk.Sketch.query (Cut.of_indices ~n:2 [ 0 ]))
 
 let test_noisy_oracle_zero_weight_cut () =
   (* A zero cut must come back as exactly 0 in every mode: multiplicative
@@ -97,15 +88,14 @@ let test_noisy_oracle_zero_weight_cut () =
   let rng = Prng.create 30 in
   (* Only the 1 -> 0 edge: the directed cut ({0}, {1}) is 0. *)
   let g = Digraph.of_edges 2 [ (1, 0, 10.0) ] in
-  let zero_cut = Cut.singleton ~n:2 0 in
+  let zero_cut = Cut.of_indices ~n:2 [ 0 ] in
   List.iter
     (fun mode ->
       let sk = Noisy_oracle.create ~mode rng ~eps:0.9 g in
       for _ = 1 to 10 do
         check_float "zero cut stays zero" 0.0 (sk.Sketch.query zero_cut)
       done)
-    [ Noisy_oracle.Random; Noisy_oracle.Adversarial;
-      Noisy_oracle.Deterministic_up; Noisy_oracle.Deterministic_down ]
+    [ Noisy_oracle.Random; Noisy_oracle.Adversarial ]
 
 let test_noisy_oracle_extreme_noise () =
   (* eps = 0.99 is legal and the (1 ± eps) envelope still holds; answers
@@ -738,7 +728,8 @@ let test_median_boost_improves_success () =
     let mk () =
       let h = Foreach_sampler.sparsify ~c:1.0 rng ~eps u in
       Sketch.of_digraph ~name:"foreach-sampler"
-        ~size_bits:(Sketch.ugraph_encoding_bits h) (Ugraph.to_digraph h)
+        ~size_bits:(Sketch.ugraph_encoding_bits h)
+        (Csr.to_digraph (Csr.of_ugraph h))
     in
     let single = mk () in
     if Float.abs (single.Sketch.query c -. truth) <= eps *. truth then incr single_ok;
@@ -786,7 +777,6 @@ let suite =
     Alcotest.test_case "sketch: relative error zero branches" `Quick
       test_relative_error_zero_branches;
     Alcotest.test_case "noisy oracle: bounds" `Quick test_noisy_oracle_bounds;
-    Alcotest.test_case "noisy oracle: deterministic" `Quick test_noisy_oracle_deterministic_modes;
     Alcotest.test_case "noisy oracle: eps 0" `Quick test_noisy_oracle_zero_eps_exact;
     Alcotest.test_case "noisy oracle: zero-weight cut" `Quick test_noisy_oracle_zero_weight_cut;
     Alcotest.test_case "noisy oracle: extreme noise" `Quick test_noisy_oracle_extreme_noise;

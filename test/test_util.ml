@@ -201,10 +201,6 @@ let test_min_max () =
   check_float "min" (-1.0) lo;
   check_float "max" 7.0 hi
 
-let test_success_rate () =
-  check_float "3/4" 0.75 (Stats.success_rate [| true; true; true; false |]);
-  check_float "empty" 0.0 (Stats.success_rate [||])
-
 let test_linear_regression () =
   let slope, intercept =
     Stats.linear_regression [| (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) |]
@@ -220,25 +216,6 @@ let test_loglog_slope () =
   in
   let s = Stats.loglog_slope pts in
   Alcotest.(check bool) "slope ~ 3" true (Float.abs (s -. 3.0) < 1e-6)
-
-let test_histogram () =
-  let h = Stats.histogram ~bins:2 [| 0.0; 0.1; 0.9; 1.0 |] in
-  Alcotest.(check int) "bins" 2 (Array.length h);
-  Alcotest.(check int) "left count" 2 (snd h.(0));
-  Alcotest.(check int) "right count" 2 (snd h.(1))
-
-let test_histogram_edges () =
-  Alcotest.(check int) "empty input -> no bins" 0
-    (Array.length (Stats.histogram ~bins:4 [||]));
-  Alcotest.(check bool) "bins <= 0 raises" true
-    (try
-       ignore (Stats.histogram ~bins:0 [| 1.0 |]);
-       false
-     with Invalid_argument _ -> true);
-  (* all-equal samples land in a single degenerate bin *)
-  let h = Stats.histogram ~bins:3 [| 2.0; 2.0; 2.0 |] in
-  Alcotest.(check int) "total count preserved" 3
-    (Array.fold_left (fun acc (_, c) -> acc + c) 0 h)
 
 let test_bucket_bars () =
   let bars = Stats.bucket_bars [| 0; 50; 100; 1 |] in
@@ -459,11 +436,8 @@ let suite =
     Alcotest.test_case "stats: quantiles" `Quick test_quantiles;
     Alcotest.test_case "stats: quantile edge cases" `Quick test_quantile_edges;
     Alcotest.test_case "stats: min/max" `Quick test_min_max;
-    Alcotest.test_case "stats: success rate" `Quick test_success_rate;
     Alcotest.test_case "stats: linear regression" `Quick test_linear_regression;
     Alcotest.test_case "stats: loglog slope" `Quick test_loglog_slope;
-    Alcotest.test_case "stats: histogram" `Quick test_histogram;
-    Alcotest.test_case "stats: histogram edge cases" `Quick test_histogram_edges;
     Alcotest.test_case "stats: bucket bars" `Quick test_bucket_bars;
     Alcotest.test_case "bits: counter" `Quick test_bits_counter;
     Alcotest.test_case "bits: bits_for_range" `Quick test_bits_for_range;
